@@ -18,10 +18,7 @@ from .linalg import LinalgError
 from .model import (
     DomainError,
     DotParams,
-    EigenSystem,
     ThermalElements,
-    basis_change_check,
-    eigensystem,
     hamiltonian_matrix,
     thermal_elements,
     thermal_state,
@@ -61,10 +58,7 @@ __all__ = [
     "LinalgError",
     "DomainError",
     "DotParams",
-    "EigenSystem",
     "ThermalElements",
-    "basis_change_check",
-    "eigensystem",
     "hamiltonian_matrix",
     "thermal_elements",
     "thermal_state",

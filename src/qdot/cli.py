@@ -87,36 +87,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# Config keys per destination: converter and whether the key may repeat.
-_CONFIG_CONVERTERS = {
-    "k0": _parse_float,
-    "r": _parse_float,
-    "t": _parse_float,
-    "theta": parse_angle,
-    "phi": parse_angle,
-    "sweep": parse_axis,
-    "out": str,
-    "format": str,
-    "workers": _parse_int,
-    "quantities": str,
-    "tol": _parse_float,
-    "seed": _parse_int,
-    "mc-samples": _parse_int,
-}
-_CONFIG_DESTS = {
-    "k0": "k0",
-    "r": "r",
-    "t": "T",
-    "theta": "theta",
-    "phi": "phi",
-    "sweep": "sweep",
-    "out": "out",
-    "format": "format",
-    "workers": "workers",
-    "quantities": "quantities",
-    "tol": "tol",
-    "seed": "seed",
-    "mc-samples": "mc_samples",
+# Config key -> (argument destination, converter). Only sweep may repeat.
+_CONFIG_KEYS = {
+    "k0": ("k0", _parse_float),
+    "r": ("r", _parse_float),
+    "t": ("T", _parse_float),
+    "theta": ("theta", parse_angle),
+    "phi": ("phi", parse_angle),
+    "sweep": ("sweep", parse_axis),
+    "out": ("out", str),
+    "format": ("format", str),
+    "workers": ("workers", _parse_int),
+    "quantities": ("quantities", str),
+    "tol": ("tol", _parse_float),
+    "seed": ("seed", _parse_int),
+    "mc-samples": ("mc_samples", _parse_int),
 }
 
 
@@ -143,14 +128,13 @@ def apply_config(args: argparse.Namespace) -> None:
     """Fill unset argument slots from the config file; flags win."""
     entries = load_config(args.config)
     for key, values in entries.items():
-        if key not in _CONFIG_CONVERTERS:
+        if key not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key {key!r}")
-        dest = _CONFIG_DESTS[key]
+        dest, convert = _CONFIG_KEYS[key]
         if not hasattr(args, dest):
             raise UsageError(f"config key {key!r} does not apply to this subcommand")
         if getattr(args, dest) is not None:
             continue
-        convert = _CONFIG_CONVERTERS[key]
         if key == "sweep":
             setattr(args, dest, [convert(v) for v in values])
         else:
@@ -223,8 +207,11 @@ def _emit(header: list[str], rows, args) -> None:
     fmt = args.format or "csv"
     text = format_csv(header, rows) if fmt == "csv" else format_json(header, rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -305,6 +292,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             apply_config(args)
+        workers = getattr(args, "workers", None)
+        if workers is not None and workers < 1:
+            raise UsageError(f"--workers must be at least 1, got {workers}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import PAULI_Y, kron
-from .model import DomainError, DotParams, ThermalElements, _exponents
+from .model import DomainError, DotParams, ThermalElements, _boltzmann_weights
 
 __all__ = [
     "ConcurrenceResult",
@@ -89,17 +89,12 @@ def model_concurrence(p: DotParams) -> float:
     Evaluates max((exp(3k0/16T) - 3 exp(-k0/16T)) / Z, 0) with the same
     log-domain shift as the thermal elements. The numerator is negative for
     every k0 < 0, so ferromagnetic coupling never entangles. At T = 0 the
-    ground-state limit takes over.
+    ground-state limit takes over; overflowing exponents raise DomainError.
     """
     if p.T == 0:
         return ground_state_concurrence(p.k0, p.r)
-    if p.T < 0:
-        raise DomainError(f"temperature must be >= 0, got {p.T}")
-    a_u, a_v, b1, b2 = _exponents(p.k0, p.r, p.T)
-    m = max(a_u, a_v, b1, b2)
-    num = math.exp(b2 - m) - 3.0 * math.exp(b1 - m)
-    z = math.exp(a_u - m) + math.exp(a_v - m) + math.exp(b1 - m) + math.exp(b2 - m)
-    return max(num / z, 0.0)
+    u, v, e1, e2, _ = _boltzmann_weights(p)
+    return max((e2 - 3.0 * e1) / (u + v + e1 + e2), 0.0)
 
 
 def ground_state_concurrence(k0: float, r: float) -> float:

@@ -8,7 +8,7 @@ validation and clarity over scale.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,8 +22,6 @@ __all__ = [
     "kron",
     "partial_trace",
     "hermitian_eig",
-    "matrix_function",
-    "psd_sqrt",
     "validate_density_matrix",
 ]
 
@@ -120,32 +118,6 @@ def hermitian_eig(
         raise LinalgError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     evals, evecs = np.linalg.eigh((a + a.conj().T) / 2.0)
     return evals, evecs
-
-
-def matrix_function(m: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix spectrally.
-
-    ``f`` is evaluated on each eigenvalue; exceptions it raises propagate,
-    so domain restrictions (square roots, logs) are enforced by the callable.
-    """
-    evals, v = hermitian_eig(m)
-    fvals = np.array([float(f(x)) for x in evals])
-    return (v * fvals) @ v.conj().T
-
-
-def psd_sqrt(m: np.ndarray, neg_tol: float = 1e-10) -> np.ndarray:
-    """Principal square root of a positive semidefinite Hermitian matrix.
-
-    Eigenvalues in [-neg_tol, 0) are treated as roundoff and clamped to zero;
-    anything more negative raises.
-    """
-
-    def guarded_sqrt(x: float) -> float:
-        if x < -neg_tol:
-            raise LinalgError(f"square root undefined for eigenvalue {x:.3e}")
-        return math.sqrt(max(x, 0.0))
-
-    return matrix_function(m, guarded_sqrt)
 
 
 def validate_density_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:

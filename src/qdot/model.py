@@ -25,14 +25,11 @@ __all__ = [
     "DotParams",
     "BASIS_LABELS",
     "hamiltonian_matrix",
-    "EigenSystem",
-    "eigensystem",
     "ThermalElements",
     "thermal_elements",
     "thermal_state",
     "thermal_state_oracle",
     "singlet_triplet_unitary",
-    "basis_change_check",
 ]
 
 BASIS_LABELS = ("11", "10", "01", "00")
@@ -59,7 +56,11 @@ class DotParams:
     def __post_init__(self) -> None:
         for name in ("k0", "r", "T"):
             val = getattr(self, name)
-            if not math.isfinite(val):
+            try:
+                finite = math.isfinite(val)
+            except TypeError:
+                raise DomainError(f"{name} must be a real number, got {val!r}") from None
+            if not finite:
                 raise DomainError(f"{name} must be finite, got {val!r}")
         if self.T < 0:
             raise DomainError(f"temperature must be >= 0, got {self.T}")
@@ -73,36 +74,6 @@ def hamiltonian_matrix(p: DotParams) -> np.ndarray:
     )
     zeeman = kron(sz, IDENTITY_2) + kron(IDENTITY_2, sz)
     return (p.k0 / 4.0) * exchange - p.r * zeeman
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Closed-form spectrum of the dot Hamiltonian.
-
-    ``energies[i]`` belongs to ``states[i]`` (a 4-vector in the product
-    basis). The order is |00>, |11>, then the symmetric and antisymmetric
-    combinations of |01> and |10>.
-    """
-
-    energies: np.ndarray
-    states: np.ndarray
-
-
-def eigensystem(p: DotParams) -> EigenSystem:
-    """Exact energies and eigenstates of the two-spin Hamiltonian."""
-    k, r = p.k0, p.r
-    energies = np.array([k / 16.0 + r, k / 16.0 - r, k / 16.0, -3.0 * k / 16.0])
-    s = 1.0 / math.sqrt(2.0)
-    states = np.array(
-        [
-            [0, 0, 0, 1],       # |00>
-            [1, 0, 0, 0],       # |11>
-            [0, s, s, 0],       # (|01> + |10>)/sqrt(2)
-            [0, -s, s, 0],      # (|01> - |10>)/sqrt(2)
-        ],
-        dtype=complex,
-    )
-    return EigenSystem(energies=energies, states=states)
 
 
 @dataclass(frozen=True)
@@ -124,31 +95,38 @@ class ThermalElements:
     log_scale: float
 
 
-def _exponents(k0: float, r: float, T: float) -> tuple[float, float, float, float]:
-    """Log-domain Boltzmann exponents of the four levels at temperature T."""
-    a_u = -(k0 - 16.0 * r) / (16.0 * T)
-    a_v = -(k0 + 16.0 * r) / (16.0 * T)
-    b1 = -k0 / (16.0 * T)
-    b2 = 3.0 * k0 / (16.0 * T)
-    return a_u, a_v, b1, b2
+def _boltzmann_weights(p: DotParams) -> tuple[float, float, float, float, float]:
+    """Boltzmann weights of the four levels, shifted by the largest exponent.
 
-
-def thermal_elements(p: DotParams) -> ThermalElements:
-    """Closed-form thermal-state elements with a common log-domain shift.
-
-    Raises DomainError for T <= 0; the T = 0 limits live in the
-    ground-state helpers.
+    Returns (u, v, e1, e2, m): the weights of |11>, |00>, and the
+    exchange exponentials exp(-k0/16T) and exp(3k0/16T), each divided by
+    exp(m). Raises DomainError for T <= 0 (the T = 0 limits live in the
+    ground-state helpers) and when the largest exponent overflows.
     """
     if p.T <= 0:
         raise DomainError(
             f"thermal elements need T > 0, got T={p.T}; use the ground-state limits"
         )
-    a_u, a_v, b1, b2 = _exponents(p.k0, p.r, p.T)
+    k0, r, t16 = p.k0, p.r, 16.0 * p.T
+    a_u = -(k0 - 16.0 * r) / t16
+    a_v = -(k0 + 16.0 * r) / t16
+    b1 = -k0 / t16
+    b2 = 3.0 * k0 / t16
+    # An exponent overflowed to -inf only zeroes its weight; one at +inf is
+    # the shift m itself, and the shifted exponents would be inf - inf.
     m = max(a_u, a_v, b1, b2)
-    u = math.exp(a_u - m)
-    v = math.exp(a_v - m)
-    e1 = math.exp(b1 - m)
-    e2 = math.exp(b2 - m)
+    if math.isinf(m):
+        raise DomainError(f"Boltzmann exponents overflow at k0={k0!r}, r={r!r}, T={p.T!r}")
+    return math.exp(a_u - m), math.exp(a_v - m), math.exp(b1 - m), math.exp(b2 - m), m
+
+
+def thermal_elements(p: DotParams) -> ThermalElements:
+    """Closed-form thermal-state elements with a common log-domain shift.
+
+    Raises DomainError for T <= 0, where the ground-state helpers take
+    over, and where the Boltzmann exponents overflow.
+    """
+    u, v, e1, e2, m = _boltzmann_weights(p)
     w = 0.5 * (e1 + e2)
     y = 0.5 * (e1 - e2)
     return ThermalElements(u=u, v=v, w=w, y=y, big_z=u + v + 2.0 * w, log_scale=m)
@@ -190,7 +168,8 @@ def singlet_triplet_unitary() -> tuple[np.ndarray, np.ndarray]:
     """Basis change from the coupled (triplet/singlet) basis to the product basis.
 
     Returns (U, U_inv) such that U @ diag(coupled energies) @ U_inv equals the
-    product-basis Hamiltonian. The coupled basis is ordered
+    product-basis Hamiltonian; U is real orthogonal, so U_inv is its
+    transpose. The coupled basis is ordered
     {|1,1>, |1,0>, |1,-1>, |0,0>}.
     """
     s = math.sqrt(2.0) / 2.0
@@ -203,27 +182,4 @@ def singlet_triplet_unitary() -> tuple[np.ndarray, np.ndarray]:
         ],
         dtype=complex,
     )
-    u_inv = np.array(
-        [
-            [1, 0, 0, 0],
-            [0, s, s, 0],
-            [0, 0, 0, 1],
-            [0, s, -s, 0],
-        ],
-        dtype=complex,
-    )
-    return u, u_inv
-
-
-def basis_change_check(p: DotParams, tol: float = 1e-12) -> bool:
-    """Verify U U_inv = I and that U conjugates the coupled-basis diagonal
-    onto the product-basis Hamiltonian, both entrywise within ``tol``."""
-    u, u_inv = singlet_triplet_unitary()
-    if np.abs(u @ u_inv - np.eye(4)).max() > tol:
-        return False
-    k, r = p.k0, p.r
-    coupled = np.diag(
-        np.array([k / 16.0 - r, k / 16.0, k / 16.0 + r, -3.0 * k / 16.0], dtype=complex)
-    )
-    conjugated = u @ coupled @ u_inv
-    return bool(np.abs(conjugated - hamiltonian_matrix(p)).max() <= tol)
+    return u, u.conj().T

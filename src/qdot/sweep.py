@@ -9,8 +9,10 @@ pool.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -128,22 +130,12 @@ class SweepSpec:
 
     def points(self) -> list[dict[str, float]]:
         """Parameter dict per grid point, lexicographic in the axes."""
-        grids = [a.values() for a in self.axes]
+        grids = [[(a.name, v) for v in a.values().tolist()] for a in self.axes]
         pts = []
-        if not grids:
-            pts.append(dict(self.fixed))
-        elif len(grids) == 1:
-            for v in grids[0]:
-                d = dict(self.fixed)
-                d[self.axes[0].name] = float(v)
-                pts.append(d)
-        else:
-            for v0 in grids[0]:
-                for v1 in grids[1]:
-                    d = dict(self.fixed)
-                    d[self.axes[0].name] = float(v0)
-                    d[self.axes[1].name] = float(v1)
-                    pts.append(d)
+        for items in itertools.product(*grids):
+            d = dict(self.fixed)
+            d.update(items)
+            pts.append(d)
         return pts
 
 
@@ -182,9 +174,11 @@ def run_sweep(
     Rows carry the axis values first, then the quantity columns. With
     ``workers > 1`` the grid is mapped over a process pool; results are
     collected in grid order, so the output is identical to a serial run.
+    The pool has at most one worker per CPU.
     """
     points = spec.points()
     tasks = [(pt, spec.quantities) for pt in points]
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:

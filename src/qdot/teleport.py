@@ -151,21 +151,10 @@ def collapse_bruteforce(
     return reduced / z, z
 
 
-def _branch_scalars(
-    e: ThermalElements, s: InputState
-) -> tuple[float, float, float, complex]:
-    """Shared subexpressions of the four closed-form branches.
-
-    Returns (z1, z2, off, ph) where z1/z2 are the unnormalized Psi/Phi
-    branch weights, off = y sin(theta) / 2, and ph = exp(-i phi).
-    """
-    c2 = math.cos(s.theta / 2.0) ** 2
-    s2 = math.sin(s.theta / 2.0) ** 2
-    z1 = e.w + e.u * s2 + e.v * c2
-    z2 = e.w + e.v * s2 + e.u * c2
-    off = 0.5 * e.y * math.sin(s.theta)
-    ph = cmath.exp(-1j * s.phi)
-    return z1, z2, off, ph
+def _branch_weights(e: ThermalElements, c2, s2):
+    """Unnormalized Psi/Phi branch weights (z1, z2) at cos^2 and sin^2 of
+    theta/2; floats or arrays alike."""
+    return e.w + e.u * s2 + e.v * c2, e.w + e.v * s2 + e.u * c2
 
 
 def collapsed_closed_form(
@@ -180,16 +169,16 @@ def collapsed_closed_form(
     """
     c2 = math.cos(s.theta / 2.0) ** 2
     s2 = math.sin(s.theta / 2.0) ** 2
-    z1, z2, off, ph = _branch_scalars(e, s)
-
-    if outcome is BellOutcome.PSI_MINUS:
-        top, bot, z, corner = e.w * c2 + e.u * s2, e.v * c2 + e.w * s2, z1, -off * ph
-    elif outcome is BellOutcome.PSI_PLUS:
-        top, bot, z, corner = e.w * c2 + e.u * s2, e.v * c2 + e.w * s2, z1, off * ph
-    elif outcome is BellOutcome.PHI_MINUS:
-        top, bot, z, corner = e.u * c2 + e.w * s2, e.w * c2 + e.v * s2, z2, -off * ph.conjugate()
+    z1, z2 = _branch_weights(e, c2, s2)
+    off = 0.5 * e.y * math.sin(s.theta)
+    ph = cmath.exp(-1j * s.phi)
+    if outcome.subspace == "o":
+        top, bot, z = e.w * c2 + e.u * s2, e.v * c2 + e.w * s2, z1
     else:
-        top, bot, z, corner = e.u * c2 + e.w * s2, e.w * c2 + e.v * s2, z2, off * ph.conjugate()
+        top, bot, z, ph = e.u * c2 + e.w * s2, e.w * c2 + e.v * s2, z2, ph.conjugate()
+    if outcome in (BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS):
+        off = -off
+    corner = off * ph
 
     state = np.array([[top, corner], [corner.conjugate(), bot]], dtype=complex) / z
     probability = z / (2.0 * e.big_z)
@@ -217,21 +206,9 @@ def output_states(s: InputState, p: DotParams) -> tuple[np.ndarray, np.ndarray]:
     Phi branches to another; this returns that pair (rho_o, rho_e).
     """
     e = thermal_elements(p)
-    c2 = math.cos(s.theta / 2.0) ** 2
-    s2 = math.sin(s.theta / 2.0) ** 2
-    _, z2, off, ph = _branch_scalars(e, s)
     rho_o, _ = collapsed_closed_form(s, e, BellOutcome.PSI_MINUS)
-    corner = -off * ph
-    rho_e = (
-        np.array(
-            [
-                [e.w * c2 + e.v * s2, corner],
-                [corner.conjugate(), e.u * c2 + e.w * s2],
-            ],
-            dtype=complex,
-        )
-        / z2
-    )
+    rho_e, _ = collapsed_closed_form(s, e, BellOutcome.PHI_MINUS)
+    rho_e = pauli_correction(BellOutcome.PHI_MINUS, rho_e)
     return rho_o, rho_e
 
 
@@ -281,8 +258,7 @@ def _mean_branch_fidelity(e: ThermalElements, x: np.ndarray) -> np.ndarray:
     s2 = 0.5 * (1.0 - x)
     cross = c2 * s2
     num = e.w * (c2 * c2 + s2 * s2) + (e.u + e.v) * cross - 2.0 * e.y * cross
-    z1 = e.w + e.u * s2 + e.v * c2
-    z2 = e.w + e.v * s2 + e.u * c2
+    z1, z2 = _branch_weights(e, c2, s2)
     return 0.5 * num * (1.0 / z1 + 1.0 / z2)
 
 
@@ -292,8 +268,13 @@ def average_fidelity(p: DotParams, nodes: int = 64) -> float:
     Gauss-Legendre in cos(theta) times a trapezoid rule in the azimuthal
     phase, ``nodes`` points each way. The integrand is constant along the
     phase direction, so the trapezoid factor integrates it exactly; the
-    polar factor is a smooth rational function that 64 Gauss nodes resolve
-    far below the comparison tolerances used anywhere in the package.
+    polar factor is a smooth rational function. With 64 nodes the error
+    against 40-digit mpmath quadrature of the same integrand reaches 5.8e-9
+    at DotParams(4, 1.6152, 0.08127), the worst point of a 600x600 scan
+    over k0 = 4, 0.04 <= T <= 2.1, 0 <= r <= 4.5. At the same k0 and T it
+    is at rounding level (<= 6e-16) for r = 0, 0.5, 1 and 3: the error sits
+    past the level crossing |r| = k0/4 at low T, where it is above the
+    package's 1e-10 tolerances.
     """
     if nodes < 2:
         raise DomainError(f"quadrature needs at least 2 nodes, got {nodes}")

@@ -3,12 +3,14 @@
 Each check reports its maximum observed deviation and the threshold it was
 held to. Two checks carry method floors of their own: the critical
 temperature is located by bisection (floor 1e-6) and the quadrature versus
-Monte Carlo comparison is statistical (floor 4 standard errors). The caller
-tolerance applies to everything else.
+Monte Carlo comparison is statistical (floor 4 standard errors, at least
+1e-14, per point). The caller tolerance applies to everything else.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +40,7 @@ TELEPORT_GRID = {
 
 _TC_FLOOR = 1e-6
 _MC_POINTS = ((2.0, 0.2, 0.5), (4.0, 1.0, 0.2), (0.5, 0.0, 1.0))
+_MC_ROUNDING_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -57,24 +60,34 @@ class CheckResult:
         )
 
 
-def _thermal_points():
-    for k0 in GRID["k0"]:
-        for r in GRID["r"]:
-            for T in GRID["T"]:
-                yield model.DotParams(k0=k0, r=r, T=T)
-
-
-def _teleport_points():
-    for k0 in TELEPORT_GRID["k0"]:
-        for r in TELEPORT_GRID["r"]:
-            for T in TELEPORT_GRID["T"]:
-                yield model.DotParams(k0=k0, r=r, T=T)
+def _params(grid):
+    """DotParams over the product of a grid's k0, r and T values."""
+    for k0, r, T in itertools.product(grid["k0"], grid["r"], grid["T"]):
+        yield model.DotParams(k0=k0, r=r, T=T)
 
 
 def _input_states():
-    for theta in TELEPORT_GRID["theta"]:
-        for phi in TELEPORT_GRID["phi"]:
-            yield teleport.InputState(theta=theta, phi=phi)
+    for theta, phi in itertools.product(TELEPORT_GRID["theta"], TELEPORT_GRID["phi"]):
+        yield teleport.InputState(theta=theta, phi=phi)
+
+
+def _check(name: str):
+    """Name a check. The check returns (passed, max_dev, threshold[, detail]);
+    a contract violation inside it is itself a failure."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(tolerance: float, *args) -> CheckResult:
+            try:
+                return CheckResult(name, *fn(tolerance, *args))
+            except (LinalgError, DomainError) as exc:
+                return CheckResult(
+                    name, False, math.inf, tolerance, f"raised {type(exc).__name__}: {exc}"
+                )
+
+        return run
+
+    return decorate
 
 
 def bisect_critical_temperature(
@@ -103,21 +116,23 @@ def bisect_critical_temperature(
     return 0.5 * (lo + hi)
 
 
-def check_thermal_oracle(tolerance: float) -> CheckResult:
+@_check("thermal state vs spectral oracle")
+def check_thermal_oracle(tolerance: float):
     """Closed-form Gibbs state against spectral exp(-H/T)/Z, entrywise."""
     dev = 0.0
-    for p in _thermal_points():
+    for p in _params(GRID):
         closed = model.thermal_state(p)
         oracle = model.thermal_state_oracle(p)
         dev = max(dev, float(np.abs(closed - oracle).max()))
-    return CheckResult("thermal state vs spectral oracle", dev <= tolerance, dev, tolerance)
+    return dev <= tolerance, dev, tolerance
 
 
-def check_concurrence_triple(tolerance: float) -> CheckResult:
+@_check("concurrence triple agreement")
+def check_concurrence_triple(tolerance: float):
     """Model form vs X-state form vs Wootters, plus zero for k0 < 0."""
     dev = 0.0
     ferro_max = 0.0
-    for p in _thermal_points():
+    for p in _params(GRID):
         c_model = entanglement.model_concurrence(p)
         c_x = entanglement.xstate_concurrence(model.thermal_elements(p))
         c_w = entanglement.wootters_concurrence(model.thermal_state(p)).value
@@ -128,10 +143,11 @@ def check_concurrence_triple(tolerance: float) -> CheckResult:
     detail = "ferromagnetic points all exactly 0" if ferro_max == 0.0 else (
         f"nonzero concurrence {ferro_max:.3e} at k0 < 0"
     )
-    return CheckResult("concurrence triple agreement", passed, dev, tolerance, detail)
+    return passed, dev, tolerance, detail
 
 
-def check_critical_temperature(tolerance: float) -> CheckResult:
+@_check("critical temperature by bisection")
+def check_critical_temperature(tolerance: float):
     """Bisection transition temperature against k0/(4 ln 3), at several fields."""
     threshold = max(tolerance, _TC_FLOOR)
     dev = 0.0
@@ -139,8 +155,7 @@ def check_critical_temperature(tolerance: float) -> CheckResult:
         expected = entanglement.critical_temperature(k0)
         for r in (0.0, 1.0, 4.0):
             dev = max(dev, abs(bisect_critical_temperature(k0, r) - expected))
-    return CheckResult(
-        "critical temperature by bisection",
+    return (
         dev <= threshold,
         dev,
         threshold,
@@ -148,10 +163,11 @@ def check_critical_temperature(tolerance: float) -> CheckResult:
     )
 
 
-def check_collapse(tolerance: float) -> CheckResult:
+@_check("teleportation collapse vs brute force")
+def check_collapse(tolerance: float):
     """Closed-form collapsed branches against 8x8 projection."""
     dev = 0.0
-    for p in _teleport_points():
+    for p in _params(TELEPORT_GRID):
         e = model.thermal_elements(p)
         for s in _input_states():
             joint = teleport.joint_state(s, p)
@@ -163,13 +179,14 @@ def check_collapse(tolerance: float) -> CheckResult:
                     float(np.abs(closed_state - brute_state).max()),
                     abs(closed_prob - brute_prob),
                 )
-    return CheckResult("teleportation collapse vs brute force", dev <= tolerance, dev, tolerance)
+    return dev <= tolerance, dev, tolerance
 
 
-def check_completeness(tolerance: float) -> CheckResult:
+@_check("branch probability completeness")
+def check_completeness(tolerance: float):
     """The four branch probabilities sum to one at every grid point."""
     dev = 0.0
-    for p in _teleport_points():
+    for p in _params(TELEPORT_GRID):
         e = model.thermal_elements(p)
         for s in _input_states():
             total = sum(
@@ -177,10 +194,11 @@ def check_completeness(tolerance: float) -> CheckResult:
                 for outcome in teleport.BellOutcome
             )
             dev = max(dev, abs(total - 1.0))
-    return CheckResult("branch probability completeness", dev <= tolerance, dev, tolerance)
+    return dev <= tolerance, dev, tolerance
 
 
-def check_r0_coincidence(tolerance: float) -> CheckResult:
+@_check("output states coincide at r = 0")
+def check_r0_coincidence(tolerance: float):
     """With the field off, the two corrected outputs are one state."""
     dev = 0.0
     for k0 in TELEPORT_GRID["k0"]:
@@ -189,20 +207,20 @@ def check_r0_coincidence(tolerance: float) -> CheckResult:
             for s in _input_states():
                 rho_o, rho_e = teleport.output_states(s, p)
                 dev = max(dev, float(np.abs(rho_o - rho_e).max()))
-    return CheckResult("output states coincide at r = 0", dev <= tolerance, dev, tolerance)
+    return dev <= tolerance, dev, tolerance
 
 
-def check_subspace_order(tolerance: float) -> CheckResult:
+@_check("subspace fidelity ordering")
+def check_subspace_order(tolerance: float):
     """F_o >= F_e on the grid at theta = pi/3 (the ordering can reverse
     past theta = pi/2, so the scan pins the representative angle)."""
     worst = math.inf
     s = teleport.InputState(theta=math.pi / 3.0, phi=0.0)
-    for p in _teleport_points():
+    for p in _params(TELEPORT_GRID):
         f_o, f_e = teleport.subspace_fidelities(s, p)
         worst = min(worst, f_o - f_e)
     dev = max(0.0, -worst)
-    return CheckResult(
-        "subspace fidelity ordering",
+    return (
         worst >= -tolerance,
         dev,
         tolerance,
@@ -210,34 +228,30 @@ def check_subspace_order(tolerance: float) -> CheckResult:
     )
 
 
-def check_quadrature_mc(tolerance: float, mc_samples: int, seed: int) -> CheckResult:
-    """Quadrature average fidelity against the Monte Carlo estimate."""
-    dev = 0.0
-    limit = 0.0
+@_check("quadrature vs Monte Carlo")
+def check_quadrature_mc(tolerance: float, mc_samples: int, seed: int):
+    """Quadrature average fidelity against the Monte Carlo estimate, each
+    point held to max(tolerance, its 4 SE, a 1e-14 rounding floor).
+
+    Reports the point with the largest gap / bound. The floor is for the
+    zero-field point: its integrand is constant, so its SE is rounding.
+    """
+    passed = True
+    worst = (-1.0, 0.0, 0.0)  # (gap / bound, gap, bound)
     floors = []
     for k0, r, T in _MC_POINTS:
         p = model.DotParams(k0=k0, r=r, T=T)
         quad = teleport.average_fidelity(p)
         mc = teleport.average_fidelity_mc(p, n=mc_samples, seed=seed)
         gap = abs(quad - mc.value)
-        bound = max(tolerance, 4.0 * mc.stderr)
-        dev = max(dev, gap)
-        limit = max(limit, bound)
+        bound = max(tolerance, 4.0 * mc.stderr, _MC_ROUNDING_FLOOR)
+        passed = passed and gap <= bound
+        worst = max(worst, (gap / bound, gap, bound))
         floors.append(4.0 * mc.stderr)
     detail = f"statistical floor 4*SE up to {max(floors):.3e}, n={mc_samples}, seed={seed}"
     if tolerance < max(floors):
         detail += "; requested tolerance is below Monte Carlo resolution"
-    return CheckResult("quadrature vs Monte Carlo", dev <= limit, dev, limit, detail)
-
-
-def _guarded(name: str, tolerance: float, fn, *args) -> CheckResult:
-    """Run one check; a contract violation inside it is itself a failure."""
-    try:
-        return fn(*args)
-    except (LinalgError, DomainError) as exc:
-        return CheckResult(
-            name, False, math.inf, tolerance, f"raised {type(exc).__name__}: {exc}"
-        )
+    return passed, worst[1], worst[2], detail
 
 
 def verify_all(
@@ -245,20 +259,12 @@ def verify_all(
 ) -> list[CheckResult]:
     """Run every cross-check; order is stable for reporting."""
     return [
-        _guarded("thermal state vs spectral oracle", tolerance,
-                 check_thermal_oracle, tolerance),
-        _guarded("concurrence triple agreement", tolerance,
-                 check_concurrence_triple, tolerance),
-        _guarded("critical temperature by bisection", tolerance,
-                 check_critical_temperature, tolerance),
-        _guarded("teleportation collapse vs brute force", tolerance,
-                 check_collapse, tolerance),
-        _guarded("branch probability completeness", tolerance,
-                 check_completeness, tolerance),
-        _guarded("output states coincide at r = 0", tolerance,
-                 check_r0_coincidence, tolerance),
-        _guarded("subspace fidelity ordering", tolerance,
-                 check_subspace_order, tolerance),
-        _guarded("quadrature vs Monte Carlo", tolerance,
-                 check_quadrature_mc, tolerance, mc_samples, seed),
+        check_thermal_oracle(tolerance),
+        check_concurrence_triple(tolerance),
+        check_critical_temperature(tolerance),
+        check_collapse(tolerance),
+        check_completeness(tolerance),
+        check_r0_coincidence(tolerance),
+        check_subspace_order(tolerance),
+        check_quadrature_mc(tolerance, mc_samples, seed),
     ]

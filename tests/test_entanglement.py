@@ -12,7 +12,7 @@ from qdot.entanglement import (
     wootters_concurrence,
     xstate_concurrence,
 )
-from qdot.linalg import PAULI_Y, LinalgError, hermitian_eig, kron, psd_sqrt
+from qdot.linalg import PAULI_Y, LinalgError, hermitian_eig, kron
 from qdot.model import DotParams, thermal_elements, thermal_state, thermal_state_oracle
 
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
@@ -26,7 +26,8 @@ def wootters_reference(rho):
     """
     yy = kron(PAULI_Y, PAULI_Y)
     rho_tilde = yy @ rho.conj() @ yy
-    root = psd_sqrt(rho)
+    evals, vecs = np.linalg.eigh(rho)
+    root = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
     evals, _ = hermitian_eig(root @ rho_tilde @ root, tol=1e-8)
     lams = np.sqrt(np.clip(evals, 0.0, None))[::-1]
     return max(lams[0] - lams[1] - lams[2] - lams[3], 0.0)

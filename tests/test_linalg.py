@@ -12,9 +12,7 @@ from qdot.linalg import (
     as_complex_matrix,
     hermitian_eig,
     kron,
-    matrix_function,
     partial_trace,
-    psd_sqrt,
     validate_density_matrix,
 )
 
@@ -189,38 +187,6 @@ def test_hermitian_eig_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(LinalgError, match="[Hh]ermitian"):
         hermitian_eig(m)
-
-
-def test_matrix_function_exponential_trace():
-    rng = np.random.default_rng(29)
-    h = random_hermitian(rng, 4)
-    evals = np.linalg.eigvalsh(h)
-    expm = matrix_function(h, np.exp)
-    np.testing.assert_allclose(np.trace(expm).real, np.exp(evals).sum(), rtol=1e-12)
-
-
-def test_matrix_function_square_root_squares_back():
-    rng = np.random.default_rng(31)
-    rho = random_density(rng, 4)
-    root = matrix_function(rho, np.sqrt)
-    np.testing.assert_allclose(root @ root, rho, atol=1e-12)
-
-
-def test_psd_sqrt_matches_spectral_route():
-    rng = np.random.default_rng(37)
-    rho = random_density(rng, 4)
-    np.testing.assert_allclose(psd_sqrt(rho), matrix_function(rho, np.sqrt), atol=1e-12)
-
-
-def test_psd_sqrt_tolerates_tiny_negative_eigenvalues():
-    rho = np.diag([1.0, -1e-14, 0.0, 0.0]).astype(complex)
-    root = psd_sqrt(rho)
-    np.testing.assert_allclose(root @ root, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-12)
-
-
-def test_psd_sqrt_rejects_genuinely_negative():
-    with pytest.raises(LinalgError):
-        psd_sqrt(np.diag([1.0, -0.5]).astype(complex))
 
 
 def test_validate_density_matrix_accepts_states():

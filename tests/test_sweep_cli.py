@@ -420,3 +420,76 @@ def test_cli_verify_catches_corruption(monkeypatch, capsys):
     assert rc == 2
     assert "[FAIL]" in out
     assert "checks failed" in out.splitlines()[-1]
+
+
+def test_cli_overflowing_exponents_exit_3(capsys):
+    rc, out, err = run_cli(capsys, "concurrence", "--k0", "1", "--t", "1e-310")
+    assert rc == 3 and out == ""
+    assert "domain error" in err and "overflow" in err
+
+
+def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    rc, out, err = run_cli(capsys, "fig", "3", "--out", str(target))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
+    rc, _, err = run_cli(capsys, "fig", "3", "--workers", workers)
+    assert rc == 1 and "--workers" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"workers = {workers}\n")
+    rc, _, err = run_cli(capsys, "fig", "3", "--config", str(cfg))
+    assert rc == 1 and "--workers" in err
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size and maps
+    in-process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cpus,pools", [(2, [2]), (1, [])])
+def test_cli_pool_is_capped_at_cpu_count(monkeypatch, capsys, cpus, pools):
+    import qdot.sweep as sweep_mod
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: cpus)
+    _, serial, _ = run_cli(capsys, "fig", "3")
+    rc, pooled, _ = run_cli(capsys, "fig", "3", "--workers", "64")
+    assert rc == 0 and pooled == serial
+    assert _RecordingPool.sizes == pools
+
+
+def test_verify_quadrature_check_holds_each_point_to_its_own_bound(monkeypatch):
+    import qdot.teleport as teleport_mod
+    from qdot.verify import check_quadrature_mc
+
+    real = teleport_mod.average_fidelity
+
+    def shifted(p, nodes=64):
+        off = 5e-5 if (p.k0, p.r, p.T) == (2.0, 0.2, 0.5) else 0.0
+        return real(p, nodes) + off
+
+    assert check_quadrature_mc(1e-10, 200_000, 0).passed
+    # below the 1e-14 rounding floor the zero-field point still passes
+    assert check_quadrature_mc(1e-16, 200_000, 0).passed
+    monkeypatch.setattr(teleport_mod, "average_fidelity", shifted)
+    res = check_quadrature_mc(1e-10, 200_000, 0)
+    assert res.line().startswith("[FAIL] quadrature vs Monte Carlo")

@@ -161,7 +161,7 @@ def _add_common(sp: argparse.ArgumentParser, angles: bool) -> None:
 def _add_output(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default=None)
-    sp.add_argument("--workers", type=int, default=None, help="process pool size")
+    sp.add_argument("--workers", type=int, default=None, help="no effect (kept for compatibility)")
     sp.add_argument("--config", default=None, help="key = value defaults file")
 
 
@@ -238,7 +238,7 @@ def _run_spec(args, default_quantities: tuple[str, ...], angles: bool) -> int:
         fixed=_fixed_params(args, angles=angles),
         quantities=quantities,
     )
-    header, rows = run_sweep(spec, workers=args.workers or 1)
+    header, rows = run_sweep(spec)
     _emit(header, rows, args)
     return 0
 
@@ -266,7 +266,7 @@ def cmd_ground_state(args) -> int:
 
 def cmd_fig(args) -> int:
     preset = figure_preset(args.fig_id)
-    header, rows = run_figure(preset, workers=args.workers or 1)
+    header, rows = run_figure(preset)
     _emit(header, rows, args)
     return 0
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import PAULI_Y, kron
-from .model import DomainError, DotParams, ThermalElements, _boltzmann_weights
+from .model import DomainError, DotParams, ThermalElements, _any, _boltzmann_weights, _scalar
 
 __all__ = [
     "ConcurrenceResult",
@@ -88,13 +88,14 @@ def model_concurrence(p: DotParams) -> float:
 
     Evaluates max((exp(3k0/16T) - 3 exp(-k0/16T)) / Z, 0) with the same
     log-domain shift as the thermal elements. The numerator is negative for
-    every k0 < 0, so ferromagnetic coupling never entangles. At T = 0 the
-    ground-state limit takes over; overflowing exponents raise DomainError.
+    every k0 < 0, so ferromagnetic coupling never entangles. Where T = 0 at
+    every point the ground-state limit takes over; overflowing exponents
+    raise DomainError.
     """
-    if p.T == 0:
+    if not _any(p.T != 0):
         return ground_state_concurrence(p.k0, p.r)
     u, v, e1, e2, _ = _boltzmann_weights(p)
-    return max((e2 - 3.0 * e1) / (u + v + e1 + e2), 0.0)
+    return _scalar(np.maximum((e2 - 3.0 * e1) / (u + v + e1 + e2), 0.0))
 
 
 def ground_state_concurrence(k0: float, r: float) -> float:
@@ -106,17 +107,10 @@ def ground_state_concurrence(k0: float, r: float) -> float:
     The comparison at the boundary is exact, not toleranced: k0/4 is
     computed in one rounding, so callers passing r = k0/4 hit the 1/2 case.
     """
-    if not (math.isfinite(k0) and math.isfinite(r)):
+    if not (np.all(np.isfinite(k0)) and np.all(np.isfinite(r))):
         raise DomainError(f"couplings must be finite, got k0={k0!r}, r={r!r}")
-    if k0 <= 0:
-        return 0.0
-    field = abs(r)
-    boundary = k0 / 4.0
-    if field < boundary:
-        return 1.0
-    if field == boundary:
-        return 0.5
-    return 0.0
+    field, boundary = abs(r), k0 / 4.0
+    return _scalar(np.where(k0 > 0, (field < boundary) + 0.5 * (field == boundary), 0.0))
 
 
 def critical_temperature(k0: float) -> float | None:

@@ -1,19 +1,15 @@
 """Parameter sweeps over the model, with CSV/JSON emission.
 
 A sweep varies one or two parameters on inclusive uniform grids while the
-rest stay fixed, and evaluates a list of quantities at every point. Rows
-come out in lexicographic axis order and are byte-stable: the same spec
-always renders the same text, whether computed serially or by a process
-pool.
+rest stay fixed, and evaluates each requested quantity once over the whole
+grid. Rows come out in lexicographic axis order and are byte-stable: the
+same spec always renders the same text.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,8 +54,9 @@ class Axis:
     def __post_init__(self) -> None:
         if self.name not in SWEEPABLE:
             raise UsageError(f"cannot sweep {self.name!r}; choose one of {SWEEPABLE}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise UsageError(f"axis {self.name} bounds must be finite")
+        # also false for a span hi - lo that overflows between finite bounds
+        if not math.isfinite(self.hi - self.lo):
+            raise UsageError(f"axis {self.name} bounds and span must be finite")
         if self.steps < 2:
             raise UsageError(f"axis {self.name} needs at least 2 steps, got {self.steps}")
         if not self.lo < self.hi:
@@ -128,68 +125,41 @@ class SweepSpec:
                 cols.append(q)
         return cols
 
-    def points(self) -> list[dict[str, float]]:
-        """Parameter dict per grid point, lexicographic in the axes."""
-        grids = [[(a.name, v) for v in a.values().tolist()] for a in self.axes]
-        pts = []
-        for items in itertools.product(*grids):
-            d = dict(self.fixed)
-            d.update(items)
-            pts.append(d)
-        return pts
+    def grid(self) -> dict[str, np.ndarray | float]:
+        """A flat column per axis, lexicographic in the axes (the last varies
+        fastest), and the fixed values as scalars that broadcast."""
+        mesh = np.meshgrid(*(a.values() for a in self.axes), indexing="ij")
+        return {**self.fixed, **{a.name: m.ravel() for a, m in zip(self.axes, mesh)}}
 
 
-def _evaluate_point(task: tuple[dict[str, float], tuple[str, ...]]) -> list[float | None]:
-    """Quantities at one parameter point (module level so pools can pickle it)."""
-    point, quantities = task
-    out: list[float | None] = []
-    params = None
-    fids = None
-    for q in quantities:
-        if q == "Tc":
-            out.append(critical_temperature(point["k0"]))
-            continue
-        if params is None:
-            params = DotParams(k0=point["k0"], r=point["r"], T=point["T"])
-        if q == "C":
-            out.append(model_concurrence(params))
-        elif q in ("F_o", "F_e"):
-            if fids is None:
-                s = InputState(theta=point["theta"], phi=point.get("phi", 0.0))
-                fids = subspace_fidelities(s, params)
-            out.append(fids[0] if q == "F_o" else fids[1])
-        elif q == "F_a":
-            out.append(average_fidelity(params))
-        elif q == "populations":
-            e = thermal_elements(params)
-            out.extend((e.u / e.big_z, e.w / e.big_z, e.w / e.big_z, e.v / e.big_z))
-    return out
-
-
-def run_sweep(
-    spec: SweepSpec, workers: int = 1
-) -> tuple[list[str], list[list[float | None]]]:
+def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float | None]]]:
     """Evaluate a sweep; returns (column names, rows).
 
-    Rows carry the axis values first, then the quantity columns. With
-    ``workers > 1`` the grid is mapped over a process pool; results are
-    collected in grid order, so the output is identical to a serial run.
-    The pool has at most one worker per CPU.
+    Each quantity is evaluated once, over the whole grid. Rows carry the
+    axis values first, then the quantity columns.
     """
-    points = spec.points()
-    tasks = [(pt, spec.quantities) for pt in points]
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_evaluate_point, tasks, chunksize=chunk))
-    else:
-        values = [_evaluate_point(t) for t in tasks]
-    axis_names = [a.name for a in spec.axes]
-    rows = []
-    for pt, vals in zip(points, values):
-        rows.append([pt[name] for name in axis_names] + vals)
-    return spec.columns(), rows
+    grid = spec.grid()
+    size = math.prod(a.steps for a in spec.axes)
+    thermal = set(spec.quantities) != {"Tc"}
+    params = DotParams(grid["k0"], grid["r"], grid["T"]) if thermal else None
+    columns = [grid[a.name] for a in spec.axes]
+    fids = None  # (F_o, F_e), evaluated together
+    for q in spec.quantities:
+        if q == "Tc":
+            k0s = np.broadcast_to(grid["k0"], size).tolist()
+            columns.append([critical_temperature(k0) for k0 in k0s])
+        elif q == "C":
+            columns.append(model_concurrence(params))
+        elif q in ("F_o", "F_e"):
+            fids = fids or subspace_fidelities(InputState(grid["theta"], grid["phi"]), params)
+            columns.append(fids[q == "F_e"])
+        elif q == "F_a":
+            columns.append(average_fidelity(params))
+        elif q == "populations":
+            e = thermal_elements(params)
+            columns += [e.u / e.big_z, e.w / e.big_z, e.w / e.big_z, e.v / e.big_z]
+    cells = [np.broadcast_to(c, size).tolist() for c in columns]
+    return spec.columns(), [list(row) for row in zip(*cells)]
 
 
 @dataclass(frozen=True)
@@ -254,9 +224,7 @@ def figure_preset(fig_id: int) -> FigurePreset:
     raise UsageError(f"unknown figure {fig_id}; presets are 1 through 5")
 
 
-def run_figure(
-    preset: FigurePreset, workers: int = 1
-) -> tuple[list[str], list[list[float | None]]]:
+def run_figure(preset: FigurePreset) -> tuple[list[str], list[list[float | None]]]:
     """Evaluate all panels; the panel value becomes the leading column."""
     first = preset.panels[0]
     header = first.columns()
@@ -264,7 +232,7 @@ def run_figure(
         header = [preset.panel_key] + header
     rows: list[list[float | None]] = []
     for spec in preset.panels:
-        cols, panel_rows = run_sweep(spec, workers=workers)
+        cols, panel_rows = run_sweep(spec)
         if preset.panel_key is not None:
             pv = spec.fixed[preset.panel_key]
             panel_rows = [[pv] + row for row in panel_rows]

@@ -36,6 +36,16 @@ def test_params_validation():
         DotParams(k0="4", r=1.0, T=1.0)
     with pytest.raises(DomainError):
         DotParams(k0=4.0, r=1j, T=1.0)
+    with pytest.raises(DomainError):
+        InputState(theta="1")
+    with pytest.raises(DomainError):
+        InputState(theta=1.0, phi=1j)
+    with pytest.raises(DomainError, match="theta must be finite, got nan"):
+        InputState(theta=np.array([0.5, math.nan]))
+    with pytest.raises(DomainError, match="r must be finite, got inf"):
+        DotParams(k0=1.0, r=np.array([0.0, math.inf]), T=1.0)
+    with pytest.raises(DomainError, match="got -0.5"):
+        DotParams(k0=1.0, r=0.0, T=np.array([1.0, -0.5]))
     # T = 0 is allowed at construction; only thermal quantities reject it
     DotParams(k0=1.0, r=0.0, T=0.0)
     # numpy scalars are real numbers too

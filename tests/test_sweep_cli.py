@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import qdot.model as model_mod
 from qdot.cli import main, parse_angle, parse_axis, parse_quantities
 from qdot.entanglement import critical_temperature, model_concurrence
-from qdot.model import DomainError, DotParams
+from qdot.model import DomainError, DotParams, thermal_elements
 from qdot.sweep import (
     Axis,
     SweepSpec,
@@ -20,6 +21,7 @@ from qdot.sweep import (
     run_figure,
     run_sweep,
 )
+from qdot.teleport import InputState, average_fidelity, subspace_fidelities
 
 
 # ---------------------------------------------------------------- sweep core
@@ -43,6 +45,11 @@ def test_axis_validation():
         Axis("T", 1.0, 0.1, 5)  # reversed bounds
     with pytest.raises(UsageError):
         Axis("T", 0.0, math.inf, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match="span"):
+            Axis("k0", -1e308, 1e308, 3)  # hi - lo overflows, the bounds do not
+        Axis("k0", -1e308, 0.5e308, 3).values()
 
 
 def test_spec_validation():
@@ -97,18 +104,42 @@ def test_average_fidelity_needs_no_angles():
         )
 
 
+def _scalar_row(point, quantities):
+    """The quantities at one grid point, from the scalar public functions."""
+    p = DotParams(k0=point["k0"], r=point["r"], T=point["T"])
+    e = thermal_elements(p)
+    f_o, f_e = subspace_fidelities(InputState(point["theta"], point["phi"]), p)
+    values = {
+        "C": [model_concurrence(p)],
+        "Tc": [critical_temperature(point["k0"])],
+        "F_o": [f_o],
+        "F_e": [f_e],
+        "F_a": [average_fidelity(p)],
+        "populations": [e.u / e.big_z, e.w / e.big_z, e.w / e.big_z, e.v / e.big_z],
+    }
+    return [v for q in quantities for v in values[q]]
+
+
 def test_run_sweep_point_values():
-    spec = SweepSpec(
-        axes=(Axis("T", 0.1, 1.0, 4),),
-        fixed={"k0": 4.0, "r": 1.0},
-        quantities=("C", "Tc"),
-    )
-    header, rows = run_sweep(spec)
-    assert header == ["T", "C", "Tc"]
-    for row in rows:
-        t, c, tc = row
-        assert c == model_concurrence(DotParams(k0=4.0, r=1.0, T=t))
-        assert tc == critical_temperature(4.0)
+    # one evaluation over the grid gives, bit for bit, the scalar call at
+    # every point, whatever the point's row
+    quantities = ("C", "Tc", "F_o", "F_e", "F_a", "populations")
+    grids = [
+        # past the level crossing r = k0/4, k0 of both signs (Tc absent)
+        ((Axis("k0", -1.0, 6.0, 8), Axis("r", 0.0, 2.5, 9)),
+         {"T": 0.3, "theta": math.pi / 3, "phi": 0.4}),
+        ((Axis("T", 0.05, 2.0, 7), Axis("theta", 0.0, math.pi, 11)),
+         {"k0": 4.0, "r": 1.3, "phi": 1.1}),
+    ]
+    for axes, fixed in grids:
+        spec = SweepSpec(axes=axes, fixed=fixed, quantities=quantities)
+        header, rows = run_sweep(spec)
+        assert header == spec.columns()
+        assert len(rows) == axes[0].steps * axes[1].steps
+        for row in rows:
+            point = dict(fixed, **{a.name: v for a, v in zip(axes, row)})
+            assert row[len(axes):] == _scalar_row(point, quantities)
+            assert all(x is None or type(x) is float for x in row)
 
 
 def test_run_sweep_two_axes_is_lexicographic():
@@ -127,17 +158,6 @@ def test_run_sweep_two_axes_is_lexicographic():
         (2.0, 0.5),
         (2.0, 1.0),
     ]
-
-
-def test_parallel_run_matches_serial_bitwise():
-    spec = SweepSpec(
-        axes=(Axis("T", 0.05, 1.5, 25),),
-        fixed={"k0": 2.0, "r": 0.2, "theta": math.pi / 3, "phi": 0.0},
-        quantities=("C", "F_o", "F_e", "F_a"),
-    )
-    serial = run_sweep(spec, workers=1)
-    parallel = run_sweep(spec, workers=2)
-    assert serial == parallel
 
 
 def test_absent_critical_temperature_cell():
@@ -356,6 +376,10 @@ def test_cli_domain_error_exit_code(capsys):
     )
     assert rc == 3
     assert "domain error" in err
+    # fidelities need a Gibbs state; T = 0 has none
+    rc, out, err = run_cli(capsys, "fidelity", "--k0", "4", "--t", "0")
+    assert rc == 3 and out == ""
+    assert err.startswith("domain error:") and "T=0.0" in err
 
 
 def test_cli_json_format(capsys):
@@ -428,6 +452,40 @@ def test_cli_overflowing_exponents_exit_3(capsys):
     assert "domain error" in err and "overflow" in err
 
 
+def test_cli_overflowing_axis_span_is_a_usage_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(
+            capsys, "concurrence", "--sweep", "k0:-1e308:1e308:3", "--t", "1"
+        )
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "k0:-1e308:1e308:3" in err
+
+
+def test_cli_zero_temperature_concurrence_sweep(capsys):
+    # T = 0 takes the ground-state limit over the whole grid
+    rc, out, err = run_cli(
+        capsys, "concurrence", "--sweep", "k0:0:8:3", "--r", "0.5", "--t", "0"
+    )
+    assert rc == 0 and err == ""
+    assert out == "k0,C\n0,0\n4,1\n8,1\n"
+
+
+def test_cli_errors_name_scalar_values(capsys):
+    rc, _, err = run_cli(capsys, "concurrence", "--k0", "nan", "--t", "1")
+    assert rc == 3
+    assert err == "domain error: k0 must be finite, got nan\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, err = run_cli(
+            capsys, "concurrence", "--sweep", "T:1e-310:1:3", "--k0", "1"
+        )
+    assert rc == 3
+    assert err == (
+        "domain error: Boltzmann exponents overflow at k0=1.0, r=0.0, T=1e-310\n"
+    )
+
+
 def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     rc, out, err = run_cli(capsys, "fig", "3", "--out", str(target))
@@ -443,38 +501,6 @@ def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
     cfg.write_text(f"workers = {workers}\n")
     rc, _, err = run_cli(capsys, "fig", "3", "--config", str(cfg))
     assert rc == 1 and "--workers" in err
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size and maps
-    in-process, so no worker is ever started."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks, chunksize=1):
-        return map(fn, tasks)
-
-
-@pytest.mark.parametrize("cpus,pools", [(2, [2]), (1, [])])
-def test_cli_pool_is_capped_at_cpu_count(monkeypatch, capsys, cpus, pools):
-    import qdot.sweep as sweep_mod
-
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: cpus)
-    _, serial, _ = run_cli(capsys, "fig", "3")
-    rc, pooled, _ = run_cli(capsys, "fig", "3", "--workers", "64")
-    assert rc == 0 and pooled == serial
-    assert _RecordingPool.sizes == pools
 
 
 def test_verify_quadrature_check_holds_each_point_to_its_own_bound(monkeypatch):

@@ -12,6 +12,8 @@ import math
 import re
 import sys
 
+import numpy as np
+
 from .entanglement import ground_state_concurrence
 from .model import DomainError
 from .sweep import (
@@ -87,6 +89,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _flag(convert):
+    """argparse shows an ArgumentTypeError's text but hides a UsageError's."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except UsageError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
+
+    return parse
+
+
 # Config key -> (argument destination, converter). Only sweep may repeat.
 _CONFIG_KEYS = {
     "k0": ("k0", _parse_float),
@@ -148,11 +162,11 @@ def _add_common(sp: argparse.ArgumentParser, angles: bool) -> None:
     sp.add_argument("--r", type=float, default=None, help="Zeeman energy (default 0)")
     sp.add_argument("--t", dest="T", type=float, default=None, help="temperature")
     if angles:
-        sp.add_argument("--theta", type=parse_angle, default=None,
+        sp.add_argument("--theta", type=_flag(parse_angle), default=None,
                         help="input polar angle (accepts pi forms; default pi/3)")
-        sp.add_argument("--phi", type=parse_angle, default=None,
+        sp.add_argument("--phi", type=_flag(parse_angle), default=None,
                         help="input azimuthal angle (default 0)")
-    sp.add_argument("--sweep", action="append", type=parse_axis, default=None,
+    sp.add_argument("--sweep", action="append", type=_flag(parse_axis), default=None,
                     metavar="NAME:MIN:MAX:STEPS", help="sweep axis, up to twice")
     sp.add_argument("--quantities", default=None, help="comma-separated quantity list")
     _add_output(sp)
@@ -165,21 +179,22 @@ def _add_output(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", default=None, help="key = value defaults file")
 
 
+# Subcommands that evaluate a sweep: help text and default quantities.
+_SWEEP_COMMANDS = {
+    "concurrence": ("thermal concurrence at a point or on a sweep", ("C",)),
+    "fidelity": ("teleportation fidelities at a point or on a sweep", ("F_o", "F_e", "F_a")),
+    "tc": ("critical temperature", ("Tc",)),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="qdot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("concurrence", help="thermal concurrence at a point or on a sweep")
-    _add_common(p, angles=False)
-    p.set_defaults(func=cmd_concurrence)
-
-    p = sub.add_parser("fidelity", help="teleportation fidelities at a point or on a sweep")
-    _add_common(p, angles=True)
-    p.set_defaults(func=cmd_fidelity)
-
-    p = sub.add_parser("tc", help="critical temperature")
-    _add_common(p, angles=False)
-    p.set_defaults(func=cmd_tc)
+    for name, (text, quantities) in _SWEEP_COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        _add_common(p, angles=name == "fidelity")
+        p.set_defaults(func=cmd_sweep, default_quantities=quantities)
 
     p = sub.add_parser("ground-state", help="zero-temperature concurrence")
     p.add_argument("--k0", type=float, default=None)
@@ -203,9 +218,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(header: list[str], rows, args) -> None:
+def _emit(table: dict[str, np.ndarray], args) -> None:
     fmt = args.format or "csv"
-    text = format_csv(header, rows) if fmt == "csv" else format_json(header, rows)
+    text = format_csv(table) if fmt == "csv" else format_json(table)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -216,43 +231,30 @@ def _emit(header: list[str], rows, args) -> None:
         sys.stdout.write(text)
 
 
-def _fixed_params(args, *, angles: bool) -> dict[str, float]:
+def _fixed_params(args) -> dict[str, float]:
     fixed: dict[str, float] = {}
     if args.k0 is not None:
         fixed["k0"] = args.k0
     fixed["r"] = args.r if args.r is not None else 0.0
     if args.T is not None:
         fixed["T"] = args.T
-    if angles:
+    if hasattr(args, "theta"):  # only fidelity takes the input angles
         fixed["theta"] = args.theta if args.theta is not None else _DEFAULT_THETA
         fixed["phi"] = args.phi if args.phi is not None else 0.0
     return fixed
 
 
-def _run_spec(args, default_quantities: tuple[str, ...], angles: bool) -> int:
+def cmd_sweep(args) -> int:
     quantities = (
-        parse_quantities(args.quantities) if args.quantities else default_quantities
+        parse_quantities(args.quantities) if args.quantities else args.default_quantities
     )
     spec = SweepSpec(
         axes=tuple(args.sweep or ()),
-        fixed=_fixed_params(args, angles=angles),
+        fixed=_fixed_params(args),
         quantities=quantities,
     )
-    header, rows = run_sweep(spec)
-    _emit(header, rows, args)
+    _emit(run_sweep(spec), args)
     return 0
-
-
-def cmd_concurrence(args) -> int:
-    return _run_spec(args, ("C",), angles=False)
-
-
-def cmd_fidelity(args) -> int:
-    return _run_spec(args, ("F_o", "F_e", "F_a"), angles=True)
-
-
-def cmd_tc(args) -> int:
-    return _run_spec(args, ("Tc",), angles=False)
 
 
 def cmd_ground_state(args) -> int:
@@ -260,14 +262,12 @@ def cmd_ground_state(args) -> int:
         raise UsageError("ground-state needs --k0")
     r = args.r if args.r is not None else 0.0
     value = ground_state_concurrence(args.k0, r)
-    _emit(["k0", "r", "C"], [[args.k0, r, value]], args)
+    _emit({"k0": np.array([args.k0]), "r": np.array([r]), "C": np.array([value])}, args)
     return 0
 
 
 def cmd_fig(args) -> int:
-    preset = figure_preset(args.fig_id)
-    header, rows = run_figure(preset)
-    _emit(header, rows, args)
+    _emit(run_figure(figure_preset(args.fig_id)), args)
     return 0
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from . import linalg
 from .linalg import PAULI_Y, kron
 from .model import DomainError, DotParams, ThermalElements, _any, _boltzmann_weights, _scalar
+from .model import _check_real
 
 __all__ = [
     "ConcurrenceResult",
@@ -113,14 +114,14 @@ def ground_state_concurrence(k0: float, r: float) -> float:
     return _scalar(np.where(k0 > 0, (field < boundary) + 0.5 * (field == boundary), 0.0))
 
 
-def critical_temperature(k0: float) -> float | None:
+def critical_temperature(k0):
     """Temperature where thermal entanglement disappears: k0/(4 ln 3).
 
     Only antiferromagnetic coupling has one; returns None for k0 <= 0.
-    The value does not depend on the field r.
+    Over an array k0 it broadcasts, with NaN in the cells without a
+    transition, and each cell has the bits of the scalar call. The value
+    does not depend on the field r.
     """
-    if not math.isfinite(k0):
-        raise DomainError(f"k0 must be finite, got {k0!r}")
-    if k0 <= 0:
-        return None
-    return k0 / (4.0 * math.log(3.0))
+    _check_real(k0=k0)
+    tc = _scalar(np.where(k0 > 0, k0 / (4.0 * math.log(3.0)), math.nan))
+    return None if isinstance(tc, float) and math.isnan(tc) else tc

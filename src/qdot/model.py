@@ -136,16 +136,25 @@ def _boltzmann_weights(p: DotParams):
             f"thermal elements need T > 0, got T={_first(p.T, p.T <= 0)}; "
             "use the ground-state limits"
         )
-    k0, r, t16 = p.k0, p.r, 16.0 * p.T
-    with np.errstate(over="ignore"):
-        a_u = -(k0 - 16.0 * r) / t16
-        a_v = -(k0 + 16.0 * r) / t16
-        b1 = -k0 / t16
-        b2 = 3.0 * k0 / t16
-    # An exponent overflowed to -inf only zeroes its weight; one at +inf is
-    # the shift m itself, and the shifted exponents would be inf - inf.
-    m = _scalar(np.maximum(np.maximum(a_u, a_v), np.maximum(b1, b2)))
-    overflow = m == math.inf
+    k0, r, T = p.k0, p.r, p.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        t16 = 16.0 * T
+        exps = (-(k0 - 16.0 * r) / t16, -(k0 + 16.0 * r) / t16, -k0 / t16, 3.0 * k0 / t16)
+        # 3 k0, k0 -+ 16 r or 16 T can overflow where the exponents do not
+        # (k0 = 1e308 at T = 1e10 or 1e308); only those cells divide first.
+        bad = ~np.isfinite(exps[0]) | ~np.isfinite(exps[1])
+        bad |= ~np.isfinite(exps[2]) | ~np.isfinite(exps[3])
+        if _any(bad):
+            q, s = k0 / T / 16.0, r / T
+            exps = tuple(
+                _scalar(np.where(bad, late, early))
+                for late, early in zip((-(q - s), -(q + s), -q, 3.0 * q), exps)
+            )
+        a_u, a_v, b1, b2 = exps
+        # An exponent at -inf only zeroes its weight; one at +inf (or NaN)
+        # is the shift m itself, and the shifted exponents would be NaN.
+        m = _scalar(np.maximum(np.maximum(a_u, a_v), np.maximum(b1, b2)))
+    overflow = ~np.isfinite(m)
     if _any(overflow):
         k0, r, T = (_first(x, overflow) for x in (p.k0, p.r, p.T))
         raise DomainError(f"Boltzmann exponents overflow at k0={k0!r}, r={r!r}, T={T!r}")

@@ -2,8 +2,8 @@
 
 A sweep varies one or two parameters on inclusive uniform grids while the
 rest stay fixed, and evaluates each requested quantity once over the whole
-grid. Rows come out in lexicographic axis order and are byte-stable: the
-same spec always renders the same text.
+grid into one named column. Rows run in lexicographic axis order and are
+byte-stable: the same spec always renders the same text.
 """
 
 from __future__ import annotations
@@ -82,6 +82,8 @@ class SweepSpec:
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise UsageError(f"duplicate sweep axis in {names}")
+        if len(set(self.quantities)) != len(self.quantities):
+            raise UsageError(f"duplicate quantity in {list(self.quantities)}")
         for key in self.fixed:
             if key not in PARAMETER_NAMES:
                 raise UsageError(f"unknown parameter {key!r}")
@@ -116,15 +118,6 @@ class SweepSpec:
             needed += ["theta", "phi"]
         return tuple(needed)
 
-    def columns(self) -> list[str]:
-        cols = [a.name for a in self.axes]
-        for q in self.quantities:
-            if q == "populations":
-                cols.extend(_POPULATION_COLUMNS)
-            else:
-                cols.append(q)
-        return cols
-
     def grid(self) -> dict[str, np.ndarray | float]:
         """A flat column per axis, lexicographic in the axes (the last varies
         fastest), and the fixed values as scalars that broadcast."""
@@ -132,41 +125,41 @@ class SweepSpec:
         return {**self.fixed, **{a.name: m.ravel() for a, m in zip(self.axes, mesh)}}
 
 
-def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float | None]]]:
-    """Evaluate a sweep; returns (column names, rows).
+def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
+    """Evaluate a sweep into a table: column name -> one flat float column.
 
-    Each quantity is evaluated once, over the whole grid. Rows carry the
-    axis values first, then the quantity columns.
+    Each quantity is evaluated once, over the whole grid. The axis columns
+    come first, then the quantities in request order; NaN marks an absent
+    value (Tc where there is no transition).
     """
     grid = spec.grid()
     size = math.prod(a.steps for a in spec.axes)
     thermal = set(spec.quantities) != {"Tc"}
     params = DotParams(grid["k0"], grid["r"], grid["T"]) if thermal else None
-    columns = [grid[a.name] for a in spec.axes]
+    table = {a.name: grid[a.name] for a in spec.axes}
     fids = None  # (F_o, F_e), evaluated together
     for q in spec.quantities:
         if q == "Tc":
-            k0s = np.broadcast_to(grid["k0"], size).tolist()
-            columns.append([critical_temperature(k0) for k0 in k0s])
+            # an array k0, so that no transition reads NaN rather than None
+            table[q] = critical_temperature(np.atleast_1d(grid["k0"]))
         elif q == "C":
-            columns.append(model_concurrence(params))
+            table[q] = model_concurrence(params)
         elif q in ("F_o", "F_e"):
             fids = fids or subspace_fidelities(InputState(grid["theta"], grid["phi"]), params)
-            columns.append(fids[q == "F_e"])
+            table[q] = fids[q == "F_e"]
         elif q == "F_a":
-            columns.append(average_fidelity(params))
+            table[q] = average_fidelity(params)
         elif q == "populations":
             e = thermal_elements(params)
-            columns += [e.u / e.big_z, e.w / e.big_z, e.w / e.big_z, e.v / e.big_z]
-    cells = [np.broadcast_to(c, size).tolist() for c in columns]
-    return spec.columns(), [list(row) for row in zip(*cells)]
+            pops = (e.u / e.big_z, e.w / e.big_z, e.w / e.big_z, e.v / e.big_z)
+            table.update(zip(_POPULATION_COLUMNS, pops))
+    return {name: np.broadcast_to(np.asarray(c, float), size) for name, c in table.items()}
 
 
 @dataclass(frozen=True)
 class FigurePreset:
-    """A named multi-panel sweep; panels share axes and quantities."""
+    """A multi-panel sweep; panels share axes and quantities."""
 
-    name: str
     panel_key: str | None
     panels: tuple[SweepSpec, ...]
 
@@ -179,7 +172,6 @@ def figure_preset(fig_id: int) -> FigurePreset:
     coupling, and field at theta = pi/3 (3, 4, 5). Grid ranges and step
     counts are chosen for smooth plots; panel values are part of the preset.
     """
-    third = math.pi / 3.0
     if fig_id == 1:
         panels = tuple(
             SweepSpec(
@@ -189,7 +181,7 @@ def figure_preset(fig_id: int) -> FigurePreset:
             )
             for t in (0.2, 1.0)
         )
-        return FigurePreset(name="fig1", panel_key="T", panels=panels)
+        return FigurePreset(panel_key="T", panels=panels)
     if fig_id == 2:
         panels = tuple(
             SweepSpec(
@@ -199,63 +191,58 @@ def figure_preset(fig_id: int) -> FigurePreset:
             )
             for k in (3.0, 4.0, 5.0, 10.0)
         )
-        return FigurePreset(name="fig2", panel_key="k0", panels=panels)
-    if fig_id == 3:
-        spec = SweepSpec(
-            axes=(Axis("T", 0.02, 2.0, 50),),
-            fixed={"k0": 2.0, "r": 0.2, "theta": third, "phi": 0.0},
-            quantities=("F_o", "F_e", "F_a"),
-        )
-        return FigurePreset(name="fig3", panel_key=None, panels=(spec,))
-    if fig_id == 4:
-        spec = SweepSpec(
-            axes=(Axis("k0", 0.0, 10.0, 50),),
-            fixed={"T": 0.2, "r": 0.2, "theta": third, "phi": 0.0},
-            quantities=("F_o", "F_e", "F_a"),
-        )
-        return FigurePreset(name="fig4", panel_key=None, panels=(spec,))
-    if fig_id == 5:
-        spec = SweepSpec(
-            axes=(Axis("r", 0.0, 10.0, 50),),
-            fixed={"T": 0.2, "k0": 4.0, "theta": third, "phi": 0.0},
-            quantities=("F_o", "F_e", "F_a"),
-        )
-        return FigurePreset(name="fig5", panel_key=None, panels=(spec,))
-    raise UsageError(f"unknown figure {fig_id}; presets are 1 through 5")
+        return FigurePreset(panel_key="k0", panels=panels)
+    fidelity_cuts = {
+        3: (Axis("T", 0.02, 2.0, 50), {"k0": 2.0, "r": 0.2}),
+        4: (Axis("k0", 0.0, 10.0, 50), {"T": 0.2, "r": 0.2}),
+        5: (Axis("r", 0.0, 10.0, 50), {"T": 0.2, "k0": 4.0}),
+    }
+    if fig_id not in fidelity_cuts:
+        raise UsageError(f"unknown figure {fig_id}; presets are 1 through 5")
+    axis, fixed = fidelity_cuts[fig_id]
+    spec = SweepSpec(
+        axes=(axis,),
+        fixed={**fixed, "theta": math.pi / 3.0, "phi": 0.0},
+        quantities=("F_o", "F_e", "F_a"),
+    )
+    return FigurePreset(panel_key=None, panels=(spec,))
 
 
-def run_figure(preset: FigurePreset) -> tuple[list[str], list[list[float | None]]]:
-    """Evaluate all panels; the panel value becomes the leading column."""
-    first = preset.panels[0]
-    header = first.columns()
-    if preset.panel_key is not None:
-        header = [preset.panel_key] + header
-    rows: list[list[float | None]] = []
+def run_figure(preset: FigurePreset) -> dict[str, np.ndarray]:
+    """Evaluate all panels and concatenate their tables; the panel value
+    becomes the leading column."""
+    tables = []
     for spec in preset.panels:
-        cols, panel_rows = run_sweep(spec)
+        table = run_sweep(spec)
         if preset.panel_key is not None:
-            pv = spec.fixed[preset.panel_key]
-            panel_rows = [[pv] + row for row in panel_rows]
-        rows.extend(panel_rows)
-    return header, rows
+            size = math.prod(a.steps for a in spec.axes)
+            table = {preset.panel_key: np.full(size, spec.fixed[preset.panel_key]), **table}
+        tables.append(table)
+    return {name: np.concatenate([t[name] for t in tables]) for name in tables[0]}
 
 
-def _format_cell(x: float | None) -> str:
-    if x is None:
-        return ""
-    return format(float(x), ".17g")
+# Rows formatted per batch: bounds the per-cell string lists of a large table.
+_CSV_CHUNK_ROWS = 1 << 12
 
 
-def format_csv(header: list[str], rows: list[list[float | None]]) -> str:
-    """Render rows as CSV: 17 significant digits, LF newlines, no trailing
-    delimiter; absent values (Tc without a transition) are empty cells."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(x) for x in row))
-    return "\n".join(lines) + "\n"
+def format_csv(table: dict[str, np.ndarray]) -> str:
+    """Render a table as CSV: 17 significant digits, LF newlines, no trailing
+    delimiter; NaN (Tc without a transition) is an empty cell."""
+    size = len(next(iter(table.values())))
+    parts = [",".join(table)]
+    for start in range(0, size, _CSV_CHUNK_ROWS):
+        cells = [
+            [format(x, ".17g") for x in col[start:start + _CSV_CHUNK_ROWS].tolist()]
+            for col in table.values()
+        ]
+        # .17g writes NaN as "nan", which no rendered number contains
+        parts.append("\n".join(map(",".join, zip(*cells))).replace("nan", ""))
+    parts.append("")
+    return "\n".join(parts)
 
 
-def format_json(header: list[str], rows: list[list[float | None]]) -> str:
-    """Render rows as a JSON object with columns and row arrays."""
-    payload = {"columns": list(header), "rows": [list(r) for r in rows]}
+def format_json(table: dict[str, np.ndarray]) -> str:
+    """Render a table as a JSON object with columns and row arrays; NaN is null."""
+    columns = [[None if math.isnan(x) else x for x in col.tolist()] for col in table.values()]
+    payload = {"columns": list(table), "rows": list(zip(*columns))}
     return json.dumps(payload, indent=2) + "\n"

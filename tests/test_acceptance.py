@@ -251,12 +251,12 @@ def test_10_monotone_trends():
     for fig_id, axis, direction in ((3, "T", "non-increasing"),
                                     (4, "k0", "non-decreasing"),
                                     (5, "r", "non-increasing")):
-        header, rows = run_figure(figure_preset(fig_id))
+        table = run_figure(figure_preset(fig_id))
         for q in ("F_o", "F_e", "F_a"):
-            series = [row[header.index(q)] for row in rows]
+            series = table[q]
             diffs = np.diff(series)
             if (axis, q) == ("r", "F_o"):
-                field = [row[header.index("r")] for row in rows]
+                field = table["r"]
                 f_o_series, f_o_steps = series, diffs
                 continue
             worst = float(diffs.max() if direction == "non-increasing" else -diffs.min())

@@ -197,6 +197,11 @@ def test_critical_temperature_values():
     assert abs(critical_temperature(4.0) - 0.9102392266268373) < 1e-15
     assert critical_temperature(4.0 * math.log(3.0)) == 1.0
     np.testing.assert_allclose(critical_temperature(1.0), 1 / (4 * math.log(3.0)))
+    # over an array: NaN where there is no transition, the scalar bits elsewhere
+    k0s = [-1.0, 0.0, 1.0, 4.0, 4.0 * math.log(3.0), 1e308]
+    tc = critical_temperature(np.array(k0s))
+    assert tc.shape == (6,) and np.isnan(tc[:2]).all()
+    assert tc[2:].tolist() == [critical_temperature(k0) for k0 in k0s[2:]]
 
 
 def test_transition_consistency_on_grid():

@@ -163,6 +163,32 @@ def test_overflowing_exponents_raise_instead_of_nan(quantity, k0, r, T):
             quantity(DotParams(k0=k0, r=r, T=T))
 
 
+@pytest.mark.parametrize("k0,r,T", [(1e308, 0.0, 1e10), (1e308, 0.0, 1e308)])
+def test_finite_exponents_survive_overflowing_intermediates(k0, r, T):
+    # 3 k0 (and at T = 1e308 also 16 T) overflows although every true
+    # exponent is finite: these cells divide first and stay in range.
+    # F_o = F_e = 1 + 2.2e-16 at the singlet channel, hence the slack.
+    slack = 1e-15
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = DotParams(k0=k0, r=r, T=T)
+        e = thermal_elements(p)
+        c = model_concurrence(p)
+        fids = subspace_fidelities(InputState(theta=math.pi / 3.0), p)
+        f_a = average_fidelity(p)
+        # an array call divides first in the same cells and keeps the others
+        grid = DotParams(k0=np.array([4.0, k0]), r=np.array([1.0, r]), T=np.array([0.5, T]))
+        cells = model_concurrence(grid).tolist()
+    assert all(math.isfinite(x) and x >= 0.0 for x in (e.u, e.v, e.w, e.big_z))
+    assert e.big_z > 0 and math.isfinite(e.y)
+    assert 0.0 <= c <= 1.0
+    assert all(-slack <= f <= 1.0 + slack for f in (*fids, f_a))
+    assert cells == [model_concurrence(DotParams(4.0, 1.0, 0.5)), c]
+    if T == k0:
+        # k0/T is exactly 1, so the exponents are those of (1, 0, 1)
+        assert e == thermal_elements(DotParams(k0=1.0, r=0.0, T=1.0))
+
+
 def test_thermal_elements_frozen_reference_point():
     # spectral weights exp(-E/T) at k0=4, r=1, T=0.5 are
     # [0.0820849986238988, 4.4816890703380645, 0.6065306597126334, 4.4816890703380645]

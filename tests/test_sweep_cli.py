@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qdot.model as model_mod
+import qdot.sweep as sweep_mod
 from qdot.cli import main, parse_angle, parse_axis, parse_quantities
 from qdot.entanglement import critical_temperature, model_concurrence
 from qdot.model import DomainError, DotParams, thermal_elements
@@ -75,6 +76,9 @@ def test_spec_validation():
         )
     with pytest.raises(UsageError, match="missing parameter"):
         SweepSpec(axes=(k_axis,), fixed={}, quantities=("C",))
+    with pytest.raises(UsageError, match="duplicate quantity"):
+        # a table holds one column per name
+        SweepSpec(axes=(t_axis,), fixed={"k0": 1.0, "r": 0.0}, quantities=("C", "C"))
 
 
 def test_spec_rejects_temperature_axis_touching_zero():
@@ -93,9 +97,9 @@ def test_average_fidelity_needs_no_angles():
         fixed={"k0": 2.0, "r": 0.2},
         quantities=("F_a",),
     )
-    header, rows = run_sweep(spec)
-    assert header == ["T", "F_a"]
-    assert len(rows) == 3
+    table = run_sweep(spec)
+    assert list(table) == ["T", "F_a"]
+    assert len(table["F_a"]) == 3
     with pytest.raises(UsageError, match="theta"):
         SweepSpec(
             axes=(Axis("T", 0.1, 1.0, 3),),
@@ -131,15 +135,18 @@ def test_run_sweep_point_values():
         ((Axis("T", 0.05, 2.0, 7), Axis("theta", 0.0, math.pi, 11)),
          {"k0": 4.0, "r": 1.3, "phi": 1.1}),
     ]
+    names = ["C", "Tc", "F_o", "F_e", "F_a", "p11", "p10", "p01", "p00"]
     for axes, fixed in grids:
         spec = SweepSpec(axes=axes, fixed=fixed, quantities=quantities)
-        header, rows = run_sweep(spec)
-        assert header == spec.columns()
-        assert len(rows) == axes[0].steps * axes[1].steps
-        for row in rows:
+        table = run_sweep(spec)
+        assert list(table) == [a.name for a in axes] + names
+        size = axes[0].steps * axes[1].steps
+        assert all(col.shape == (size,) and col.dtype == float for col in table.values())
+        for row in zip(*(col.tolist() for col in table.values())):
             point = dict(fixed, **{a.name: v for a, v in zip(axes, row)})
-            assert row[len(axes):] == _scalar_row(point, quantities)
-            assert all(x is None or type(x) is float for x in row)
+            # NaN in a Tc cell is the scalar call's None
+            cells = [None if math.isnan(x) else x for x in row[len(axes):]]
+            assert cells == _scalar_row(point, quantities)
 
 
 def test_run_sweep_two_axes_is_lexicographic():
@@ -148,8 +155,8 @@ def test_run_sweep_two_axes_is_lexicographic():
         fixed={"T": 0.5},
         quantities=("C",),
     )
-    _, rows = run_sweep(spec)
-    grid = [(row[0], row[1]) for row in rows]
+    table = run_sweep(spec)
+    grid = list(zip(table["k0"].tolist(), table["r"].tolist()))
     assert grid == [
         (1.0, 0.0),
         (1.0, 0.5),
@@ -166,14 +173,15 @@ def test_absent_critical_temperature_cell():
         fixed={"r": 0.0, "T": 0.5},
         quantities=("Tc",),
     )
-    header, rows = run_sweep(spec)
-    assert rows[0][1] is None  # k0 = -1
-    assert rows[1][1] is None  # k0 = 0
-    assert rows[2][1] == pytest.approx(1 / (4 * math.log(3)))
-    csv = format_csv(header, rows)
+    table = run_sweep(spec)
+    tc = table["Tc"]
+    assert math.isnan(tc[0])  # k0 = -1
+    assert math.isnan(tc[1])  # k0 = 0
+    assert tc[2] == pytest.approx(1 / (4 * math.log(3)))
+    csv = format_csv(table)
     lines = csv.splitlines()
     assert lines[1] == "-1,"
-    payload = json.loads(format_json(header, rows))
+    payload = json.loads(format_json(table))
     assert payload["rows"][0][1] is None
 
 
@@ -183,9 +191,9 @@ def test_population_columns_expand():
         fixed={"k0": 4.0, "r": 1.0, "T": 0.5},
         quantities=("populations",),
     )
-    header, rows = run_sweep(spec)
-    assert header == ["p11", "p10", "p01", "p00"]
-    (row,) = rows
+    table = run_sweep(spec)
+    assert list(table) == ["p11", "p10", "p01", "p00"]
+    (row,) = zip(*(col.tolist() for col in table.values()))
     assert abs(sum(row) - 1.0) < 1e-14
     assert row[1] == row[2]  # symmetric mid populations
 
@@ -222,12 +230,9 @@ def test_figure_presets_pin_model_parameters():
 
 
 def test_fig1_transition_boundary_in_emitted_data():
-    header, rows = run_figure(figure_preset(1))
-    assert header[:3] == ["T", "k0", "r"]
-    c_col = header.index("C")
-    for row in rows:
-        t, k0 = row[0], row[1]
-        c = row[c_col]
+    table = run_figure(figure_preset(1))
+    assert list(table)[:3] == ["T", "k0", "r"]
+    for t, k0, c in zip(table["T"], table["k0"], table["C"]):
         if k0 > 0 and t < k0 / (4 * math.log(3)):
             assert c > 0.0
         else:
@@ -237,10 +242,8 @@ def test_fig1_transition_boundary_in_emitted_data():
 def test_fig2_reentrant_series_present():
     # the k0 = 3 series starts almost unentangled, is heated into
     # entanglement, and loses it again above the transition
-    header, rows = run_figure(figure_preset(2))
-    k3 = [row for row in rows if row[0] == 3.0]
-    c_col = header.index("C")
-    values = [row[c_col] for row in k3]
+    table = run_figure(figure_preset(2))
+    values = table["C"][table["k0"] == 3.0].tolist()
     assert values[0] < 0.05
     assert max(values) > 0.2
     assert values[-1] == 0.0
@@ -250,17 +253,28 @@ def test_fig2_reentrant_series_present():
 
 
 def test_format_csv_shape():
-    text = format_csv(["a", "b"], [[1.0, 0.1], [2.0, None]])
+    text = format_csv({"a": np.array([1.0, 2.0]), "b": np.array([0.1, math.nan])})
     assert text == "a,b\n1,0.10000000000000001\n2,\n"
 
 
 def test_format_csv_17_digits():
-    text = format_csv(["x"], [[math.pi]])
+    text = format_csv({"x": np.array([math.pi])})
     assert "3.1415926535897931" in text
 
 
+def test_format_csv_rows_across_chunks():
+    # one more row than a formatting chunk holds, NaN cells on both sides
+    size = sweep_mod._CSV_CHUNK_ROWS + 1
+    x = np.arange(size) * 0.1
+    y = np.where(np.arange(size) % 3 == 0, math.nan, -x)
+    text = format_csv({"x": x, "y": y})
+    cells = [[format(v, ".17g") for v in col.tolist()] for col in (x, y)]
+    rows = [f"{a},{'' if b == 'nan' else b}" for a, b in zip(*cells)]
+    assert text.split("\n") == ["x,y", *rows, ""]
+
+
 def test_format_json_round_trip():
-    payload = json.loads(format_json(["x", "y"], [[1.5, None]]))
+    payload = json.loads(format_json({"x": np.array([1.5]), "y": np.array([math.nan])}))
     assert payload == {"columns": ["x", "y"], "rows": [[1.5, None]]}
 
 
@@ -368,6 +382,16 @@ def test_cli_usage_error_exit_code(capsys):
     assert rc == 1
     assert "missing parameter" in err
     assert "T" in err
+    # a flag's converter shows its own reason, as the config route does
+    for argv, reason in (
+        (("concurrence", "--sweep", "k0:-1e308:1e308:3", "--t", "1"),
+         "axis k0 bounds and span must be finite"),
+        (("concurrence", "--sweep", "k0:2:1:3", "--t", "1"), "axis k0 needs lo < hi"),
+        (("fidelity", "--theta", "foo"), "cannot parse angle 'foo'"),
+    ):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: argument") and reason in err
 
 
 def test_cli_domain_error_exit_code(capsys):
@@ -484,6 +508,25 @@ def test_cli_errors_name_scalar_values(capsys):
     assert err == (
         "domain error: Boltzmann exponents overflow at k0=1.0, r=0.0, T=1e-310\n"
     )
+
+
+def test_cli_domain_error_writes_no_file(tmp_path, capsys):
+    target = tmp_path / "sweep.csv"
+    rc, out, err = run_cli(
+        capsys, "concurrence", "--k0", "1", "--sweep", "T:1e-310:1:3", "--out", str(target)
+    )
+    assert rc == 3 and out == "" and err.startswith("domain error:")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("t", ["1e10", "1e308"])
+def test_cli_finite_exponents_print_no_nan(capsys, t):
+    # 3 k0 overflows before the division; the exponents themselves are finite
+    for argv in (("concurrence", "--quantities", "C,F_a,populations"), ("fidelity",)):
+        rc, out, err = run_cli(capsys, *argv, "--k0", "1e308", "--t", t)
+        assert rc == 0 and err == ""
+        _, row = out.splitlines()
+        assert "nan" not in row and all(row.split(","))  # no empty cell either
 
 
 def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys):

@@ -30,8 +30,6 @@ from .verify import verify_all
 
 __all__ = ["main"]
 
-_DEFAULT_THETA = math.pi / 3.0
-
 _PI_FORM = re.compile(r"^(-)?(?:(\d+(?:\.\d+)?)\*)?pi(?:/(\d+(?:\.\d+)?))?$")
 
 
@@ -70,13 +68,6 @@ def _parse_float(text: str) -> float:
         raise UsageError(f"expected a number, got {text!r}") from None
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"expected an integer, got {text!r}") from None
-
-
 def parse_quantities(text: str) -> tuple[str, ...]:
     items = tuple(q.strip() for q in text.split(",") if q.strip())
     if not items:
@@ -89,82 +80,66 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _flag(convert):
-    """argparse shows an ArgumentTypeError's text but hides a UsageError's."""
+def _flag(convert, ok=None, reason: str = ""):
+    """A flag's converter, used for the flag and the config file alike.
+
+    argparse shows an ArgumentTypeError's text but hides a UsageError's; a
+    value failing ``ok`` is refused with ``reason``.
+    """
 
     def parse(text: str):
         try:
-            return convert(text)
+            value = convert(text)
         except UsageError as exc:
             raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
+        if ok is not None and not ok(value):
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {reason}")
+        return value
 
+    parse.__name__ = convert.__name__  # argparse names it: "invalid int value: 'x'"
     return parse
 
 
-# Config key -> (argument destination, converter). Only sweep may repeat.
-_CONFIG_KEYS = {
-    "k0": ("k0", _parse_float),
-    "r": ("r", _parse_float),
-    "t": ("T", _parse_float),
-    "theta": ("theta", parse_angle),
-    "phi": ("phi", parse_angle),
-    "sweep": ("sweep", parse_axis),
-    "out": ("out", str),
-    "format": ("format", str),
-    "workers": ("workers", _parse_int),
-    "quantities": ("quantities", str),
-    "tol": ("tol", _parse_float),
-    "seed": ("seed", _parse_int),
-    "mc-samples": ("mc_samples", _parse_int),
-}
+def _is_sweep(key: str) -> bool:
+    """True for `sweep` and its argparse abbreviations."""
+    return bool(key) and "sweep".startswith(key)
 
 
-def load_config(path: str) -> dict[str, list[str]]:
-    """Read `key = value` lines; later duplicates append (for sweep)."""
-    entries: dict[str, list[str]] = {}
+def load_config(path: str) -> list[str]:
+    """Read `key = value` lines as `--key=value` tokens for the subcommand's
+    parser, so a key takes the same converter, choices and range as its flag."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read config {path!r}: {exc}") from None
+    tokens: list[str] = []
+    seen: set[str] = set()
     for lineno, line in enumerate(raw.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
+        key, sep, value = stripped.partition("=")
+        key = key.strip().lower()
+        if not sep or not key:
             raise UsageError(f"{path}:{lineno}: expected key = value")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        entries.setdefault(key.lower(), []).append(value)
-    return entries
-
-
-def apply_config(args: argparse.Namespace) -> None:
-    """Fill unset argument slots from the config file; flags win."""
-    entries = load_config(args.config)
-    for key, values in entries.items():
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"unknown config key {key!r}")
-        dest, convert = _CONFIG_KEYS[key]
-        if not hasattr(args, dest):
-            raise UsageError(f"config key {key!r} does not apply to this subcommand")
-        if getattr(args, dest) is not None:
-            continue
-        if key == "sweep":
-            setattr(args, dest, [convert(v) for v in values])
-        else:
-            if len(values) > 1:
-                raise UsageError(f"config key {key!r} given more than once")
-            setattr(args, dest, convert(values[0]))
+        if key == "config":
+            raise UsageError(f"{path}:{lineno}: a config file cannot name another")
+        if key in seen and not _is_sweep(key):
+            raise UsageError(f"{path}:{lineno}: config key {key!r} given more than once")
+        seen.add(key)
+        tokens.append(f"--{key}={value.strip()}")
+    return tokens
 
 
 def _add_common(sp: argparse.ArgumentParser, angles: bool) -> None:
     sp.add_argument("--k0", type=float, default=None, help="exchange coupling")
-    sp.add_argument("--r", type=float, default=None, help="Zeeman energy (default 0)")
+    sp.add_argument("--r", type=float, default=0.0, help="Zeeman energy (default 0)")
     sp.add_argument("--t", dest="T", type=float, default=None, help="temperature")
     if angles:
-        sp.add_argument("--theta", type=_flag(parse_angle), default=None,
+        sp.add_argument("--theta", type=_flag(parse_angle), default=math.pi / 3.0,
                         help="input polar angle (accepts pi forms; default pi/3)")
-        sp.add_argument("--phi", type=_flag(parse_angle), default=None,
+        sp.add_argument("--phi", type=_flag(parse_angle), default=0.0,
                         help="input azimuthal angle (default 0)")
     sp.add_argument("--sweep", action="append", type=_flag(parse_axis), default=None,
                     metavar="NAME:MIN:MAX:STEPS", help="sweep axis, up to twice")
@@ -174,8 +149,9 @@ def _add_common(sp: argparse.ArgumentParser, angles: bool) -> None:
 
 def _add_output(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--format", choices=("csv", "json"), default=None)
-    sp.add_argument("--workers", type=int, default=None, help="no effect (kept for compatibility)")
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    sp.add_argument("--workers", type=_flag(int, lambda n: n >= 1, "must be at least 1"),
+                    default=1, help="no effect (kept for compatibility)")
     sp.add_argument("--config", default=None, help="key = value defaults file")
 
 
@@ -198,7 +174,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ground-state", help="zero-temperature concurrence")
     p.add_argument("--k0", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
+    p.add_argument("--r", type=float, default=0.0)
     _add_output(p)
     p.set_defaults(func=cmd_ground_state)
 
@@ -208,10 +184,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_fig)
 
     p = sub.add_parser("verify", help="run the oracle cross-checks")
-    p.add_argument("--tol", type=float, default=None, help="comparison tolerance (default 1e-10)")
-    p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed (default 0)")
-    p.add_argument("--mc-samples", dest="mc_samples", type=int, default=None,
-                   help="Monte Carlo sample count (default 200000)")
+    p.add_argument("--tol", type=_flag(float, lambda x: 0.0 <= x < math.inf,
+                                       "must be finite and at least 0"),
+                   default=1e-10, help="comparison tolerance (default 1e-10)")
+    p.add_argument("--seed", type=_flag(int, lambda n: 0 <= n < 2**128, "must be in [0, 2**128)"),
+                   default=0, help="Monte Carlo seed (default 0)")
+    p.add_argument("--mc-samples", dest="mc_samples",
+                   type=_flag(int, lambda n: n >= 2, "must be at least 2"),
+                   default=200_000, help="Monte Carlo sample count (default 200000)")
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_verify)
 
@@ -219,8 +199,7 @@ def build_parser() -> _Parser:
 
 
 def _emit(table: dict[str, np.ndarray], args) -> None:
-    fmt = args.format or "csv"
-    text = format_csv(table) if fmt == "csv" else format_json(table)
+    text = format_csv(table) if args.format == "csv" else format_json(table)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -232,16 +211,9 @@ def _emit(table: dict[str, np.ndarray], args) -> None:
 
 
 def _fixed_params(args) -> dict[str, float]:
-    fixed: dict[str, float] = {}
-    if args.k0 is not None:
-        fixed["k0"] = args.k0
-    fixed["r"] = args.r if args.r is not None else 0.0
-    if args.T is not None:
-        fixed["T"] = args.T
-    if hasattr(args, "theta"):  # only fidelity takes the input angles
-        fixed["theta"] = args.theta if args.theta is not None else _DEFAULT_THETA
-        fixed["phi"] = args.phi if args.phi is not None else 0.0
-    return fixed
+    # k0 and T have no default; only fidelity takes the input angles
+    names = ("k0", "r", "T", "theta", "phi")
+    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
 
 
 def cmd_sweep(args) -> int:
@@ -260,9 +232,8 @@ def cmd_sweep(args) -> int:
 def cmd_ground_state(args) -> int:
     if args.k0 is None:
         raise UsageError("ground-state needs --k0")
-    r = args.r if args.r is not None else 0.0
-    value = ground_state_concurrence(args.k0, r)
-    _emit({"k0": np.array([args.k0]), "r": np.array([r]), "C": np.array([value])}, args)
+    value = ground_state_concurrence(args.k0, args.r)
+    _emit({"k0": np.array([args.k0]), "r": np.array([args.r]), "C": np.array([value])}, args)
     return 0
 
 
@@ -272,10 +243,7 @@ def cmd_fig(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-10
-    seed = args.seed if args.seed is not None else 0
-    mc_samples = args.mc_samples if args.mc_samples is not None else 200_000
-    results = verify_all(tolerance=tol, mc_samples=mc_samples, seed=seed)
+    results = verify_all(tolerance=args.tol, mc_samples=args.mc_samples, seed=args.seed)
     for res in results:
         print(res.line())
     failed = [r for r in results if not r.passed]
@@ -288,13 +256,19 @@ def cmd_verify(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            apply_config(args)
-        workers = getattr(args, "workers", None)
-        if workers is not None and workers < 1:
-            raise UsageError(f"--workers must be at least 1, got {workers}")
+        path = args.config
+        if path:
+            # the file's flags go first, so the command line's win by position
+            tokens = load_config(path)
+            if getattr(args, "sweep", None):  # flag sweeps replace the file's
+                tokens = [t for t in tokens if not _is_sweep(t[2:].partition("=")[0])]
+            try:
+                args = parser.parse_args([args.command, *tokens, *argv[1:]])
+            except UsageError as exc:  # argv parsed cleanly, so the file is at fault
+                raise UsageError(f"{path}: {exc}") from None
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -218,14 +218,15 @@ def fidelity(s: InputState, rho_out: np.ndarray) -> float:
 
 def subspace_fidelities(s: InputState, p: DotParams) -> tuple[float, float]:
     """(F_o, F_e): fidelity conditioned on a Psi-type or Phi-type outcome,
-    as the closed forms N/z1 and N/z2 of _mean_branch_fidelity."""
+    as the closed forms N/z1 and N/z2 of _mean_branch_fidelity. Capped at 1:
+    a singlet channel rounds to 1 + 2.2e-16."""
     e = thermal_elements(p)
     c, sn = np.cos(s.theta / 2.0), np.sin(s.theta / 2.0)
     c2, s2 = c * c, sn * sn
     cross = c2 * s2
     num = e.w * (c2 * c2 + s2 * s2) + (e.u + e.v) * cross - 2.0 * e.y * cross
     z1, z2 = _branch_weights(e, c2, s2)
-    return _scalar(num / z1), _scalar(num / z2)
+    return _scalar(np.minimum(num / z1, 1.0)), _scalar(np.minimum(num / z2, 1.0))
 
 
 def teleport_outcomes(s: InputState, p: DotParams) -> tuple[TeleportOutcome, ...]:
@@ -313,7 +314,8 @@ def average_fidelity_mc(
     Samples cos(theta) uniform on [-1, 1] and the azimuthal phase uniform on
     [0, 2 pi) with a counter-based Philox stream, two doubles per sample, in
     fixed-size chunks combined in index order. Results are reproducible for
-    a given (n, seed). Returns the estimate with its standard error.
+    a given (n, seed); the seed is the Philox key, an integer in
+    [0, 2**128). Returns the estimate with its standard error.
 
     The standard error comes from the sum of squared deviations M2. Samples
     are taken relative to the first one, so chunk means and merge deltas
@@ -333,6 +335,8 @@ def average_fidelity_mc(
     """
     if n < 2:
         raise DomainError(f"Monte Carlo needs n >= 2, got {n}")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
+        raise DomainError(f"Monte Carlo seed must be an integer in [0, 2**128), got {seed!r}")
     e = thermal_elements(p)
     shift = 0.0
     done = 0

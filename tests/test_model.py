@@ -10,6 +10,7 @@ from qdot.entanglement import model_concurrence
 from qdot.linalg import kron, IDENTITY_2, PAULI_Z, validate_density_matrix
 from qdot.model import (
     BASIS_LABELS,
+    _exp,
     DomainError,
     DotParams,
     hamiltonian_matrix,
@@ -167,7 +168,8 @@ def test_overflowing_exponents_raise_instead_of_nan(quantity, k0, r, T):
 def test_finite_exponents_survive_overflowing_intermediates(k0, r, T):
     # 3 k0 (and at T = 1e308 also 16 T) overflows although every true
     # exponent is finite: these cells divide first and stay in range.
-    # F_o = F_e = 1 + 2.2e-16 at the singlet channel, hence the slack.
+    # F_o and F_e are capped at 1 (the singlet channel rounds to 1 + 2.2e-16);
+    # F_a keeps a rounding slack.
     slack = 1e-15
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -182,11 +184,21 @@ def test_finite_exponents_survive_overflowing_intermediates(k0, r, T):
     assert all(math.isfinite(x) and x >= 0.0 for x in (e.u, e.v, e.w, e.big_z))
     assert e.big_z > 0 and math.isfinite(e.y)
     assert 0.0 <= c <= 1.0
-    assert all(-slack <= f <= 1.0 + slack for f in (*fids, f_a))
+    assert all(0.0 <= f <= 1.0 for f in fids)
+    assert -slack <= f_a <= 1.0 + slack
     assert cells == [model_concurrence(DotParams(4.0, 1.0, 0.5)), c]
     if T == k0:
         # k0/T is exactly 1, so the exponents are those of (1, 0, 1)
         assert e == thermal_elements(DotParams(k0=1.0, r=0.0, T=1.0))
+
+
+def test_exp_maps_math_exp_across_blocks():
+    # blocks of 4,096 cells, a partial last block and a non-contiguous view
+    x = np.linspace(-700.0, 700.0, 3 * 4096 + 6).reshape(3, -1)[:, ::2]
+    got = _exp(x)
+    assert got.shape == x.shape
+    assert got.ravel().tolist() == [math.exp(v) for v in x.ravel().tolist()]
+    assert _exp(np.empty((0, 3))).shape == (0, 3)
 
 
 def test_thermal_elements_frozen_reference_point():

@@ -444,6 +444,67 @@ def test_cli_config_rejects_unknown_keys(tmp_path, capsys):
     assert "volume" in err
 
 
+# (command, option, good value, bad value, reason the bad value must show)
+_FLAG_CONFIG_CASES = [
+    (("concurrence", "--k0", "4", "--t", "0.5"), "format", "json", "xml",
+     "invalid choice: 'xml'"),
+    (("fig", "3"), "workers", "2", "0", "must be at least 1"),
+    (("fidelity", "--k0", "2", "--t", "0.5"), "theta", "-pi/2", "foo",
+     "cannot parse angle 'foo'"),
+    (("concurrence", "--t", "0.5"), "sweep", "k0:0:2:3", "k0:2:1:3", "axis k0 needs lo < hi"),
+    (("verify", "--mc-samples", "2000"), "seed", "3", "-1", "must be in [0, 2**128)"),
+    (("verify",), "mc-samples", "2000", "1", "must be at least 2"),
+    (("verify", "--mc-samples", "2000"), "tol", "1e-9", "nan", "must be finite and at least 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,option,good,bad,reason", _FLAG_CONFIG_CASES,
+    ids=[case[1] for case in _FLAG_CONFIG_CASES],
+)
+def test_cli_flag_and_config_parity(tmp_path, capsys, command, option, good, bad, reason):
+    # a config key is its long flag: same converter, choices and range
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{option} = {good}\n")
+    by_flag = run_cli(capsys, *command, f"--{option}={good}")
+    by_file = run_cli(capsys, *command, "--config", str(cfg))
+    assert by_flag == by_file and by_flag[0] == 0 and by_flag[1]
+    cfg.write_text(f"{option} = {bad}\n")
+    rc, out, err = run_cli(capsys, *command, f"--{option}={bad}")
+    assert rc == 1 and out == "" and reason in err
+    rc, out, err = run_cli(capsys, *command, "--config", str(cfg))
+    assert rc == 1 and out == "" and reason in err and str(cfg) in err
+
+
+def test_cli_flag_sweeps_replace_config_sweeps(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    # `swe` is argparse's abbreviation of `sweep`, so it is a sweep line too
+    cfg.write_text("k0 = 4\nt = 0.5\nsweep = r:0:2:5\nswe = T:0.1:1:3\n")
+    both = run_cli(capsys, "concurrence", "--k0", "4", "--sweep", "r:0:2:5",
+                   "--sweep", "T:0.1:1:3")
+    assert run_cli(capsys, "concurrence", "--config", str(cfg)) == both
+    replaced = run_cli(capsys, "concurrence", "--config", str(cfg), "--sweep", "k0:1:3:3")
+    only_flag = run_cli(capsys, "concurrence", "--t", "0.5", "--sweep", "k0:1:3:3")
+    assert replaced == only_flag and only_flag[1].startswith("k0,C\n")
+
+
+def test_cli_config_file_errors(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for text, reason in (
+        ("k0 = 3\n# note\nk0 = 4\n", ":3: config key 'k0' given more than once"),
+        ("k0 = 3\nt 1\n", ":2: expected key = value"),
+        ("config = other.cfg\n", ":1: a config file cannot name another"),
+        ("k0 = 4\nt = 1\ntheta = pi\n", ": unrecognized arguments: --theta=pi"),
+        ("k0 = four\nt = 1\n", ": argument --k0: invalid float value: 'four'"),
+    ):
+        cfg.write_text(text)
+        rc, out, err = run_cli(capsys, "concurrence", "--config", str(cfg))
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: {cfg}") and reason in err
+    rc, _, err = run_cli(capsys, "concurrence", "--config", str(tmp_path / "missing.cfg"))
+    assert rc == 1 and err.startswith("error: cannot read config")
+
+
 def test_cli_verify_smoke(capsys):
     rc, out, _ = run_cli(capsys, "verify", "--mc-samples", "20000")
     assert rc == 0

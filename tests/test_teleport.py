@@ -172,6 +172,17 @@ def test_frozen_subspace_fidelities():
     assert f_o > f_e
 
 
+@pytest.mark.parametrize("k0,r,T", [(16.0, 0.0, 1e-4), (40.0, 0.0, 0.01), (1e308, 0.0, 1e10)])
+def test_singlet_channel_fidelities_are_capped_at_one(k0, r, T):
+    # N/z rounds to 1 + 2.2e-16 in these singlet channels
+    s = InputState(theta=math.pi / 3)
+    assert subspace_fidelities(s, DotParams(k0=k0, r=r, T=T)) == (1.0, 1.0)
+    grid = DotParams(k0=np.array([k0, 4.0]), r=np.array([r, 1.0]), T=np.array([T, 0.5]))
+    f_o, f_e = subspace_fidelities(s, grid)
+    assert f_o.tolist() == [1.0, subspace_fidelities(s, DotParams(4.0, 1.0, 0.5))[0]]
+    assert f_e.tolist() == [1.0, subspace_fidelities(s, DotParams(4.0, 1.0, 0.5))[1]]
+
+
 def test_fidelities_ignore_the_azimuthal_phase():
     base_o, base_e = subspace_fidelities(InputState(theta=1.1, phi=0.0), CHANNEL)
     for phi in (0.3, math.pi / 2, 2.0, 5.9):
@@ -293,3 +304,12 @@ def test_monte_carlo_agrees_with_quadrature():
 def test_monte_carlo_rejects_tiny_sample_counts():
     with pytest.raises(DomainError):
         average_fidelity_mc(DotParams(k0=2.0, r=0.2, T=0.5), n=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "3"])
+def test_monte_carlo_rejects_seeds_outside_the_philox_key_range(seed):
+    with pytest.raises(DomainError, match="seed"):
+        average_fidelity_mc(DotParams(k0=2.0, r=0.2, T=0.5), n=10, seed=seed)
+    # the largest key and numpy integers are accepted
+    average_fidelity_mc(DotParams(k0=2.0, r=0.2, T=0.5), n=10, seed=2**128 - 1)
+    average_fidelity_mc(DotParams(k0=2.0, r=0.2, T=0.5), n=10, seed=np.uint64(7))

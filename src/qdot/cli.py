@@ -100,14 +100,18 @@ def _flag(convert, ok=None, reason: str = ""):
     return parse
 
 
-def _is_sweep(key: str) -> bool:
-    """True for `sweep` and its argparse abbreviations."""
-    return bool(key) and "sweep".startswith(key)
+def _option(parser: argparse.ArgumentParser, key: str) -> str:
+    """The flag a config key names, as argparse resolves it: the exact long
+    name, else a unique prefix, else ``--key`` as written."""
+    flag = f"--{key}"
+    matches = [o for o in parser._option_string_actions if o.startswith(flag)]
+    return flag if flag in matches or len(matches) != 1 else matches[0]
 
 
-def load_config(path: str) -> list[str]:
-    """Read `key = value` lines as `--key=value` tokens for the subcommand's
-    parser, so a key takes the same converter, choices and range as its flag."""
+def load_config(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """Read `key = value` lines as `--option=value` tokens for the subcommand's
+    parser, so a key takes the same converter, choices and range as its flag.
+    The checks see the resolved flag: `k` and `k0` clash, `con` is `config`."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
@@ -123,12 +127,13 @@ def load_config(path: str) -> list[str]:
         key = key.strip().lower()
         if not sep or not key:
             raise UsageError(f"{path}:{lineno}: expected key = value")
-        if key == "config":
+        flag = _option(parser, key)
+        if flag == "--config":
             raise UsageError(f"{path}:{lineno}: a config file cannot name another")
-        if key in seen and not _is_sweep(key):
-            raise UsageError(f"{path}:{lineno}: config key {key!r} given more than once")
-        seen.add(key)
-        tokens.append(f"--{key}={value.strip()}")
+        if flag in seen and flag != "--sweep":
+            raise UsageError(f"{path}:{lineno}: config key {flag[2:]!r} given more than once")
+        seen.add(flag)
+        tokens.append(f"{flag}={value.strip()}")
     return tokens
 
 
@@ -143,7 +148,8 @@ def _add_common(sp: argparse.ArgumentParser, angles: bool) -> None:
                         help="input azimuthal angle (default 0)")
     sp.add_argument("--sweep", action="append", type=_flag(parse_axis), default=None,
                     metavar="NAME:MIN:MAX:STEPS", help="sweep axis, up to twice")
-    sp.add_argument("--quantities", default=None, help="comma-separated quantity list")
+    sp.add_argument("--quantities", type=_flag(parse_quantities),
+                    help="comma-separated quantity list")
     _add_output(sp)
 
 
@@ -170,7 +176,7 @@ def build_parser() -> _Parser:
     for name, (text, quantities) in _SWEEP_COMMANDS.items():
         p = sub.add_parser(name, help=text)
         _add_common(p, angles=name == "fidelity")
-        p.set_defaults(func=cmd_sweep, default_quantities=quantities)
+        p.set_defaults(func=cmd_sweep, quantities=quantities)
 
     p = sub.add_parser("ground-state", help="zero-temperature concurrence")
     p.add_argument("--k0", type=float, default=None)
@@ -195,6 +201,8 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_verify)
 
+    for p in sub.choices.values():  # load_config resolves its keys through it
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -217,13 +225,10 @@ def _fixed_params(args) -> dict[str, float]:
 
 
 def cmd_sweep(args) -> int:
-    quantities = (
-        parse_quantities(args.quantities) if args.quantities else args.default_quantities
-    )
     spec = SweepSpec(
         axes=tuple(args.sweep or ()),
         fixed=_fixed_params(args),
-        quantities=quantities,
+        quantities=args.quantities,
     )
     _emit(run_sweep(spec), args)
     return 0
@@ -262,9 +267,9 @@ def main(argv: list[str] | None = None) -> int:
         path = args.config
         if path:
             # the file's flags go first, so the command line's win by position
-            tokens = load_config(path)
+            tokens = load_config(path, args.parser)
             if getattr(args, "sweep", None):  # flag sweeps replace the file's
-                tokens = [t for t in tokens if not _is_sweep(t[2:].partition("=")[0])]
+                tokens = [t for t in tokens if not t.startswith("--sweep=")]
             try:
                 args = parser.parse_args([args.command, *tokens, *argv[1:]])
             except UsageError as exc:  # argv parsed cleanly, so the file is at fault

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import PAULI_Y, kron
-from .model import DomainError, DotParams, ThermalElements, _any, _boltzmann_weights, _scalar
-from .model import _check_real
+from .model import DotParams, ThermalElements, _any, _boltzmann_weights, _check_real, _scalar
 
 __all__ = [
     "ConcurrenceResult",
@@ -108,8 +107,7 @@ def ground_state_concurrence(k0: float, r: float) -> float:
     The comparison at the boundary is exact, not toleranced: k0/4 is
     computed in one rounding, so callers passing r = k0/4 hit the 1/2 case.
     """
-    if not (np.all(np.isfinite(k0)) and np.all(np.isfinite(r))):
-        raise DomainError(f"couplings must be finite, got k0={k0!r}, r={r!r}")
+    _check_real(k0=k0, r=r)
     field, boundary = abs(r), k0 / 4.0
     return _scalar(np.where(k0 > 0, (field < boundary) + 0.5 * (field == boundary), 0.0))
 

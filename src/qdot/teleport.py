@@ -45,8 +45,8 @@ __all__ = [
 # Branch probabilities below this are degenerate: report, do not divide.
 _PROBABILITY_FLOOR = 1e-15
 
-# Monte Carlo samples per counter-aligned chunk (even, so each chunk starts
-# on a whole Philox block: one block is four 64-bit words = two samples).
+# Monte Carlo samples per chunk. Chunks merge in order, so this size sets
+# the merge order of the mean and M2: changing it moves their bits.
 _MC_CHUNK = 1 << 16
 
 
@@ -283,27 +283,13 @@ def average_fidelity(p: DotParams, nodes: int = 64) -> float:
     past the level crossing |r| = k0/4 at low T, where it is above the
     package's 1e-10 tolerances.
     """
-    if nodes < 2:
-        raise DomainError(f"quadrature needs at least 2 nodes, got {nodes}")
+    if not isinstance(nodes, (int, np.integer)) or nodes < 2:
+        raise DomainError(f"quadrature needs an integer nodes >= 2, got {nodes!r}")
     e = thermal_elements(p)
     rows = ThermalElements(*(np.expand_dims(v, -1) for v in vars(e).values()))
     x, wx = np.polynomial.legendre.leggauss(nodes)
     f = _mean_branch_fidelity(rows, x)
     return _scalar((f * (wx / 2.0)).sum(axis=-1).reshape(np.shape(e.big_z)))
-
-
-def _stream_uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniform (count, 2) block of the per-sample random stream.
-
-    Sample i owns stream doubles 2i and 2i+1. Chunk starts must be even so
-    they land on whole Philox counter blocks; any such chunking reproduces
-    the one-shot stream bit for bit.
-    """
-    if start % 2:
-        raise ValueError(f"chunk start must be even, got {start}")
-    bg = np.random.Philox(key=seed)
-    bg.advance(start // 2)
-    return np.random.Generator(bg).random((count, 2))
 
 
 def average_fidelity_mc(
@@ -312,10 +298,10 @@ def average_fidelity_mc(
     """Monte Carlo estimate of the average fidelity.
 
     Samples cos(theta) uniform on [-1, 1] and the azimuthal phase uniform on
-    [0, 2 pi) with a counter-based Philox stream, two doubles per sample, in
-    fixed-size chunks combined in index order. Results are reproducible for
-    a given (n, seed); the seed is the Philox key, an integer in
-    [0, 2**128). Returns the estimate with its standard error.
+    [0, 2 pi), two doubles per sample, from one Philox stream read in order
+    in fixed-size chunks. Results are reproducible for a given (n, seed);
+    the seed is the Philox key, an integer in [0, 2**128). Returns the
+    estimate with its standard error.
 
     The standard error comes from the sum of squared deviations M2. Samples
     are taken relative to the first one, so chunk means and merge deltas
@@ -333,18 +319,19 @@ def average_fidelity_mc(
     n = 1e6, seed = 0. That includes the zero-field point (0.5, 0, 1), whose
     spread is pure rounding (stderr 7.4e-20).
     """
-    if n < 2:
-        raise DomainError(f"Monte Carlo needs n >= 2, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise DomainError(f"Monte Carlo needs an integer n >= 2, got {n!r}")
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
         raise DomainError(f"Monte Carlo seed must be an integer in [0, 2**128), got {seed!r}")
     e = thermal_elements(p)
+    rng = np.random.Generator(np.random.Philox(key=seed))
     shift = 0.0
     done = 0
     mean = 0.0  # of the shifted samples f - shift
     m2 = 0.0
     for start in range(0, n, _MC_CHUNK):
         count = min(_MC_CHUNK, n - start)
-        u01 = _stream_uniforms(seed, start, count)
+        u01 = rng.random((count, 2))
         x = 2.0 * u01[:, 0] - 1.0
         # The second double per sample is the azimuthal phase. The closed
         # form is phase-free, so it only fixes the stream layout.

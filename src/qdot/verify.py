@@ -96,17 +96,17 @@ def bisect_critical_temperature(
     """Locate the entanglement-vanishing temperature by bisection.
 
     The predicate is a strictly positive closed-form concurrence. The
-    bracket must straddle the transition: entangled at ``lo``, separable at
-    ``hi``.
+    bracket must straddle the transition, entangled at ``lo`` and separable
+    at ``hi``, or it raises DomainError.
     """
 
     def entangled(T: float) -> bool:
         return entanglement.model_concurrence(model.DotParams(k0=k0, r=r, T=T)) > 0.0
 
     if not entangled(lo):
-        raise ValueError(f"bracket low end T={lo} is not entangled for k0={k0}, r={r}")
+        raise DomainError(f"bracket low end T={lo} is not entangled for k0={k0}, r={r}")
     if entangled(hi):
-        raise ValueError(f"bracket high end T={hi} is still entangled for k0={k0}, r={r}")
+        raise DomainError(f"bracket high end T={hi} is still entangled for k0={k0}, r={r}")
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if entangled(mid):

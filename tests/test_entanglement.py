@@ -13,7 +13,8 @@ from qdot.entanglement import (
     xstate_concurrence,
 )
 from qdot.linalg import PAULI_Y, LinalgError, hermitian_eig, kron
-from qdot.model import DotParams, thermal_elements, thermal_state, thermal_state_oracle
+from qdot.model import DomainError, DotParams, thermal_elements, thermal_state, thermal_state_oracle
+from qdot.verify import bisect_critical_temperature
 
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
 
@@ -202,6 +203,11 @@ def test_critical_temperature_values():
     tc = critical_temperature(np.array(k0s))
     assert tc.shape == (6,) and np.isnan(tc[:2]).all()
     assert tc[2:].tolist() == [critical_temperature(k0) for k0 in k0s[2:]]
+    # a bisection bracket that does not straddle Tc is a domain error
+    with pytest.raises(DomainError, match="bracket low end"):
+        bisect_critical_temperature(-1.0, 0.0)
+    with pytest.raises(DomainError, match="bracket high end"):
+        bisect_critical_temperature(4.0, 0.0, hi=0.5)
 
 
 def test_transition_consistency_on_grid():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qdot.entanglement import model_concurrence
+from qdot.entanglement import ground_state_concurrence, model_concurrence
 from qdot.linalg import kron, IDENTITY_2, PAULI_Z, validate_density_matrix
 from qdot.model import (
     BASIS_LABELS,
@@ -47,6 +47,12 @@ def test_params_validation():
         DotParams(k0=1.0, r=np.array([0.0, math.inf]), T=1.0)
     with pytest.raises(DomainError, match="got -0.5"):
         DotParams(k0=1.0, r=0.0, T=np.array([1.0, -0.5]))
+    # the ground-state couplings are checked by the same rule
+    for k0, r in (("1", 0), (1j, 0), (4, "x")):
+        with pytest.raises(DomainError, match="must be a real number"):
+            ground_state_concurrence(k0, r)
+    with pytest.raises(DomainError, match="k0 must be finite, got nan"):
+        ground_state_concurrence(math.nan, 0.0)
     # T = 0 is allowed at construction; only thermal quantities reject it
     DotParams(k0=1.0, r=0.0, T=0.0)
     # numpy scalars are real numbers too

@@ -388,6 +388,7 @@ def test_cli_usage_error_exit_code(capsys):
          "axis k0 bounds and span must be finite"),
         (("concurrence", "--sweep", "k0:2:1:3", "--t", "1"), "axis k0 needs lo < hi"),
         (("fidelity", "--theta", "foo"), "cannot parse angle 'foo'"),
+        (("concurrence", "--k0", "4", "--t", "1", "--quantities", ""), "empty quantity list"),
     ):
         rc, out, err = run_cli(capsys, *argv)
         assert rc == 1 and out == ""
@@ -494,6 +495,9 @@ def test_cli_config_file_errors(tmp_path, capsys):
         ("k0 = 3\n# note\nk0 = 4\n", ":3: config key 'k0' given more than once"),
         ("k0 = 3\nt 1\n", ":2: expected key = value"),
         ("config = other.cfg\n", ":1: a config file cannot name another"),
+        # keys resolve to their flag as argparse does, prefixes included
+        ("k = 3\nk0 = 4\nt = 1\n", ":2: config key 'k0' given more than once"),
+        ("con = x\n", ":1: a config file cannot name another"),
         ("k0 = 4\nt = 1\ntheta = pi\n", ": unrecognized arguments: --theta=pi"),
         ("k0 = four\nt = 1\n", ": argument --k0: invalid float value: 'four'"),
     ):

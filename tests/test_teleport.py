@@ -12,7 +12,6 @@ from qdot.teleport import (
     InputState,
     MonteCarloFidelity,
     _mean_branch_fidelity,
-    _stream_uniforms,
     average_fidelity,
     average_fidelity_mc,
     bell_projectors,
@@ -241,6 +240,11 @@ def test_average_fidelity_classical_benchmark():
 def test_average_fidelity_node_count_stability():
     p = DotParams(k0=2.0, r=0.2, T=0.5)
     assert abs(average_fidelity(p, nodes=64) - average_fidelity(p, nodes=96)) < 1e-13
+    # the node count must be an integer of at least 2
+    for nodes in (1, 2.5, "64"):
+        with pytest.raises(DomainError, match="nodes"):
+            average_fidelity(p, nodes=nodes)
+    assert average_fidelity(p, nodes=np.int64(64)) == average_fidelity(p)
 
 
 def test_average_fidelity_frozen_value():
@@ -268,18 +272,6 @@ def test_monte_carlo_is_reproducible():
     assert c.value != a.value
 
 
-def test_stream_uniforms_chunking_is_invariant():
-    whole = _stream_uniforms(seed=9, start=0, count=1000)
-    parts = np.concatenate(
-        [
-            _stream_uniforms(seed=9, start=0, count=256),
-            _stream_uniforms(seed=9, start=256, count=256),
-            _stream_uniforms(seed=9, start=512, count=488),
-        ]
-    )
-    np.testing.assert_array_equal(whole, parts)
-
-
 def test_monte_carlo_agrees_with_quadrature():
     p = DotParams(k0=2.0, r=0.2, T=0.5)
     mc = average_fidelity_mc(p, n=200_000, seed=0)
@@ -304,6 +296,10 @@ def test_monte_carlo_agrees_with_quadrature():
 def test_monte_carlo_rejects_tiny_sample_counts():
     with pytest.raises(DomainError):
         average_fidelity_mc(DotParams(k0=2.0, r=0.2, T=0.5), n=1)
+    # and counts that are not integers
+    for n in (2.5, "10"):
+        with pytest.raises(DomainError, match="integer n"):
+            average_fidelity_mc(DotParams(k0=2.0, r=0.2, T=0.5), n=n)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "3"])

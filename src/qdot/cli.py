@@ -17,6 +17,7 @@ import numpy as np
 from .entanglement import ground_state_concurrence
 from .model import DomainError
 from .sweep import (
+    PARAMETER_NAMES,
     Axis,
     SweepSpec,
     UsageError,
@@ -220,8 +221,7 @@ def _emit(table: dict[str, np.ndarray], args) -> None:
 
 def _fixed_params(args) -> dict[str, float]:
     # k0 and T have no default; only fidelity takes the input angles
-    names = ("k0", "r", "T", "theta", "phi")
-    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+    return {n: v for n in PARAMETER_NAMES if (v := getattr(args, n, None)) is not None}
 
 
 def cmd_sweep(args) -> int:

@@ -27,10 +27,6 @@ __all__ = [
     "critical_temperature",
 ]
 
-# Wootters eigenvalues of sqrt(rho) rho~ sqrt(rho) may round slightly
-# negative; anything below this is a real failure, not noise.
-_LAMBDA_FLOOR = -1e-10
-
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
@@ -53,17 +49,14 @@ def wootters_concurrence(rho: np.ndarray) -> ConcurrenceResult:
     singular values of D. Taking them from an SVD instead of an
     eigendecomposition of the squared product keeps tiny lambdas at
     roundoff scale instead of inflating them to sqrt(eps); the triple
-    agreement with the closed forms needs that headroom. Eigenvalues of rho
-    within the validation floor round up to zero before the square root.
+    agreement with the closed forms needs that headroom. The validator
+    rejects eigenvalues of rho below its floor; those left round up to zero
+    before the square root.
     """
     rho = linalg.validate_density_matrix(rho, name="input state")
     if rho.shape != (4, 4):
         raise linalg.LinalgError(f"concurrence needs a 4x4 state, got {rho.shape}")
-    evals, vecs = linalg.hermitian_eig(rho)
-    if evals.min() < _LAMBDA_FLOOR:
-        raise linalg.LinalgError(
-            f"state eigenvalue {evals.min():.3e} below clamp floor"
-        )
+    evals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
     root_p = np.sqrt(np.clip(evals, 0.0, None))
     yy = kron(PAULI_Y, PAULI_Y)
     flip_overlap = vecs.conj().T @ yy @ vecs.conj()

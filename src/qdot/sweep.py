@@ -164,6 +164,19 @@ class FigurePreset:
     panels: tuple[SweepSpec, ...]
 
 
+# Figure id -> (panel key, panel values, axes, fixed values, quantities); a
+# figure without a panel key is one panel. Fidelities are cut at theta = pi/3.
+_CUT = {"theta": math.pi / 3.0, "phi": 0.0}
+_FIDELITIES = ("F_o", "F_e", "F_a")
+_FIGURES = {
+    1: ("T", (0.2, 1.0), (Axis("k0", 0.0, 10.0, 41), Axis("r", 0.0, 2.0, 41)), {}, ("C",)),
+    2: ("k0", (3.0, 4.0, 5.0, 10.0), (Axis("T", 0.05, 2.5, 50),), {"r": 1.0}, ("C",)),
+    3: (None, (), (Axis("T", 0.02, 2.0, 50),), {"k0": 2.0, "r": 0.2, **_CUT}, _FIDELITIES),
+    4: (None, (), (Axis("k0", 0.0, 10.0, 50),), {"T": 0.2, "r": 0.2, **_CUT}, _FIDELITIES),
+    5: (None, (), (Axis("r", 0.0, 10.0, 50),), {"T": 0.2, "k0": 4.0, **_CUT}, _FIDELITIES),
+}
+
+
 def figure_preset(fig_id: int) -> FigurePreset:
     """Preset sweeps behind the `fig` subcommand.
 
@@ -172,40 +185,14 @@ def figure_preset(fig_id: int) -> FigurePreset:
     coupling, and field at theta = pi/3 (3, 4, 5). Grid ranges and step
     counts are chosen for smooth plots; panel values are part of the preset.
     """
-    if fig_id == 1:
-        panels = tuple(
-            SweepSpec(
-                axes=(Axis("k0", 0.0, 10.0, 41), Axis("r", 0.0, 2.0, 41)),
-                fixed={"T": t},
-                quantities=("C",),
-            )
-            for t in (0.2, 1.0)
-        )
-        return FigurePreset(panel_key="T", panels=panels)
-    if fig_id == 2:
-        panels = tuple(
-            SweepSpec(
-                axes=(Axis("T", 0.05, 2.5, 50),),
-                fixed={"k0": k, "r": 1.0},
-                quantities=("C",),
-            )
-            for k in (3.0, 4.0, 5.0, 10.0)
-        )
-        return FigurePreset(panel_key="k0", panels=panels)
-    fidelity_cuts = {
-        3: (Axis("T", 0.02, 2.0, 50), {"k0": 2.0, "r": 0.2}),
-        4: (Axis("k0", 0.0, 10.0, 50), {"T": 0.2, "r": 0.2}),
-        5: (Axis("r", 0.0, 10.0, 50), {"T": 0.2, "k0": 4.0}),
-    }
-    if fig_id not in fidelity_cuts:
+    if fig_id not in _FIGURES:
         raise UsageError(f"unknown figure {fig_id}; presets are 1 through 5")
-    axis, fixed = fidelity_cuts[fig_id]
-    spec = SweepSpec(
-        axes=(axis,),
-        fixed={**fixed, "theta": math.pi / 3.0, "phi": 0.0},
-        quantities=("F_o", "F_e", "F_a"),
+    key, values, axes, fixed, quantities = _FIGURES[fig_id]
+    panels = [{key: v} for v in values] if key else [{}]
+    return FigurePreset(
+        panel_key=key,
+        panels=tuple(SweepSpec(axes, {**panel, **fixed}, quantities) for panel in panels),
     )
-    return FigurePreset(panel_key=None, panels=(spec,))
 
 
 def run_figure(preset: FigurePreset) -> dict[str, np.ndarray]:

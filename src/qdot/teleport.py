@@ -300,8 +300,8 @@ def average_fidelity_mc(
     Samples cos(theta) uniform on [-1, 1] and the azimuthal phase uniform on
     [0, 2 pi), two doubles per sample, from one Philox stream read in order
     in fixed-size chunks. Results are reproducible for a given (n, seed);
-    the seed is the Philox key, an integer in [0, 2**128). Returns the
-    estimate with its standard error.
+    the seed is the Philox key, an integer in [0, 2**128). It takes one
+    parameter point, not arrays. Returns the estimate with its standard error.
 
     The standard error comes from the sum of squared deviations M2. Samples
     are taken relative to the first one, so chunk means and merge deltas
@@ -323,6 +323,8 @@ def average_fidelity_mc(
         raise DomainError(f"Monte Carlo needs an integer n >= 2, got {n!r}")
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
         raise DomainError(f"Monte Carlo seed must be an integer in [0, 2**128), got {seed!r}")
+    if any(np.ndim(x) for x in (p.k0, p.r, p.T)):
+        raise DomainError("Monte Carlo takes one parameter point, got arrays in DotParams")
     e = thermal_elements(p)
     rng = np.random.Generator(np.random.Philox(key=seed))
     shift = 0.0

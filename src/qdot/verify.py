@@ -90,14 +90,14 @@ def _check(name: str):
     return decorate
 
 
-def bisect_critical_temperature(
-    k0: float, r: float, lo: float = 0.02, hi: float = 3.0, width: float = 1e-9
-) -> float:
+def bisect_critical_temperature(k0: float, r: float, lo: float = 0.02, hi: float = 3.0) -> float:
     """Locate the entanglement-vanishing temperature by bisection.
 
     The predicate is a strictly positive closed-form concurrence. The
     bracket must straddle the transition, entangled at ``lo`` and separable
-    at ``hi``, or it raises DomainError.
+    at ``hi``, or it raises DomainError. It halves until the midpoint equals
+    an endpoint, that is until ``lo`` and ``hi`` are adjacent doubles, so it
+    ends on every finite bracket and needs no width.
     """
 
     def entangled(T: float) -> bool:
@@ -107,13 +107,13 @@ def bisect_critical_temperature(
         raise DomainError(f"bracket low end T={lo} is not entangled for k0={k0}, r={r}")
     if entangled(hi):
         raise DomainError(f"bracket high end T={hi} is still entangled for k0={k0}, r={r}")
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
+    # halving each end first cannot overflow, and gives 0.5 * (lo + hi) where that does not
+    while (mid := 0.5 * lo + 0.5 * hi) not in (lo, hi):
         if entangled(mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
 @_check("thermal state vs spectral oracle")
@@ -201,12 +201,10 @@ def check_completeness(tolerance: float):
 def check_r0_coincidence(tolerance: float):
     """With the field off, the two corrected outputs are one state."""
     dev = 0.0
-    for k0 in TELEPORT_GRID["k0"]:
-        for T in TELEPORT_GRID["T"]:
-            p = model.DotParams(k0=k0, r=0.0, T=T)
-            for s in _input_states():
-                rho_o, rho_e = teleport.output_states(s, p)
-                dev = max(dev, float(np.abs(rho_o - rho_e).max()))
+    for p in _params({**TELEPORT_GRID, "r": (0.0,)}):
+        for s in _input_states():
+            rho_o, rho_e = teleport.output_states(s, p)
+            dev = max(dev, float(np.abs(rho_o - rho_e).max()))
     return dev <= tolerance, dev, tolerance
 
 

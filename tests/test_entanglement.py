@@ -1,10 +1,16 @@
 """Tests for concurrence routines and the critical temperature."""
 
+import ast
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdot
 from qdot.entanglement import (
     critical_temperature,
     ground_state_concurrence,
@@ -98,6 +104,8 @@ def test_wootters_rejects_non_state_input():
         wootters_concurrence(np.eye(4, dtype=complex))  # trace 4
     with pytest.raises(LinalgError):
         wootters_concurrence(np.eye(3, dtype=complex) / 3)  # wrong dimension
+    with pytest.raises(LinalgError, match="negative eigenvalue"):
+        wootters_concurrence(np.diag([0.6, 0.3, 0.2, -0.1]))  # Hermitian, unit trace
 
 
 def test_xstate_uncoupled_point_is_separable():
@@ -208,6 +216,33 @@ def test_critical_temperature_values():
         bisect_critical_temperature(-1.0, 0.0)
     with pytest.raises(DomainError, match="bracket high end"):
         bisect_critical_temperature(4.0, 0.0, hi=0.5)
+
+
+# (k0, r, lo, hi): one ulp at Tc = 9.1e6 exceeds 1e-9, Tc = 2.3e-13 is far
+# below it, and lo + hi overflows in the last bracket
+_BRACKETS = (
+    (4e7, 0.0, 1e6, 1e8),
+    (4.0, 0.0, 0.02, 3.0),
+    (1e-12, 0.0, 1e-14, 1e-12),
+    (1.6e308, 0.0, 1e307, 1.7e308),
+)
+
+
+def test_bisection_ends_at_adjacent_doubles():
+    # a bisection that stops on a bracket width can loop forever, so the
+    # calls run in a child process that the timeout ends
+    code = (
+        "from qdot.verify import bisect_critical_temperature as b; "
+        f"print([b(k0, r, lo=lo, hi=hi) for k0, r, lo, hi in {_BRACKETS!r}])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qdot.__file__).resolve().parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert child.returncode == 0, child.stderr
+    for (k0, *_), root in zip(_BRACKETS, ast.literal_eval(child.stdout)):
+        expected = critical_temperature(k0)
+        assert abs(root - expected) <= 2 * math.ulp(expected), (k0, root, expected)
 
 
 def test_transition_consistency_on_grid():

@@ -202,28 +202,28 @@ def test_population_columns_expand():
 
 
 def test_figure_presets_pin_model_parameters():
-    fig1 = figure_preset(1)
-    assert fig1.panel_key == "T"
-    assert [s.fixed["T"] for s in fig1.panels] == [0.2, 1.0]
-    for s in fig1.panels:
-        assert [a.name for a in s.axes] == ["k0", "r"]
-
-    fig2 = figure_preset(2)
-    assert [s.fixed["k0"] for s in fig2.panels] == [3.0, 4.0, 5.0, 10.0]
-    assert all(s.fixed["r"] == 1.0 for s in fig2.panels)
-
-    fig3 = figure_preset(3)
-    (spec,) = fig3.panels
-    assert spec.fixed == {"k0": 2.0, "r": 0.2, "theta": math.pi / 3, "phi": 0.0}
-    assert spec.quantities == ("F_o", "F_e", "F_a")
-
-    fig4 = figure_preset(4)
-    assert fig4.panels[0].fixed["T"] == 0.2
-    assert fig4.panels[0].fixed["r"] == 0.2
-
-    fig5 = figure_preset(5)
-    assert fig5.panels[0].fixed["T"] == 0.2
-    assert fig5.panels[0].fixed["k0"] == 4.0
+    cut = {"theta": math.pi / 3, "phi": 0.0}
+    fidelities = ("F_o", "F_e", "F_a")
+    # figure -> (panel key, panel values, axes as (name, lo, hi, steps),
+    # fixed values of each panel, quantities)
+    expected = {
+        1: ("T", [0.2, 1.0], [("k0", 0.0, 10.0, 41), ("r", 0.0, 2.0, 41)],
+            [{"T": 0.2}, {"T": 1.0}], ("C",)),
+        2: ("k0", [3.0, 4.0, 5.0, 10.0], [("T", 0.05, 2.5, 50)],
+            [{"k0": k, "r": 1.0} for k in (3.0, 4.0, 5.0, 10.0)], ("C",)),
+        3: (None, None, [("T", 0.02, 2.0, 50)], [{"k0": 2.0, "r": 0.2, **cut}], fidelities),
+        4: (None, None, [("k0", 0.0, 10.0, 50)], [{"T": 0.2, "r": 0.2, **cut}], fidelities),
+        5: (None, None, [("r", 0.0, 10.0, 50)], [{"T": 0.2, "k0": 4.0, **cut}], fidelities),
+    }
+    for fig_id, (key, values, axes, fixed, quantities) in expected.items():
+        preset = figure_preset(fig_id)
+        assert preset.panel_key == key, fig_id
+        if key is not None:
+            assert [s.fixed[key] for s in preset.panels] == values, fig_id
+        assert [s.fixed for s in preset.panels] == fixed, fig_id
+        for s in preset.panels:
+            assert [(a.name, a.lo, a.hi, a.steps) for a in s.axes] == axes, fig_id
+            assert s.quantities == quantities, fig_id
 
     with pytest.raises(UsageError):
         figure_preset(6)

@@ -300,6 +300,9 @@ def test_monte_carlo_rejects_tiny_sample_counts():
     for n in (2.5, "10"):
         with pytest.raises(DomainError, match="integer n"):
             average_fidelity_mc(DotParams(k0=2.0, r=0.2, T=0.5), n=n)
+    # it takes one parameter point, not arrays
+    with pytest.raises(DomainError, match="one parameter point"):
+        average_fidelity_mc(DotParams(np.array([1.0, 2.0]), 0, 1), n=10)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "3"])

@@ -3,89 +3,19 @@
 The package models two exchange-coupled electron spins in a magnetic field,
 builds their Gibbs state in closed form, quantifies its entanglement, and
 drives the standard teleportation protocol through it. A sweep layer and a
-CLI sit on top.
+CLI sit on top. The ``__all__`` of each module imported below is its part
+of the package API.
 """
 
-from .entanglement import (
-    ConcurrenceResult,
-    critical_temperature,
-    ground_state_concurrence,
-    model_concurrence,
-    wootters_concurrence,
-    xstate_concurrence,
-)
-from .linalg import LinalgError
-from .model import (
-    DomainError,
-    DotParams,
-    ThermalElements,
-    hamiltonian_matrix,
-    thermal_elements,
-    thermal_state,
-    thermal_state_oracle,
-)
-from .sweep import Axis, FigurePreset, SweepSpec, figure_preset, run_figure, run_sweep
-from .teleport import (
-    BellOutcome,
-    InputState,
-    MonteCarloFidelity,
-    TeleportOutcome,
-    average_fidelity,
-    average_fidelity_mc,
-    bell_projectors,
-    collapse_bruteforce,
-    collapsed_closed_form,
-    fidelity,
-    input_density,
-    joint_state,
-    output_states,
-    pauli_correction,
-    subspace_fidelities,
-    teleport_outcomes,
-)
-from .verify import CheckResult, bisect_critical_temperature, verify_all
+from . import entanglement, linalg, model, sweep, teleport, verify
+from .entanglement import *  # noqa: F403 - republished API, see the docstring
+from .linalg import *  # noqa: F403
+from .model import *  # noqa: F403
+from .sweep import *  # noqa: F403
+from .teleport import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "ConcurrenceResult",
-    "critical_temperature",
-    "ground_state_concurrence",
-    "model_concurrence",
-    "wootters_concurrence",
-    "xstate_concurrence",
-    "LinalgError",
-    "DomainError",
-    "DotParams",
-    "ThermalElements",
-    "hamiltonian_matrix",
-    "thermal_elements",
-    "thermal_state",
-    "thermal_state_oracle",
-    "Axis",
-    "FigurePreset",
-    "SweepSpec",
-    "figure_preset",
-    "run_figure",
-    "run_sweep",
-    "BellOutcome",
-    "InputState",
-    "MonteCarloFidelity",
-    "TeleportOutcome",
-    "average_fidelity",
-    "average_fidelity_mc",
-    "bell_projectors",
-    "collapse_bruteforce",
-    "collapsed_closed_form",
-    "fidelity",
-    "input_density",
-    "joint_state",
-    "output_states",
-    "pauli_correction",
-    "subspace_fidelities",
-    "teleport_outcomes",
-    "CheckResult",
-    "bisect_critical_temperature",
-    "verify_all",
-]
+__all__ = ["__version__", *entanglement.__all__, *linalg.__all__, *model.__all__,
+           *sweep.__all__, *teleport.__all__, *verify.__all__]

@@ -42,6 +42,8 @@ def parse_angle(text: str) -> float:
         sign = -1.0 if m.group(1) else 1.0
         coef = float(m.group(2)) if m.group(2) else 1.0
         div = float(m.group(3)) if m.group(3) else 1.0
+        if div == 0.0:
+            raise UsageError(f"angle {text!r} divides by zero")
         return sign * coef * math.pi / div
     try:
         return float(text)
@@ -138,9 +140,13 @@ def load_config(path: str, parser: argparse.ArgumentParser) -> list[str]:
     return tokens
 
 
-def _add_common(sp: argparse.ArgumentParser, angles: bool) -> None:
+def _add_couplings(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--k0", type=float, default=None, help="exchange coupling")
     sp.add_argument("--r", type=float, default=0.0, help="Zeeman energy (default 0)")
+
+
+def _add_common(sp: argparse.ArgumentParser, angles: bool) -> None:
+    _add_couplings(sp)
     sp.add_argument("--t", dest="T", type=float, default=None, help="temperature")
     if angles:
         sp.add_argument("--theta", type=_flag(parse_angle), default=math.pi / 3.0,
@@ -159,7 +165,6 @@ def _add_output(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--workers", type=_flag(int, lambda n: n >= 1, "must be at least 1"),
                     default=1, help="no effect (kept for compatibility)")
-    sp.add_argument("--config", default=None, help="key = value defaults file")
 
 
 # Subcommands that evaluate a sweep: help text and default quantities.
@@ -180,8 +185,7 @@ def build_parser() -> _Parser:
         p.set_defaults(func=cmd_sweep, quantities=quantities)
 
     p = sub.add_parser("ground-state", help="zero-temperature concurrence")
-    p.add_argument("--k0", type=float, default=None)
-    p.add_argument("--r", type=float, default=0.0)
+    _add_couplings(p)
     _add_output(p)
     p.set_defaults(func=cmd_ground_state)
 
@@ -199,10 +203,10 @@ def build_parser() -> _Parser:
     p.add_argument("--mc-samples", dest="mc_samples",
                    type=_flag(int, lambda n: n >= 2, "must be at least 2"),
                    default=200_000, help="Monte Carlo sample count (default 200000)")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_verify)
 
     for p in sub.choices.values():  # load_config resolves its keys through it
+        p.add_argument("--config", default=None, help="key = value defaults file")
         p.set_defaults(parser=p)
     return parser
 

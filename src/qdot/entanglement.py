@@ -70,10 +70,10 @@ def xstate_concurrence(e: ThermalElements) -> float:
     """Concurrence of the thermal X-state from its elements: (2/Z) max(|y| - sqrt(uv), 0).
 
     sqrt(uv) is taken as sqrt(u)*sqrt(v) so the product cannot underflow
-    before the root.
+    before the root. Broadcasts over array elements.
     """
-    root_uv = math.sqrt(e.u) * math.sqrt(e.v)
-    return (2.0 / e.big_z) * max(abs(e.y) - root_uv, 0.0)
+    root_uv = np.sqrt(e.u) * np.sqrt(e.v)
+    return _scalar((2.0 / e.big_z) * np.maximum(abs(e.y) - root_uv, 0.0))
 
 
 def model_concurrence(p: DotParams) -> float:

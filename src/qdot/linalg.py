@@ -12,18 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "LinalgError",
-    "IDENTITY_2",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "as_complex_matrix",
-    "kron",
-    "partial_trace",
-    "hermitian_eig",
-    "validate_density_matrix",
-]
+__all__ = ["LinalgError"]
 
 # Structural tolerances used across the package.
 HERMITICITY_TOL = 1e-10
@@ -101,20 +90,18 @@ def partial_trace(
     return t.reshape(d_keep, d_keep)
 
 
-def hermitian_eig(
-    m: np.ndarray, tol: float = HERMITICITY_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues in
     ascending order and orthonormal eigenvectors as columns. Rejects input
-    whose anti-Hermitian part exceeds ``tol`` entrywise.
+    whose anti-Hermitian part exceeds HERMITICITY_TOL entrywise.
     """
     a = as_complex_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise LinalgError(f"matrix is not square: {a.shape}")
     dev = float(np.abs(a - a.conj().T).max())
-    if dev > tol:
+    if dev > HERMITICITY_TOL:
         raise LinalgError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     evals, evecs = np.linalg.eigh((a + a.conj().T) / 2.0)
     return evals, evecs

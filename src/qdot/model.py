@@ -13,7 +13,7 @@ sigma_z |1> = +|1>. Both couplings may take either sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -23,13 +23,11 @@ from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron
 __all__ = [
     "DomainError",
     "DotParams",
-    "BASIS_LABELS",
     "hamiltonian_matrix",
     "ThermalElements",
     "thermal_elements",
     "thermal_state",
     "thermal_state_oracle",
-    "singlet_triplet_unitary",
 ]
 
 BASIS_LABELS = ("11", "10", "01", "00")
@@ -77,6 +75,15 @@ def _check_real(**fields) -> None:
             raise DomainError(f"{name} must be finite, got {_first(arr, ~np.isfinite(arr))!r}")
 
 
+def _check_point(*values) -> None:
+    """Raise DomainError if a value, or a field of a dataclass value, is an
+    array: the matrix routes, the oracles and Monte Carlo take one point."""
+    for value in values:
+        for x in vars(value).values() if is_dataclass(value) else (value,):
+            if not isinstance(x, (int, float)) and np.ndim(x):  # np.ndim costs 1 us
+                raise DomainError(f"takes one parameter point, got an array of shape {np.shape(x)}")
+
+
 def _any(mask) -> bool:
     """np.any without its 6 us on a single bool."""
     return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
@@ -103,10 +110,9 @@ def _exp(x):
 
 def hamiltonian_matrix(p: DotParams) -> np.ndarray:
     """4x4 Hamiltonian in the product basis, assembled from spin operators."""
+    _check_point(p)
     sx, sy, sz = PAULI_X / 2.0, PAULI_Y / 2.0, PAULI_Z / 2.0
-    exchange = (
-        kron(sx, sx) + kron(sy, sy) + kron(sz, sz)
-    )
+    exchange = kron(sx, sx) + kron(sy, sy) + kron(sz, sz)
     zeeman = kron(sz, IDENTITY_2) + kron(IDENTITY_2, sz)
     return (p.k0 / 4.0) * exchange - p.r * zeeman
 
@@ -183,6 +189,7 @@ def thermal_elements(p: DotParams) -> ThermalElements:
 
 def thermal_state(p: DotParams) -> np.ndarray:
     """Closed-form Gibbs state: an X-form 4x4 matrix in the product basis."""
+    _check_point(p)
     e = thermal_elements(p)
     z = e.big_z
     rho = np.array(
@@ -204,9 +211,9 @@ def thermal_state_oracle(p: DotParams) -> np.ndarray:
     numerically and shifts by the ground energy before exponentiating, so the
     result stays finite at any T > 0.
     """
+    h = hamiltonian_matrix(p)  # refuses arrays before T is compared
     if p.T <= 0:
         raise DomainError(f"thermal oracle needs T > 0, got T={p.T}")
-    h = hamiltonian_matrix(p)
     evals, evecs = linalg.hermitian_eig(h)
     weights = np.exp(-(evals - evals.min()) / p.T)
     rho = (evecs * weights) @ evecs.conj().T

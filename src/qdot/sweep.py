@@ -18,18 +18,7 @@ from .entanglement import critical_temperature, model_concurrence
 from .model import DomainError, DotParams, thermal_elements
 from .teleport import InputState, average_fidelity, subspace_fidelities
 
-__all__ = [
-    "Axis",
-    "SweepSpec",
-    "FigurePreset",
-    "PARAMETER_NAMES",
-    "QUANTITY_NAMES",
-    "run_sweep",
-    "figure_preset",
-    "run_figure",
-    "format_csv",
-    "format_json",
-]
+__all__ = ["Axis", "SweepSpec", "FigurePreset", "run_sweep", "figure_preset", "run_figure"]
 
 PARAMETER_NAMES = ("k0", "r", "T", "theta", "phi")
 SWEEPABLE = ("k0", "r", "T", "theta")
@@ -121,7 +110,11 @@ class SweepSpec:
     def grid(self) -> dict[str, np.ndarray | float]:
         """A flat column per axis, lexicographic in the axes (the last varies
         fastest), and the fixed values as scalars that broadcast."""
-        mesh = np.meshgrid(*(a.values() for a in self.axes), indexing="ij")
+        try:
+            mesh = np.meshgrid(*(a.values() for a in self.axes), indexing="ij")
+        except (MemoryError, ValueError) as exc:  # numpy refuses before it allocates
+            shape = " x ".join(f"{a.name}:{a.steps}" for a in self.axes)
+            raise UsageError(f"grid {shape} is too large: {exc}") from None
         return {**self.fixed, **{a.name: m.ravel() for a, m in zip(self.axes, mesh)}}
 
 

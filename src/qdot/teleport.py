@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron, partial_trace
-from .model import DomainError, DotParams, ThermalElements, _check_real, _scalar
+from .model import DomainError, DotParams, ThermalElements, _check_point, _check_real, _scalar
 from .model import thermal_elements, thermal_state
 
 __all__ = [
@@ -44,6 +44,9 @@ __all__ = [
 
 # Branch probabilities below this are degenerate: report, do not divide.
 _PROBABILITY_FLOOR = 1e-15
+
+# Points per quadrature block: bounds the (points x nodes) integrand.
+_QUADRATURE_BLOCK = 1 << 10
 
 # Monte Carlo samples per chunk. Chunks merge in order, so this size sets
 # the merge order of the mean and M2: changing it moves their bits.
@@ -99,6 +102,7 @@ class MonteCarloFidelity:
 
 def input_vector(s: InputState) -> np.ndarray:
     """State vector of the input qubit in the {|1>, |0>} basis."""
+    _check_point(s)
     return np.array(
         [math.cos(s.theta / 2.0), cmath.exp(1j * s.phi) * math.sin(s.theta / 2.0)],
         dtype=complex,
@@ -165,6 +169,7 @@ def collapsed_closed_form(
     minus and plus outcome of each subspace, and the Phi branches carry the
     conjugate azimuthal phase.
     """
+    _check_point(s, e)
     c2 = math.cos(s.theta / 2.0) ** 2
     s2 = math.sin(s.theta / 2.0) ** 2
     z1, z2 = _branch_weights(e, c2, s2)
@@ -275,21 +280,24 @@ def average_fidelity(p: DotParams, nodes: int = 64) -> float:
     average is half the integral over cos(theta) in [-1, 1], taken with
     ``nodes`` Gauss-Legendre points; the integrand is a smooth rational
     function. Over an array, each point's nodes are a row summed on its own,
-    so a cell has the bits of the scalar call. With 64 nodes the error
-    against 40-digit mpmath quadrature of the same integrand reaches 5.8e-9
-    at DotParams(4, 1.6152, 0.08127), the worst point of a 600x600 scan
-    over k0 = 4, 0.04 <= T <= 2.1, 0 <= r <= 4.5. At the same k0 and T it
-    is at rounding level (<= 6e-16) for r = 0, 0.5, 1 and 3: the error sits
-    past the level crossing |r| = k0/4 at low T, where it is above the
-    package's 1e-10 tolerances.
+    in blocks of _QUADRATURE_BLOCK rows, so a cell has the bits of the
+    scalar call. With 64 nodes the error against 40-digit mpmath quadrature
+    of the same integrand reaches 5.8e-9 at DotParams(4, 1.6152, 0.08127),
+    the worst point of a 600x600 scan over k0 = 4, 0.04 <= T <= 2.1,
+    0 <= r <= 4.5. At the same k0 and T it is at rounding level (<= 6e-16)
+    for r = 0, 0.5, 1 and 3: the error sits past the level crossing
+    |r| = k0/4 at low T, where it is above the package's 1e-10 tolerances.
     """
     if not isinstance(nodes, (int, np.integer)) or nodes < 2:
         raise DomainError(f"quadrature needs an integer nodes >= 2, got {nodes!r}")
     e = thermal_elements(p)
-    rows = ThermalElements(*(np.expand_dims(v, -1) for v in vars(e).values()))
+    cols = [np.ravel(v)[:, None] for v in vars(e).values()]
     x, wx = np.polynomial.legendre.leggauss(nodes)
-    f = _mean_branch_fidelity(rows, x)
-    return _scalar((f * (wx / 2.0)).sum(axis=-1).reshape(np.shape(e.big_z)))
+    out = np.empty(len(cols[0]))
+    for i in range(0, len(out), _QUADRATURE_BLOCK):
+        rows = ThermalElements(*(c[i : i + _QUADRATURE_BLOCK] for c in cols))
+        out[i : i + _QUADRATURE_BLOCK] = (_mean_branch_fidelity(rows, x) * (wx / 2.0)).sum(axis=-1)
+    return _scalar(out.reshape(np.shape(e.big_z)))
 
 
 def average_fidelity_mc(
@@ -323,8 +331,7 @@ def average_fidelity_mc(
         raise DomainError(f"Monte Carlo needs an integer n >= 2, got {n!r}")
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
         raise DomainError(f"Monte Carlo seed must be an integer in [0, 2**128), got {seed!r}")
-    if any(np.ndim(x) for x in (p.k0, p.r, p.T)):
-        raise DomainError("Monte Carlo takes one parameter point, got arrays in DotParams")
+    _check_point(p)
     e = thermal_elements(p)
     rng = np.random.Generator(np.random.Philox(key=seed))
     shift = 0.0

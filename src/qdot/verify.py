@@ -20,7 +20,7 @@ from . import entanglement, model, teleport
 from .linalg import LinalgError
 from .model import DomainError
 
-__all__ = ["CheckResult", "bisect_critical_temperature", "verify_all", "GRID", "TELEPORT_GRID"]
+__all__ = ["CheckResult", "bisect_critical_temperature", "verify_all"]
 
 # Thermal grid: couplings of both signs, fields up to far past k0/4,
 # temperatures from deep quantum to classical.
@@ -97,8 +97,9 @@ def bisect_critical_temperature(k0: float, r: float, lo: float = 0.02, hi: float
     bracket must straddle the transition, entangled at ``lo`` and separable
     at ``hi``, or it raises DomainError. It halves until the midpoint equals
     an endpoint, that is until ``lo`` and ``hi`` are adjacent doubles, so it
-    ends on every finite bracket and needs no width.
+    ends on every finite bracket and needs no width. It takes one point.
     """
+    model._check_point(k0, r, lo, hi)
 
     def entangled(T: float) -> bool:
         return entanglement.model_concurrence(model.DotParams(k0=k0, r=r, T=T)) > 0.0

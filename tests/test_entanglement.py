@@ -18,7 +18,7 @@ from qdot.entanglement import (
     wootters_concurrence,
     xstate_concurrence,
 )
-from qdot.linalg import PAULI_Y, LinalgError, hermitian_eig, kron
+from qdot.linalg import PAULI_Y, LinalgError, kron
 from qdot.model import DomainError, DotParams, thermal_elements, thermal_state, thermal_state_oracle
 from qdot.verify import bisect_critical_temperature
 
@@ -35,7 +35,8 @@ def wootters_reference(rho):
     rho_tilde = yy @ rho.conj() @ yy
     evals, vecs = np.linalg.eigh(rho)
     root = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
-    evals, _ = hermitian_eig(root @ rho_tilde @ root, tol=1e-8)
+    m = root @ rho_tilde @ root
+    evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
     lams = np.sqrt(np.clip(evals, 0.0, None))[::-1]
     return max(lams[0] - lams[1] - lams[2] - lams[3], 0.0)
 
@@ -119,6 +120,13 @@ def test_xstate_boundary_elements_give_exact_zero():
     e = thermal_elements(DotParams(k0=0.0, r=0.0, T=1.0))
     boundary = type(e)(u=0.25, v=0.25, w=0.5, y=-0.25, big_z=1.5, log_scale=0.0)
     assert xstate_concurrence(boundary) == 0.0
+
+
+def test_xstate_broadcasts_with_scalar_bits():
+    k0, r, T = (g.ravel() for g in np.meshgrid((-4.0, 0.5, 4.0), (0.0, 1.0), (0.05, 1.0)))
+    cells = xstate_concurrence(thermal_elements(DotParams(k0, r, T)))
+    points = zip(k0.tolist(), r.tolist(), T.tolist())
+    assert cells.tolist() == [xstate_concurrence(thermal_elements(DotParams(*pt))) for pt in points]
 
 
 def test_three_concurrence_routes_agree():

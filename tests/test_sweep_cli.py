@@ -388,6 +388,11 @@ def test_cli_usage_error_exit_code(capsys):
          "axis k0 bounds and span must be finite"),
         (("concurrence", "--sweep", "k0:2:1:3", "--t", "1"), "axis k0 needs lo < hi"),
         (("fidelity", "--theta", "foo"), "cannot parse angle 'foo'"),
+        (("fidelity", "--k0", "4", "--t", "1", "--theta", "pi/0"), "angle 'pi/0' divides by zero"),
+        (("fidelity", "--k0", "4", "--t", "1", "--theta", "0*pi/0"),
+         "angle '0*pi/0' divides by zero"),
+        (("fidelity", "--k0", "4", "--t", "1", "--sweep", "theta:0:pi/0:3"),
+         "angle 'pi/0' divides by zero"),
         (("concurrence", "--k0", "4", "--t", "1", "--quantities", ""), "empty quantity list"),
     ):
         rc, out, err = run_cli(capsys, *argv)
@@ -505,6 +510,10 @@ def test_cli_config_file_errors(tmp_path, capsys):
         rc, out, err = run_cli(capsys, "concurrence", "--config", str(cfg))
         assert rc == 1 and out == ""
         assert err.startswith(f"error: {cfg}") and reason in err
+    cfg.write_text("k0 = 4\nt = 1\ntheta = pi/0\n")
+    rc, out, err = run_cli(capsys, "fidelity", "--config", str(cfg))
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: {cfg}") and "angle 'pi/0' divides by zero" in err
     rc, _, err = run_cli(capsys, "concurrence", "--config", str(tmp_path / "missing.cfg"))
     assert rc == 1 and err.startswith("error: cannot read config")
 
@@ -549,6 +558,14 @@ def test_cli_overflowing_axis_span_is_a_usage_error(capsys):
         )
     assert rc == 1 and out == ""
     assert err.startswith("error:") and "k0:-1e308:1e308:3" in err
+
+
+@pytest.mark.parametrize("steps", ["100000000000", "100000000000000000000"])
+def test_cli_grid_too_large_is_a_usage_error(capsys, steps):
+    # numpy refuses both sizes before it allocates anything
+    rc, out, err = run_cli(capsys, "concurrence", "--k0", "4", "--t", "1", "--sweep", f"r:0:1:{steps}")
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: grid r:{steps} is too large:")
 
 
 def test_cli_zero_temperature_concurrence_sweep(capsys):

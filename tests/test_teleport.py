@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from qdot.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron, partial_trace
-from qdot.model import DomainError, DotParams, thermal_elements, thermal_state
+from qdot.model import DomainError, DotParams, hamiltonian_matrix, thermal_elements
+from qdot.model import thermal_state, thermal_state_oracle
 from qdot.teleport import (
+    _QUADRATURE_BLOCK,
     BellOutcome,
     InputState,
     MonteCarloFidelity,
@@ -26,6 +28,7 @@ from qdot.teleport import (
     subspace_fidelities,
     teleport_outcomes,
 )
+from qdot.verify import bisect_critical_temperature
 
 CHANNEL = DotParams(k0=4.0, r=0.2, T=0.2)
 STATE = InputState(theta=math.pi / 3, phi=0.7)
@@ -252,6 +255,14 @@ def test_average_fidelity_frozen_value():
     assert abs(got - 0.6457047550050242) < 1e-14
 
 
+def test_average_fidelity_blocks_keep_scalar_bits():
+    # two blocks, the second of two points: each cell is its scalar call
+    n = _QUADRATURE_BLOCK + 2
+    k0, r = np.linspace(-2.0, 8.0, n), np.linspace(3.0, 0.0, n)
+    cells = average_fidelity(DotParams(k0, r, 0.3))
+    assert cells.tolist() == [average_fidelity(DotParams(*pt, 0.3)) for pt in zip(k0, r)]
+
+
 def test_average_fidelity_bounds():
     rng = np.random.default_rng(14)
     for _ in range(10):
@@ -312,3 +323,24 @@ def test_monte_carlo_rejects_seeds_outside_the_philox_key_range(seed):
     # the largest key and numpy integers are accepted
     average_fidelity_mc(DotParams(k0=2.0, r=0.2, T=0.5), n=10, seed=2**128 - 1)
     average_fidelity_mc(DotParams(k0=2.0, r=0.2, T=0.5), n=10, seed=np.uint64(7))
+
+
+PAIR = DotParams(np.array([1.0, 2.0]), 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (thermal_state, (PAIR,)),
+        (hamiltonian_matrix, (PAIR,)),
+        (thermal_state_oracle, (PAIR,)),
+        (bisect_critical_temperature, (np.array([1.0, 4.0]), 0.0)),
+        (input_vector, (InputState(np.array([0.5, 1.0])),)),
+        (collapsed_closed_form,
+         (InputState(np.array([0.5, 1.0])), thermal_elements(CHANNEL), BellOutcome.PSI_MINUS)),
+        (output_states, (InputState(1.0), PAIR)),
+    ],
+)
+def test_point_only_routes_refuse_arrays(fn, args):
+    with pytest.raises(DomainError, match="one parameter point"):
+        fn(*args)

@@ -1,0 +1,182 @@
+"""Per-layer timings of qdot checkouts, written as one JSON file.
+
+    python3 bench/run.py --src parent=../parent --src change=. --repeat 5 --out BENCH.json
+
+Each ``--src LABEL=PATH`` names a checkout; its ``src/`` is the qdot that
+is measured (default: ``checkout=`` the checkout holding this script). Every
+repeat starts one fresh interpreter per checkout, in turn, so the checkouts
+interleave and share the machine's drift. That interpreter times each
+in-process row once with ``timeit`` (autorange: as many calls as fill
+0.2 s, per call), then the CLI row runs as its own child, and ``wait4``
+gives its wall time and peak resident size. Each row keeps the median of
+its ``--repeat`` samples per checkout, and the samples beside it. Only
+the standard library is used here; the children import qdot and numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import timeit
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SMALL = "sweep 300x300 k0 x r (T=0.5, C)"
+LARGE = "sweep 1000x1000 r x T (k0=4, C)"
+CLI_ARGV = ["concurrence", "--k0", "4", "--sweep", "r:0:2:1000", "--sweep", "T:0.05:2:1000"]
+CLI = "CLI " + " ".join(CLI_ARGV)
+
+# Scalar rows: each statement is timed as written, with POINT as its setup and
+# the package names of qdot in scope.
+POINT = "p = DotParams(4.0, 1.0, 0.5); s = InputState(1.0, 0.0)"
+SCALAR_CALLS = (
+    "DotParams(4.0, 1.0, 0.5)",
+    "thermal_elements(p)",
+    "model_concurrence(p)",
+    "subspace_fidelities(s, p)",
+    "wootters_concurrence(thermal_state(p))",
+    "average_fidelity(p)",
+)
+
+# Row name -> unit: the in-process rows are sampled by _child, the CLI rows by _cli.
+ROWS = {
+    **{f"{q}, {label}": "s" for label in (SMALL, LARGE) for q in ("run_sweep", "format_csv")},
+    **{f"{call}, per call": "s" for call in SCALAR_CALLS},
+    f"{CLI}, wall": "s",
+    f"{CLI}, peak RSS": "MiB",
+}
+
+
+def _per_call(timer: timeit.Timer) -> float:
+    number, total = timer.autorange()
+    return total / number
+
+
+def _child() -> None:
+    """One sample of each in-process row, from the qdot on PYTHONPATH; prints
+    the samples and numpy's version as one JSON object."""
+    import numpy as np
+
+    import qdot
+    from qdot import Axis, SweepSpec, run_sweep
+    from qdot.sweep import format_csv
+
+    src = Path(os.environ["PYTHONPATH"]).resolve()
+    assert Path(qdot.__file__).resolve().is_relative_to(src), "qdot imported from elsewhere"
+    specs = {
+        SMALL: SweepSpec((Axis("k0", -2.0, 10.0, 300), Axis("r", 0.0, 2.0, 300)), {"T": 0.5}),
+        LARGE: SweepSpec((Axis("r", 0.0, 2.0, 1000), Axis("T", 0.05, 2.0, 1000)), {"k0": 4.0}),
+    }
+    samples = {}
+    for label, spec in specs.items():
+        samples[f"run_sweep, {label}"] = _per_call(timeit.Timer(lambda: run_sweep(spec)))
+        table = run_sweep(spec)
+        samples[f"format_csv, {label}"] = _per_call(timeit.Timer(lambda: format_csv(table)))
+        del table
+    for call in SCALAR_CALLS:
+        samples[f"{call}, per call"] = _per_call(timeit.Timer(call, POINT, globals=vars(qdot)))
+    print(json.dumps({"numpy": np.__version__, "samples": samples}))
+
+
+def _cli(env: dict[str, str]) -> tuple[float, float]:
+    """Wall seconds and peak RSS (MiB) of one CLI run, from its own wait4."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [sys.executable, "-m", "qdot", *CLI_ARGV, "--out", str(Path(tmp) / "out.csv")]
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}")
+    return wall, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+
+
+def _sample(path: Path) -> tuple[str, dict[str, float]]:
+    """numpy's version and one sample of every row for the checkout at path."""
+    env = {**os.environ, "PYTHONPATH": str(path / "src")}
+    out = subprocess.run([sys.executable, __file__, "--child"], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    result = json.loads(out)
+    samples = result["samples"]
+    samples[f"{CLI}, wall"], samples[f"{CLI}, peak RSS"] = _cli(env)
+    return result["numpy"], samples
+
+
+def _commit(path: Path) -> str | None:
+    """The checkout's commit, suffixed -dirty if tracked files differ from it."""
+    try:
+        proc = subprocess.run(["git", "-C", str(path), "describe", "--always", "--dirty",
+                               "--abbrev=40"], capture_output=True, text=True)
+    except OSError:  # no git on this machine
+        return None
+    return proc.stdout.strip() or None
+
+
+def _checkout(text: str) -> tuple[str, Path]:
+    label, sep, path = text.partition("=")
+    if not sep or not label:
+        raise argparse.ArgumentTypeError(f"expected LABEL=PATH, got {text!r}")
+    if not (Path(path) / "src" / "qdot").is_dir():
+        raise argparse.ArgumentTypeError(f"{path!r} has no src/qdot")
+    return label, Path(path).resolve()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", action="append", type=_checkout, metavar="LABEL=PATH",
+                        help="a checkout to measure; repeat to compare (default: this one)")
+    parser.add_argument("--repeat", type=int, default=5, help="samples per row (median)")
+    parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
+    args = parser.parse_args()
+    srcs = args.src or [("checkout", ROOT)]
+    checkouts = dict(srcs)
+    if len(checkouts) < len(srcs):
+        parser.error("each --src needs its own label")
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    samples = {label: {name: [] for name in ROWS} for label in checkouts}
+    numpy_versions = set()
+    for _ in range(args.repeat):
+        for label, path in checkouts.items():
+            version, sample = _sample(path)
+            numpy_versions.add(version)
+            for name, value in sample.items():
+                samples[label][name].append(value)
+    report = {
+        "machine": {
+            "platform": platform.platform(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": ", ".join(sorted(numpy_versions)),
+        },
+        "repeat": args.repeat,
+        "point": POINT,
+        "checkouts": {label: {"commit": _commit(path)} for label, path in checkouts.items()},
+        "rows": [
+            {
+                "name": name,
+                "unit": unit,
+                "median": {label: statistics.median(samples[label][name]) for label in checkouts},
+                "samples": {label: samples[label][name] for label in checkouts},
+            }
+            for name, unit in ROWS.items()
+        ],
+    }
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--child"]:
+        _child()
+    else:
+        main()

@@ -30,8 +30,6 @@ __all__ = [
     "thermal_state_oracle",
 ]
 
-BASIS_LABELS = ("11", "10", "01", "00")
-
 # Cells per math.exp map in _exp: bounds its list of Python floats.
 _EXP_BLOCK = 4096
 
@@ -56,6 +54,7 @@ class DotParams:
 
     def __post_init__(self) -> None:
         _check_real(k0=self.k0, r=self.r, T=self.T)
+        _check_broadcast(k0=self.k0, r=self.r, T=self.T)
         if _any(self.T < 0):
             raise DomainError(f"temperature must be >= 0, got {_first(self.T, self.T < 0)}")
 
@@ -73,6 +72,18 @@ def _check_real(**fields) -> None:
             raise DomainError(f"{name} must be a real number, got {val!r}")
         if not np.isfinite(arr).all():
             raise DomainError(f"{name} must be finite, got {_first(arr, ~np.isfinite(arr))!r}")
+
+
+def _check_broadcast(**fields) -> None:
+    """Raise DomainError unless the array fields broadcast together; fields
+    that are not arrays broadcast with anything and cost no numpy call."""
+    shapes = {name: val.shape for name, val in fields.items() if isinstance(val, np.ndarray)}
+    if len(shapes) > 1:
+        try:
+            np.broadcast_shapes(*shapes.values())
+        except ValueError:
+            listed = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+            raise DomainError(f"field shapes do not broadcast together: {listed}") from None
 
 
 def _check_point(*values) -> None:
@@ -219,23 +230,3 @@ def thermal_state_oracle(p: DotParams) -> np.ndarray:
     rho = (evecs * weights) @ evecs.conj().T
     return rho / weights.sum()
 
-
-def singlet_triplet_unitary() -> tuple[np.ndarray, np.ndarray]:
-    """Basis change from the coupled (triplet/singlet) basis to the product basis.
-
-    Returns (U, U_inv) such that U @ diag(coupled energies) @ U_inv equals the
-    product-basis Hamiltonian; U is real orthogonal, so U_inv is its
-    transpose. The coupled basis is ordered
-    {|1,1>, |1,0>, |1,-1>, |0,0>}.
-    """
-    s = math.sqrt(2.0) / 2.0
-    u = np.array(
-        [
-            [1, 0, 0, 0],
-            [0, s, 0, s],
-            [0, s, 0, -s],
-            [0, 0, 1, 0],
-        ],
-        dtype=complex,
-    )
-    return u, u.conj().T

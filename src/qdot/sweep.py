@@ -201,24 +201,40 @@ def run_figure(preset: FigurePreset) -> dict[str, np.ndarray]:
     return {name: np.concatenate([t[name] for t in tables]) for name in tables[0]}
 
 
-# Rows formatted per batch: bounds the per-cell string lists of a large table.
-_CSV_CHUNK_ROWS = 1 << 12
+# Rows formatted per batch. A column's distinct values are formatted once per
+# batch, so a larger batch formats an inner axis less often; at 4,096 rows the
+# batch's object arrays left a 300x300 CLI sweep's peak RSS 0.3-0.4 MiB higher.
+_CSV_CHUNK_ROWS = 1 << 11
+
+
+def _format_cells(chunk: np.ndarray) -> np.ndarray:
+    """format(x, ".17g") of each cell as an object array, NaN as "": each
+    distinct float64 bit pattern is formatted once, so -0.0 and +0.0 keep
+    their own text."""
+    bits = np.ascontiguousarray(chunk, float).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    texts = ["" if x != x else format(x, ".17g") for x in keys.view(float).tolist()]
+    return np.array(texts, object)[inverse]
 
 
 def format_csv(table: dict[str, np.ndarray]) -> str:
     """Render a table as CSV: 17 significant digits, LF newlines, no trailing
-    delimiter; NaN (Tc without a transition) is an empty cell."""
+    delimiter; NaN (Tc without a transition) is an empty cell. Each distinct
+    value of a column is formatted once per chunk of rows, so an axis or panel
+    column costs its distinct values, not its rows."""
     size = len(next(iter(table.values())))
-    parts = [",".join(table)]
+    parts = [",".join(table), "\n"]
     for start in range(0, size, _CSV_CHUNK_ROWS):
-        cells = [
-            [format(x, ".17g") for x in col[start:start + _CSV_CHUNK_ROWS].tolist()]
-            for col in table.values()
-        ]
-        # .17g writes NaN as "nan", which no rendered number contains
-        parts.append("\n".join(map(",".join, zip(*cells))).replace("nan", ""))
-    parts.append("")
-    return "\n".join(parts)
+        chunk = [col[start:start + _CSV_CHUNK_ROWS] for col in table.values()]
+        # Rows as cell, ",", cell, ..., "\n" in one join per chunk. A string per
+        # row ran as fast, but the CLI's peak RSS was up to 3 MiB higher in
+        # 5-25% of runs, depending on the lengths of its paths.
+        cells = np.full((len(chunk[0]), 2 * len(chunk)), ",", object)
+        cells[:, -1] = "\n"
+        for j, col in enumerate(chunk):
+            cells[:, 2 * j] = _format_cells(col)
+        parts.append("".join(cells.ravel().tolist()))
+    return "".join(parts)
 
 
 def format_json(table: dict[str, np.ndarray]) -> str:

@@ -20,8 +20,8 @@ from enum import Enum
 import numpy as np
 
 from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron, partial_trace
-from .model import DomainError, DotParams, ThermalElements, _check_point, _check_real, _scalar
-from .model import thermal_elements, thermal_state
+from .model import DomainError, DotParams, ThermalElements, _check_broadcast, _check_point
+from .model import _check_real, _scalar, thermal_elements, thermal_state
 
 __all__ = [
     "InputState",
@@ -225,6 +225,7 @@ def subspace_fidelities(s: InputState, p: DotParams) -> tuple[float, float]:
     """(F_o, F_e): fidelity conditioned on a Psi-type or Phi-type outcome,
     as the closed forms N/z1 and N/z2 of _mean_branch_fidelity. Capped at 1:
     a singlet channel rounds to 1 + 2.2e-16."""
+    _check_broadcast(theta=s.theta, phi=s.phi, k0=p.k0, r=p.r, T=p.T)
     e = thermal_elements(p)
     c, sn = np.cos(s.theta / 2.0), np.sin(s.theta / 2.0)
     c2, s2 = c * c, sn * sn

@@ -24,7 +24,6 @@ from qdot.linalg import PAULI_X, PAULI_Y, PAULI_Z
 from qdot.model import (
     DotParams,
     hamiltonian_matrix,
-    singlet_triplet_unitary,
     thermal_elements,
     thermal_state,
     thermal_state_oracle,
@@ -335,10 +334,10 @@ def test_11_quadrature_vs_monte_carlo():
     assert passed
 
 
-def test_12_basis_change():
+def test_12_basis_change(singlet_triplet_unitary):
     tol = 1e-12
     p = DotParams(k0=16.0, r=1.0, T=1.0)
-    u, u_inv = singlet_triplet_unitary()
+    u, u_inv = singlet_triplet_unitary
     identity_dev = float(np.abs(u @ u_inv - np.eye(4)).max())
     k0, r = p.k0, p.r
     diagonal = np.diag([k0 / 16 - r, k0 / 16, k0 / 16 + r, -3 * k0 / 16]).astype(complex)

@@ -9,21 +9,15 @@ import pytest
 from qdot.entanglement import ground_state_concurrence, model_concurrence
 from qdot.linalg import kron, IDENTITY_2, PAULI_Z, validate_density_matrix
 from qdot.model import (
-    BASIS_LABELS,
     _exp,
     DomainError,
     DotParams,
     hamiltonian_matrix,
-    singlet_triplet_unitary,
     thermal_elements,
     thermal_state,
     thermal_state_oracle,
 )
 from qdot.teleport import InputState, average_fidelity, subspace_fidelities
-
-
-def test_basis_labels_order():
-    assert BASIS_LABELS == ("11", "10", "01", "00")
 
 
 def test_params_validation():
@@ -57,6 +51,30 @@ def test_params_validation():
     DotParams(k0=1.0, r=0.0, T=0.0)
     # numpy scalars are real numbers too
     DotParams(k0=np.float64(4.0), r=np.int64(1), T=np.float32(0.5))
+
+
+_PAIR, _TRIPLE = np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: thermal_elements(DotParams(_PAIR, _TRIPLE, 1.0)),
+        lambda: model_concurrence(DotParams(_PAIR, _TRIPLE, 1.0)),
+        lambda: subspace_fidelities(InputState(_TRIPLE), DotParams(_PAIR, 0, 1)),
+    ],
+    ids=["thermal_elements", "model_concurrence", "subspace_fidelities"],
+)
+def test_fields_that_do_not_broadcast_raise_domain_error(call):
+    # these raised numpy's plain ValueError from inside the kernels
+    with pytest.raises(DomainError, match="do not broadcast together"):
+        call()
+
+
+def test_fields_that_broadcast_evaluate_on_their_common_shape():
+    f_o, f_e = subspace_fidelities(InputState(_PAIR[:, None]), DotParams(_TRIPLE, 0, 1))
+    assert f_o.shape == f_e.shape == (2, 3)
+    assert f_o[1, 2] == subspace_fidelities(InputState(2.0), DotParams(3.0, 0, 1))[0]
 
 
 def test_hamiltonian_trivial_point():
@@ -285,7 +303,7 @@ def test_oracle_eigenvalues_are_boltzmann_weights():
     np.testing.assert_allclose(got, np.sort(weights), atol=1e-14)
 
 
-def test_singlet_triplet_unitary_inverse_pair():
-    u, u_inv = singlet_triplet_unitary()
+def test_singlet_triplet_unitary_inverse_pair(singlet_triplet_unitary):
+    u, u_inv = singlet_triplet_unitary
     np.testing.assert_allclose(u @ u_inv, np.eye(4), atol=1e-15)
     np.testing.assert_allclose(u_inv, u.conj().T, atol=1e-15)

@@ -273,6 +273,44 @@ def test_format_csv_rows_across_chunks():
     assert text.split("\n") == ["x,y", *rows, ""]
 
 
+def _reference_csv(table):
+    """format_csv rebuilt cell by cell: format(x, ".17g"), NaN as ""."""
+    def cell(x):
+        return "" if math.isnan(x) else format(x, ".17g")
+    rows = [",".join(map(cell, row)) for row in zip(*(c.tolist() for c in table.values()))]
+    return "\n".join([",".join(table), *rows, ""])
+
+
+def test_format_csv_matches_per_cell_reference():
+    # signed zeros, a quiet and a negative NaN, subnormals and repeats, cycled
+    # so that every value recurs on both sides of the chunk boundary
+    pool = np.array([0.0, -0.0, math.nan, np.copysign(math.nan, -1.0), 5e-324,
+                     2.2250738585072014e-308 / 3, 0.1, 1e300, -1.5])
+    size = sweep_mod._CSV_CHUNK_ROWS + 2 * len(pool) + 1
+    rng = np.random.default_rng(12)
+    table = {
+        "mixed": np.resize(pool, size),
+        "few": rng.choice(np.array([1.0, 1.0 + 2**-52, -0.0, 1e-310]), size),
+        "distinct": rng.standard_normal(size),
+    }
+    text = format_csv(table)
+    assert text == _reference_csv(table)
+    mixed = {line.split(",")[0] for line in text.splitlines()[1:]}
+    assert mixed == {"0", "-0", "", "4.9406564584124654e-324",
+                     "7.4169128616906696e-309", "0.10000000000000001",
+                     "1.0000000000000001e+300", "-1.5"}
+
+
+def test_format_csv_sweep_table_matches_per_cell_reference():
+    # two axes over more rows than a chunk; Tc at fixed k0 is a zero-stride column
+    spec = SweepSpec((Axis("r", -1.0, 1.0, 67), Axis("T", 0.05, 2.0, 67)), {"k0": 4.0},
+                     ("C", "Tc", "populations"))
+    table = run_sweep(spec)
+    assert len(table["r"]) > sweep_mod._CSV_CHUNK_ROWS
+    assert table["Tc"].strides == (0,)
+    assert format_csv(table) == _reference_csv(table)
+
+
 def test_format_json_round_trip():
     payload = json.loads(format_json({"x": np.array([1.5]), "y": np.array([math.nan])}))
     assert payload == {"columns": ["x", "y"], "rows": [[1.5, None]]}

@@ -7,8 +7,9 @@ is measured (default: ``checkout=`` the checkout holding this script). Every
 repeat starts one fresh interpreter per checkout, in turn, so the checkouts
 interleave and share the machine's drift. That interpreter times each
 in-process row once with ``timeit`` (autorange: as many calls as fill
-0.2 s, per call), then the CLI row runs as its own child, and ``wait4``
-gives its wall time and peak resident size. Each row keeps the median of
+0.2 s, per call). Then ``import qdot`` is timed inside a fresh child of
+its own, and the CLI row runs as another child, whose ``wait4`` gives its
+wall time and peak resident size. Each row keeps the median of
 its ``--repeat`` samples per checkout, and the samples beside it. Only
 the standard library is used here; the children import qdot and numpy.
 """
@@ -31,6 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SMALL = "sweep 300x300 k0 x r (T=0.5, C)"
 LARGE = "sweep 1000x1000 r x T (k0=4, C)"
+FIDELITY = "sweep 200x200 r x T (k0=4, F_a)"
+IMPORT = "import qdot, fresh interpreter"
 CLI_ARGV = ["concurrence", "--k0", "4", "--sweep", "r:0:2:1000", "--sweep", "T:0.05:2:1000"]
 CLI = "CLI " + " ".join(CLI_ARGV)
 
@@ -44,11 +47,16 @@ SCALAR_CALLS = (
     "subspace_fidelities(s, p)",
     "wootters_concurrence(thermal_state(p))",
     "average_fidelity(p)",
+    "average_fidelity_mc(p, n=1_000_000)",
+    "verify_all()",
 )
 
-# Row name -> unit: the in-process rows are sampled by _child, the CLI rows by _cli.
+# Row name -> unit: the in-process rows are sampled by _child, the import row by
+# _import_time, the CLI rows by _cli.
 ROWS = {
     **{f"{q}, {label}": "s" for label in (SMALL, LARGE) for q in ("run_sweep", "format_csv")},
+    f"run_sweep, {FIDELITY}": "s",
+    IMPORT: "s",
     **{f"{call}, per call": "s" for call in SCALAR_CALLS},
     f"{CLI}, wall": "s",
     f"{CLI}, peak RSS": "MiB",
@@ -81,9 +89,20 @@ def _child() -> None:
         table = run_sweep(spec)
         samples[f"format_csv, {label}"] = _per_call(timeit.Timer(lambda: format_csv(table)))
         del table
+    spec = SweepSpec((Axis("r", 0.0, 2.0, 200), Axis("T", 0.05, 2.0, 200)), {"k0": 4.0},
+                     quantities=("F_a",))
+    samples[f"run_sweep, {FIDELITY}"] = _per_call(timeit.Timer(lambda: run_sweep(spec)))
     for call in SCALAR_CALLS:
         samples[f"{call}, per call"] = _per_call(timeit.Timer(call, POINT, globals=vars(qdot)))
     print(json.dumps({"numpy": np.__version__, "samples": samples}))
+
+
+def _import_time(env: dict[str, str]) -> float:
+    """Seconds of `import qdot` in a fresh interpreter, timed inside it."""
+    code = "import time; t = time.perf_counter(); import qdot; print(time.perf_counter() - t)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return float(out)
 
 
 def _cli(env: dict[str, str]) -> tuple[float, float]:
@@ -107,6 +126,7 @@ def _sample(path: Path) -> tuple[str, dict[str, float]]:
                          capture_output=True, text=True).stdout
     result = json.loads(out)
     samples = result["samples"]
+    samples[IMPORT] = _import_time(env)
     samples[f"{CLI}, wall"], samples[f"{CLI}, peak RSS"] = _cli(env)
     return result["numpy"], samples
 

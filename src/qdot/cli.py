@@ -31,6 +31,7 @@ from .verify import verify_all
 
 __all__ = ["main"]
 
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 _PI_FORM = re.compile(r"^(-)?(?:(\d+(?:\.\d+)?)\*)?pi(?:/(\d+(?:\.\d+)?))?$")
 
 
@@ -79,6 +80,11 @@ def parse_quantities(text: str) -> tuple[str, ...]:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own matcher (3.10, 3.11) has no exponent: -1e-3 read as an option
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise UsageError(message)
 

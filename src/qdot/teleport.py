@@ -13,6 +13,7 @@ the common Boltzmann scale never appears.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -92,7 +93,8 @@ class TeleportOutcome:
 
 @dataclass(frozen=True)
 class MonteCarloFidelity:
-    """Monte Carlo estimate of the average fidelity with its standard error."""
+    """Monte Carlo estimate of the average fidelity with its standard error;
+    value and stderr are floats for one point, arrays over a grid."""
 
     value: float
     stderr: float
@@ -133,6 +135,15 @@ def joint_state(s: InputState, p: DotParams) -> np.ndarray:
     return kron(input_density(s), thermal_state(p))
 
 
+@functools.cache
+def _lifted_projector(outcome: BellOutcome) -> np.ndarray:
+    """The outcome's Bell projector lifted to 8x8 as P (x) I, built once and
+    read-only."""
+    m = kron(bell_projectors()[outcome], IDENTITY_2)
+    m.flags.writeable = False
+    return m
+
+
 def collapse_bruteforce(
     joint: np.ndarray, outcome: BellOutcome
 ) -> tuple[np.ndarray, float]:
@@ -142,7 +153,7 @@ def collapse_bruteforce(
     Purely mechanical: projector sandwich, partial trace over the first two
     qubits, trace normalization.
     """
-    m = kron(bell_projectors()[outcome], IDENTITY_2)
+    m = _lifted_projector(outcome)
     projected = m @ joint @ m.conj().T
     z = float(np.trace(projected).real)
     if z < _PROBABILITY_FLOOR:
@@ -253,7 +264,7 @@ def teleport_outcomes(s: InputState, p: DotParams) -> tuple[TeleportOutcome, ...
     return tuple(results)
 
 
-def _mean_branch_fidelity(e: ThermalElements, x: np.ndarray) -> np.ndarray:
+def _mean_branch_fidelity(e: ThermalElements, x: np.ndarray, work=None) -> np.ndarray:
     """Mean of the two subspace fidelities at polar angle arccos(x).
 
     Shares its numerator between the branches:
@@ -262,16 +273,33 @@ def _mean_branch_fidelity(e: ThermalElements, x: np.ndarray) -> np.ndarray:
         F = (N/z1 + N/z2) / 2.
 
     The azimuthal phase cancels out of both branch fidelities; the matrix
-    route in the tests confirms that. Vectorized over x. Kept inline: in a
-    helper shared with subspace_fidelities it slowed Monte Carlo by 10-20%.
+    route in the tests confirms that. Broadcasts the elements against x.
+    Every intermediate is written into ``work``, five rows (c2, s2, cross,
+    num, tmp) of the broadcast shape, allocated here when None; the result
+    is the num row, a view into ``work``, and ``x`` is only read. Each
+    operation and its operand order are those of the out-of-place formula,
+    so a reused workspace keeps its bits. Kept inline: in a helper shared
+    with subspace_fidelities it slowed Monte Carlo by 10-20%.
     """
     x = np.asarray(x, dtype=float)
-    c2 = 0.5 * (1.0 + x)
-    s2 = 0.5 * (1.0 - x)
-    cross = c2 * s2
-    num = e.w * (c2 * c2 + s2 * s2) + (e.u + e.v) * cross - 2.0 * e.y * cross
-    z1, z2 = _branch_weights(e, c2, s2)
-    return 0.5 * num * (1.0 / z1 + 1.0 / z2)
+    if work is None:
+        shape = np.broadcast_shapes(x.shape, *(np.shape(f) for f in (e.u, e.v, e.w, e.y)))
+        work = np.empty((5, *shape))
+    c2, s2, cross, num, tmp = work
+    np.multiply(0.5, np.add(1.0, x, out=c2), out=c2)
+    np.multiply(0.5, np.subtract(1.0, x, out=s2), out=s2)
+    np.multiply(c2, s2, out=cross)
+    np.add(np.multiply(c2, c2, out=num), np.multiply(s2, s2, out=tmp), out=num)
+    np.multiply(e.w, num, out=num)
+    np.add(num, np.multiply(e.u + e.v, cross, out=tmp), out=num)
+    np.subtract(num, np.multiply(2.0 * e.y, cross, out=tmp), out=num)
+    # the branch weights as in _branch_weights: z1 into cross, z2 into tmp
+    np.add(np.add(e.w, np.multiply(e.u, s2, out=cross), out=cross),
+           np.multiply(e.v, c2, out=tmp), out=cross)
+    np.add(np.add(e.w, np.multiply(e.v, s2, out=tmp), out=tmp),
+           np.multiply(e.u, c2, out=s2), out=tmp)
+    np.add(np.divide(1.0, cross, out=cross), np.divide(1.0, tmp, out=tmp), out=cross)
+    return np.multiply(np.multiply(0.5, num, out=num), cross, out=num)
 
 
 def average_fidelity(p: DotParams, nodes: int = 64) -> float:
@@ -309,8 +337,12 @@ def average_fidelity_mc(
     Samples cos(theta) uniform on [-1, 1] and the azimuthal phase uniform on
     [0, 2 pi), two doubles per sample, from one Philox stream read in order
     in fixed-size chunks. Results are reproducible for a given (n, seed);
-    the seed is the Philox key, an integer in [0, 2**128). It takes one
-    parameter point, not arrays. Returns the estimate with its standard error.
+    the seed is the Philox key, an integer in [0, 2**128). Returns the
+    estimate with its standard error: floats for a scalar p, arrays of the
+    parameters' broadcast shape for arrays. Every point of an array call
+    reads the same samples, each chunk drawn once into a reused buffer and
+    evaluated at each point through one reused workspace, so each cell has
+    the bits of its scalar call whatever the other points are.
 
     The standard error comes from the sum of squared deviations M2. Samples
     are taken relative to the first one, so chunk means and merge deltas
@@ -332,32 +364,37 @@ def average_fidelity_mc(
         raise DomainError(f"Monte Carlo needs an integer n >= 2, got {n!r}")
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
         raise DomainError(f"Monte Carlo seed must be an integer in [0, 2**128), got {seed!r}")
-    _check_point(p)
     e = thermal_elements(p)
+    shape = np.shape(e.big_z)
+    cells = zip(*(np.ravel(f).tolist() for f in vars(e).values()))
+    points = [ThermalElements(*cell) for cell in cells]  # Python floats, as a scalar call's
     rng = np.random.Generator(np.random.Philox(key=seed))
-    shift = 0.0
+    size = min(n, _MC_CHUNK)
+    u01, x, work = np.empty((size, 2)), np.empty(size), np.empty((5, size))
+    shift = [0.0] * len(points)
+    mean = [0.0] * len(points)  # of the shifted samples f - shift
+    m2 = [0.0] * len(points)
     done = 0
-    mean = 0.0  # of the shifted samples f - shift
-    m2 = 0.0
     for start in range(0, n, _MC_CHUNK):
         count = min(_MC_CHUNK, n - start)
-        u01 = rng.random((count, 2))
-        x = 2.0 * u01[:, 0] - 1.0
+        rng.random(out=u01[:count])
         # The second double per sample is the azimuthal phase. The closed
         # form is phase-free, so it only fixes the stream layout.
-        dev = _mean_branch_fidelity(e, x)
-        if start == 0:
-            shift = float(dev[0])
-        dev -= shift
-        chunk_mean = float(dev.sum()) / count
-        dev -= chunk_mean
-        chunk_m2 = float((dev * dev).sum())
+        xs = np.subtract(np.multiply(2.0, u01[:count, 0], out=x[:count]), 1.0, out=x[:count])
+        chunk_work = work[:, :count]
         merged = done + count
-        delta = chunk_mean - mean
-        mean += delta * count / merged
-        m2 += chunk_m2 + delta * delta * done * count / merged
+        for i, point in enumerate(points):
+            dev = _mean_branch_fidelity(point, xs, chunk_work)
+            if start == 0:
+                shift[i] = float(dev[0])
+            dev -= shift[i]
+            chunk_mean = float(dev.sum()) / count
+            dev -= chunk_mean
+            chunk_m2 = float(np.multiply(dev, dev, out=chunk_work[4]).sum())
+            delta = chunk_mean - mean[i]
+            mean[i] += delta * count / merged
+            m2[i] += chunk_m2 + delta * delta * done * count / merged
         done = merged
-    var = m2 / (n - 1)
-    return MonteCarloFidelity(
-        value=shift + mean, stderr=math.sqrt(var / n), samples=n, seed=seed
-    )
+    value = np.reshape([s + m for s, m in zip(shift, mean)], shape)
+    stderr = np.reshape([math.sqrt(m / (n - 1) / n) for m in m2], shape)
+    return MonteCarloFidelity(value=_scalar(value), stderr=_scalar(stderr), samples=n, seed=seed)

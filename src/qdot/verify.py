@@ -235,18 +235,17 @@ def check_quadrature_mc(tolerance: float, mc_samples: int, seed: int):
     Reports the point with the largest gap / bound. The floor is for the
     zero-field point: its integrand is constant, so its SE is rounding.
     """
+    columns = model.DotParams(*(np.array(column) for column in zip(*_MC_POINTS)))
+    mc = teleport.average_fidelity_mc(columns, n=mc_samples, seed=seed)  # one stream, all points
     passed = True
     worst = (-1.0, 0.0, 0.0)  # (gap / bound, gap, bound)
     floors = []
-    for k0, r, T in _MC_POINTS:
-        p = model.DotParams(k0=k0, r=r, T=T)
-        quad = teleport.average_fidelity(p)
-        mc = teleport.average_fidelity_mc(p, n=mc_samples, seed=seed)
-        gap = abs(quad - mc.value)
-        bound = max(tolerance, 4.0 * mc.stderr, _MC_ROUNDING_FLOOR)
+    for point, value, stderr in zip(_MC_POINTS, mc.value.tolist(), mc.stderr.tolist()):
+        gap = abs(teleport.average_fidelity(model.DotParams(*point)) - value)
+        bound = max(tolerance, 4.0 * stderr, _MC_ROUNDING_FLOOR)
         passed = passed and gap <= bound
         worst = max(worst, (gap / bound, gap, bound))
-        floors.append(4.0 * mc.stderr)
+        floors.append(4.0 * stderr)
     detail = f"statistical floor 4*SE up to {max(floors):.3e}, n={mc_samples}, seed={seed}"
     if tolerance < max(floors):
         detail += "; requested tolerance is below Monte Carlo resolution"

@@ -438,6 +438,32 @@ def test_cli_usage_error_exit_code(capsys):
         assert err.startswith("error: argument") and reason in err
 
 
+@pytest.mark.parametrize(
+    "argv,flag,value,code",
+    [
+        (("concurrence", "--k0", "4", "--t", "0.5"), "--r", "-1e-3", 0),
+        (("concurrence", "--t", "0.5"), "--k0", "-2E0", 0),
+        (("concurrence", "--k0", "4", "--t", "0.5"), "--r", "-1.5e+2", 0),
+        (("concurrence", "--k0", "4"), "--t", "-1e-3", 3),
+        (("fidelity", "--k0", "4", "--t", "1"), "--theta", "-1e-1", 0),
+        (("fidelity", "--k0", "4", "--t", "1"), "--phi", "-2E0", 0),
+        (("tc",), "--k0", "-1.5e+2", 0),
+        (("ground-state", "--k0", "4"), "--r", "-1e-3", 0),
+        (("concurrence", "--k0", "4", "--t", "1"), "--workers", "-1e0", 1),
+        (("verify",), "--tol", "-1e-3", 1),
+        (("verify",), "--seed", "-1e3", 1),
+        (("verify",), "--mc-samples", "-2E0", 1),
+    ],
+)
+def test_cli_negative_numbers_in_exponent_form(capsys, argv, flag, value, code):
+    # "--r -1e-3" parses as "--r=-1e-3" does, on every subparser, exit code kept
+    spaced = run_cli(capsys, *argv, flag, value)
+    joined = run_cli(capsys, *argv, f"{flag}={value}")
+    assert spaced == joined
+    assert spaced[0] == code
+    assert "expected one argument" not in spaced[2]
+
+
 def test_cli_domain_error_exit_code(capsys):
     rc, _, err = run_cli(
         capsys, "concurrence", "--k0", "4", "--r", "0", "--sweep", "T:0:1:5"

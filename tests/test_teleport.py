@@ -9,10 +9,12 @@ from qdot.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron, partial_tra
 from qdot.model import DomainError, DotParams, hamiltonian_matrix, thermal_elements
 from qdot.model import thermal_state, thermal_state_oracle
 from qdot.teleport import (
+    _MC_CHUNK,
     _QUADRATURE_BLOCK,
     BellOutcome,
     InputState,
     MonteCarloFidelity,
+    _lifted_projector,
     _mean_branch_fidelity,
     average_fidelity,
     average_fidelity_mc,
@@ -311,9 +313,125 @@ def test_monte_carlo_rejects_tiny_sample_counts():
     for n in (2.5, "10"):
         with pytest.raises(DomainError, match="integer n"):
             average_fidelity_mc(DotParams(k0=2.0, r=0.2, T=0.5), n=n)
-    # it takes one parameter point, not arrays
-    with pytest.raises(DomainError, match="one parameter point"):
-        average_fidelity_mc(DotParams(np.array([1.0, 2.0]), 0, 1), n=10)
+    # over arrays it returns one value and stderr per point, as the scalar calls do
+    pair = average_fidelity_mc(DotParams(np.array([1.0, 2.0]), 0, 1), n=10)
+    cells = [average_fidelity_mc(DotParams(k0, 0, 1), n=10) for k0 in (1.0, 2.0)]
+    assert pair.value.tolist() == [c.value for c in cells]
+    assert pair.stderr.tolist() == [c.stderr for c in cells]
+
+
+def _reference_integrand(e, x):
+    """The integrand written out of place, one temporary per operation."""
+    c2 = 0.5 * (1.0 + x)
+    s2 = 0.5 * (1.0 - x)
+    cross = c2 * s2
+    num = e.w * (c2 * c2 + s2 * s2) + (e.u + e.v) * cross - 2.0 * e.y * cross
+    z1, z2 = e.w + e.u * s2 + e.v * c2, e.w + e.v * s2 + e.u * c2
+    return 0.5 * num * (1.0 / z1 + 1.0 / z2)
+
+
+def _reference_mc(p, n, seed):
+    """(value, stderr) by the out-of-place chunk loop: a fresh draw and fresh
+    temporaries per chunk, merged in order with the Chan-Golub-LeVeque update."""
+    e = thermal_elements(p)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    shift = mean = m2 = 0.0
+    done = 0
+    for start in range(0, n, _MC_CHUNK):
+        count = min(_MC_CHUNK, n - start)
+        u01 = rng.random((count, 2))
+        dev = _reference_integrand(e, 2.0 * u01[:, 0] - 1.0)
+        if start == 0:
+            shift = float(dev[0])
+        dev -= shift
+        chunk_mean = float(dev.sum()) / count
+        dev -= chunk_mean
+        chunk_m2 = float((dev * dev).sum())
+        merged = done + count
+        delta = chunk_mean - mean
+        mean += delta * count / merged
+        m2 += chunk_m2 + delta * delta * done * count / merged
+        done = merged
+    return shift + mean, math.sqrt(m2 / (n - 1) / n)
+
+
+MC_POINTS = ((2.0, 0.2, 0.5), (0.5, 0.0, 1.0), (4.0, 1.0, 0.2), (2.0, 0.01, 5.0))
+
+
+@pytest.mark.parametrize(
+    "point,n,seed",
+    [(pt, n, 0) for pt in MC_POINTS for n in (2, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 5)]
+    + [((2.0, 0.2, 0.5), 2_000_000, 11)],
+)
+def test_monte_carlo_keeps_the_out_of_place_bits(point, n, seed):
+    p = DotParams(*point)
+    got = average_fidelity_mc(p, n=n, seed=seed)
+    value, stderr = _reference_mc(p, n, seed)
+    assert isinstance(got.value, float) and isinstance(got.stderr, float)
+    assert (got.value.hex(), got.stderr.hex()) == (value.hex(), stderr.hex())
+
+
+def test_monte_carlo_array_cells_are_their_scalar_calls():
+    n, seed = 2 * _MC_CHUNK + 3, 5
+    points = MC_POINTS + ((-3.0, 1.0, 0.3), (4.0, 1.6152, 0.08127))
+    scalar = {pt: average_fidelity_mc(DotParams(*pt), n=n, seed=seed) for pt in points}
+
+    def check(batch, shape=None):
+        k0, r, T = (np.array(column).reshape(shape or -1) for column in zip(*batch))
+        got = average_fidelity_mc(DotParams(k0, r, T), n=n, seed=seed)
+        assert got.value.shape == got.stderr.shape == k0.shape
+        assert (got.samples, got.seed) == (n, seed)
+        assert got.value.ravel().tolist() == [scalar[pt].value for pt in batch]
+        assert got.stderr.ravel().tolist() == [scalar[pt].stderr for pt in batch]
+
+    # the whole set, reversed, in twos and alone: no cell depends on the others
+    check(points)
+    check(points[::-1])
+    for i in range(0, len(points), 2):
+        check(points[i : i + 2])
+    check(points[:1])
+    check(points, shape=(2, 3))
+    # broadcast fields: one array field, the others scalar
+    got = average_fidelity_mc(DotParams(4.0, np.array([0.0, 1.0]), 0.2), n=n, seed=seed)
+    cells = [average_fidelity_mc(DotParams(4.0, r, 0.2), n=n, seed=seed) for r in (0.0, 1.0)]
+    assert got.value.tolist() == [c.value for c in cells]
+
+
+def test_mean_branch_fidelity_keeps_the_out_of_place_bits():
+    rng = np.random.default_rng(3)
+    # a scalar point on a sample vector, then a reused, dirty workspace
+    e = thermal_elements(DotParams(4.0, 1.0, 0.2))
+    x = rng.uniform(-1.0, 1.0, 1000)
+    x_before = x.copy()
+    want = _reference_integrand(e, x)
+    assert _mean_branch_fidelity(e, x).tobytes() == want.tobytes()
+    work = np.full((5, x.size), np.nan)
+    assert _mean_branch_fidelity(e, x, work).tobytes() == want.tobytes()
+    assert _mean_branch_fidelity(e, x, work).tobytes() == want.tobytes()
+    assert x.tobytes() == x_before.tobytes()
+    # (k, 1) element columns against the 64 quadrature nodes
+    k0 = np.linspace(-2.0, 8.0, 7)[:, None]
+    e = thermal_elements(DotParams(k0, np.linspace(0.0, 3.0, 7)[:, None], 0.3))
+    nodes, _ = np.polynomial.legendre.leggauss(64)
+    nodes_before = nodes.copy()
+    got = _mean_branch_fidelity(e, nodes)
+    assert got.shape == (7, 64)
+    assert got.tobytes() == _reference_integrand(e, nodes).tobytes()
+    assert nodes.tobytes() == nodes_before.tobytes()
+
+
+def test_lifted_projectors_are_cached_and_read_only():
+    for outcome in BellOutcome:
+        m = _lifted_projector(outcome)
+        assert m is _lifted_projector(outcome)
+        assert m.tobytes() == kron(bell_projectors()[outcome], IDENTITY_2).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 1.0
+    # bell_projectors still hands out fresh, writable arrays
+    a, b = bell_projectors(), bell_projectors()
+    assert a[BellOutcome.PSI_MINUS] is not b[BellOutcome.PSI_MINUS]
+    a[BellOutcome.PSI_MINUS][0, 0] = 5.0
+    assert bell_projectors()[BellOutcome.PSI_MINUS][0, 0] == 0.0
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "3"])

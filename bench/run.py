@@ -38,7 +38,8 @@ CLI_ARGV = ["concurrence", "--k0", "4", "--sweep", "r:0:2:1000", "--sweep", "T:0
 CLI = "CLI " + " ".join(CLI_ARGV)
 
 # Scalar rows: each statement is timed as written, with POINT as its setup and
-# the package names of qdot in scope.
+# the package names of qdot in scope. A checkout that lacks a name in a row
+# (an older commit) records no sample for it, and that row's median is null.
 POINT = "p = DotParams(4.0, 1.0, 0.5); s = InputState(1.0, 0.0)"
 SCALAR_CALLS = (
     "DotParams(4.0, 1.0, 0.5)",
@@ -46,6 +47,7 @@ SCALAR_CALLS = (
     "model_concurrence(p)",
     "subspace_fidelities(s, p)",
     "wootters_concurrence(thermal_state(p))",
+    "average_fidelity_closed_form(p)",
     "average_fidelity(p)",
     "average_fidelity_mc(p, n=1_000_000)",
     "verify_all()",
@@ -93,7 +95,10 @@ def _child() -> None:
                      quantities=("F_a",))
     samples[f"run_sweep, {FIDELITY}"] = _per_call(timeit.Timer(lambda: run_sweep(spec)))
     for call in SCALAR_CALLS:
-        samples[f"{call}, per call"] = _per_call(timeit.Timer(call, POINT, globals=vars(qdot)))
+        try:
+            samples[f"{call}, per call"] = _per_call(timeit.Timer(call, POINT, globals=vars(qdot)))
+        except NameError:
+            pass
     print(json.dumps({"numpy": np.__version__, "samples": samples}))
 
 
@@ -186,7 +191,8 @@ def main() -> None:
             {
                 "name": name,
                 "unit": unit,
-                "median": {label: statistics.median(samples[label][name]) for label in checkouts},
+                "median": {label: statistics.median(samples[label][name])
+                           if samples[label][name] else None for label in checkouts},
                 "samples": {label: samples[label][name] for label in checkouts},
             }
             for name, unit in ROWS.items()

@@ -37,7 +37,7 @@ def as_complex_matrix(m: np.ndarray) -> np.ndarray:
         raise LinalgError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.size == 0:
         raise LinalgError("empty matrix")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # a complex entry is finite when both parts are
         raise LinalgError("matrix has non-finite entries")
     return a
 

@@ -30,8 +30,8 @@ __all__ = [
     "thermal_state_oracle",
 ]
 
-# Cells per math.exp map in _exp: bounds its list of Python floats.
-_EXP_BLOCK = 4096
+# Cells per math-function map in _libm: bounds its list of Python floats.
+_LIBM_BLOCK = 4096
 
 
 class DomainError(ValueError):
@@ -65,8 +65,14 @@ def _first(value, where):
 
 
 def _check_real(**fields) -> None:
-    """Raise DomainError unless each field is a finite real number or array of them."""
+    """Raise DomainError unless each field is a finite real number or array of them.
+    A finite Python float, or an int that numpy holds as int64 or uint64, passes
+    without a numpy call; everything else, and every refusal, takes numpy's route."""
     for name, val in fields.items():
+        if isinstance(val, float) and math.isfinite(val):
+            continue
+        if type(val) is int and -2**63 <= val < 2**64:
+            continue
         arr = np.asarray(val)
         if arr.dtype.kind not in "biuf":
             raise DomainError(f"{name} must be a real number, got {val!r}")
@@ -105,17 +111,18 @@ def _scalar(x):
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
-def _exp(x):
-    """math.exp, elementwise over arrays: numpy's exp differs from libm in 4.6%
-    of results on an AVX-512 build, and cells must match scalar calls bit for bit.
-    Maps blocks of _EXP_BLOCK cells, so the Python floats in flight stay few."""
+def _libm(fn, x):
+    """A math-module function such as math.exp or math.log, elementwise over
+    arrays: numpy's exp and log differ from libm in 4.6% and about 0.1% of
+    results on an AVX-512 build, and cells must match scalar calls bit for bit.
+    Maps blocks of _LIBM_BLOCK cells, so the Python floats in flight stay few."""
     if not isinstance(x, np.ndarray):
-        return math.exp(x)
+        return fn(x)
     flat = x.ravel()
     out = np.empty(flat.size)
-    for i in range(0, flat.size, _EXP_BLOCK):
-        block = flat[i : i + _EXP_BLOCK].tolist()
-        out[i : i + len(block)] = np.fromiter(map(math.exp, block), float, len(block))
+    for i in range(0, flat.size, _LIBM_BLOCK):
+        block = flat[i : i + _LIBM_BLOCK].tolist()
+        out[i : i + len(block)] = np.fromiter(map(fn, block), float, len(block))
     return out.reshape(x.shape)
 
 
@@ -180,11 +187,14 @@ def _boltzmann_weights(p: DotParams):
         # An exponent at -inf only zeroes its weight; one at +inf (or NaN)
         # is the shift m itself, and the shifted exponents would be NaN.
         m = _scalar(np.maximum(np.maximum(a_u, a_v), np.maximum(b1, b2)))
-    overflow = ~np.isfinite(m)
-    if _any(overflow):
-        k0, r, T = (_first(x, overflow) for x in (p.k0, p.r, p.T))
-        raise DomainError(f"Boltzmann exponents overflow at k0={k0!r}, r={r!r}, T={T!r}")
-    return _exp(a_u - m), _exp(a_v - m), _exp(b1 - m), _exp(b2 - m), m
+        overflow = ~np.isfinite(m)
+        if _any(overflow):
+            k0, r, T = (_first(x, overflow) for x in (p.k0, p.r, p.T))
+            raise DomainError(f"Boltzmann exponents overflow at k0={k0!r}, r={r!r}, T={T!r}")
+        # An exponent more than 1.8e308 below m shifts to -inf, its weight to 0.
+        # One shifted exponent at a time: a grid holds no four at once.
+        return (_libm(math.exp, a_u - m), _libm(math.exp, a_v - m),
+                _libm(math.exp, b1 - m), _libm(math.exp, b2 - m), m)
 
 
 def thermal_elements(p: DotParams) -> ThermalElements:

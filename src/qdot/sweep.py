@@ -16,7 +16,7 @@ import numpy as np
 
 from .entanglement import critical_temperature, model_concurrence
 from .model import DomainError, DotParams, thermal_elements
-from .teleport import InputState, average_fidelity, subspace_fidelities
+from .teleport import InputState, average_fidelity_closed_form, subspace_fidelities
 
 __all__ = ["Axis", "SweepSpec", "FigurePreset", "run_sweep", "figure_preset", "run_figure"]
 
@@ -141,7 +141,7 @@ def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
             fids = fids or subspace_fidelities(InputState(grid["theta"], grid["phi"]), params)
             table[q] = fids[q == "F_e"]
         elif q == "F_a":
-            table[q] = average_fidelity(params)
+            table[q] = average_fidelity_closed_form(params)
         elif q == "populations":
             e = thermal_elements(params)
             pops = (e.u / e.big_z, e.w / e.big_z, e.w / e.big_z, e.v / e.big_z)

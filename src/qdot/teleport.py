@@ -8,6 +8,12 @@ input (x) channel-A (x) channel-B. Outcomes in the Psi subspace are the
 
 Everything is expressed through ratios of the rescaled thermal elements, so
 the common Boltzmann scale never appears.
+
+The fidelity averaged over the input's Bloch sphere, F_a, has a closed form,
+average_fidelity_closed_form, exact to about 1e-15 and evaluated over whole
+grids. Two routes share nothing with it but the integrand: average_fidelity
+integrates it by Gauss-Legendre quadrature at one point, and
+average_fidelity_mc averages it over seeded random inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron, partial_trace
 from .model import DomainError, DotParams, ThermalElements, _check_broadcast, _check_point
-from .model import _check_real, _scalar, thermal_elements, thermal_state
+from .model import _check_real, _libm, _scalar, thermal_elements, thermal_state
 
 __all__ = [
     "InputState",
@@ -39,6 +45,7 @@ __all__ = [
     "fidelity",
     "subspace_fidelities",
     "teleport_outcomes",
+    "average_fidelity_closed_form",
     "average_fidelity",
     "average_fidelity_mc",
 ]
@@ -46,8 +53,11 @@ __all__ = [
 # Branch probabilities below this are degenerate: report, do not divide.
 _PROBABILITY_FLOOR = 1e-15
 
-# Points per quadrature block: bounds the (points x nodes) integrand.
-_QUADRATURE_BLOCK = 1 << 10
+# |t| below this takes the series of K in average_fidelity_closed_form, and
+# the logarithms of the shifted weights from it on. The first term the series
+# leaves out, t^52/55, is below 2^-57 at the cutoff.
+_SERIES_CUTOFF = 0.5
+_K_SERIES = tuple(1.0 / (2 * k + 3) for k in range(26))
 
 # Monte Carlo samples per chunk. Chunks merge in order, so this size sets
 # the merge order of the mean and M2: changing it moves their bits.
@@ -302,31 +312,95 @@ def _mean_branch_fidelity(e: ThermalElements, x: np.ndarray, work=None) -> np.nd
     return np.multiply(np.multiply(0.5, num, out=num), cross, out=num)
 
 
+def average_fidelity_closed_form(p: DotParams):
+    """Average fidelity over the Bloch sphere in closed form: a float for a
+    scalar p, an array of the parameters' broadcast shape otherwise.
+
+    With x = cos(theta), the integrand of _mean_branch_fidelity is
+    N/(2 z1) + N/(2 z2) with N = A x^2 + C, z1 = a + b x and z2 = a - b x:
+
+        A = w/2 - (u+v)/4 + y/2,    C = w/2 + (u+v)/4 - y/2,
+        a = w + (u+v)/2,            b = (v-u)/2.
+
+    N is even in x, so F_a is half the integral of N/z1 over [-1, 1] (the
+    sphere average of Horodecki^3, PRA 60, 1888 (1999), applied to the
+    branch fidelities). With t = b/a, L = atanh(t)/t, K = (L - 1)/t^2 and
+    C + A = w, that is F_a = (C/a) L + (A/a) K = (w/a) L + (A/a) (K - L),
+    the form evaluated: _series_l and _log_l give (L, K - L) below and from
+    _SERIES_CUTOFF in |t|.
+
+    A scalar call runs them on Python floats and a grid on each side's
+    cells, rounding alike and taking logarithms by math.log, so a scalar
+    call has the bits of its cell in any grid. Against the same integral in
+    120-digit mpmath, from the same elements, the error was at most 3.3e-16
+    on two seeded sets of 3,240 points (k0 in [-5, 10], r in [-5, 5],
+    T in [0.03, 3], small fields, 600 within 2% of the cutoff, and polarised
+    points down to w + v = 0); the tests hold 137 of them to 1e-15.
+    """
+    e = thermal_elements(p)
+    u, v, w, y = e.u, e.v, e.w, e.y
+    a = w + 0.5 * (u + v)
+    t = 0.5 * (v - u) / a
+    t2 = t * t
+    if isinstance(t, np.ndarray):  # a grid: each cell takes its side of the cutoff
+        big_l, k_minus_l = np.empty_like(t), np.empty_like(t)
+        series = np.abs(t) < _SERIES_CUTOFF
+        big_l[series], k_minus_l[series] = _series_l(t2[series])
+        logs = ~series
+        w_logs = np.broadcast_to(w, t.shape)[logs]  # w varies with k0 and T only
+        big_l[logs], k_minus_l[logs] = _log_l(w_logs, u[logs], v[logs], a[logs], t[logs], t2[logs])
+    elif abs(t) < _SERIES_CUTOFF:
+        big_l, k_minus_l = _series_l(t2)
+    else:
+        big_l, k_minus_l = _log_l(w, u, v, a, t, t2)
+    big_a = 0.5 * w - 0.25 * (u + v) + 0.5 * y
+    return _scalar(w / a * big_l + big_a / a * k_minus_l)
+
+
+def _series_l(t2):
+    """(L, K - L) for |t| below the cutoff: K is its series sum
+    t^(2k)/(2k+3), L = 1 + t^2 K, and K - L does not cancel. Floats or
+    arrays, rounded alike."""
+    k = _K_SERIES[-1]
+    for c in _K_SERIES[-2::-1]:
+        k = k * t2 + c
+    big_l = 1.0 + t2 * k
+    return big_l, k - big_l
+
+
+def _log_l(w, u, v, a, t, t2):
+    """(L, K - L) for |t| from the cutoff on: atanh(t) = (ln(w+v) - ln(w+u))/2
+    from the shifted weights a + b and a - b, and K - L = (L (1 - t^2) - 1)/t^2
+    with 1 - t^2 = (w+u)(w+v)/a^2. As |t| -> 1, L grows like a logarithm
+    while w/a and 1 - t^2 vanish, so neither product cancels. A weight sum
+    that underflows to 0 is taken at the smallest subnormal: its 1 - t^2 is
+    0, which gives the polarised limit. Floats or arrays, logarithms by
+    math.log either way."""
+    wu, wv = w + u, w + v
+    ln_wu, ln_wv = (_libm(math.log, np.maximum(x, math.ulp(0.0))) for x in (wu, wv))
+    big_l = 0.5 * (ln_wv - ln_wu) / t
+    return big_l, (big_l * (wu * wv / (a * a)) - 1.0) / t2
+
+
 def average_fidelity(p: DotParams, nodes: int = 64) -> float:
-    """Average fidelity over the Bloch sphere by Gauss-Legendre quadrature.
+    """Average fidelity over the Bloch sphere by Gauss-Legendre quadrature, at
+    one point: the quadrature oracle of average_fidelity_closed_form.
 
     The integrand does not depend on the azimuthal phase, so the sphere
     average is half the integral over cos(theta) in [-1, 1], taken with
     ``nodes`` Gauss-Legendre points; the integrand is a smooth rational
-    function. Over an array, each point's nodes are a row summed on its own,
-    in blocks of _QUADRATURE_BLOCK rows, so a cell has the bits of the
-    scalar call. With 64 nodes the error against 40-digit mpmath quadrature
+    function. With 64 nodes the error against 40-digit mpmath quadrature
     of the same integrand reaches 5.8e-9 at DotParams(4, 1.6152, 0.08127),
     the worst point of a 600x600 scan over k0 = 4, 0.04 <= T <= 2.1,
     0 <= r <= 4.5. At the same k0 and T it is at rounding level (<= 6e-16)
     for r = 0, 0.5, 1 and 3: the error sits past the level crossing
     |r| = k0/4 at low T, where it is above the package's 1e-10 tolerances.
     """
+    _check_point(p)
     if not isinstance(nodes, (int, np.integer)) or nodes < 2:
         raise DomainError(f"quadrature needs an integer nodes >= 2, got {nodes!r}")
-    e = thermal_elements(p)
-    cols = [np.ravel(v)[:, None] for v in vars(e).values()]
     x, wx = np.polynomial.legendre.leggauss(nodes)
-    out = np.empty(len(cols[0]))
-    for i in range(0, len(out), _QUADRATURE_BLOCK):
-        rows = ThermalElements(*(c[i : i + _QUADRATURE_BLOCK] for c in cols))
-        out[i : i + _QUADRATURE_BLOCK] = (_mean_branch_fidelity(rows, x) * (wx / 2.0)).sum(axis=-1)
-    return _scalar(out.reshape(np.shape(e.big_z)))
+    return float((_mean_branch_fidelity(thermal_elements(p), x) * (wx / 2.0)).sum())
 
 
 def average_fidelity_mc(

@@ -9,7 +9,7 @@ import pytest
 from qdot.entanglement import ground_state_concurrence, model_concurrence
 from qdot.linalg import kron, IDENTITY_2, PAULI_Z, validate_density_matrix
 from qdot.model import (
-    _exp,
+    _libm,
     DomainError,
     DotParams,
     hamiltonian_matrix,
@@ -17,7 +17,8 @@ from qdot.model import (
     thermal_state,
     thermal_state_oracle,
 )
-from qdot.teleport import InputState, average_fidelity, subspace_fidelities
+from qdot.teleport import InputState, average_fidelity, average_fidelity_closed_form
+from qdot.teleport import subspace_fidelities
 
 
 def test_params_validation():
@@ -177,8 +178,10 @@ def test_thermal_elements_reject_zero_temperature():
         model_concurrence,
         lambda p: subspace_fidelities(InputState(theta=math.pi / 3.0), p),
         average_fidelity,
+        average_fidelity_closed_form,
     ],
-    ids=["thermal_elements", "model_concurrence", "subspace_fidelities", "average_fidelity"],
+    ids=["thermal_elements", "model_concurrence", "subspace_fidelities", "average_fidelity",
+         "average_fidelity_closed_form"],
 )
 def test_overflowing_exponents_raise_instead_of_nan(quantity, k0, r, T):
     # exp(-E/T) overflows here and the log shift would compute inf - inf
@@ -202,6 +205,7 @@ def test_finite_exponents_survive_overflowing_intermediates(k0, r, T):
         c = model_concurrence(p)
         fids = subspace_fidelities(InputState(theta=math.pi / 3.0), p)
         f_a = average_fidelity(p)
+        f_a_closed = average_fidelity_closed_form(p)
         # an array call divides first in the same cells and keeps the others
         grid = DotParams(k0=np.array([4.0, k0]), r=np.array([1.0, r]), T=np.array([0.5, T]))
         cells = model_concurrence(grid).tolist()
@@ -210,6 +214,7 @@ def test_finite_exponents_survive_overflowing_intermediates(k0, r, T):
     assert 0.0 <= c <= 1.0
     assert all(0.0 <= f <= 1.0 for f in fids)
     assert -slack <= f_a <= 1.0 + slack
+    assert 0.0 <= f_a_closed <= 1.0
     assert cells == [model_concurrence(DotParams(4.0, 1.0, 0.5)), c]
     if T == k0:
         # k0/T is exactly 1, so the exponents are those of (1, 0, 1)
@@ -219,10 +224,42 @@ def test_finite_exponents_survive_overflowing_intermediates(k0, r, T):
 def test_exp_maps_math_exp_across_blocks():
     # blocks of 4,096 cells, a partial last block and a non-contiguous view
     x = np.linspace(-700.0, 700.0, 3 * 4096 + 6).reshape(3, -1)[:, ::2]
-    got = _exp(x)
+    got = _libm(math.exp, x)
     assert got.shape == x.shape
     assert got.ravel().tolist() == [math.exp(v) for v in x.ravel().tolist()]
-    assert _exp(np.empty((0, 3))).shape == (0, 3)
+    assert _libm(math.exp, np.empty((0, 3))).shape == (0, 3)
+
+
+def test_libm_maps_any_math_function_as_its_scalar_calls():
+    x = np.geomspace(1e-300, 1e300, 2 * 4096 + 3)
+    assert _libm(math.log, x).tolist() == [math.log(v) for v in x.tolist()]
+    assert _libm(math.log, 2.5) == math.log(2.5)
+
+
+def test_check_real_keeps_its_messages_on_python_numbers():
+    # finite Python floats and int64/uint64-range ints pass without numpy;
+    # every refusal reads as it did through numpy
+    DotParams(k0=-2**63, r=2**64 - 1, T=True)
+    with pytest.raises(DomainError, match="k0 must be finite, got nan"):
+        DotParams(k0=math.nan, r=0.0, T=1.0)
+    with pytest.raises(DomainError, match="T must be finite, got inf"):
+        DotParams(k0=1.0, r=0.0, T=math.inf)
+    with pytest.raises(DomainError, match="r must be finite, got -inf"):
+        DotParams(k0=1.0, r=np.float64(-math.inf), T=1.0)
+    for big in (2**64, -2**63 - 1, 10**400):
+        with pytest.raises(DomainError, match=f"k0 must be a real number, got {big}"):
+            DotParams(k0=big, r=0.0, T=1.0)
+
+
+def test_far_shifted_exponents_do_not_warn():
+    # exponents finite but more than 1.8e308 below the shift: x - m goes to
+    # -inf, the weight to 0, and no overflow warning leaks from the array route
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = DotParams(np.array([1e151, 1e151]), np.array([6e264, 7e264]), 4e-44)
+        assert model_concurrence(p).tolist() == [0.0, 0.0]
+        e = thermal_elements(p)
+    assert e.v.tolist() == [0.0, 0.0]
 
 
 def test_thermal_elements_frozen_reference_point():

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdot
 import qdot.model as model_mod
 import qdot.sweep as sweep_mod
 from qdot.cli import main, parse_angle, parse_axis, parse_quantities
@@ -22,7 +27,7 @@ from qdot.sweep import (
     run_figure,
     run_sweep,
 )
-from qdot.teleport import InputState, average_fidelity, subspace_fidelities
+from qdot.teleport import InputState, average_fidelity_closed_form, subspace_fidelities
 
 
 # ---------------------------------------------------------------- sweep core
@@ -118,7 +123,7 @@ def _scalar_row(point, quantities):
         "Tc": [critical_temperature(point["k0"])],
         "F_o": [f_o],
         "F_e": [f_e],
-        "F_a": [average_fidelity(p)],
+        "F_a": [average_fidelity_closed_form(p)],
         "populations": [e.u / e.big_z, e.w / e.big_z, e.w / e.big_z, e.v / e.big_z],
     }
     return [v for q in quantities for v in values[q]]
@@ -680,6 +685,26 @@ def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys):
     rc, out, err = run_cli(capsys, "fig", "3", "--out", str(target))
     assert rc == 1 and out == ""
     assert err.startswith("error: cannot write")
+
+
+def test_fidelity_sweeps_and_figures_never_import_numpy_polynomial(tmp_path):
+    # F_a is closed form on the sweep path; the Gauss-Legendre rule, and the
+    # numpy.polynomial import it costs, belong to the oracle only
+    code = (
+        "import sys; from qdot.cli import main; "
+        "a = main(['fidelity', '--k0', '4', '--sweep', 'T:0.05:2:25', '--sweep', 'r:0:4:40', "
+        "'--theta', '1', '--quantities', 'F_o,F_e,F_a', '--format', 'json', "
+        f"'--out', {str(tmp_path / 'map.json')!r}]); "
+        f"b = main(['fig', '3', '--out', {str(tmp_path / 'fig3.csv')!r}]); "
+        "print(a, b, 'numpy.polynomial' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qdot.__file__).resolve().parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["0", "0", "False"]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -1,6 +1,7 @@
 """Tests for the Bell measurement, collapsed branches, and fidelities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from qdot.model import DomainError, DotParams, hamiltonian_matrix, thermal_eleme
 from qdot.model import thermal_state, thermal_state_oracle
 from qdot.teleport import (
     _MC_CHUNK,
-    _QUADRATURE_BLOCK,
+    _SERIES_CUTOFF,
     BellOutcome,
     InputState,
     MonteCarloFidelity,
     _lifted_projector,
     _mean_branch_fidelity,
     average_fidelity,
+    average_fidelity_closed_form,
     average_fidelity_mc,
     bell_projectors,
     collapse_bruteforce,
@@ -30,7 +32,7 @@ from qdot.teleport import (
     subspace_fidelities,
     teleport_outcomes,
 )
-from qdot.verify import bisect_critical_temperature
+from qdot.verify import _MC_POINTS, bisect_critical_temperature
 
 CHANNEL = DotParams(k0=4.0, r=0.2, T=0.2)
 STATE = InputState(theta=math.pi / 3, phi=0.7)
@@ -257,12 +259,131 @@ def test_average_fidelity_frozen_value():
     assert abs(got - 0.6457047550050242) < 1e-14
 
 
-def test_average_fidelity_blocks_keep_scalar_bits():
-    # two blocks, the second of two points: each cell is its scalar call
-    n = _QUADRATURE_BLOCK + 2
-    k0, r = np.linspace(-2.0, 8.0, n), np.linspace(3.0, 0.0, n)
-    cells = average_fidelity(DotParams(k0, r, 0.3))
-    assert cells.tolist() == [average_fidelity(DotParams(*pt, 0.3)) for pt in zip(k0, r)]
+def test_average_fidelity_closed_form_cells_keep_scalar_bits():
+    # cells on both sides of the series cutoff and far into the polarised
+    # regime: each cell is its scalar call, whatever the grid's shape
+    k0, r = np.linspace(-2.0, 8.0, 1026), np.linspace(3.0, 0.0, 1026)
+    cells = average_fidelity_closed_form(DotParams(k0, r, 0.3))
+    assert cells.shape == (1026,)
+    assert cells.tolist() == [average_fidelity_closed_form(DotParams(*pt, 0.3))
+                              for pt in zip(k0.tolist(), r.tolist())]
+    t = np.geomspace(0.02, 3.0, 9)
+    grid = average_fidelity_closed_form(DotParams(4.0, r[::100, None], t))
+    assert grid.shape == (11, 9)
+    assert grid.ravel().tolist() == [average_fidelity_closed_form(DotParams(4.0, a, b))
+                                     for a in r[::100].tolist() for b in t.tolist()]
+    # exactly polarised (w + v or w + u is 0), on the crossing, and r = 0
+    r = [10.0, -10.0, 1.0, 0.0]
+    assert average_fidelity_closed_form(DotParams(4.0, np.array(r), 0.01)).tolist() == [
+        average_fidelity_closed_form(DotParams(4.0, x, 0.01)) for x in r]
+    assert isinstance(average_fidelity_closed_form(DotParams(4.0, 1.0, 0.5)), float)
+
+
+def _branch_parameter(k0, r, T):
+    """t = b/a of the closed form: the Psi weight z1 is a (1 + t cos theta)."""
+    e = thermal_elements(DotParams(k0, r, T))
+    return 0.5 * (e.v - e.u) / (e.w + 0.5 * (e.u + e.v))
+
+
+def _closed_form_points():
+    """Points that test the closed form: 60 seeded random ones, named ones
+    (the 64-node rule's worst point, deep polarisation with w + v and w + u
+    exactly 0), 28 small fields, and 40 within 2% of the series cutoff in
+    |t|, on both sides."""
+    rng = np.random.default_rng(2024)
+    pts = list(zip(rng.uniform(-5, 10, 60).tolist(), rng.uniform(-5, 5, 60).tolist(),
+                   rng.uniform(0.03, 3, 60).tolist()))
+    pts += [(4.0, 1.6152, 0.08127), (4.0, 10.0, 0.2), (1.0, 3.0, 0.05), (2.0, 0.0, 0.5),
+            (-3.0, 1.0, 0.3), (6.611572244654777, -1.0633520700581411, 0.08821324309828035),
+            (-0.004989617116050837, 2.2708644442692005, 0.03918752054928734),
+            (4.0, 10.0, 0.01), (4.0, -10.0, 0.01)]
+    pts += [(4.0, r, 0.5) for r in np.geomspace(1e-4, 3e-2, 28).tolist()]
+    targets = _SERIES_CUTOFF * (1.0 + rng.uniform(-0.02, 0.02, 40))
+    for k0, T, target in zip(rng.uniform(-5, 10, 40).tolist(), rng.uniform(0.03, 3, 40).tolist(),
+                             targets.tolist()):
+        # |t| grows with |r|: bisect r to adjacent doubles
+        lo, hi = 0.0, 50.0 * T + abs(k0)
+        while (mid := 0.5 * lo + 0.5 * hi) not in (lo, hi):
+            lo, hi = (mid, hi) if abs(_branch_parameter(k0, mid, T)) < target else (lo, mid)
+        pts.append((k0, mid if len(pts) % 2 else -mid, T))
+    return pts
+
+
+def _mpmath_average_fidelity(p):
+    """½∫(A x² + C)/(a + b x) dx over [-1, 1] in 120-digit arithmetic, from
+    the same thermal elements; the exactly polarised limit where a weight sum
+    is 0."""
+    mpmath = pytest.importorskip("mpmath")
+    e = thermal_elements(p)
+    with mpmath.workdps(120):
+        u, v, w, y = (mpmath.mpf(x) for x in (e.u, e.v, e.w, e.y))
+        big_a, big_c = w / 2 - (u + v) / 4 + y / 2, w / 2 + (u + v) / 4 - y / 2
+        a, b = w + (u + v) / 2, (v - u) / 2
+        if b == 0:
+            return (big_c + big_a / 3) / a
+        t = b / a
+        if w + v == 0 or w + u == 0:
+            return -big_a / (a * t * t)
+        big_l = mpmath.log((w + v) / (w + u)) / (2 * t)
+        return big_c / a * big_l + big_a / a * (big_l - 1) / (t * t)
+
+
+def test_closed_form_average_fidelity_against_mpmath():
+    pts = _closed_form_points()
+    near = [abs(_branch_parameter(*pt)) / _SERIES_CUTOFF for pt in pts]
+    assert sum(0.98 < x < 1.0 for x in near) >= 10 and sum(1.0 <= x < 1.02 for x in near) >= 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [average_fidelity_closed_form(DotParams(*pt)) for pt in pts]
+    worst = max(abs(float(_mpmath_average_fidelity(DotParams(*pt)) - f))
+                for pt, f in zip(pts, got))
+    # the docstring measured 3.3e-16 on larger sets; 137 points, held to 1e-15
+    assert worst <= 1e-15
+    # the exactly polarised cells are the classical 1/2
+    assert got[pts.index((4.0, 10.0, 0.01))] == got[pts.index((4.0, -10.0, 0.01))] == 0.5
+
+
+def _mpmath_quadrature(p, mpmath):
+    """The sphere average of the mean branch fidelity by 40-digit mpmath.quad."""
+    e = thermal_elements(p)
+    with mpmath.workdps(40):
+        u, v, w, y = (mpmath.mpf(x) for x in (e.u, e.v, e.w, e.y))
+
+        def mean_branch(x):
+            c2, s2 = (1 + x) / 2, (1 - x) / 2
+            num = w * (c2 * c2 + s2 * s2) + (u + v - 2 * y) * c2 * s2
+            return num * (1 / (w + u * s2 + v * c2) + 1 / (w + v * s2 + u * c2)) / 4
+
+        return mpmath.quad(mean_branch, [-1, 1])
+
+
+def test_closed_form_matches_an_independent_mpmath_quadrature():
+    # the formula itself, against the two-branch integrand integrated at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    for pt in [(4.0, 1.6152, 0.08127), (2.0, 0.2, 0.5), (-3.0, 1.0, 0.3),
+               (6.611572244654777, -1.0633520700581411, 0.08821324309828035),
+               (-0.004989617116050837, 2.2708644442692005, 0.03918752054928734)]:
+        p = DotParams(*pt)
+        assert abs(float(_mpmath_quadrature(p, mpmath)) - average_fidelity_closed_form(p)) <= 1e-15
+
+
+def test_quadrature_precision_claim_at_its_worst_point():
+    # the 64-node docstring's 5.8e-9, measured against 40-digit mpmath.quad
+    mpmath = pytest.importorskip("mpmath")
+    p = DotParams(4.0, 1.6152, 0.08127)
+    err = abs(average_fidelity(p) - float(_mpmath_quadrature(p, mpmath)))
+    assert 5e-9 <= err <= 6e-9
+
+
+def test_closed_form_against_its_quadrature_and_monte_carlo_oracles():
+    pts = _closed_form_points()
+    gap = max(abs(average_fidelity_closed_form(DotParams(*pt))
+                  - average_fidelity(DotParams(*pt), nodes=256)) for pt in pts)
+    assert gap <= 1e-10  # 1.7e-11 measured
+    columns = DotParams(*(np.array(c) for c in zip(*_MC_POINTS)))
+    mc = average_fidelity_mc(columns, n=200_000, seed=0)
+    closed = average_fidelity_closed_form(columns)
+    assert (np.abs(closed - mc.value) <= np.maximum(4.0 * mc.stderr, 1e-14)).all()
 
 
 def test_average_fidelity_bounds():
@@ -457,6 +578,7 @@ PAIR = DotParams(np.array([1.0, 2.0]), 0.0, 1.0)
         (collapsed_closed_form,
          (InputState(np.array([0.5, 1.0])), thermal_elements(CHANNEL), BellOutcome.PSI_MINUS)),
         (output_states, (InputState(1.0), PAIR)),
+        (average_fidelity, (PAIR,)),
     ],
 )
 def test_point_only_routes_refuse_arrays(fn, args):

@@ -19,8 +19,11 @@ average_fidelity_mc averages it over seeded random inputs.
 from __future__ import annotations
 
 import cmath
+import contextvars
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,7 +63,8 @@ _SERIES_CUTOFF = 0.5
 _K_SERIES = tuple(1.0 / (2 * k + 3) for k in range(26))
 
 # Monte Carlo samples per chunk. Chunks merge in order, so this size sets
-# the merge order of the mean and M2: changing it moves their bits.
+# the merge order of the mean and M2: changing it moves their bits. It is
+# even, so every chunk starts on a Philox counter step (two samples).
 _MC_CHUNK = 1 << 16
 
 
@@ -285,7 +289,8 @@ def _mean_branch_fidelity(e: ThermalElements, x: np.ndarray, work=None) -> np.nd
     The azimuthal phase cancels out of both branch fidelities; the matrix
     route in the tests confirms that. Broadcasts the elements against x.
     Every intermediate is written into ``work``, five rows (c2, s2, cross,
-    num, tmp) of the broadcast shape, allocated here when None; the result
+    num, tmp) of the broadcast shape, in one array or as five views, and
+    allocated here when None; the result
     is the num row, a view into ``work``, and ``x`` is only read. Each
     operation and its operand order are those of the out-of-place formula,
     so a reused workspace keeps its bits. Kept inline: in a helper shared
@@ -409,14 +414,14 @@ def average_fidelity_mc(
     """Monte Carlo estimate of the average fidelity.
 
     Samples cos(theta) uniform on [-1, 1] and the azimuthal phase uniform on
-    [0, 2 pi), two doubles per sample, from one Philox stream read in order
-    in fixed-size chunks. Results are reproducible for a given (n, seed);
+    [0, 2 pi), two doubles per sample, from one Philox stream read in
+    fixed-size chunks. Results are reproducible for a given (n, seed);
     the seed is the Philox key, an integer in [0, 2**128). Returns the
     estimate with its standard error: floats for a scalar p, arrays of the
     parameters' broadcast shape for arrays. Every point of an array call
-    reads the same samples, each chunk drawn once into a reused buffer and
-    evaluated at each point through one reused workspace, so each cell has
-    the bits of its scalar call whatever the other points are.
+    reads the same samples, each chunk drawn once and evaluated at each
+    point through reused buffers, so each cell has the bits of its scalar
+    call whatever the other points are.
 
     The standard error comes from the sum of squared deviations M2. Samples
     are taken relative to the first one, so chunk means and merge deltas
@@ -426,6 +431,18 @@ def average_fidelity_mc(
     Chan-Golub-LeVeque update. No two large sums are subtracted; the
     one-pass form sum f^2 - n mean^2 cancels about nine digits here and
     gives 0 where the spread is small.
+
+    The chunks run on min(2, usable CPUs, chunk count) workers: the first
+    half of the chunk range on the calling thread, the rest on one helper
+    thread that runs in a copy of the caller's context (numpy's errstate
+    included) and whose exception is raised here. Philox is counter-based,
+    and a counter step is four doubles, two samples, so the helper's own
+    generator keyed by the seed starts at counter start/2 and reads exactly
+    its slice of the one stream. Each worker returns every chunk's count,
+    mean and M2, and the caller merges them in chunk order. The sums, the
+    merge order and each sample's arithmetic are the same whichever worker
+    ran a chunk, so the value and stderr have the same bits on one CPU and
+    on two.
 
     Against the mean and stderr computed in exact rational arithmetic over
     the same samples, the mean is the correctly rounded one and the stderr
@@ -442,29 +459,38 @@ def average_fidelity_mc(
     shape = np.shape(e.big_z)
     cells = zip(*(np.ravel(f).tolist() for f in vars(e).values()))
     points = [ThermalElements(*cell) for cell in cells]  # Python floats, as a scalar call's
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    size = min(n, _MC_CHUNK)
-    u01, x, work = np.empty((size, 2)), np.empty(size), np.empty((5, size))
-    shift = [0.0] * len(points)
+    # each point's integrand at the first sample, computed as in a chunk
+    x0 = 2.0 * np.random.Generator(np.random.Philox(key=seed)).random(2)[:1] - 1.0
+    shift = [float(_mean_branch_fidelity(point, x0)[0]) for point in points]
+    chunks = -(-n // _MC_CHUNK)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    split = -(-chunks // min(2, cpus or 1, chunks))  # the chunks the caller runs
+    if split < chunks:
+        context, rest, error = contextvars.copy_context(), [], []
+
+        def helper() -> None:
+            try:
+                rest.extend(context.run(_mc_chunks, points, shift, seed, n, split, chunks))
+            except BaseException as exc:  # raised on the calling thread below
+                error.append(exc)
+
+        thread = threading.Thread(target=helper, name="qdot-monte-carlo")
+        thread.start()
+        try:
+            stats = _mc_chunks(points, shift, seed, n, 0, split)
+        finally:
+            thread.join()
+        if error:
+            raise error[0]
+        stats += rest
+    else:
+        stats = _mc_chunks(points, shift, seed, n, 0, chunks)
     mean = [0.0] * len(points)  # of the shifted samples f - shift
     m2 = [0.0] * len(points)
     done = 0
-    for start in range(0, n, _MC_CHUNK):
-        count = min(_MC_CHUNK, n - start)
-        rng.random(out=u01[:count])
-        # The second double per sample is the azimuthal phase. The closed
-        # form is phase-free, so it only fixes the stream layout.
-        xs = np.subtract(np.multiply(2.0, u01[:count, 0], out=x[:count]), 1.0, out=x[:count])
-        chunk_work = work[:, :count]
+    for count, per_point in stats:
         merged = done + count
-        for i, point in enumerate(points):
-            dev = _mean_branch_fidelity(point, xs, chunk_work)
-            if start == 0:
-                shift[i] = float(dev[0])
-            dev -= shift[i]
-            chunk_mean = float(dev.sum()) / count
-            dev -= chunk_mean
-            chunk_m2 = float(np.multiply(dev, dev, out=chunk_work[4]).sum())
+        for i, (chunk_mean, chunk_m2) in enumerate(per_point):
             delta = chunk_mean - mean[i]
             mean[i] += delta * count / merged
             m2[i] += chunk_m2 + delta * delta * done * count / merged
@@ -472,3 +498,47 @@ def average_fidelity_mc(
     value = np.reshape([s + m for s, m in zip(shift, mean)], shape)
     stderr = np.reshape([math.sqrt(m / (n - 1) / n) for m in m2], shape)
     return MonteCarloFidelity(value=_scalar(value), stderr=_scalar(stderr), samples=n, seed=seed)
+
+
+def _mc_chunks(points, shift, seed, n, first, stop):
+    """(count, [(mean, M2) per point]) of chunks first to stop - 1 of the
+    Monte Carlo stream, each point's samples taken relative to its shift.
+
+    Draws from its own Philox at the first chunk's counter. Holds 2 MiB at
+    the full chunk size: x, one chunk-long deviation row, and a
+    (4, chunk/2) block buffer that takes the draws in two half-chunk pieces
+    and then the integrand's other four rows in two half-chunk blocks, the
+    num row being the deviation row's slice. Each sum runs over the whole
+    chunk-long row. Calls only private helpers and numpy: the benchmark's
+    tracer keeps one span stack and assumes one thread.
+    """
+    offset = first * _MC_CHUNK
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=offset // 2))
+    size = min(n - offset, _MC_CHUNK)
+    half = (size + 1) // 2
+    x, dev, block = np.empty(size), np.empty(size), np.empty((4, half))
+    pairs = block[:2].reshape(half, 2)
+    c2, s2, cross, tmp = block
+    stats = []
+    for start in range(offset, min(n, stop * _MC_CHUNK), _MC_CHUNK):
+        count = min(_MC_CHUNK, n - start)
+        blocks = []
+        for lo in range(0, count, half):
+            hi = min(lo + half, count)
+            m = hi - lo
+            rng.random(out=pairs[:m])
+            # The second double per sample is the azimuthal phase. The
+            # closed form is phase-free, so it only fixes the stream layout.
+            xs = np.subtract(np.multiply(2.0, pairs[:m, 0], out=x[lo:hi]), 1.0, out=x[lo:hi])
+            blocks.append((xs, (c2[:m], s2[:m], cross[:m], dev[lo:hi], tmp[:m])))
+        row = dev[:count]
+        per_point = []
+        for point, point_shift in zip(points, shift):
+            for xs, work in blocks:
+                _mean_branch_fidelity(point, xs, work)
+            row -= point_shift
+            chunk_mean = float(row.sum()) / count
+            row -= chunk_mean
+            per_point.append((chunk_mean, float(np.multiply(row, row, out=row).sum())))
+        stats.append((count, per_point))
+    return stats

@@ -707,6 +707,22 @@ def test_fidelity_sweeps_and_figures_never_import_numpy_polynomial(tmp_path):
     assert child.stdout.split() == ["0", "0", "False"]
 
 
+def test_importing_the_cli_loads_no_executor_or_logging():
+    # Monte Carlo's helper thread is a plain threading.Thread: importing
+    # concurrent.futures would pull in logging, about 9 ms on every start
+    code = (
+        "import qdot.cli, sys; "
+        "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qdot.__file__).resolve().parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
     rc, _, err = run_cli(capsys, "fig", "3", "--workers", workers)

@@ -1,11 +1,13 @@
 """Tests for the Bell measurement, collapsed branches, and fidelities."""
 
 import math
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+import qdot.teleport as teleport_mod
 from qdot.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron, partial_trace
 from qdot.model import DomainError, DotParams, hamiltonian_matrix, thermal_elements
 from qdot.model import thermal_state, thermal_state_oracle
@@ -516,6 +518,93 @@ def test_monte_carlo_array_cells_are_their_scalar_calls():
     got = average_fidelity_mc(DotParams(4.0, np.array([0.0, 1.0]), 0.2), n=n, seed=seed)
     cells = [average_fidelity_mc(DotParams(4.0, r, 0.2), n=n, seed=seed) for r in (0.0, 1.0)]
     assert got.value.tolist() == [c.value for c in cells]
+
+
+def _on_cpus(monkeypatch, cpus):
+    """Make the Monte Carlo worker count see ``cpus`` usable CPUs."""
+    monkeypatch.setattr(
+        teleport_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 2**128 - 1])
+@pytest.mark.parametrize(
+    "n", [2, 3, 7, _MC_CHUNK, _MC_CHUNK + 1, 2 * _MC_CHUNK + 3, 3 * _MC_CHUNK + 5]
+)
+def test_monte_carlo_has_the_same_bits_on_one_worker_and_two(monkeypatch, n, seed):
+    scalar = DotParams(4.0, 1.0, 0.2)
+    six = MC_POINTS + ((-3.0, 1.0, 0.3), (4.0, 1.6152, 0.08127))
+    grid = DotParams(*(np.reshape(column, (2, 3)) for column in zip(*six)))
+
+    def bits(p):
+        got = average_fidelity_mc(p, n=n, seed=seed)
+        return [v.hex() for v in np.ravel(got.value)], [v.hex() for v in np.ravel(got.stderr)]
+
+    _on_cpus(monkeypatch, 1)
+    one = bits(scalar), bits(grid)
+    _on_cpus(monkeypatch, 2)
+    assert (bits(scalar), bits(grid)) == one
+    # without sched_getaffinity the CPU count decides
+    monkeypatch.delattr(teleport_mod.os, "sched_getaffinity")
+    monkeypatch.setattr(teleport_mod.os, "cpu_count", lambda: None)
+    assert (bits(scalar), bits(grid)) == one
+    monkeypatch.setattr(teleport_mod.os, "cpu_count", lambda: 2)
+    assert (bits(scalar), bits(grid)) == one
+
+
+class _HelperFailure(Exception):
+    pass
+
+
+def test_monte_carlo_raises_the_helper_threads_exception(monkeypatch):
+    _on_cpus(monkeypatch, 2)
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    caller = threading.get_ident()
+    failure = _HelperFailure("chunk on the helper")
+    real = teleport_mod._mean_branch_fidelity
+
+    def failing_off_the_caller(e, x, work=None):
+        if threading.get_ident() != caller:
+            raise failure
+        return real(e, x, work)
+
+    before = threading.enumerate()
+    monkeypatch.setattr(teleport_mod, "_mean_branch_fidelity", failing_off_the_caller)
+    with pytest.raises(_HelperFailure) as raised:
+        average_fidelity_mc(DotParams(2.0, 0.2, 0.5), n=3 * _MC_CHUNK, seed=1)
+    assert raised.value is failure
+    assert hooked == [] and threading.enumerate() == before
+
+    # a failure on the calling thread still waits for the helper
+    calls = []
+
+    def failing_on_the_caller(e, x, work=None):
+        calls.append(threading.get_ident())
+        if threading.get_ident() == caller and len(calls) > 1:
+            raise failure
+        return real(e, x, work)
+
+    monkeypatch.setattr(teleport_mod, "_mean_branch_fidelity", failing_on_the_caller)
+    with pytest.raises(_HelperFailure) as raised:
+        average_fidelity_mc(DotParams(2.0, 0.2, 0.5), n=3 * _MC_CHUNK, seed=1)
+    assert raised.value is failure
+    assert hooked == [] and threading.enumerate() == before
+
+
+def test_monte_carlo_workers_see_the_callers_errstate(monkeypatch):
+    _on_cpus(monkeypatch, 2)
+    seen = set()
+    real = teleport_mod._mean_branch_fidelity
+
+    def recording(e, x, work=None):
+        seen.add((threading.get_ident(), np.geterr()["over"]))
+        return real(e, x, work)
+
+    monkeypatch.setattr(teleport_mod, "_mean_branch_fidelity", recording)
+    with np.errstate(over="raise"):
+        average_fidelity_mc(DotParams(2.0, 0.2, 0.5), n=2 * _MC_CHUNK, seed=1)
+    assert len(seen) == 2 and {over for _, over in seen} == {"raise"}
 
 
 def test_mean_branch_fidelity_keeps_the_out_of_place_bits():

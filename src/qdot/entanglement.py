@@ -53,17 +53,25 @@ def wootters_concurrence(rho: np.ndarray) -> ConcurrenceResult:
     rejects eigenvalues of rho below its floor; those left round up to zero
     before the square root.
     """
+    values, lams = _wootters(linalg.as_complex_matrix(rho))
+    return ConcurrenceResult(value=float(values), lambdas=tuple(lams.tolist()))
+
+
+def _wootters(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """wootters_concurrence over a (..., 4, 4) stack of states: the values
+    (...) and the descending lambdas (..., 4), from one eigensolver and one
+    SVD call."""
     rho = linalg.validate_density_matrix(rho, name="input state")
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise linalg.LinalgError(f"concurrence needs a 4x4 state, got {rho.shape}")
-    evals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+    evals, vecs = np.linalg.eigh(linalg._hermitian_part(rho))
     root_p = np.sqrt(np.clip(evals, 0.0, None))
     yy = kron(PAULI_Y, PAULI_Y)
-    flip_overlap = vecs.conj().T @ yy @ vecs.conj()
-    d = root_p[:, None] * flip_overlap * root_p[None, :]
+    flip_overlap = linalg._adjoint(vecs) @ yy @ vecs.conj()
+    d = root_p[..., :, None] * flip_overlap * root_p[..., None, :]
     lams = np.linalg.svd(d, compute_uv=False)
-    value = max(lams[0] - lams[1] - lams[2] - lams[3], 0.0)
-    return ConcurrenceResult(value=float(value), lambdas=tuple(float(x) for x in lams))
+    values = np.maximum(lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3], 0.0)
+    return values, lams
 
 
 def xstate_concurrence(e: ThermalElements) -> float:

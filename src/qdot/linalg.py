@@ -1,14 +1,14 @@
 """Dense complex linear algebra helpers for few-qubit operators.
 
 All routines work on plain numpy arrays with complex128 entries. The
-matrices in this package are at most 8x8, so every function favors strict
-validation and clarity over scale.
+matrices in this package are at most 8x8, and the oracles hand over whole
+grids of them at once, so the eigensolver, the density-matrix checks and
+the partial trace take stacks of shape (..., n, n) and check every matrix
+in one vectorised pass. A failing check reports the first failing matrix,
+in C order, with the message its single-matrix call would give.
 """
 
 from __future__ import annotations
-
-import math
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,11 +30,13 @@ class LinalgError(ValueError):
     """Raised when a matrix fails a structural precondition."""
 
 
-def as_complex_matrix(m: np.ndarray) -> np.ndarray:
-    """Coerce input to a finite 2-D complex128 array."""
+def as_complex_matrix(m: np.ndarray, stack: bool = False) -> np.ndarray:
+    """Coerce input to a finite 2-D complex128 array; with ``stack``, to a
+    finite stack of them, shape (..., rows, cols)."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise LinalgError(f"expected a 2-D matrix, got ndim={a.ndim}")
+    if a.ndim != 2 and not (stack and a.ndim > 2):
+        expected = "a 2-D matrix or a stack of them" if stack else "a 2-D matrix"
+        raise LinalgError(f"expected {expected}, got ndim={a.ndim}")
     if a.size == 0:
         raise LinalgError("empty matrix")
     if not np.isfinite(a).all():  # a complex entry is finite when both parts are
@@ -42,87 +44,80 @@ def as_complex_matrix(m: np.ndarray) -> np.ndarray:
     return a
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a^dag)/2 of each matrix, halved before the sum so that entries
+    near the float limit do not overflow; the same bits for normal entries.
+    Sums in place, so a stack costs two temporaries of its size."""
+    h = _adjoint(a)
+    h *= 0.5
+    h += 0.5 * a
+    return h
+
+
+def _first_above(values: np.ndarray, limit: float):
+    """The first of ``values``, in C order, above ``limit`` as a Python float,
+    or None when none is."""
+    over = np.asarray(values)[values > limit]
+    return over.flat[0].item() if over.size else None
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the first factor indexing blocks."""
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
-def partial_trace(
-    m: np.ndarray, dims: Sequence[int], keep: Iterable[int]
-) -> np.ndarray:
-    """Trace out all subsystems not listed in ``keep``.
+def trace_to_last_qubit(m: np.ndarray) -> np.ndarray:
+    """Trace out every factor but the last qubit: (..., 2k, 2k) -> (..., 2, 2).
 
-    Parameters
-    ----------
-    m : array, shape (prod(dims), prod(dims))
-        Operator on the tensor product of subsystems with dimensions ``dims``,
-        ordered to match the Kronecker convention of :func:`kron`.
-    dims : sequence of int
-        Dimension of each subsystem, first factor first.
-    keep : iterable of int
-        Indices (into ``dims``) of the subsystems to retain, in original order.
-
-    Returns
-    -------
-    array of shape (prod(kept dims), prod(kept dims)).
+    The operator is on (first factors) (x) qubit, in the Kronecker order of
+    :func:`kron`; a 2x2 operator is returned as it is.
     """
-    a = as_complex_matrix(m)
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise LinalgError(f"subsystem dimensions must be positive, got {dims}")
-    n = math.prod(dims)
-    if a.shape != (n, n):
-        raise LinalgError(f"shape {a.shape} does not factor as dims {dims}")
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise LinalgError("keep must name at least one subsystem")
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise LinalgError(f"keep indices {keep} out of range for {len(dims)} subsystems")
-
-    t = a.reshape(dims + dims)
-    nsub = len(dims)
-    for ax in reversed(range(len(dims))):
-        if ax in keep:
-            continue
-        t = np.trace(t, axis1=ax, axis2=ax + nsub)
-        nsub -= 1
-    d_keep = math.prod(dims[k] for k in keep)
-    return t.reshape(d_keep, d_keep)
+    a = as_complex_matrix(m, stack=True)
+    n = a.shape[-1]
+    if a.shape[-2] != n or n % 2:
+        raise LinalgError(f"shape {a.shape} is not an operator ending in a qubit")
+    return np.einsum("...iaib->...ab", a.reshape(*a.shape[:-2], n // 2, 2, n // 2, 2))
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or a stack of them.
 
     Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues in
     ascending order and orthonormal eigenvectors as columns. Rejects input
     whose anti-Hermitian part exceeds HERMITICITY_TOL entrywise.
     """
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    a = as_complex_matrix(m, stack=True)
+    if a.shape[-1] != a.shape[-2]:
         raise LinalgError(f"matrix is not square: {a.shape}")
-    dev = float(np.abs(a - a.conj().T).max())
-    if dev > HERMITICITY_TOL:
+    dev = _first_above(np.abs(a - _adjoint(a)).max(axis=(-2, -1)), HERMITICITY_TOL)
+    if dev is not None:
         raise LinalgError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    evals, evecs = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return evals, evecs
+    return np.linalg.eigh(_hermitian_part(a))
 
 
 def validate_density_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Check the density-matrix contract and return the coerced array.
+    """Check the density-matrix contract of a matrix, or of each matrix in a
+    stack, and return the coerced array.
 
     Requirements: square, Hermitian to 1e-12, unit trace to 1e-12, and all
     eigenvalues at least -1e-10.
     """
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    a = as_complex_matrix(m, stack=True)
+    if a.shape[-1] != a.shape[-2]:
         raise LinalgError(f"{name} is not square: {a.shape}")
-    herm_dev = float(np.abs(a - a.conj().T).max())
-    if herm_dev > DENSITY_HERMITICITY_TOL:
+    herm_dev = _first_above(np.abs(a - _adjoint(a)).max(axis=(-2, -1)), DENSITY_HERMITICITY_TOL)
+    if herm_dev is not None:
         raise LinalgError(f"{name} is not Hermitian (max deviation {herm_dev:.3e})")
-    trace_dev = abs(complex(np.trace(a)) - 1.0)
-    if trace_dev > DENSITY_TRACE_TOL:
+    trace_dev = _first_above(abs(np.trace(a, axis1=-2, axis2=-1) - 1.0), DENSITY_TRACE_TOL)
+    if trace_dev is not None:
         raise LinalgError(f"{name} trace deviates from 1 by {trace_dev:.3e}")
-    eig_min = float(np.linalg.eigvalsh((a + a.conj().T) / 2.0).min())
-    if eig_min < DENSITY_EIGENVALUE_FLOOR:
-        raise LinalgError(f"{name} has negative eigenvalue {eig_min:.3e}")
+    eig_min = np.linalg.eigvalsh(_hermitian_part(a)).min(axis=-1)
+    low = _first_above(-eig_min, -DENSITY_EIGENVALUE_FLOOR)
+    if low is not None:
+        raise LinalgError(f"{name} has negative eigenvalue {-low:.3e}")
     return a

@@ -129,10 +129,23 @@ def _libm(fn, x):
 def hamiltonian_matrix(p: DotParams) -> np.ndarray:
     """4x4 Hamiltonian in the product basis, assembled from spin operators."""
     _check_point(p)
+    return _hamiltonians(p.k0, p.r)
+
+
+def _hamiltonians(k0, r) -> np.ndarray:
+    """The Hamiltonian at every cell of k0 and r, shape (..., 4, 4). Raises
+    DomainError where an entry overflows, as k0/16 - r does at k0 = -r = 1.7e308."""
     sx, sy, sz = PAULI_X / 2.0, PAULI_Y / 2.0, PAULI_Z / 2.0
     exchange = kron(sx, sx) + kron(sy, sy) + kron(sz, sz)
     zeeman = kron(sz, IDENTITY_2) + kron(IDENTITY_2, sz)
-    return (p.k0 / 4.0) * exchange - p.r * zeeman
+    k0, r = np.asarray(k0)[..., None, None], np.asarray(r)[..., None, None]
+    with np.errstate(over="ignore"):
+        h = (k0 / 4.0) * exchange - r * zeeman
+    bad = ~np.isfinite(h).all(axis=(-2, -1))
+    if _any(bad):
+        k0, r = (_first(x[..., 0, 0], bad) for x in (k0, r))
+        raise DomainError(f"Hamiltonian entries overflow at k0={k0!r}, r={r!r}")
+    return h
 
 
 @dataclass(frozen=True)
@@ -211,18 +224,17 @@ def thermal_elements(p: DotParams) -> ThermalElements:
 def thermal_state(p: DotParams) -> np.ndarray:
     """Closed-form Gibbs state: an X-form 4x4 matrix in the product basis."""
     _check_point(p)
-    e = thermal_elements(p)
-    z = e.big_z
-    rho = np.array(
-        [
-            [e.u, 0.0, 0.0, 0.0],
-            [0.0, e.w, e.y, 0.0],
-            [0.0, e.y, e.w, 0.0],
-            [0.0, 0.0, 0.0, e.v],
-        ],
-        dtype=complex,
-    )
-    return rho / z
+    return _thermal_states(thermal_elements(p))
+
+
+def _thermal_states(e: ThermalElements) -> np.ndarray:
+    """The closed-form Gibbs state at every cell of the elements, (..., 4, 4)."""
+    rho = np.zeros((*np.shape(e.big_z), 4, 4), dtype=complex)
+    rho[..., 0, 0] = e.u
+    rho[..., 1, 1] = rho[..., 2, 2] = e.w
+    rho[..., 1, 2] = rho[..., 2, 1] = e.y
+    rho[..., 3, 3] = e.v
+    return rho / np.asarray(e.big_z)[..., None, None]
 
 
 def thermal_state_oracle(p: DotParams) -> np.ndarray:
@@ -230,13 +242,26 @@ def thermal_state_oracle(p: DotParams) -> np.ndarray:
 
     Independent of the closed form: diagonalizes the Hamiltonian matrix
     numerically and shifts by the ground energy before exponentiating, so the
-    result stays finite at any T > 0.
+    result stays finite at any T > 0. A level gap that overflows against T
+    gives its level weight 0. Raises DomainError where the spectrum is not
+    finite.
     """
-    h = hamiltonian_matrix(p)  # refuses arrays before T is compared
-    if p.T <= 0:
-        raise DomainError(f"thermal oracle needs T > 0, got T={p.T}")
-    evals, evecs = linalg.hermitian_eig(h)
-    weights = np.exp(-(evals - evals.min()) / p.T)
-    rho = (evecs * weights) @ evecs.conj().T
-    return rho / weights.sum()
+    _check_point(p)
+    return _thermal_state_oracles(p)
 
+
+def _thermal_state_oracles(p: DotParams) -> np.ndarray:
+    """thermal_state_oracle at every point of p, shape (..., 4, 4): one
+    eigensolver call and one weighted matmul over the Hamiltonian stack."""
+    h = _hamiltonians(p.k0, p.r)
+    if _any(p.T <= 0):
+        raise DomainError(f"thermal oracle needs T > 0, got T={_first(p.T, p.T <= 0)}")
+    evals, evecs = linalg.hermitian_eig(h)
+    bad = ~np.isfinite(evals).all(axis=-1)
+    if _any(bad):
+        k0, r = (_first(x, bad) for x in (p.k0, p.r))
+        raise DomainError(f"thermal oracle spectrum is not finite at k0={k0!r}, r={r!r}")
+    with np.errstate(over="ignore"):  # a gap past the float range weighs exp(-inf) = 0
+        weights = np.exp(-(evals - evals.min(axis=-1, keepdims=True)) / np.asarray(p.T)[..., None])
+    rho = (evecs * weights[..., None, :]) @ linalg._adjoint(evecs)
+    return rho / weights.sum(axis=-1)[..., None, None]

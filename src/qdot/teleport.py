@@ -29,9 +29,10 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron, partial_trace
+from . import linalg
+from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron
 from .model import DomainError, DotParams, ThermalElements, _check_broadcast, _check_point
-from .model import _check_real, _libm, _scalar, thermal_elements, thermal_state
+from .model import _any, _check_real, _first, _libm, _scalar, thermal_elements, thermal_state
 
 __all__ = [
     "InputState",
@@ -146,7 +147,15 @@ def bell_projectors() -> dict[BellOutcome, np.ndarray]:
 
 def joint_state(s: InputState, p: DotParams) -> np.ndarray:
     """8x8 state of input (x) channel before the measurement."""
-    return kron(input_density(s), thermal_state(p))
+    return _joint_states(input_density(s), thermal_state(p))
+
+
+def _joint_states(rho_in: np.ndarray, rho_ch: np.ndarray) -> np.ndarray:
+    """input (x) channel for stacks of input (..., 2, 2) and channel states
+    (..., 4, 4) whose leading axes broadcast, as (..., 8, 8): the entrywise
+    products of np.kron, in its order."""
+    prod = rho_in[..., :, None, :, None] * rho_ch[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], 8, 8)
 
 
 @functools.cache
@@ -165,17 +174,34 @@ def collapse_bruteforce(
 
     Returns the normalized collapsed 2x2 state and the branch probability.
     Purely mechanical: projector sandwich, partial trace over the first two
-    qubits, trace normalization.
+    qubits, trace normalization. Raises LinalgError unless ``joint`` is an
+    8x8 density matrix.
     """
+    state, z = _collapse_bruteforce(_joint_stack(linalg.as_complex_matrix(joint)), outcome)
+    return state, float(z)
+
+
+def _joint_stack(joint: np.ndarray) -> np.ndarray:
+    """The (..., 8, 8) stack of joint states, each checked as a density matrix."""
+    joint = linalg.as_complex_matrix(joint, stack=True)
+    if joint.shape[-2:] != (8, 8):
+        raise linalg.LinalgError(f"joint state must be 8x8, got {joint.shape}")
+    return linalg.validate_density_matrix(joint, name="joint state")
+
+
+def _collapse_bruteforce(joint: np.ndarray, outcome: BellOutcome):
+    """collapse_bruteforce over a checked (..., 8, 8) stack: the states
+    (..., 2, 2) and the probabilities (...)."""
     m = _lifted_projector(outcome)
     projected = m @ joint @ m.conj().T
-    z = float(np.trace(projected).real)
-    if z < _PROBABILITY_FLOOR:
+    z = np.trace(projected, axis1=-2, axis2=-1).real
+    low = z < _PROBABILITY_FLOOR
+    if _any(low):
         raise DomainError(
-            f"branch {outcome.value} has probability {z:.3e}, below {_PROBABILITY_FLOOR}"
+            f"branch {outcome.value} has probability {_first(z, low):.3e}, "
+            f"below {_PROBABILITY_FLOOR}"
         )
-    reduced = partial_trace(projected, (2, 2, 2), keep=(2,))
-    return reduced / z, z
+    return linalg.trace_to_last_qubit(projected) / z[..., None, None], z
 
 
 def _branch_weights(e: ThermalElements, c2, s2):
@@ -195,22 +221,34 @@ def collapsed_closed_form(
     conjugate azimuthal phase.
     """
     _check_point(s, e)
-    c2 = math.cos(s.theta / 2.0) ** 2
-    s2 = math.sin(s.theta / 2.0) ** 2
+    state, probability = _collapsed_closed_form((s,), e, outcome)
+    return state[0], float(probability[0])
+
+
+def _collapsed_closed_form(states, e: ThermalElements, outcome: BellOutcome):
+    """collapsed_closed_form at every cell of the elements (...) and each of
+    the input states (n): the states (..., n, 2, 2) and the probabilities
+    (..., n). The inputs' trig is taken by math and cmath, one state at a
+    time; the elements meet it through +, -, * and / only."""
+    c2 = np.array([math.cos(s.theta / 2.0) ** 2 for s in states])
+    s2 = np.array([math.sin(s.theta / 2.0) ** 2 for s in states])
+    sin_t = np.array([math.sin(s.theta) for s in states])
+    ph = np.array([cmath.exp(-1j * s.phi) for s in states])
+    e = ThermalElements(**{name: np.asarray(f)[..., None] for name, f in vars(e).items()})
     z1, z2 = _branch_weights(e, c2, s2)
-    off = 0.5 * e.y * math.sin(s.theta)
-    ph = cmath.exp(-1j * s.phi)
+    off = 0.5 * e.y * sin_t
     if outcome.subspace == "o":
         top, bot, z = e.w * c2 + e.u * s2, e.v * c2 + e.w * s2, z1
     else:
-        top, bot, z, ph = e.u * c2 + e.w * s2, e.w * c2 + e.v * s2, z2, ph.conjugate()
+        top, bot, z, ph = e.u * c2 + e.w * s2, e.w * c2 + e.v * s2, z2, ph.conj()
     if outcome in (BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS):
         off = -off
     corner = off * ph
 
-    state = np.array([[top, corner], [corner.conjugate(), bot]], dtype=complex) / z
-    probability = z / (2.0 * e.big_z)
-    return state, probability
+    state = np.empty((*np.shape(z), 2, 2), dtype=complex)
+    state[..., 0, 0], state[..., 0, 1] = top, corner
+    state[..., 1, 0], state[..., 1, 1] = corner.conj(), bot
+    return state / z[..., None, None], z / (2.0 * e.big_z)
 
 
 _CORRECTIONS = {
@@ -233,11 +271,17 @@ def output_states(s: InputState, p: DotParams) -> tuple[np.ndarray, np.ndarray]:
     The two Psi branches collapse to one state after correction and the two
     Phi branches to another; this returns that pair (rho_o, rho_e).
     """
-    e = thermal_elements(p)
-    rho_o, _ = collapsed_closed_form(s, e, BellOutcome.PSI_MINUS)
-    rho_e, _ = collapsed_closed_form(s, e, BellOutcome.PHI_MINUS)
-    rho_e = pauli_correction(BellOutcome.PHI_MINUS, rho_e)
-    return rho_o, rho_e
+    _check_point(s, p)
+    rho_o, rho_e = _output_states((s,), thermal_elements(p))
+    return rho_o[0], rho_e[0]
+
+
+def _output_states(states, e: ThermalElements) -> tuple[np.ndarray, np.ndarray]:
+    """output_states at every cell of the elements and each input state, as
+    stacks (..., n, 2, 2)."""
+    rho_o, _ = _collapsed_closed_form(states, e, BellOutcome.PSI_MINUS)
+    rho_e, _ = _collapsed_closed_form(states, e, BellOutcome.PHI_MINUS)
+    return rho_o, pauli_correction(BellOutcome.PHI_MINUS, rho_e)
 
 
 def fidelity(s: InputState, rho_out: np.ndarray) -> float:

@@ -5,6 +5,10 @@ held to. Two checks carry method floors of their own: the critical
 temperature is located by bisection (floor 1e-6) and the quadrature versus
 Monte Carlo comparison is statistical (floor 4 standard errors, at least
 1e-14, per point). The caller tolerance applies to everything else.
+
+Every check evaluates its whole grid as arrays, through the stacked routes
+that the public point functions call with one element, so a check reports
+the max deviation a loop over those point functions would.
 """
 
 from __future__ import annotations
@@ -60,15 +64,18 @@ class CheckResult:
         )
 
 
-def _params(grid):
-    """DotParams over the product of a grid's k0, r and T values."""
-    for k0, r, T in itertools.product(grid["k0"], grid["r"], grid["T"]):
-        yield model.DotParams(k0=k0, r=r, T=T)
+def _params(grid) -> model.DotParams:
+    """DotParams of flat arrays over the product of a grid's k0, r and T
+    values, in itertools.product order (T fastest)."""
+    axes = np.meshgrid(grid["k0"], grid["r"], grid["T"], indexing="ij")
+    return model.DotParams(*(axis.ravel() for axis in axes))
 
 
 def _input_states():
-    for theta, phi in itertools.product(TELEPORT_GRID["theta"], TELEPORT_GRID["phi"]):
-        yield teleport.InputState(theta=theta, phi=phi)
+    return [
+        teleport.InputState(theta=theta, phi=phi)
+        for theta, phi in itertools.product(TELEPORT_GRID["theta"], TELEPORT_GRID["phi"])
+    ]
 
 
 def _check(name: str):
@@ -100,46 +107,56 @@ def bisect_critical_temperature(k0: float, r: float, lo: float = 0.02, hi: float
     ends on every finite bracket and needs no width. It takes one point.
     """
     model._check_point(k0, r, lo, hi)
+    return _bisect(*(np.array([x]) for x in (k0, r, lo, hi)))[0].item()
 
-    def entangled(T: float) -> bool:
+
+def _bisect(k0: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """bisect_critical_temperature over 1-D arrays of brackets at once. Each
+    step evaluates the predicate at the midpoints of the brackets still
+    open; a bracket closes, and keeps its midpoint, once that equals an end."""
+
+    def entangled(k0, r, T):
         return entanglement.model_concurrence(model.DotParams(k0=k0, r=r, T=T)) > 0.0
 
-    if not entangled(lo):
-        raise DomainError(f"bracket low end T={lo} is not entangled for k0={k0}, r={r}")
-    if entangled(hi):
-        raise DomainError(f"bracket high end T={hi} is still entangled for k0={k0}, r={r}")
+    for end, name, want in ((lo, "low", True), (hi, "high", False)):
+        bad = entangled(k0, r, end) != want
+        if bad.any():
+            T, k, f = (model._first(x, bad) for x in (end, k0, r))
+            state = "is not entangled" if want else "is still entangled"
+            raise DomainError(f"bracket {name} end T={T} {state} for k0={k}, r={f}")
+    lo, hi = lo.astype(float), hi.astype(float)  # copies, which the steps overwrite
     # halving each end first cannot overflow, and gives 0.5 * (lo + hi) where that does not
-    while (mid := 0.5 * lo + 0.5 * hi) not in (lo, hi):
-        if entangled(mid):
-            lo = mid
-        else:
-            hi = mid
+    mid = 0.5 * lo + 0.5 * hi
+    while (open_ := (mid != lo) & (mid != hi)).any():
+        m = mid[open_]
+        below = entangled(k0[open_], r[open_], m)
+        lo[open_], hi[open_] = np.where(below, m, lo[open_]), np.where(below, hi[open_], m)
+        mid = 0.5 * lo + 0.5 * hi
     return mid
 
 
 @_check("thermal state vs spectral oracle")
 def check_thermal_oracle(tolerance: float):
     """Closed-form Gibbs state against spectral exp(-H/T)/Z, entrywise."""
-    dev = 0.0
-    for p in _params(GRID):
-        closed = model.thermal_state(p)
-        oracle = model.thermal_state_oracle(p)
-        dev = max(dev, float(np.abs(closed - oracle).max()))
+    p = _params(GRID)
+    closed = model._thermal_states(model.thermal_elements(p))
+    oracle = model._thermal_state_oracles(p)
+    dev = float(np.abs(closed - oracle).max())
     return dev <= tolerance, dev, tolerance
 
 
 @_check("concurrence triple agreement")
 def check_concurrence_triple(tolerance: float):
     """Model form vs X-state form vs Wootters, plus zero for k0 < 0."""
-    dev = 0.0
-    ferro_max = 0.0
-    for p in _params(GRID):
-        c_model = entanglement.model_concurrence(p)
-        c_x = entanglement.xstate_concurrence(model.thermal_elements(p))
-        c_w = entanglement.wootters_concurrence(model.thermal_state(p)).value
-        dev = max(dev, abs(c_model - c_x), abs(c_model - c_w), abs(c_x - c_w))
-        if p.k0 < 0:
-            ferro_max = max(ferro_max, c_model, c_x, c_w)
+    p = _params(GRID)
+    e = model.thermal_elements(p)
+    c_model = entanglement.model_concurrence(p)
+    c_x = entanglement.xstate_concurrence(e)
+    c_w, _ = entanglement._wootters(model._thermal_states(e))
+    dev = float(max(np.abs(c_model - c_x).max(), np.abs(c_model - c_w).max(),
+                    np.abs(c_x - c_w).max()))
+    ferro = p.k0 < 0
+    ferro_max = float(np.max([c_model[ferro], c_x[ferro], c_w[ferro]], initial=0.0))
     passed = dev <= tolerance and ferro_max == 0.0
     detail = "ferromagnetic points all exactly 0" if ferro_max == 0.0 else (
         f"nonzero concurrence {ferro_max:.3e} at k0 < 0"
@@ -151,11 +168,9 @@ def check_concurrence_triple(tolerance: float):
 def check_critical_temperature(tolerance: float):
     """Bisection transition temperature against k0/(4 ln 3), at several fields."""
     threshold = max(tolerance, _TC_FLOOR)
-    dev = 0.0
-    for k0 in (1.0, 4.0, 10.0):
-        expected = entanglement.critical_temperature(k0)
-        for r in (0.0, 1.0, 4.0):
-            dev = max(dev, abs(bisect_critical_temperature(k0, r) - expected))
+    k0, r = (a.ravel() for a in np.meshgrid((1.0, 4.0, 10.0), (0.0, 1.0, 4.0), indexing="ij"))
+    roots = _bisect(k0, r, np.full(k0.shape, 0.02), np.full(k0.shape, 3.0))
+    dev = float(np.abs(roots - entanglement.critical_temperature(k0)).max())
     return (
         dev <= threshold,
         dev,
@@ -167,45 +182,42 @@ def check_critical_temperature(tolerance: float):
 @_check("teleportation collapse vs brute force")
 def check_collapse(tolerance: float):
     """Closed-form collapsed branches against 8x8 projection."""
+    p = _params(TELEPORT_GRID)
+    e = model.thermal_elements(p)
+    states = _input_states()
+    inputs = np.array([teleport.input_density(s) for s in states])
+    # every channel with every input, (27, 20, 8, 8), checked once for all outcomes
+    joint = teleport._joint_stack(teleport._joint_states(inputs, model._thermal_states(e)[:, None]))
     dev = 0.0
-    for p in _params(TELEPORT_GRID):
-        e = model.thermal_elements(p)
-        for s in _input_states():
-            joint = teleport.joint_state(s, p)
-            for outcome in teleport.BellOutcome:
-                closed_state, closed_prob = teleport.collapsed_closed_form(s, e, outcome)
-                brute_state, brute_prob = teleport.collapse_bruteforce(joint, outcome)
-                dev = max(
-                    dev,
-                    float(np.abs(closed_state - brute_state).max()),
-                    abs(closed_prob - brute_prob),
-                )
+    for outcome in teleport.BellOutcome:  # one outcome at a time keeps the peak heap small
+        closed_state, closed_prob = teleport._collapsed_closed_form(states, e, outcome)
+        brute_state, brute_prob = teleport._collapse_bruteforce(joint, outcome)
+        dev = max(
+            dev,
+            float(np.abs(closed_state - brute_state).max()),
+            float(np.abs(closed_prob - brute_prob).max()),
+        )
     return dev <= tolerance, dev, tolerance
 
 
 @_check("branch probability completeness")
 def check_completeness(tolerance: float):
     """The four branch probabilities sum to one at every grid point."""
-    dev = 0.0
-    for p in _params(TELEPORT_GRID):
-        e = model.thermal_elements(p)
-        for s in _input_states():
-            total = sum(
-                teleport.collapsed_closed_form(s, e, outcome)[1]
-                for outcome in teleport.BellOutcome
-            )
-            dev = max(dev, abs(total - 1.0))
+    e = model.thermal_elements(_params(TELEPORT_GRID))
+    states = _input_states()
+    total = 0.0
+    for outcome in teleport.BellOutcome:  # summed in outcome order, as a point call would
+        total = total + teleport._collapsed_closed_form(states, e, outcome)[1]
+    dev = float(np.abs(total - 1.0).max())
     return dev <= tolerance, dev, tolerance
 
 
 @_check("output states coincide at r = 0")
 def check_r0_coincidence(tolerance: float):
     """With the field off, the two corrected outputs are one state."""
-    dev = 0.0
-    for p in _params({**TELEPORT_GRID, "r": (0.0,)}):
-        for s in _input_states():
-            rho_o, rho_e = teleport.output_states(s, p)
-            dev = max(dev, float(np.abs(rho_o - rho_e).max()))
+    e = model.thermal_elements(_params({**TELEPORT_GRID, "r": (0.0,)}))
+    rho_o, rho_e = teleport._output_states(_input_states(), e)
+    dev = float(np.abs(rho_o - rho_e).max())
     return dev <= tolerance, dev, tolerance
 
 
@@ -213,11 +225,9 @@ def check_r0_coincidence(tolerance: float):
 def check_subspace_order(tolerance: float):
     """F_o >= F_e on the grid at theta = pi/3 (the ordering can reverse
     past theta = pi/2, so the scan pins the representative angle)."""
-    worst = math.inf
     s = teleport.InputState(theta=math.pi / 3.0, phi=0.0)
-    for p in _params(TELEPORT_GRID):
-        f_o, f_e = teleport.subspace_fidelities(s, p)
-        worst = min(worst, f_o - f_e)
+    f_o, f_e = teleport.subspace_fidelities(s, _params(TELEPORT_GRID))
+    worst = float((f_o - f_e).min())
     dev = max(0.0, -worst)
     return (
         worst >= -tolerance,

@@ -12,7 +12,7 @@ from qdot.linalg import (
     as_complex_matrix,
     hermitian_eig,
     kron,
-    partial_trace,
+    trace_to_last_qubit,
     validate_density_matrix,
 )
 
@@ -99,67 +99,71 @@ def explicit_partial_trace_two_qubits(m, keep):
     return out
 
 
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+
+
 def test_partial_trace_against_explicit_sum():
+    # one stack of 25 operators; the swap moves the first qubit last
     rng = np.random.default_rng(3)
-    for _ in range(25):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        for keep in ((0,), (1,)):
-            got = partial_trace(m, (2, 2), keep)
-            want = explicit_partial_trace_two_qubits(m, keep)
-            np.testing.assert_allclose(got, want, atol=1e-13)
+    ms = rng.normal(size=(25, 4, 4)) + 1j * rng.normal(size=(25, 4, 4))
+    got_b = trace_to_last_qubit(ms)
+    got_a = trace_to_last_qubit(SWAP @ ms @ SWAP)
+    assert got_b.shape == got_a.shape == (25, 2, 2)
+    for m, b, a in zip(ms, got_b, got_a):
+        np.testing.assert_allclose(b, explicit_partial_trace_two_qubits(m, (1,)), atol=1e-13)
+        np.testing.assert_allclose(a, explicit_partial_trace_two_qubits(m, (0,)), atol=1e-13)
 
 
 def test_partial_trace_product_state():
     rng = np.random.default_rng(5)
     rho_a = random_density(rng, 2)
     rho_b = random_density(rng, 2)
-    joint = kron(rho_a, rho_b)
-    np.testing.assert_allclose(partial_trace(joint, (2, 2), (0,)), rho_a, atol=1e-13)
-    np.testing.assert_allclose(partial_trace(joint, (2, 2), (1,)), rho_b, atol=1e-13)
+    np.testing.assert_allclose(trace_to_last_qubit(kron(rho_b, rho_a)), rho_a, atol=1e-13)
+    np.testing.assert_allclose(trace_to_last_qubit(kron(rho_a, rho_b)), rho_b, atol=1e-13)
 
 
 def test_partial_trace_bell_state_is_maximally_mixed():
     psi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     rho = np.outer(psi, psi.conj())
-    for keep in ((0,), (1,)):
-        np.testing.assert_allclose(
-            partial_trace(rho, (2, 2), keep), IDENTITY_2 / 2, atol=1e-15
-        )
+    for m in (rho, SWAP @ rho @ SWAP):
+        np.testing.assert_allclose(trace_to_last_qubit(m), IDENTITY_2 / 2, atol=1e-15)
 
 
 def test_partial_trace_three_subsystems():
+    # the leading two qubits go at once, for a single operator and a stack
     rng = np.random.default_rng(13)
     parts = [random_density(rng, 2) for _ in range(3)]
     joint = kron(kron(parts[0], parts[1]), parts[2])
-    # keep the middle factor
-    got = partial_trace(joint, (2, 2, 2), (1,))
-    np.testing.assert_allclose(got, parts[1], atol=1e-13)
-    # keep a pair
-    got = partial_trace(joint, (2, 2, 2), (0, 2))
-    np.testing.assert_allclose(got, kron(parts[0], parts[2]), atol=1e-13)
+    np.testing.assert_allclose(trace_to_last_qubit(joint), parts[2], atol=1e-13)
+    stack = np.stack([joint, kron(kron(parts[2], parts[0]), parts[1])])
+    got = trace_to_last_qubit(stack)
+    np.testing.assert_allclose(got[0], parts[2], atol=1e-13)
+    np.testing.assert_allclose(got[1], parts[1], atol=1e-13)
 
 
 def test_partial_trace_preserves_trace():
     rng = np.random.default_rng(17)
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    reduced = partial_trace(m, (2, 2, 2), (2,))
+    reduced = trace_to_last_qubit(m)
     np.testing.assert_allclose(np.trace(reduced), np.trace(m), atol=1e-12)
 
 
 def test_partial_trace_keep_everything_is_identity_map():
+    # a lone qubit has nothing in front of it to trace out
     rng = np.random.default_rng(19)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    np.testing.assert_allclose(partial_trace(m, (2, 2), (0, 1)), m)
+    m = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    assert np.array_equal(trace_to_last_qubit(m), m)
 
 
 def test_partial_trace_input_validation():
-    m = np.eye(4, dtype=complex)
     with pytest.raises(LinalgError):
-        partial_trace(m, (2, 3), (0,))  # dims do not factor the matrix
+        trace_to_last_qubit(np.eye(3, dtype=complex))  # no trailing qubit
     with pytest.raises(LinalgError):
-        partial_trace(m, (2, 2), (2,))  # index out of range
+        trace_to_last_qubit(np.ones((4, 2), dtype=complex))  # not square
     with pytest.raises(LinalgError):
-        partial_trace(m, (2, 2), ())  # nothing kept
+        trace_to_last_qubit(np.ones(4, dtype=complex))  # not a matrix
+    with pytest.raises(LinalgError):
+        trace_to_last_qubit(np.full((2, 2), np.nan))  # not finite
 
 
 def test_hermitian_eig_known_spectrum():

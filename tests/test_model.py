@@ -344,3 +344,31 @@ def test_singlet_triplet_unitary_inverse_pair(singlet_triplet_unitary):
     u, u_inv = singlet_triplet_unitary
     np.testing.assert_allclose(u @ u_inv, np.eye(4), atol=1e-15)
     np.testing.assert_allclose(u_inv, u.conj().T, atol=1e-15)
+
+
+def test_oracle_at_extreme_points_warns_nothing_and_returns_no_nan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # T = 1e-320: every level gap over T overflows to an excited weight of 0
+        rho = thermal_state_oracle(DotParams(1, 0, 1e-320))
+        singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        np.testing.assert_allclose(rho, np.outer(singlet, singlet), atol=1e-15)
+        # entries near 1e308: (h + h^dag)/2 would overflow before the eigensolver
+        rho = thermal_state_oracle(DotParams(1e308, 1e308, 1e-300))
+        assert np.isfinite(rho).all()
+        np.testing.assert_allclose(rho, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-15)
+        # k0/16 - r past the float range is a domain error, not an infinite matrix
+        with pytest.raises(DomainError, match="Hamiltonian entries overflow at k0=1.7e"):
+            thermal_state_oracle(DotParams(1.7e308, -1.7e308, 1.0))
+        with pytest.raises(DomainError, match="overflow"):
+            hamiltonian_matrix(DotParams(1.7e308, -1.7e308, 1.0))
+
+
+def test_oracle_stack_names_the_first_cold_point():
+    from qdot.model import _thermal_state_oracles
+
+    p = DotParams(np.array([1.0, 2.0, 3.0]), 0.0, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(DomainError, match=r"needs T > 0, got T=0.0$"):
+        _thermal_state_oracles(p)
+    with pytest.raises(DomainError, match=r"needs T > 0, got T=0$"):
+        thermal_state_oracle(DotParams(1, 0, 0))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qdot.teleport as teleport_mod
-from qdot.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron, partial_trace
+from qdot.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron
 from qdot.model import DomainError, DotParams, hamiltonian_matrix, thermal_elements
 from qdot.model import thermal_state, thermal_state_oracle
 from qdot.teleport import (
@@ -77,11 +77,13 @@ def test_joint_state_marginals():
     joint = joint_state(STATE, CHANNEL)
     assert joint.shape == (8, 8)
     assert abs(np.trace(joint).real - 1.0) < 1e-14
+    # the marginals as explicit index sums over input (2) x channel (4)
+    blocks = joint.reshape(2, 4, 2, 4)
     np.testing.assert_allclose(
-        partial_trace(joint, (2, 2, 2), (0,)), input_density(STATE), atol=1e-14
+        np.einsum("iaja->ij", blocks), input_density(STATE), atol=1e-14
     )
     np.testing.assert_allclose(
-        partial_trace(joint, (2, 2, 2), (1, 2)), thermal_state(CHANNEL), atol=1e-14
+        np.einsum("iaib->ab", blocks), thermal_state(CHANNEL), atol=1e-14
     )
 
 
@@ -110,6 +112,36 @@ def test_degenerate_branch_is_rejected():
         collapse_bruteforce(joint, BellOutcome.PSI_MINUS)
     with pytest.raises(DomainError):
         collapse_bruteforce(joint, BellOutcome.PSI_PLUS)
+
+
+def test_collapse_bruteforce_takes_only_an_8x8_density_matrix():
+    from qdot.linalg import LinalgError
+
+    with pytest.raises(LinalgError, match="8x8"):
+        collapse_bruteforce(thermal_state(CHANNEL), BellOutcome.PSI_MINUS)  # 4x4
+    with pytest.raises(LinalgError, match="trace deviates"):
+        collapse_bruteforce(2.0 * np.eye(8), BellOutcome.PSI_MINUS)  # probability 4
+    with pytest.raises(LinalgError, match="2-D"):
+        collapse_bruteforce(np.stack([joint_state(STATE, CHANNEL)] * 2), BellOutcome.PSI_MINUS)
+    bad = joint_state(STATE, CHANNEL)
+    bad[0, 1] += 1e-6
+    with pytest.raises(LinalgError, match="not Hermitian"):
+        collapse_bruteforce(bad, BellOutcome.PSI_MINUS)
+
+
+def test_collapse_stack_checks_every_joint_state():
+    from qdot.linalg import LinalgError
+
+    good = joint_state(STATE, CHANNEL)
+    stack = np.stack([good, good, np.diag([2.0, -1.0, 0, 0, 0, 0, 0, 0])])
+    with pytest.raises(LinalgError, match="joint state has negative eigenvalue -1.000e"):
+        teleport_mod._joint_stack(stack)
+    states, probs = teleport_mod._collapse_bruteforce(
+        teleport_mod._joint_stack(stack[:2]), BellOutcome.PHI_PLUS
+    )
+    want_state, want_prob = collapse_bruteforce(good, BellOutcome.PHI_PLUS)
+    assert states.shape == (2, 2, 2) and probs.shape == (2,)
+    assert np.array_equal(states[1], want_state) and probs[1] == want_prob
 
 
 def test_closed_form_matches_bruteforce():

@@ -1,14 +1,16 @@
 """Command line front end.
 
 Subcommands: concurrence, fidelity, tc, ground-state, fig, verify.
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 numeric
-domain error (for example a sweep that touches T = 0).
+Exit codes: 0 success, 1 usage error or unwritable output (including a
+reader that closes stdout early), 2 verification failure, 3 numeric domain
+error (for example a sweep that touches T = 0).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 
@@ -22,8 +24,8 @@ from .sweep import (
     SweepSpec,
     UsageError,
     figure_preset,
-    format_csv,
     format_json,
+    iter_csv,
     run_figure,
     run_sweep,
 )
@@ -218,15 +220,17 @@ def build_parser() -> _Parser:
 
 
 def _emit(table: dict[str, np.ndarray], args) -> None:
-    text = format_csv(table) if args.format == "csv" else format_json(table)
+    # CSV is written chunk by chunk as it is formatted, never held whole; the
+    # file opens only now, so a sweep that raised has left none
+    pieces = iter_csv(table) if args.format == "csv" else (format_json(table),)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise UsageError(f"cannot write {args.out!r}: {exc}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _fixed_params(args) -> dict[str, float]:
@@ -284,7 +288,14 @@ def main(argv: list[str] | None = None) -> int:
                 args = parser.parse_args([args.command, *tokens, *argv[1:]])
             except UsageError as exc:  # argv parsed cleanly, so the file is at fault
                 raise UsageError(f"{path}: {exc}") from None
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so that the
+        # flush at exit stays quiet, and fail as an unwritable --out does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,8 +1,8 @@
 """Parameter sweeps over the model, with CSV/JSON emission.
 
 A sweep varies one or two parameters on inclusive uniform grids while the
-rest stay fixed, and evaluates each requested quantity once over the whole
-grid into one named column. Rows run in lexicographic axis order and are
+rest stay fixed, and evaluates each requested quantity into one named column,
+block by block over the grid. Rows run in lexicographic axis order and are
 byte-stable: the same spec always renders the same text.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,9 @@ SWEEPABLE = ("k0", "r", "T", "theta")
 QUANTITY_NAMES = ("C", "Tc", "F_o", "F_e", "F_a", "populations")
 _FIDELITY_QUANTITIES = frozenset({"F_o", "F_e", "F_a"})
 _POPULATION_COLUMNS = ("p11", "p10", "p01", "p00")
+# Grid cells per evaluation block: run_sweep's temporaries scale with this,
+# not with the grid.
+_EVAL_BLOCK = 1 << 14
 
 
 class UsageError(ValueError):
@@ -121,31 +125,45 @@ class SweepSpec:
 def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
     """Evaluate a sweep into a table: column name -> one flat float column.
 
-    Each quantity is evaluated once, over the whole grid. The axis columns
-    come first, then the quantities in request order; NaN marks an absent
-    value (Tc where there is no transition).
+    The axis columns come first, then the quantities in request order; NaN
+    marks an absent value (Tc where there is no transition). Tc is one call
+    over k0. The other quantities fill their columns over blocks of
+    _EVAL_BLOCK cells in grid order; each is elementwise, so a cell has the
+    bits of the whole-grid call and a sweep raises at its first bad cell.
+    A column whose inputs are all fixed is a zero-stride view.
     """
     grid = spec.grid()
     size = math.prod(a.steps for a in spec.axes)
-    thermal = set(spec.quantities) != {"Tc"}
-    params = DotParams(grid["k0"], grid["r"], grid["T"]) if thermal else None
     table = {a.name: grid[a.name] for a in spec.axes}
-    fids = None  # (F_o, F_e), evaluated together
+    thermal = {q: _POPULATION_COLUMNS if q == "populations" else (q,)
+               for q in spec.quantities if q != "Tc"}
     for q in spec.quantities:
         if q == "Tc":
             # an array k0, so that no transition reads NaN rather than None
             table[q] = critical_temperature(np.atleast_1d(grid["k0"]))
-        elif q == "C":
-            table[q] = model_concurrence(params)
-        elif q in ("F_o", "F_e"):
-            fids = fids or subspace_fidelities(InputState(grid["theta"], grid["phi"]), params)
-            table[q] = fids[q == "F_e"]
-        elif q == "F_a":
-            table[q] = average_fidelity_closed_form(params)
-        elif q == "populations":
-            e = thermal_elements(params)
-            pops = (e.u / e.big_z, e.w / e.big_z, e.w / e.big_z, e.v / e.big_z)
-            table.update(zip(_POPULATION_COLUMNS, pops))
+        else:
+            table.update((name, np.empty(size)) for name in thermal[q])
+    for start in range(0, size if thermal else 0, _EVAL_BLOCK):
+        cells = slice(start, start + _EVAL_BLOCK)
+        at = {n: v[cells] if isinstance(v, np.ndarray) else v for n, v in grid.items()}
+        params = DotParams(at["k0"], at["r"], at["T"])
+        fids = None  # (F_o, F_e), evaluated together
+        for q, names in thermal.items():
+            if q == "C":
+                values = (model_concurrence(params),)
+            elif q in ("F_o", "F_e"):
+                fids = fids or subspace_fidelities(InputState(at["theta"], at["phi"]), params)
+                values = (fids[q == "F_e"],)
+            elif q == "F_a":
+                values = (average_fidelity_closed_form(params),)
+            else:  # populations
+                e = thermal_elements(params)
+                values = (e.u / e.big_z, e.w / e.big_z, e.w / e.big_z, e.v / e.big_z)
+            for name, value in zip(names, values):
+                if np.ndim(value):
+                    table[name][cells] = value
+                else:  # every input fixed: one value, broadcast below
+                    table[name] = value
     return {name: np.broadcast_to(np.asarray(c, float), size) for name, c in table.items()}
 
 
@@ -217,13 +235,13 @@ def _format_cells(chunk: np.ndarray) -> np.ndarray:
     return np.array(texts, object)[inverse]
 
 
-def format_csv(table: dict[str, np.ndarray]) -> str:
-    """Render a table as CSV: 17 significant digits, LF newlines, no trailing
-    delimiter; NaN (Tc without a transition) is an empty cell. Each distinct
-    value of a column is formatted once per chunk of rows, so an axis or panel
-    column costs its distinct values, not its rows."""
+def iter_csv(table: dict[str, np.ndarray]) -> Iterator[str]:
+    """A table's CSV text in pieces: the header line, then one string per
+    chunk of rows, so a writer never holds the whole text. Each distinct value
+    of a column is formatted once per chunk, so an axis or panel column costs
+    its distinct values, not its rows."""
     size = len(next(iter(table.values())))
-    parts = [",".join(table), "\n"]
+    yield ",".join(table) + "\n"
     for start in range(0, size, _CSV_CHUNK_ROWS):
         chunk = [col[start:start + _CSV_CHUNK_ROWS] for col in table.values()]
         # Rows as cell, ",", cell, ..., "\n" in one join per chunk. A string per
@@ -233,8 +251,14 @@ def format_csv(table: dict[str, np.ndarray]) -> str:
         cells[:, -1] = "\n"
         for j, col in enumerate(chunk):
             cells[:, 2 * j] = _format_cells(col)
-        parts.append("".join(cells.ravel().tolist()))
-    return "".join(parts)
+        yield "".join(cells.ravel().tolist())
+
+
+def format_csv(table: dict[str, np.ndarray]) -> str:
+    """Render a table as CSV: 17 significant digits, LF newlines, no trailing
+    delimiter; NaN (Tc without a transition) is an empty cell. The joined
+    pieces of iter_csv."""
+    return "".join(iter_csv(table))
 
 
 def format_json(table: dict[str, np.ndarray]) -> str:

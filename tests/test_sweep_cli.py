@@ -1,10 +1,12 @@
 """Tests for the sweep engine, figure presets, formatters, and the CLI."""
 
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import qdot
+import qdot.cli as cli_mod
 import qdot.model as model_mod
 import qdot.sweep as sweep_mod
 from qdot.cli import main, parse_angle, parse_axis, parse_quantities
@@ -24,6 +27,7 @@ from qdot.sweep import (
     figure_preset,
     format_csv,
     format_json,
+    iter_csv,
     run_figure,
     run_sweep,
 )
@@ -152,6 +156,71 @@ def test_run_sweep_point_values():
             # NaN in a Tc cell is the scalar call's None
             cells = [None if math.isnan(x) else x for x in row[len(axes):]]
             assert cells == _scalar_row(point, quantities)
+
+
+def _whole_grid_columns(spec):
+    """run_sweep's quantity columns from one array call each over the whole grid."""
+    grid = spec.grid()
+    p = DotParams(grid["k0"], grid["r"], grid["T"])
+    e = thermal_elements(p)
+    f_o, f_e = subspace_fidelities(InputState(grid["theta"], grid["phi"]), p)
+    columns = {
+        "C": model_concurrence(p),
+        "Tc": critical_temperature(np.atleast_1d(grid["k0"])),
+        "F_o": f_o,
+        "F_e": f_e,
+        "F_a": average_fidelity_closed_form(p),
+        "p11": e.u / e.big_z,
+        "p10": e.w / e.big_z,
+        "p01": e.w / e.big_z,
+        "p00": e.v / e.big_z,
+    }
+    size = math.prod(a.steps for a in spec.axes)
+    return {k: np.broadcast_to(np.asarray(v, float), size) for k, v in columns.items()}
+
+
+@pytest.mark.parametrize("axes, fixed, fixed_columns", [
+    # past the level crossing, k0 of both signs (Tc absent): every column varies
+    ((Axis("k0", -1.0, 6.0, 150), Axis("r", 0.0, 2.5, 150)),
+     {"T": 0.3, "theta": math.pi / 3, "phi": 0.4}, set()),
+    # Tc at a fixed k0 is one value over the grid
+    ((Axis("theta", 0.0, math.pi, 130), Axis("T", 0.05, 2.0, 131)),
+     {"k0": 4.0, "r": 1.3, "phi": 1.1}, {"Tc"}),
+    # only the conditional fidelities see a lone theta axis
+    ((Axis("theta", 0.0, math.pi, 40_000),),
+     {"k0": 4.0, "r": 0.3, "T": 0.4, "phi": 0.0},
+     {"C", "Tc", "F_a", "p11", "p10", "p01", "p00"}),
+])
+def test_run_sweep_blocks_keep_the_whole_grid_bits(axes, fixed, fixed_columns):
+    # the grid spans at least two evaluation blocks and ends in a partial one;
+    # every cell equals the whole-grid array call, and a column whose inputs
+    # are all fixed stays a zero-stride view
+    spec = SweepSpec(axes, fixed, ("C", "Tc", "F_o", "F_e", "F_a", "populations"))
+    size = math.prod(a.steps for a in axes)
+    assert size > sweep_mod._EVAL_BLOCK and size % sweep_mod._EVAL_BLOCK
+    table = run_sweep(spec)
+    expected = _whole_grid_columns(spec)
+    assert list(table) == [a.name for a in axes] + list(expected)
+    for name, column in expected.items():
+        assert table[name].tobytes() == column.tobytes(), name
+        assert (table[name].strides == (0,)) == (name in fixed_columns), name
+
+
+def test_run_sweep_peak_memory_is_one_block():
+    # 300x300 cells of C: evaluated over the whole grid at once, run_sweep's
+    # traced peak stood 6.6 MiB above the three columns it returns; over
+    # blocks of 16,384 cells it is 1.5-1.7 MiB, and the bound is 3 MiB
+    spec = SweepSpec((Axis("k0", -2.0, 10.0, 300), Axis("r", 0.0, 2.0, 300)), {"T": 0.5}, ("C",))
+    run_sweep(spec)  # first-call caches stay out of the measure
+    tracemalloc.start()
+    try:
+        table = run_sweep(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    columns = sum(c.nbytes for c in table.values())
+    assert columns == 3 * 300 * 300 * 8
+    assert peak - columns < 3 * 2**20
 
 
 def test_run_sweep_two_axes_is_lexicographic():
@@ -314,6 +383,14 @@ def test_format_csv_sweep_table_matches_per_cell_reference():
     assert len(table["r"]) > sweep_mod._CSV_CHUNK_ROWS
     assert table["Tc"].strides == (0,)
     assert format_csv(table) == _reference_csv(table)
+
+
+def test_iter_csv_pieces_are_the_header_and_one_per_chunk():
+    table = {"x": np.arange(2 * sweep_mod._CSV_CHUNK_ROWS + 1) * 0.5}
+    pieces = list(iter_csv(table))
+    assert pieces[0] == "x\n"
+    assert [p.count("\n") for p in pieces[1:]] == [sweep_mod._CSV_CHUNK_ROWS] * 2 + [1]
+    assert "".join(pieces) == format_csv(table) == _reference_csv(table)
 
 
 def test_format_json_round_trip():
@@ -678,6 +755,90 @@ def test_cli_finite_exponents_print_no_nan(capsys, t):
         assert rc == 0 and err == ""
         _, row = out.splitlines()
         assert "nan" not in row and all(row.split(","))  # no empty cell either
+
+
+def test_cli_sweep_output_is_format_csv_on_stdout_and_in_a_file(tmp_path, capsys):
+    # 22,500 cells: two evaluation blocks and 11 CSV chunks, written as they come
+    axes = ["--sweep", "r:0:2:150", "--sweep", "T:0.05:2:150"]
+    spec = SweepSpec((Axis("r", 0.0, 2.0, 150), Axis("T", 0.05, 2.0, 150)), {"k0": 4.0}, ("C",))
+    expected = format_csv(run_sweep(spec)).encode()
+    rc, out, err = run_cli(capsys, "concurrence", "--k0", "4", *axes)
+    assert rc == 0 and err == "" and out.encode() == expected
+    target = tmp_path / "map.csv"
+    rc, out, err = run_cli(capsys, "concurrence", "--k0", "4", *axes, "--out", str(target))
+    assert rc == 0 and out == err == ""
+    assert target.read_bytes() == expected
+
+
+def test_cli_overflow_past_the_first_block_names_its_first_cell(tmp_path, capsys):
+    # the first overflowing cell is 19,100, in the second evaluation block
+    assert sweep_mod._EVAL_BLOCK < 19_100
+    target = tmp_path / "map.csv"
+    rc, out, err = run_cli(capsys, "concurrence", "--sweep", "k0:1:1e306:200",
+                           "--sweep", "T:1e-3:1:100", "--out", str(target))
+    assert rc == 3 and out == ""
+    assert err == ("domain error: Boltzmann exponents overflow at "
+                   "k0=9.597989949748744e+305, r=0.0, T=0.001\n")
+    assert not target.exists()
+
+
+def test_streamed_csv_write_peak_memory(tmp_path):
+    # writing a 300x300 C sweep: format_csv and one write of its text peaked
+    # 9.2 MiB above the table; chunk by chunk it is 0.5 MiB, and the bound is 2 MiB
+    spec = SweepSpec((Axis("k0", -2.0, 10.0, 300), Axis("r", 0.0, 2.0, 300)), {"T": 0.5}, ("C",))
+    table = run_sweep(spec)
+    args = argparse.Namespace(format="csv", out=str(tmp_path / "map.csv"))
+    cli_mod._emit(table, args)  # first-call caches stay out of the measure
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        cli_mod._emit(table, args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "map.csv").read_bytes() == format_csv(table).encode()
+    assert peak - base < 2 * 2**20
+
+
+def _child_env(**extra):
+    env = {**os.environ, "PYTHONPATH": str(Path(qdot.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return {**env, **extra}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_cli_verify_into_a_closed_pipe_exits_1_without_a_traceback(unbuffered):
+    # verify prints its report in one burst after the checks, so a reader
+    # that has gone before the first line is the case that always meets it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = _child_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "qdot", "verify", "--mc-samples", "100"], stdout=write_end,
+            stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 1
+    assert child.stderr == ""
+
+
+def test_cli_sweep_into_a_pipe_closed_after_the_first_line_exits_1():
+    # 4.4 MB of CSV fill the pipe, so the child is still writing chunks when
+    # the reader closes after the header
+    argv = ["concurrence", "--k0", "4", "--sweep", "r:0:2:300", "--sweep", "T:0.05:2:300"]
+    with subprocess.Popen([sys.executable, "-m", "qdot", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=_child_env()) as child:
+        try:
+            header = child.stdout.readline()
+            child.stdout.close()
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+    assert header == b"r,T,C\n"
+    assert child.returncode == 1
+    assert err == b""
 
 
 def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys):

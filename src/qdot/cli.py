@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: concurrence, fidelity, tc, ground-state, fig, verify.
-Exit codes: 0 success, 1 usage error or unwritable output (including a
-reader that closes stdout early), 2 verification failure, 3 numeric domain
-error (for example a sweep that touches T = 0).
+Exit codes: 0 success, 1 usage error or unwritable output (an --out path,
+or stdout on a full disk or closed early by its reader), 2 verification
+failure, 3 numeric domain error (for example a sweep that touches T = 0).
 """
 
 from __future__ import annotations
@@ -291,14 +291,17 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed reader raises here, not at exit
         return code
-    except BrokenPipeError:
-        # the reader closed stdout: send what is left to devnull, so that the
-        # flush at exit stays quiet, and fail as an unwritable --out does
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # stdout failed (--out and config files raise UsageError): send what is
+        # left to devnull, so that the flush at exit stays quiet, and fail as an
+        # unwritable --out does; a reader that closed the pipe needs no message
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 1

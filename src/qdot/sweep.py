@@ -219,43 +219,45 @@ def run_figure(preset: FigurePreset) -> dict[str, np.ndarray]:
     return {name: np.concatenate([t[name] for t in tables]) for name in tables[0]}
 
 
-# Rows formatted per batch. A column's distinct values are formatted once per
-# batch, so a larger batch formats an inner axis less often; at 4,096 rows the
-# batch's object arrays left a 300x300 CLI sweep's peak RSS 0.3-0.4 MiB higher.
+# Rows formatted per chunk; a chunk reuses its predecessor's texts, so an axis
+# shorter than it is formatted once. At 4,096 rows the chunk's object arrays
+# left a 300x300 CLI sweep's peak RSS 0.3-0.4 MiB higher.
 _CSV_CHUNK_ROWS = 1 << 11
-
-
-def _format_cells(chunk: np.ndarray) -> np.ndarray:
-    """format(x, ".17g") of each cell as an object array, NaN as "": each
-    distinct float64 bit pattern is formatted once, so -0.0 and +0.0 keep
-    their own text."""
-    bits = np.ascontiguousarray(chunk, float).view(np.int64)
-    keys, inverse = np.unique(bits, return_inverse=True)
-    texts = ["" if x != x else format(x, ".17g") for x in keys.view(float).tolist()]
-    return np.array(texts, object)[inverse]
 
 
 def iter_csv(table: dict[str, np.ndarray]) -> Iterator[str]:
     """A table's CSV text in pieces: the header line, then one string per
-    chunk of rows, so a writer never holds the whole text. Each distinct value
-    of a column is formatted once per chunk, so an axis or panel column costs
-    its distinct values, not its rows."""
-    size = len(next(iter(table.values())))
+    chunk of rows, so a writer never holds the whole text. Texts are keyed on
+    float64 bit patterns (-0.0 and +0.0 apart), and a chunk formats only those
+    its column's previous chunk lacked: an axis shorter than a chunk costs its
+    distinct values once."""
+    columns = list(table.values())
+    size = len(columns[0])
     yield ",".join(table) + "\n"
+    # Rows as cell, ",", cell, ..., "\n", one join per chunk from one buffer. A
+    # string per row ran as fast, but the CLI's peak RSS was up to 3 MiB higher
+    # in 5-25% of runs, depending on the lengths of its paths.
+    cells = np.full((min(size, _CSV_CHUNK_ROWS), 2 * len(columns)), ",", object)
+    cells[:, -1] = "\n"
+    # per column, the last chunk's sorted bit patterns and texts; "0" (+0.0) keeps it nonempty
+    seen = [(np.zeros(1, np.int64), np.array(["0"], object))] * len(columns)
     for start in range(0, size, _CSV_CHUNK_ROWS):
-        chunk = [col[start:start + _CSV_CHUNK_ROWS] for col in table.values()]
-        # Rows as cell, ",", cell, ..., "\n" in one join per chunk. A string per
-        # row ran as fast, but the CLI's peak RSS was up to 3 MiB higher in
-        # 5-25% of runs, depending on the lengths of its paths.
-        cells = np.full((len(chunk[0]), 2 * len(chunk)), ",", object)
-        cells[:, -1] = "\n"
-        for j, col in enumerate(chunk):
-            cells[:, 2 * j] = _format_cells(col)
-        yield "".join(cells.ravel().tolist())
+        rows = cells[:size - start]
+        for j, col in enumerate(columns):
+            bits = np.ascontiguousarray(col[start:start + len(rows)], float).view(np.int64)
+            keys, inverse = np.unique(bits, return_inverse=True)
+            old_keys, old_texts = seen[j]
+            at = np.minimum(np.searchsorted(old_keys, keys), len(old_keys) - 1)
+            texts, new = old_texts[at], old_keys[at] != keys
+            fresh = keys[new].view(float).tolist()
+            texts[new] = ["" if x != x else format(x, ".17g") for x in fresh]
+            seen[j] = keys, texts
+            rows[:, 2 * j] = texts[inverse]
+        yield "".join(rows.ravel().tolist())
 
 
 def format_csv(table: dict[str, np.ndarray]) -> str:
-    """Render a table as CSV: 17 significant digits, LF newlines, no trailing
+    """Render a table as CSV: format(x, ".17g") cells, LF newlines, no trailing
     delimiter; NaN (Tc without a transition) is an empty cell. The joined
     pieces of iter_csv."""
     return "".join(iter_csv(table))

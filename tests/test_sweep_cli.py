@@ -1,6 +1,9 @@
 """Tests for the sweep engine, figure presets, formatters, and the CLI."""
 
 import argparse
+import contextlib
+import errno
+import io
 import json
 import math
 import os
@@ -8,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -357,13 +361,17 @@ def _reference_csv(table):
 
 def test_format_csv_matches_per_cell_reference():
     # signed zeros, a quiet and a negative NaN, subnormals and repeats, cycled
-    # so that every value recurs on both sides of the chunk boundary
+    # so that every value recurs on both sides of every chunk boundary; over
+    # three full chunks and a partial one, "gap" triples its values in odd
+    # chunks, so 0.1 is in chunks 0 and 2 but not in chunk 1 between them
     pool = np.array([0.0, -0.0, math.nan, np.copysign(math.nan, -1.0), 5e-324,
                      2.2250738585072014e-308 / 3, 0.1, 1e300, -1.5])
-    size = sweep_mod._CSV_CHUNK_ROWS + 2 * len(pool) + 1
+    size = 3 * sweep_mod._CSV_CHUNK_ROWS + 2 * len(pool) + 1
     rng = np.random.default_rng(12)
+    odd_chunk = np.arange(size) // sweep_mod._CSV_CHUNK_ROWS % 2 == 1
     table = {
         "mixed": np.resize(pool, size),
+        "gap": np.resize(pool, size) * np.where(odd_chunk, 3.0, 1.0),
         "few": rng.choice(np.array([1.0, 1.0 + 2**-52, -0.0, 1e-310]), size),
         "distinct": rng.standard_normal(size),
     }
@@ -373,6 +381,28 @@ def test_format_csv_matches_per_cell_reference():
     assert mixed == {"0", "-0", "", "4.9406564584124654e-324",
                      "7.4169128616906696e-309", "0.10000000000000001",
                      "1.0000000000000001e+300", "-1.5"}
+    chunks = list(iter_csv(table))[1:]
+    assert len(chunks) == 4 and chunks[-1].count("\n") < sweep_mod._CSV_CHUNK_ROWS
+    assert ["0.10000000000000001" in {row.split(",")[1] for row in c.splitlines()}
+            for c in chunks] == [True, False, True, False]
+
+
+def test_iter_csv_formats_each_axis_value_once(monkeypatch):
+    # a 30 x 300 grid is five chunks, each holding every inner-axis value: a
+    # chunk takes the texts its predecessor formatted, so every value of
+    # either axis is formatted once in the whole table
+    calls = Counter()
+
+    def counting_format(x, spec):
+        calls[x] += 1
+        return format(x, spec)
+
+    monkeypatch.setattr(sweep_mod, "format", counting_format, raising=False)
+    outer, inner = 1.0 + np.arange(30.0), 0.5 + np.arange(300.0)
+    table = {"k0": np.repeat(outer, len(inner)), "r": np.tile(inner, len(outer))}
+    assert len(table["r"]) > 4 * sweep_mod._CSV_CHUNK_ROWS
+    assert format_csv(table) == _reference_csv(table)
+    assert calls == Counter([*outer.tolist(), *inner.tolist()])
 
 
 def test_format_csv_sweep_table_matches_per_cell_reference():
@@ -839,6 +869,56 @@ def test_cli_sweep_into_a_pipe_closed_after_the_first_line_exits_1():
     assert header == b"r,T,C\n"
     assert child.returncode == 1
     assert err == b""
+
+
+class _FullDisk(io.TextIOBase):
+    """A stdout whose disk fills after ``room`` characters: from then on,
+    every write and flush raises ENOSPC."""
+
+    def __init__(self, fd, room):
+        self._fd, self._room = fd, room
+
+    def fileno(self):
+        return self._fd
+
+    def write(self, text):
+        self._room -= len(text)
+        if self._room < 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return len(text)
+
+    def flush(self):
+        self.write("")
+
+
+_ENOSPC_LINE = "error: cannot write stdout: {}\n".format(
+    OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+
+
+@pytest.mark.parametrize("argv,room", [
+    # 10,000 rows are five CSV chunks; the disk fills during the second
+    (["concurrence", "--k0", "4", "--sweep", "r:0:2:100", "--sweep", "T:0.05:2:100"], 150_000),
+    (["verify", "--mc-samples", "100"], 0),
+])
+def test_cli_stdout_on_a_full_disk_exits_1_without_a_traceback(tmp_path, capsys, argv, room):
+    # main points the stub's descriptor, a file of the test's own, at devnull
+    with open(tmp_path / "stdout", "w") as fh:
+        with contextlib.redirect_stdout(_FullDisk(fh.fileno(), room)):
+            rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == _ENOSPC_LINE
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [["fig", "1"], ["verify", "--mc-samples", "100"]])
+def test_cli_stdout_to_dev_full_exits_1_without_a_traceback(argv):
+    # /dev/full refuses every write: the flush at exit must stay quiet too
+    with open("/dev/full", "w") as full:
+        child = subprocess.run([sys.executable, "-W", "error", "-m", "qdot", *argv], stdout=full,
+                               stderr=subprocess.PIPE, env=_child_env(), text=True, timeout=60)
+    assert child.returncode == 1
+    assert child.stderr == _ENOSPC_LINE
 
 
 def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys):

@@ -47,9 +47,13 @@ SCALAR_CALLS = (
     "model_concurrence(p)",
     "subspace_fidelities(s, p)",
     "wootters_concurrence(thermal_state(p))",
+    "hamiltonian_matrix(p)",
+    "thermal_state_oracle(p)",
+    "collapse_bruteforce(joint_state(s, p), BellOutcome.PSI_MINUS)",
     "average_fidelity_closed_form(p)",
     "average_fidelity(p)",
     "average_fidelity_mc(p, n=1_000_000)",
+    "bisect_critical_temperature(4.0, 1.0)",
     "verify_all()",
 )
 

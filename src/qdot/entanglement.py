@@ -30,14 +30,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
-    """Concurrence value plus the four Wootters lambdas (descending)."""
+    """Concurrence value plus the four Wootters lambdas (descending, shape
+    (4,)); over a stack of states, values (...) and lambdas (..., 4)."""
 
     value: float
-    lambdas: tuple[float, float, float, float]
+    lambdas: np.ndarray
 
 
 def wootters_concurrence(rho: np.ndarray) -> ConcurrenceResult:
-    """Concurrence of an arbitrary two-qubit density matrix.
+    """Concurrence of an arbitrary two-qubit density matrix, or of each in a
+    (..., 4, 4) stack from one eigensolver and one SVD call.
 
     The lambdas are the square roots of the eigenvalues of rho rho~, kept
     Hermitian through the similarity sqrt(rho) rho~ sqrt(rho). That product
@@ -53,14 +55,6 @@ def wootters_concurrence(rho: np.ndarray) -> ConcurrenceResult:
     rejects eigenvalues of rho below its floor; those left round up to zero
     before the square root.
     """
-    values, lams = _wootters(linalg.as_complex_matrix(rho))
-    return ConcurrenceResult(value=float(values), lambdas=tuple(lams.tolist()))
-
-
-def _wootters(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """wootters_concurrence over a (..., 4, 4) stack of states: the values
-    (...) and the descending lambdas (..., 4), from one eigensolver and one
-    SVD call."""
     rho = linalg.validate_density_matrix(rho, name="input state")
     if rho.shape[-2:] != (4, 4):
         raise linalg.LinalgError(f"concurrence needs a 4x4 state, got {rho.shape}")
@@ -71,7 +65,7 @@ def _wootters(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = root_p[..., :, None] * flip_overlap * root_p[..., None, :]
     lams = np.linalg.svd(d, compute_uv=False)
     values = np.maximum(lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3], 0.0)
-    return values, lams
+    return ConcurrenceResult(value=_scalar(values), lambdas=lams)
 
 
 def xstate_concurrence(e: ThermalElements) -> float:

@@ -2,10 +2,11 @@
 
 All routines work on plain numpy arrays with complex128 entries. The
 matrices in this package are at most 8x8, and the oracles hand over whole
-grids of them at once, so the eigensolver, the density-matrix checks and
-the partial trace take stacks of shape (..., n, n) and check every matrix
-in one vectorised pass. A failing check reports the first failing matrix,
-in C order, with the message its single-matrix call would give.
+grids of them at once, so the Kronecker product, the eigensolver, the
+density-matrix checks and the partial trace take stacks of shape
+(..., n, n) and check every matrix in one vectorised pass. A failing check
+reports the first failing matrix, in C order, with the message its
+single-matrix call would give.
 """
 
 from __future__ import annotations
@@ -67,8 +68,13 @@ def _first_above(values: np.ndarray, limit: float):
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor indexing blocks."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
+    """Kronecker product with the first factor indexing blocks, of two
+    matrices or of stacks (..., m, n) and (..., p, q) whose leading axes
+    broadcast, as (..., m p, n q): the entrywise products of np.kron, in
+    its order and with its bits."""
+    a, b = as_complex_matrix(a, stack=True), as_complex_matrix(b, stack=True)
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def trace_to_last_qubit(m: np.ndarray) -> np.ndarray:

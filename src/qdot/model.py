@@ -94,7 +94,8 @@ def _check_broadcast(**fields) -> None:
 
 def _check_point(*values) -> None:
     """Raise DomainError if a value, or a field of a dataclass value, is an
-    array: the matrix routes, the oracles and Monte Carlo take one point."""
+    array: the routes built on one input state, and the quadrature, take one
+    point."""
     for value in values:
         for x in vars(value).values() if is_dataclass(value) else (value,):
             if not isinstance(x, (int, float)) and np.ndim(x):  # np.ndim costs 1 us
@@ -127,18 +128,13 @@ def _libm(fn, x):
 
 
 def hamiltonian_matrix(p: DotParams) -> np.ndarray:
-    """4x4 Hamiltonian in the product basis, assembled from spin operators."""
-    _check_point(p)
-    return _hamiltonians(p.k0, p.r)
-
-
-def _hamiltonians(k0, r) -> np.ndarray:
-    """The Hamiltonian at every cell of k0 and r, shape (..., 4, 4). Raises
-    DomainError where an entry overflows, as k0/16 - r does at k0 = -r = 1.7e308."""
+    """4x4 Hamiltonian in the product basis, assembled from spin operators;
+    over a grid of k0 and r, a stack (..., 4, 4). Raises DomainError where an
+    entry overflows, as k0/16 - r does at k0 = -r = 1.7e308."""
     sx, sy, sz = PAULI_X / 2.0, PAULI_Y / 2.0, PAULI_Z / 2.0
     exchange = kron(sx, sx) + kron(sy, sy) + kron(sz, sz)
     zeeman = kron(sz, IDENTITY_2) + kron(IDENTITY_2, sz)
-    k0, r = np.asarray(k0)[..., None, None], np.asarray(r)[..., None, None]
+    k0, r = np.asarray(p.k0)[..., None, None], np.asarray(p.r)[..., None, None]
     with np.errstate(over="ignore"):
         h = (k0 / 4.0) * exchange - r * zeeman
     bad = ~np.isfinite(h).all(axis=(-2, -1))
@@ -222,13 +218,9 @@ def thermal_elements(p: DotParams) -> ThermalElements:
 
 
 def thermal_state(p: DotParams) -> np.ndarray:
-    """Closed-form Gibbs state: an X-form 4x4 matrix in the product basis."""
-    _check_point(p)
-    return _thermal_states(thermal_elements(p))
-
-
-def _thermal_states(e: ThermalElements) -> np.ndarray:
-    """The closed-form Gibbs state at every cell of the elements, (..., 4, 4)."""
+    """Closed-form Gibbs state: an X-form 4x4 matrix in the product basis;
+    over a grid, a stack (..., 4, 4)."""
+    e = thermal_elements(p)
     rho = np.zeros((*np.shape(e.big_z), 4, 4), dtype=complex)
     rho[..., 0, 0] = e.u
     rho[..., 1, 1] = rho[..., 2, 2] = e.w
@@ -244,16 +236,10 @@ def thermal_state_oracle(p: DotParams) -> np.ndarray:
     numerically and shifts by the ground energy before exponentiating, so the
     result stays finite at any T > 0. A level gap that overflows against T
     gives its level weight 0. Raises DomainError where the spectrum is not
-    finite.
+    finite. Over a grid it returns a stack (..., 4, 4), from one eigensolver
+    call and one weighted matmul over the Hamiltonian stack.
     """
-    _check_point(p)
-    return _thermal_state_oracles(p)
-
-
-def _thermal_state_oracles(p: DotParams) -> np.ndarray:
-    """thermal_state_oracle at every point of p, shape (..., 4, 4): one
-    eigensolver call and one weighted matmul over the Hamiltonian stack."""
-    h = _hamiltonians(p.k0, p.r)
+    h = hamiltonian_matrix(p)
     if _any(p.T <= 0):
         raise DomainError(f"thermal oracle needs T > 0, got T={_first(p.T, p.T <= 0)}")
     evals, evecs = linalg.hermitian_eig(h)

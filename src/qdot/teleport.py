@@ -147,15 +147,7 @@ def bell_projectors() -> dict[BellOutcome, np.ndarray]:
 
 def joint_state(s: InputState, p: DotParams) -> np.ndarray:
     """8x8 state of input (x) channel before the measurement."""
-    return _joint_states(input_density(s), thermal_state(p))
-
-
-def _joint_states(rho_in: np.ndarray, rho_ch: np.ndarray) -> np.ndarray:
-    """input (x) channel for stacks of input (..., 2, 2) and channel states
-    (..., 4, 4) whose leading axes broadcast, as (..., 8, 8): the entrywise
-    products of np.kron, in its order."""
-    prod = rho_in[..., :, None, :, None] * rho_ch[..., None, :, None, :]
-    return prod.reshape(*prod.shape[:-4], 8, 8)
+    return kron(input_density(s), thermal_state(p))
 
 
 @functools.cache
@@ -172,26 +164,16 @@ def collapse_bruteforce(
 ) -> tuple[np.ndarray, float]:
     """Project the joint state on a Bell outcome and reduce to qubit B.
 
-    Returns the normalized collapsed 2x2 state and the branch probability.
-    Purely mechanical: projector sandwich, partial trace over the first two
-    qubits, trace normalization. Raises LinalgError unless ``joint`` is an
-    8x8 density matrix.
+    Returns the normalized collapsed 2x2 state and the branch probability;
+    for a (..., 8, 8) stack of joint states, the states (..., 2, 2) and the
+    probabilities (...). Purely mechanical: projector sandwich, partial trace
+    over the first two qubits, trace normalization. Raises LinalgError unless
+    ``joint`` is an 8x8 density matrix or a stack of them.
     """
-    state, z = _collapse_bruteforce(_joint_stack(linalg.as_complex_matrix(joint)), outcome)
-    return state, float(z)
-
-
-def _joint_stack(joint: np.ndarray) -> np.ndarray:
-    """The (..., 8, 8) stack of joint states, each checked as a density matrix."""
     joint = linalg.as_complex_matrix(joint, stack=True)
     if joint.shape[-2:] != (8, 8):
         raise linalg.LinalgError(f"joint state must be 8x8, got {joint.shape}")
-    return linalg.validate_density_matrix(joint, name="joint state")
-
-
-def _collapse_bruteforce(joint: np.ndarray, outcome: BellOutcome):
-    """collapse_bruteforce over a checked (..., 8, 8) stack: the states
-    (..., 2, 2) and the probabilities (...)."""
+    joint = linalg.validate_density_matrix(joint, name="joint state")
     m = _lifted_projector(outcome)
     projected = m @ joint @ m.conj().T
     z = np.trace(projected, axis1=-2, axis2=-1).real
@@ -201,7 +183,7 @@ def _collapse_bruteforce(joint: np.ndarray, outcome: BellOutcome):
             f"branch {outcome.value} has probability {_first(z, low):.3e}, "
             f"below {_PROBABILITY_FLOOR}"
         )
-    return linalg.trace_to_last_qubit(projected) / z[..., None, None], z
+    return linalg.trace_to_last_qubit(projected) / z[..., None, None], _scalar(z)
 
 
 def _branch_weights(e: ThermalElements, c2, s2):
@@ -323,7 +305,8 @@ def teleport_outcomes(s: InputState, p: DotParams) -> tuple[TeleportOutcome, ...
 
 
 def _mean_branch_fidelity(e: ThermalElements, x: np.ndarray, work=None) -> np.ndarray:
-    """Mean of the two subspace fidelities at polar angle arccos(x).
+    """Mean of the two subspace fidelities at polar angle arccos(x), for the
+    elements of one point.
 
     Shares its numerator between the branches:
 
@@ -331,19 +314,17 @@ def _mean_branch_fidelity(e: ThermalElements, x: np.ndarray, work=None) -> np.nd
         F = (N/z1 + N/z2) / 2.
 
     The azimuthal phase cancels out of both branch fidelities; the matrix
-    route in the tests confirms that. Broadcasts the elements against x.
-    Every intermediate is written into ``work``, five rows (c2, s2, cross,
-    num, tmp) of the broadcast shape, in one array or as five views, and
-    allocated here when None; the result
-    is the num row, a view into ``work``, and ``x`` is only read. Each
+    route in the tests confirms that. Every intermediate is written into
+    ``work``, five rows (c2, s2, cross, num, tmp) of x's shape, in one array
+    or as five views, and allocated here when None; the result is the num
+    row, a view into ``work``, and ``x`` is only read. Each
     operation and its operand order are those of the out-of-place formula,
     so a reused workspace keeps its bits. Kept inline: in a helper shared
     with subspace_fidelities it slowed Monte Carlo by 10-20%.
     """
     x = np.asarray(x, dtype=float)
     if work is None:
-        shape = np.broadcast_shapes(x.shape, *(np.shape(f) for f in (e.u, e.v, e.w, e.y)))
-        work = np.empty((5, *shape))
+        work = np.empty((5, *x.shape))
     c2, s2, cross, num, tmp = work
     np.multiply(0.5, np.add(1.0, x, out=c2), out=c2)
     np.multiply(0.5, np.subtract(1.0, x, out=s2), out=s2)

@@ -6,9 +6,11 @@ temperature is located by bisection (floor 1e-6) and the quadrature versus
 Monte Carlo comparison is statistical (floor 4 standard errors, at least
 1e-14, per point). The caller tolerance applies to everything else.
 
-Every check evaluates its whole grid as arrays, through the stacked routes
-that the public point functions call with one element, so a check reports
-the max deviation a loop over those point functions would.
+Every check evaluates its whole grid as arrays, so a check reports the max
+deviation a loop over point calls would. The oracles and the closed forms
+are called by the public names that also take one point; only the
+closed-form collapse and output states go through their stacked twins
+in teleport, which cross a list of input states with a grid of elements.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import entanglement, model, teleport
+from . import entanglement, linalg, model, teleport
 from .linalg import LinalgError
 from .model import DomainError
 
@@ -102,18 +104,17 @@ def bisect_critical_temperature(k0: float, r: float, lo: float = 0.02, hi: float
 
     The predicate is a strictly positive closed-form concurrence. The
     bracket must straddle the transition, entangled at ``lo`` and separable
-    at ``hi``, or it raises DomainError. It halves until the midpoint equals
-    an endpoint, that is until ``lo`` and ``hi`` are adjacent doubles, so it
-    ends on every finite bracket and needs no width. It takes one point.
+    at ``hi``, or it raises DomainError naming the first bad bracket. It
+    halves until the midpoint equals an endpoint, that is until ``lo`` and
+    ``hi`` are adjacent doubles, so it ends on every finite bracket and
+    needs no width. A float for floats; arrays that broadcast give an array
+    of their shape, every bracket bisected at once. Each step evaluates the
+    predicate at the midpoints of the brackets still open; a bracket closes,
+    and keeps its midpoint, once that equals an end.
     """
-    model._check_point(k0, r, lo, hi)
-    return _bisect(*(np.array([x]) for x in (k0, r, lo, hi)))[0].item()
-
-
-def _bisect(k0: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """bisect_critical_temperature over 1-D arrays of brackets at once. Each
-    step evaluates the predicate at the midpoints of the brackets still
-    open; a bracket closes, and keeps its midpoint, once that equals an end."""
+    k0, r, lo, hi = np.broadcast_arrays(k0, r, lo, hi)
+    shape = k0.shape
+    k0, r, lo, hi = (x.ravel() for x in (k0, r, lo, hi))
 
     def entangled(k0, r, T):
         return entanglement.model_concurrence(model.DotParams(k0=k0, r=r, T=T)) > 0.0
@@ -132,15 +133,15 @@ def _bisect(k0: np.ndarray, r: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np
         below = entangled(k0[open_], r[open_], m)
         lo[open_], hi[open_] = np.where(below, m, lo[open_]), np.where(below, hi[open_], m)
         mid = 0.5 * lo + 0.5 * hi
-    return mid
+    return model._scalar(mid.reshape(shape))
 
 
 @_check("thermal state vs spectral oracle")
 def check_thermal_oracle(tolerance: float):
     """Closed-form Gibbs state against spectral exp(-H/T)/Z, entrywise."""
     p = _params(GRID)
-    closed = model._thermal_states(model.thermal_elements(p))
-    oracle = model._thermal_state_oracles(p)
+    closed = model.thermal_state(p)
+    oracle = model.thermal_state_oracle(p)
     dev = float(np.abs(closed - oracle).max())
     return dev <= tolerance, dev, tolerance
 
@@ -152,7 +153,7 @@ def check_concurrence_triple(tolerance: float):
     e = model.thermal_elements(p)
     c_model = entanglement.model_concurrence(p)
     c_x = entanglement.xstate_concurrence(e)
-    c_w, _ = entanglement._wootters(model._thermal_states(e))
+    c_w = entanglement.wootters_concurrence(model.thermal_state(p)).value
     dev = float(max(np.abs(c_model - c_x).max(), np.abs(c_model - c_w).max(),
                     np.abs(c_x - c_w).max()))
     ferro = p.k0 < 0
@@ -169,7 +170,7 @@ def check_critical_temperature(tolerance: float):
     """Bisection transition temperature against k0/(4 ln 3), at several fields."""
     threshold = max(tolerance, _TC_FLOOR)
     k0, r = (a.ravel() for a in np.meshgrid((1.0, 4.0, 10.0), (0.0, 1.0, 4.0), indexing="ij"))
-    roots = _bisect(k0, r, np.full(k0.shape, 0.02), np.full(k0.shape, 3.0))
+    roots = bisect_critical_temperature(k0, r)
     dev = float(np.abs(roots - entanglement.critical_temperature(k0)).max())
     return (
         dev <= threshold,
@@ -186,12 +187,13 @@ def check_collapse(tolerance: float):
     e = model.thermal_elements(p)
     states = _input_states()
     inputs = np.array([teleport.input_density(s) for s in states])
-    # every channel with every input, (27, 20, 8, 8), checked once for all outcomes
-    joint = teleport._joint_stack(teleport._joint_states(inputs, model._thermal_states(e)[:, None]))
+    # every channel with every input, (27, 20, 8, 8), checked as density
+    # matrices by each outcome's collapse
+    joint = linalg.kron(inputs, model.thermal_state(p)[:, None])
     dev = 0.0
     for outcome in teleport.BellOutcome:  # one outcome at a time keeps the peak heap small
         closed_state, closed_prob = teleport._collapsed_closed_form(states, e, outcome)
-        brute_state, brute_prob = teleport._collapse_bruteforce(joint, outcome)
+        brute_state, brute_prob = teleport.collapse_bruteforce(joint, outcome)
         dev = max(
             dev,
             float(np.abs(closed_state - brute_state).max()),

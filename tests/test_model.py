@@ -365,10 +365,8 @@ def test_oracle_at_extreme_points_warns_nothing_and_returns_no_nan():
 
 
 def test_oracle_stack_names_the_first_cold_point():
-    from qdot.model import _thermal_state_oracles
-
     p = DotParams(np.array([1.0, 2.0, 3.0]), 0.0, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(DomainError, match=r"needs T > 0, got T=0.0$"):
-        _thermal_state_oracles(p)
+        thermal_state_oracle(p)
     with pytest.raises(DomainError, match=r"needs T > 0, got T=0$"):
         thermal_state_oracle(DotParams(1, 0, 0))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qdot.teleport as teleport_mod
-from qdot import entanglement, model, teleport, verify
+from qdot import entanglement, linalg, model, teleport, verify
 from qdot.cli import main
 
 GRID_POINTS = [
@@ -136,34 +136,37 @@ def test_grid_params_follow_the_point_order():
 
 def test_thermal_stacks_equal_their_point_calls():
     p = verify._params(verify.GRID)
-    e = model.thermal_elements(p)
-    closed = model._thermal_states(e)
-    oracle = model._thermal_state_oracles(p)
-    values, lams = entanglement._wootters(closed)
+    hamiltonians = model.hamiltonian_matrix(p)
+    closed = model.thermal_state(p)
+    oracle = model.thermal_state_oracle(p)
+    stacked = entanglement.wootters_concurrence(closed)
     for i, q in enumerate(GRID_POINTS):
-        assert np.array_equal(closed[i], model.thermal_state(q))
-        assert np.array_equal(oracle[i], model.thermal_state_oracle(q))
+        assert hamiltonians[i].tobytes() == model.hamiltonian_matrix(q).tobytes()
+        assert closed[i].tobytes() == model.thermal_state(q).tobytes()
+        assert oracle[i].tobytes() == model.thermal_state_oracle(q).tobytes()
         point = entanglement.wootters_concurrence(model.thermal_state(q))
-        assert values[i] == point.value
-        assert tuple(lams[i].tolist()) == point.lambdas
+        assert type(point.value) is float and point.lambdas.shape == (4,)
+        assert stacked.value[i] == point.value
+        assert stacked.lambdas[i].tobytes() == point.lambdas.tobytes()
 
 
 def test_collapse_stacks_equal_their_point_calls():
     p = verify._params(verify.TELEPORT_GRID)
     e = model.thermal_elements(p)
     inputs = np.array([teleport.input_density(s) for s in STATES])
-    joint = teleport._joint_stack(teleport._joint_states(inputs, model._thermal_states(e)[:, None]))
+    joint = linalg.kron(inputs, model.thermal_state(p)[:, None])
     rho_o, rho_e = teleport._output_states(STATES, e)
     for outcome in teleport.BellOutcome:
-        brute_state, brute_prob = teleport._collapse_bruteforce(joint, outcome)
+        brute_state, brute_prob = teleport.collapse_bruteforce(joint, outcome)
         closed_state, closed_prob = teleport._collapsed_closed_form(STATES, e, outcome)
         for i, q in enumerate(TELEPORT_POINTS):
             e_q = model.thermal_elements(q)
             for j, s in enumerate(STATES):
                 point_joint = teleport.joint_state(s, q)
-                assert np.array_equal(joint[i, j], point_joint)
+                assert joint[i, j].tobytes() == point_joint.tobytes()
                 state, prob = teleport.collapse_bruteforce(point_joint, outcome)
-                assert np.array_equal(brute_state[i, j], state) and brute_prob[i, j] == prob
+                assert type(prob) is float
+                assert brute_state[i, j].tobytes() == state.tobytes() and brute_prob[i, j] == prob
                 state, prob = teleport.collapsed_closed_form(s, e_q, outcome)
                 assert np.array_equal(closed_state[i, j], state) and closed_prob[i, j] == prob
     for i, q in enumerate(TELEPORT_POINTS):
@@ -175,15 +178,17 @@ def test_collapse_stacks_equal_their_point_calls():
 def test_bisection_stack_equals_its_point_calls():
     k0 = np.array([k for k, _ in TC_BRACKETS])
     r = np.array([f for _, f in TC_BRACKETS])
-    roots = verify._bisect(k0, r, np.full(k0.shape, 0.02), np.full(k0.shape, 3.0))
-    assert roots.tolist() == [verify.bisect_critical_temperature(k, f) for k, f in TC_BRACKETS]
+    roots = verify.bisect_critical_temperature(k0, r)
+    points = [verify.bisect_critical_temperature(k, f) for k, f in TC_BRACKETS]
+    assert all(type(point) is float for point in points)
+    assert roots.tolist() == points
 
 
 def test_bisection_stack_names_the_first_bad_bracket():
     k0 = np.array([4.0, -1.0, -2.0])
     r = np.zeros(3)
     with pytest.raises(model.DomainError, match=r"bracket low end T=0.02 .* k0=-1.0, r=0.0$"):
-        verify._bisect(k0, r, np.full(3, 0.02), np.full(3, 3.0))
+        verify.bisect_critical_temperature(k0, r)
 
 
 def test_corrupted_collapsed_closed_form_fails_the_collapse_check(monkeypatch, capsys):

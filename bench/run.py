@@ -7,9 +7,9 @@ is measured (default: ``checkout=`` the checkout holding this script). Every
 repeat starts one fresh interpreter per checkout, in turn, so the checkouts
 interleave and share the machine's drift. That interpreter times each
 in-process row once with ``timeit`` (autorange: as many calls as fill
-0.2 s, per call). Then ``import qdot`` is timed inside a fresh child of
-its own, and the CLI row runs as another child, whose ``wait4`` gives its
-wall time and peak resident size. Each row keeps the median of
+0.2 s, per call). Then ``import qdot.cli`` is timed inside a fresh child
+of its own, and each CLI row runs as another child, whose ``wait4`` gives
+its wall time and peak resident size. Each row keeps the median of
 its ``--repeat`` samples per checkout, and the samples beside it. Only
 the standard library is used here; the children import qdot and numpy.
 """
@@ -33,12 +33,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SMALL = "sweep 300x300 k0 x r (T=0.5, C)"
 LARGE = "sweep 1000x1000 r x T (k0=4, C)"
 FIDELITY = "sweep 200x200 r x T (k0=4, F_a)"
-IMPORT = "import qdot, fresh interpreter"
-CLI_ARGV = ["concurrence", "--k0", "4", "--sweep", "r:0:2:1000", "--sweep", "T:0.05:2:1000"]
-CLI = "CLI " + " ".join(CLI_ARGV)
+# qdot's __init__ imports nothing until a name is used, so the import row
+# times what every command starts with: the CLI module and what it loads.
+IMPORT = "import qdot.cli, fresh interpreter"
+CLI_ARGVS = (
+    ["concurrence", "--k0", "4", "--sweep", "r:0:2:1000", "--sweep", "T:0.05:2:1000"],
+    ["concurrence", "--k0", "4", "--r", "1", "--t", "0.5"],  # a point: start-up is most of it
+)
+CLIS = ["CLI " + " ".join(argv) for argv in CLI_ARGVS]
 
 # Scalar rows: each statement is timed as written, with POINT as its setup and
-# the package names of qdot in scope. A checkout that lacks a name in a row
+# the names of qdot.__all__ in scope. A checkout that lacks a name in a row
 # (an older commit) records no sample for it, and that row's median is null.
 POINT = "p = DotParams(4.0, 1.0, 0.5); s = InputState(1.0, 0.0)"
 SCALAR_CALLS = (
@@ -64,8 +69,7 @@ ROWS = {
     f"run_sweep, {FIDELITY}": "s",
     IMPORT: "s",
     **{f"{call}, per call": "s" for call in SCALAR_CALLS},
-    f"{CLI}, wall": "s",
-    f"{CLI}, peak RSS": "MiB",
+    **{f"{cli}, {q}": unit for cli in CLIS for q, unit in (("wall", "s"), ("peak RSS", "MiB"))},
 }
 
 
@@ -98,26 +102,27 @@ def _child() -> None:
     spec = SweepSpec((Axis("r", 0.0, 2.0, 200), Axis("T", 0.05, 2.0, 200)), {"k0": 4.0},
                      quantities=("F_a",))
     samples[f"run_sweep, {FIDELITY}"] = _per_call(timeit.Timer(lambda: run_sweep(spec)))
+    api = {name: getattr(qdot, name) for name in qdot.__all__}
     for call in SCALAR_CALLS:
         try:
-            samples[f"{call}, per call"] = _per_call(timeit.Timer(call, POINT, globals=vars(qdot)))
+            samples[f"{call}, per call"] = _per_call(timeit.Timer(call, POINT, globals=api))
         except NameError:
             pass
     print(json.dumps({"numpy": np.__version__, "samples": samples}))
 
 
 def _import_time(env: dict[str, str]) -> float:
-    """Seconds of `import qdot` in a fresh interpreter, timed inside it."""
-    code = "import time; t = time.perf_counter(); import qdot; print(time.perf_counter() - t)"
+    """Seconds of `import qdot.cli` in a fresh interpreter, timed inside it."""
+    code = "import time; t = time.perf_counter(); import qdot.cli; print(time.perf_counter() - t)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return float(out)
 
 
-def _cli(env: dict[str, str]) -> tuple[float, float]:
+def _cli(env: dict[str, str], cli_argv: list[str]) -> tuple[float, float]:
     """Wall seconds and peak RSS (MiB) of one CLI run, from its own wait4."""
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [sys.executable, "-m", "qdot", *CLI_ARGV, "--out", str(Path(tmp) / "out.csv")]
+        argv = [sys.executable, "-m", "qdot", *cli_argv, "--out", str(Path(tmp) / "out.csv")]
         start = time.perf_counter()
         proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)
@@ -136,7 +141,8 @@ def _sample(path: Path) -> tuple[str, dict[str, float]]:
     result = json.loads(out)
     samples = result["samples"]
     samples[IMPORT] = _import_time(env)
-    samples[f"{CLI}, wall"], samples[f"{CLI}, peak RSS"] = _cli(env)
+    for cli, argv in zip(CLIS, CLI_ARGVS):
+        samples[f"{cli}, wall"], samples[f"{cli}, peak RSS"] = _cli(env, argv)
     return result["numpy"], samples
 
 

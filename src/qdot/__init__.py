@@ -3,19 +3,32 @@
 The package models two exchange-coupled electron spins in a magnetic field,
 builds their Gibbs state in closed form, quantifies its entanglement, and
 drives the standard teleportation protocol through it. A sweep layer and a
-CLI sit on top. The ``__all__`` of each module imported below is its part
-of the package API.
-"""
+CLI sit on top. The ``__all__`` of each module in _MODULES is its part of
+the package API.
 
-from . import entanglement, linalg, model, sweep, teleport, verify
-from .entanglement import *  # noqa: F403 - republished API, see the docstring
-from .linalg import *  # noqa: F403
-from .model import *  # noqa: F403
-from .sweep import *  # noqa: F403
-from .teleport import *  # noqa: F403
-from .verify import *  # noqa: F403
+Nothing is imported until it is used (PEP 562), so a command loads only the
+modules it runs. A submodule name (``qdot.teleport``, ``from qdot import
+cli``) imports that module alone; any other name, ``__all__`` and
+``from qdot import *`` included, imports the six modules once and binds
+their API names here.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__", *entanglement.__all__, *linalg.__all__, *model.__all__,
-           *sweep.__all__, *teleport.__all__, *verify.__all__]
+_MODULES = ("entanglement", "linalg", "model", "sweep", "teleport", "verify")
+
+
+def __getattr__(name: str):
+    if name in _MODULES or name == "cli":
+        __import__(f"{__name__}.{name}")  # binds it here; logged by -X importtime
+        return globals()[name]
+    api = globals()
+    if "__all__" not in api:  # the first API name asked for: bind them all
+        names = ["__version__"]
+        for module in map(__getattr__, _MODULES):
+            api.update((n, getattr(module, n)) for n in module.__all__)
+            names += module.__all__
+        api["__all__"] = names
+        if name in api:
+            return api[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -29,7 +29,6 @@ from .sweep import (
     run_figure,
     run_sweep,
 )
-from .verify import verify_all
 
 __all__ = ["main"]
 
@@ -262,6 +261,8 @@ def cmd_fig(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import verify_all  # imported here: no other command loads verify
+
     results = verify_all(tolerance=args.tol, mc_samples=args.mc_samples, seed=args.seed)
     for res in results:
         print(res.line())

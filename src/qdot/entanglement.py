@@ -16,7 +16,8 @@ import numpy as np
 
 from . import linalg
 from .linalg import PAULI_Y, kron
-from .model import DotParams, ThermalElements, _any, _boltzmann_weights, _check_real, _scalar
+from .model import DotParams, ThermalElements, _any, _boltzmann_weights, _check_real
+from .model import _fields_equal, _scalar
 
 __all__ = [
     "ConcurrenceResult",
@@ -31,10 +32,13 @@ __all__ = [
 @dataclass(frozen=True)
 class ConcurrenceResult:
     """Concurrence value plus the four Wootters lambdas (descending, shape
-    (4,)); over a stack of states, values (...) and lambdas (..., 4)."""
+    (4,)); over a stack of states, values (...) and lambdas (..., 4).
+    ``==`` is True when the values and the lambdas are equal as arrays."""
 
     value: float
     lambdas: np.ndarray
+
+    __eq__ = _fields_equal
 
 
 def wootters_concurrence(rho: np.ndarray) -> ConcurrenceResult:

@@ -73,7 +73,10 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     broadcast, as (..., m p, n q): the entrywise products of np.kron, in
     its order and with its bits."""
     a, b = as_complex_matrix(a, stack=True), as_complex_matrix(b, stack=True)
-    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    try:
+        prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    except ValueError:  # numpy refuses leading axes that do not broadcast
+        raise LinalgError(f"stacks of shapes {a.shape} and {b.shape} do not broadcast") from None
     return prod.reshape(*prod.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 

@@ -102,6 +102,16 @@ def _check_point(*values) -> None:
                 raise DomainError(f"takes one parameter point, got an array of shape {np.shape(x)}")
 
 
+def _fields_equal(self, other) -> bool:
+    """``==`` for a record whose fields may hold arrays: the same type, and
+    each field equal by np.array_equal (the same shape, every entry equal).
+    The dataclass default compares the fields as a tuple, which raises on
+    two distinct arrays."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(x, y) for x, y in zip(vars(self).values(), vars(other).values()))
+
+
 def _any(mask) -> bool:
     """np.any without its 6 us on a single bool."""
     return bool(mask.any() if isinstance(mask, np.ndarray) else mask)

@@ -3,12 +3,13 @@
 A sweep varies one or two parameters on inclusive uniform grids while the
 rest stay fixed, and evaluates each requested quantity into one named column,
 block by block over the grid. Rows run in lexicographic axis order and are
-byte-stable: the same spec always renders the same text.
+byte-stable: the same spec always renders the same text. teleport and json
+are imported where a fidelity or a JSON table first needs them, so a
+concurrence sweep to CSV loads neither.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -17,7 +18,6 @@ import numpy as np
 
 from .entanglement import critical_temperature, model_concurrence
 from .model import DomainError, DotParams, thermal_elements
-from .teleport import InputState, average_fidelity_closed_form, subspace_fidelities
 
 __all__ = ["Axis", "SweepSpec", "FigurePreset", "run_sweep", "figure_preset", "run_figure"]
 
@@ -152,9 +152,13 @@ def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
             if q == "C":
                 values = (model_concurrence(params),)
             elif q in ("F_o", "F_e"):
+                from .teleport import InputState, subspace_fidelities
+
                 fids = fids or subspace_fidelities(InputState(at["theta"], at["phi"]), params)
                 values = (fids[q == "F_e"],)
             elif q == "F_a":
+                from .teleport import average_fidelity_closed_form
+
                 values = (average_fidelity_closed_form(params),)
             else:  # populations
                 e = thermal_elements(params)
@@ -265,6 +269,8 @@ def format_csv(table: dict[str, np.ndarray]) -> str:
 
 def format_json(table: dict[str, np.ndarray]) -> str:
     """Render a table as a JSON object with columns and row arrays; NaN is null."""
+    import json
+
     columns = [[None if math.isnan(x) else x for x in col.tolist()] for col in table.values()]
     payload = {"columns": list(table), "rows": list(zip(*columns))}
     return json.dumps(payload, indent=2) + "\n"

@@ -24,6 +24,7 @@ import functools
 import math
 import os
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,7 +33,8 @@ import numpy as np
 from . import linalg
 from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron
 from .model import DomainError, DotParams, ThermalElements, _check_broadcast, _check_point
-from .model import _any, _check_real, _first, _libm, _scalar, thermal_elements, thermal_state
+from .model import _any, _check_real, _fields_equal, _first, _libm, _scalar, thermal_elements
+from .model import thermal_state
 
 __all__ = [
     "InputState",
@@ -98,23 +100,29 @@ class BellOutcome(Enum):
 
 @dataclass(frozen=True)
 class TeleportOutcome:
-    """One measurement branch: probability, corrected output, and fidelity."""
+    """One measurement branch: probability, corrected output, and fidelity.
+    ``==`` is True when every field is equal, the state as an array."""
 
     outcome: BellOutcome
     probability: float
     state: np.ndarray
     fidelity: float
 
+    __eq__ = _fields_equal
+
 
 @dataclass(frozen=True)
 class MonteCarloFidelity:
     """Monte Carlo estimate of the average fidelity with its standard error;
-    value and stderr are floats for one point, arrays over a grid."""
+    value and stderr are floats for one point, arrays over a grid. ``==`` is
+    True when every field is equal, value and stderr as arrays."""
 
     value: float
     stderr: float
     samples: int
     seed: int
+
+    __eq__ = _fields_equal
 
 
 def input_vector(s: InputState) -> np.ndarray:
@@ -160,13 +168,16 @@ def _lifted_projector(outcome: BellOutcome) -> np.ndarray:
 
 
 def collapse_bruteforce(
-    joint: np.ndarray, outcome: BellOutcome
+    joint: np.ndarray, outcome: BellOutcome | Sequence[BellOutcome]
 ) -> tuple[np.ndarray, float]:
     """Project the joint state on a Bell outcome and reduce to qubit B.
 
     Returns the normalized collapsed 2x2 state and the branch probability;
     for a (..., 8, 8) stack of joint states, the states (..., 2, 2) and the
-    probabilities (...). Purely mechanical: projector sandwich, partial trace
+    probabilities (...). A sequence of outcomes adds a leading axis to both,
+    one entry per outcome, and checks ``joint`` once for all of them; the
+    outcomes are projected one at a time, which keeps the peak heap at one
+    outcome's sandwich. Purely mechanical: projector sandwich, partial trace
     over the first two qubits, trace normalization. Raises LinalgError unless
     ``joint`` is an 8x8 density matrix or a stack of them.
     """
@@ -174,16 +185,23 @@ def collapse_bruteforce(
     if joint.shape[-2:] != (8, 8):
         raise linalg.LinalgError(f"joint state must be 8x8, got {joint.shape}")
     joint = linalg.validate_density_matrix(joint, name="joint state")
-    m = _lifted_projector(outcome)
-    projected = m @ joint @ m.conj().T
-    z = np.trace(projected, axis1=-2, axis2=-1).real
-    low = z < _PROBABILITY_FLOOR
-    if _any(low):
-        raise DomainError(
-            f"branch {outcome.value} has probability {_first(z, low):.3e}, "
-            f"below {_PROBABILITY_FLOOR}"
-        )
-    return linalg.trace_to_last_qubit(projected) / z[..., None, None], _scalar(z)
+    single = isinstance(outcome, BellOutcome)
+    states, probabilities = [], []
+    for branch in (outcome,) if single else outcome:
+        m = _lifted_projector(branch)
+        projected = m @ joint @ m.conj().T
+        z = np.trace(projected, axis1=-2, axis2=-1).real
+        low = z < _PROBABILITY_FLOOR
+        if _any(low):
+            raise DomainError(
+                f"branch {branch.value} has probability {_first(z, low):.3e}, "
+                f"below {_PROBABILITY_FLOOR}"
+            )
+        states.append(linalg.trace_to_last_qubit(projected) / z[..., None, None])
+        probabilities.append(z)
+    if single:
+        return states[0], _scalar(probabilities[0])
+    return np.stack(states), np.stack(probabilities)
 
 
 def _branch_weights(e: ThermalElements, c2, s2):

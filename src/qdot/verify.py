@@ -188,12 +188,13 @@ def check_collapse(tolerance: float):
     states = _input_states()
     inputs = np.array([teleport.input_density(s) for s in states])
     # every channel with every input, (27, 20, 8, 8), checked as density
-    # matrices by each outcome's collapse
+    # matrices once for all four outcomes
     joint = linalg.kron(inputs, model.thermal_state(p)[:, None])
+    outcomes = tuple(teleport.BellOutcome)
+    brute_states, brute_probs = teleport.collapse_bruteforce(joint, outcomes)
     dev = 0.0
-    for outcome in teleport.BellOutcome:  # one outcome at a time keeps the peak heap small
+    for outcome, brute_state, brute_prob in zip(outcomes, brute_states, brute_probs):
         closed_state, closed_prob = teleport._collapsed_closed_form(states, e, outcome)
-        brute_state, brute_prob = teleport.collapse_bruteforce(joint, outcome)
         dev = max(
             dev,
             float(np.abs(closed_state - brute_state).max()),

@@ -51,6 +51,19 @@ def werner_state(p):
     return p * np.outer(SINGLET, SINGLET.conj()) + (1 - p) * np.eye(4) / 4
 
 
+def test_concurrence_results_compare_by_value():
+    # the lambdas are arrays: == compares them as arrays and gives a bool
+    a = wootters_concurrence(thermal_state(DotParams(4, 1, 0.5)))
+    b = wootters_concurrence(thermal_state(DotParams(4, 1, 0.5)))
+    assert a.lambdas is not b.lambdas
+    assert (a == b) is True and (a != b) is False
+    c = wootters_concurrence(thermal_state(DotParams(4, 1, 0.6)))
+    assert (a == c) is False and a != c
+    stack = wootters_concurrence(thermal_state(DotParams(np.array([4.0, 2.0]), 1, 0.5)))
+    assert stack == wootters_concurrence(thermal_state(DotParams(np.array([4.0, 2.0]), 1, 0.5)))
+    assert (stack == a) is False and (a == "C") is False
+
+
 def test_wootters_bell_state():
     res = wootters_concurrence(np.outer(SINGLET, SINGLET.conj()))
     assert abs(res.value - 1.0) < 1e-12

@@ -85,6 +85,12 @@ def test_kron_associative():
     np.testing.assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
 
 
+def test_kron_refuses_stacks_that_do_not_broadcast():
+    with pytest.raises(LinalgError, match=r"shapes \(2, 2, 2\) and \(3, 2, 2\) do not broadcast"):
+        kron(np.zeros((2, 2, 2)), np.zeros((3, 2, 2)))
+    assert kron(np.zeros((2, 1, 2, 2)), np.zeros((3, 2, 2))).shape == (2, 3, 4, 4)
+
+
 def explicit_partial_trace_two_qubits(m, keep):
     """Four-index reference implementation used as an oracle."""
     t = m.reshape(2, 2, 2, 2)

@@ -139,6 +139,30 @@ def test_collapse_stack_checks_every_joint_state():
     assert states[1].tobytes() == want_state.tobytes() and probs[1] == want_prob
 
 
+def test_collapse_of_an_outcome_sequence_checks_the_joint_state_once(monkeypatch):
+    import qdot.linalg as linalg_mod
+
+    p = DotParams(np.array([0.5, 4.0]), np.array([[0.0], [1.0]]), 0.2)
+    joint = kron(input_density(STATE), thermal_state(p))
+    calls = []
+    real = linalg_mod.validate_density_matrix
+    monkeypatch.setattr(linalg_mod, "validate_density_matrix",
+                        lambda m, name: calls.append(name) or real(m, name))
+    outcomes = (BellOutcome.PHI_PLUS, BellOutcome.PSI_MINUS, BellOutcome.PHI_PLUS)
+    states, probs = collapse_bruteforce(joint, outcomes)
+    assert calls == ["joint state"]
+    assert states.shape == (3, 2, 2, 2, 2) and probs.shape == (3, 2, 2)
+    for i, outcome in enumerate(outcomes):
+        state, prob = collapse_bruteforce(joint, outcome)
+        assert states[i].tobytes() == state.tobytes() and probs[i].tobytes() == prob.tobytes()
+    states, probs = collapse_bruteforce(joint[0, 1], list(BellOutcome))
+    assert states.shape == (4, 2, 2) and probs.shape == (4,) and abs(probs.sum() - 1.0) < 1e-14
+    bad = joint.copy()
+    bad[1, 0, 0, 1] += 1e-6
+    with pytest.raises(linalg_mod.LinalgError, match="joint state is not Hermitian"):
+        collapse_bruteforce(bad, tuple(BellOutcome))
+
+
 def test_closed_form_matches_bruteforce():
     rng = np.random.default_rng(13)
     for _ in range(15):
@@ -251,6 +275,16 @@ def test_teleport_outcomes_bundle():
     assert abs(outs[3].fidelity - f_e) < 1e-13
     for o in outs:
         assert o.outcome.subspace in ("o", "e")
+
+
+def test_records_holding_arrays_compare_by_value():
+    outs, again = teleport_outcomes(STATE, CHANNEL), teleport_outcomes(STATE, CHANNEL)
+    assert outs[0].state is not again[0].state
+    assert outs == again and (outs[0] == again[1]) is False
+    grid = DotParams(np.array([2.0, 4.0]), 0.2, 0.5)
+    a, b = (average_fidelity_mc(grid, n=1_000, seed=3) for _ in range(2))
+    assert (a == b) is True and (a != b) is False
+    assert (a == average_fidelity_mc(grid, n=1_000, seed=4)) is False
 
 
 def test_mean_branch_fidelity_matches_matrix_route():

@@ -39,6 +39,9 @@ IMPORT = "import qdot.cli, fresh interpreter"
 CLI_ARGVS = (
     ["concurrence", "--k0", "4", "--sweep", "r:0:2:1000", "--sweep", "T:0.05:2:1000"],
     ["concurrence", "--k0", "4", "--r", "1", "--t", "0.5"],  # a point: start-up is most of it
+    # shaped like qdotbench's fidelity-map: a 25x40 F_a sweep written as JSON
+    ["fidelity", "--k0", "4", "--sweep", "T:0.05:2:25", "--sweep", "r:0:4:40",
+     "--quantities", "F_o,F_e,F_a", "--format", "json"],
 )
 CLIS = ["CLI " + " ".join(argv) for argv in CLI_ARGVS]
 

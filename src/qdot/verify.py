@@ -4,7 +4,8 @@ Each check reports its maximum observed deviation and the threshold it was
 held to. Two checks carry method floors of their own: the critical
 temperature is located by bisection (floor 1e-6) and the quadrature versus
 Monte Carlo comparison is statistical (floor 4 standard errors, at least
-1e-14, per point). The caller tolerance applies to everything else.
+1e-14, per point); the closed-form F_a it also holds to the quadrature
+gets the 1e-14 floor alone. The caller tolerance applies to everything else.
 
 Every check evaluates its whole grid as arrays, so a check reports the max
 deviation a loop over point calls would. The oracles and the closed forms
@@ -243,21 +244,30 @@ def check_subspace_order(tolerance: float):
 @_check("quadrature vs Monte Carlo")
 def check_quadrature_mc(tolerance: float, mc_samples: int, seed: int):
     """Quadrature average fidelity against the Monte Carlo estimate, each
-    point held to max(tolerance, its 4 SE, a 1e-14 rounding floor).
+    point held to max(tolerance, its 4 SE, a 1e-14 rounding floor), and the
+    closed form (the F_a column) against the quadrature, held to
+    max(tolerance, the rounding floor).
 
-    Reports the point with the largest gap / bound. The floor is for the
-    zero-field point: its integrand is constant, so its SE is rounding.
+    Reports the comparison with the largest gap / bound. The floor is for
+    the zero-field point: its integrand is constant, so its SE is rounding.
+    At these points the 64-node rule is at rounding level, so the closed
+    form must match it there.
     """
     columns = model.DotParams(*(np.array(column) for column in zip(*_MC_POINTS)))
     mc = teleport.average_fidelity_mc(columns, n=mc_samples, seed=seed)  # one stream, all points
+    closed = teleport.average_fidelity_closed_form(columns).tolist()
     passed = True
     worst = (-1.0, 0.0, 0.0)  # (gap / bound, gap, bound)
     floors = []
-    for point, value, stderr in zip(_MC_POINTS, mc.value.tolist(), mc.stderr.tolist()):
-        gap = abs(teleport.average_fidelity(model.DotParams(*point)) - value)
-        bound = max(tolerance, 4.0 * stderr, _MC_ROUNDING_FLOOR)
-        passed = passed and gap <= bound
-        worst = max(worst, (gap / bound, gap, bound))
+    for point, value, stderr, f_a in zip(_MC_POINTS, mc.value.tolist(),
+                                          mc.stderr.tolist(), closed):
+        quadrature = teleport.average_fidelity(model.DotParams(*point))
+        for gap, bound in (
+            (abs(quadrature - value), max(tolerance, 4.0 * stderr, _MC_ROUNDING_FLOOR)),
+            (abs(f_a - quadrature), max(tolerance, _MC_ROUNDING_FLOOR)),
+        ):
+            passed = passed and gap <= bound
+            worst = max(worst, (gap / bound, gap, bound))
         floors.append(4.0 * stderr)
     detail = f"statistical floor 4*SE up to {max(floors):.3e}, n={mc_samples}, seed={seed}"
     if tolerance < max(floors):

@@ -1,7 +1,11 @@
-"""The package namespace: its API list, and what each command imports."""
+"""The package namespace: its API list, what each command imports, and the
+process entry's use of the garbage collector."""
 
 import ast
+import gc
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import qdot
+from qdot.cli import main
 
 # The package API in its published order, as the eager imports gave it.
 API = [
@@ -119,3 +124,48 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(qdot, "cli_main")
     with pytest.raises(ImportError):
         exec("from qdot import no_such_name", {})
+
+
+def test_in_process_main_leaves_the_collector_as_it_found_it(tmp_path):
+    found = gc.isenabled(), gc.get_freeze_count()
+    assert main(["fig", "3", "--out", str(tmp_path / "fig3.csv")]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == found
+
+
+def test_the_process_entry_collects_nothing_while_the_cli_imports(tmp_path):
+    # runs qdot's __main__ as `python -m qdot` does; the command starts at
+    # its first parse_args call, after every import
+    code = (
+        "import argparse, gc, runpy, sys\n"
+        "during_import, start = [], []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and not start\n"
+        "                    and 'qdot.cli' in sys.modules and during_import.append(info))\n"
+        "parse_args = argparse.ArgumentParser.parse_args\n"
+        "def first_parse(*args):\n"
+        "    start.append((gc.isenabled(), gc.get_freeze_count()))\n"
+        "    return parse_args(*args)\n"
+        "argparse.ArgumentParser.parse_args = first_parse\n"
+        f"sys.argv = ['qdot', 'fig', '3', '--out', {str(tmp_path / 'fig3.csv')!r}]\n"
+        "try:\n"
+        "    runpy.run_module('qdot', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print([during_import, *start[0], gc.get_freeze_count()])\n"
+    )
+    during_import, enabled, frozen_at_start, frozen_at_exit = ast.literal_eval(run_child(code))
+    assert during_import == []
+    assert enabled
+    # the imports were frozen before the command, and what it left alive after it
+    assert 0 < frozen_at_start < frozen_at_exit
+
+
+def test_the_console_script_runs_what_python_m_qdot_runs():
+    pyproject = Path(qdot.__file__).resolve().parents[2] / "pyproject.toml"
+    module, name = re.search(r'^qdot = "([\w.]+):(\w+)"$', pyproject.read_text(), re.M).groups()
+    entry = importlib.import_module(module)
+    assert entry.__name__ == "qdot.__main__" and callable(getattr(entry, name))
+    guard = next(node for node in ast.parse(Path(entry.__file__).read_text()).body
+                 if isinstance(node, ast.If))
+    called = {node.func.id for node in ast.walk(guard)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert called == {"SystemExit", name}

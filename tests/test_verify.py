@@ -205,3 +205,14 @@ def test_corrupted_collapsed_closed_form_fails_the_collapse_check(monkeypatch, c
     collapse = [line for line in lines if "teleportation collapse vs brute force" in line]
     assert collapse and collapse[0].startswith("[FAIL]")
     assert lines[-1].endswith("checks failed")
+
+
+def test_shifted_closed_form_average_fidelity_fails_the_quadrature_check(monkeypatch, capsys):
+    real = teleport_mod.average_fidelity_closed_form
+    monkeypatch.setattr(teleport_mod, "average_fidelity_closed_form", lambda p: real(p) + 1e-6)
+    assert main(["verify", "--mc-samples", "2000"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    quadrature = [line for line in lines if "quadrature vs Monte Carlo" in line]
+    assert quadrature and quadrature[0].startswith(
+        "[FAIL] quadrature vs Monte Carlo: max deviation 1.000e-06 vs threshold 1.000e-10")
+    assert lines[-1] == "1 of 8 checks failed"

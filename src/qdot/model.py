@@ -94,8 +94,7 @@ def _check_broadcast(**fields) -> None:
 
 def _check_point(*values) -> None:
     """Raise DomainError if a value, or a field of a dataclass value, is an
-    array: the routes built on one input state, and the quadrature, take one
-    point."""
+    array: fidelity, teleport_outcomes and the quadrature take one point."""
     for value in values:
         for x in vars(value).values() if is_dataclass(value) else (value,):
             if not isinstance(x, (int, float)) and np.ndim(x):  # np.ndim costs 1 us

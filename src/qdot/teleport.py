@@ -18,7 +18,6 @@ average_fidelity_mc averages it over seeded random inputs.
 
 from __future__ import annotations
 
-import cmath
 import contextvars
 import functools
 import math
@@ -73,13 +72,15 @@ _MC_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class InputState:
-    """Bloch angles of the pure input qubit: polar theta, azimuthal phi."""
+    """Bloch angles of the pure input qubit: polar theta, azimuthal phi;
+    floats, or arrays that broadcast, one input state per cell."""
 
     theta: float
     phi: float = 0.0
 
     def __post_init__(self) -> None:
         _check_real(theta=self.theta, phi=self.phi)
+        _check_broadcast(theta=self.theta, phi=self.phi)
 
 
 class BellOutcome(Enum):
@@ -125,19 +126,26 @@ class MonteCarloFidelity:
     __eq__ = _fields_equal
 
 
+def _complex(re, im) -> np.ndarray:
+    """re + i im of equal-shaped parts, signed zeros kept: re + 1j * im can
+    turn a zero im's sign."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
 def input_vector(s: InputState) -> np.ndarray:
-    """State vector of the input qubit in the {|1>, |0>} basis."""
-    _check_point(s)
-    return np.array(
-        [math.cos(s.theta / 2.0), cmath.exp(1j * s.phi) * math.sin(s.theta / 2.0)],
-        dtype=complex,
-    )
+    """State vector of the input qubit in the {|1>, |0>} basis, (..., 2). The
+    phase has cmath.exp(1j * phi)'s bits, its sine taken at 0.0 + phi."""
+    half = s.theta / 2.0
+    lower = _complex(_libm(math.cos, s.phi), _libm(math.sin, s.phi + 0.0)) * _libm(math.sin, half)
+    return np.stack(np.broadcast_arrays(_libm(math.cos, half), lower), axis=-1)
 
 
 def input_density(s: InputState) -> np.ndarray:
-    """Rank-one density matrix of the input qubit."""
+    """Rank-one density matrix of the input qubit, (..., 2, 2)."""
     psi = input_vector(s)
-    return np.outer(psi, psi.conj())
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
 def bell_projectors() -> dict[BellOutcome, np.ndarray]:
@@ -154,7 +162,9 @@ def bell_projectors() -> dict[BellOutcome, np.ndarray]:
 
 
 def joint_state(s: InputState, p: DotParams) -> np.ndarray:
-    """8x8 state of input (x) channel before the measurement."""
+    """8x8 state of input (x) channel before the measurement, (..., 8, 8)
+    over the state's and the parameters' broadcast shape."""
+    _check_broadcast(theta=s.theta, phi=s.phi, k0=p.k0, r=p.r, T=p.T)
     return kron(input_density(s), thermal_state(p))
 
 
@@ -213,42 +223,32 @@ def _branch_weights(e: ThermalElements, c2, s2):
 def collapsed_closed_form(
     s: InputState, e: ThermalElements, outcome: BellOutcome
 ) -> tuple[np.ndarray, float]:
-    """Closed-form collapsed state of qubit B and the branch probability.
+    """Closed-form collapsed state of qubit B and the branch probability,
+    (..., 2, 2) and (...) over the state's and the elements' broadcast shape.
 
     The Psi branches share the weight z1, the Phi branches z2; the branch
     probability is z/(2Z). Off-diagonals differ only in sign between the
     minus and plus outcome of each subspace, and the Phi branches carry the
-    conjugate azimuthal phase.
+    conjugate azimuthal phase. The input's trig is libm's, squares by pow
+    (x * x differs in about 0.1% of results), on floats and cells alike.
     """
-    _check_point(s, e)
-    state, probability = _collapsed_closed_form((s,), e, outcome)
-    return state[0], float(probability[0])
-
-
-def _collapsed_closed_form(states, e: ThermalElements, outcome: BellOutcome):
-    """collapsed_closed_form at every cell of the elements (...) and each of
-    the input states (n): the states (..., n, 2, 2) and the probabilities
-    (..., n). The inputs' trig is taken by math and cmath, one state at a
-    time; the elements meet it through +, -, * and / only."""
-    c2 = np.array([math.cos(s.theta / 2.0) ** 2 for s in states])
-    s2 = np.array([math.sin(s.theta / 2.0) ** 2 for s in states])
-    sin_t = np.array([math.sin(s.theta) for s in states])
-    ph = np.array([cmath.exp(-1j * s.phi) for s in states])
-    e = ThermalElements(**{name: np.asarray(f)[..., None] for name, f in vars(e).items()})
+    _check_broadcast(theta=s.theta, phi=s.phi, **vars(e))
+    half = s.theta / 2.0
+    c2 = _libm(lambda t: math.cos(t) ** 2, half)
+    s2 = _libm(lambda t: math.sin(t) ** 2, half)
     z1, z2 = _branch_weights(e, c2, s2)
-    off = 0.5 * e.y * sin_t
+    off = 0.5 * e.y * _libm(math.sin, s.theta)
     if outcome.subspace == "o":
-        top, bot, z = e.w * c2 + e.u * s2, e.v * c2 + e.w * s2, z1
+        top, bot, z, sign = e.w * c2 + e.u * s2, e.v * c2 + e.w * s2, z1, -1.0
     else:
-        top, bot, z, ph = e.u * c2 + e.w * s2, e.w * c2 + e.v * s2, z2, ph.conj()
+        top, bot, z, sign = e.u * c2 + e.w * s2, e.w * c2 + e.v * s2, z2, 1.0
     if outcome in (BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS):
         off = -off
-    corner = off * ph
-
-    state = np.empty((*np.shape(z), 2, 2), dtype=complex)
-    state[..., 0, 0], state[..., 0, 1] = top, corner
-    state[..., 1, 0], state[..., 1, 1] = corner.conj(), bot
-    return state / z[..., None, None], z / (2.0 * e.big_z)
+    # the phase of cmath.exp(-1j * phi), conjugated on the Phi branches
+    corner = off * _complex(_libm(math.cos, s.phi), sign * _libm(math.sin, s.phi))
+    cells = np.broadcast_arrays(top, corner, corner.conj(), bot)
+    state = np.stack(cells, axis=-1).reshape(*cells[0].shape, 2, 2)
+    return state / np.asarray(z)[..., None, None], _scalar(z / (2.0 * e.big_z))
 
 
 _CORRECTIONS = {
@@ -269,23 +269,18 @@ def output_states(s: InputState, p: DotParams) -> tuple[np.ndarray, np.ndarray]:
     """Corrected output of the odd (Psi) and even (Phi) subspaces.
 
     The two Psi branches collapse to one state after correction and the two
-    Phi branches to another; this returns that pair (rho_o, rho_e).
+    Phi branches to another; this returns that pair (rho_o, rho_e), each
+    (..., 2, 2) over the state's and the parameters' broadcast shape.
     """
-    _check_point(s, p)
-    rho_o, rho_e = _output_states((s,), thermal_elements(p))
-    return rho_o[0], rho_e[0]
-
-
-def _output_states(states, e: ThermalElements) -> tuple[np.ndarray, np.ndarray]:
-    """output_states at every cell of the elements and each input state, as
-    stacks (..., n, 2, 2)."""
-    rho_o, _ = _collapsed_closed_form(states, e, BellOutcome.PSI_MINUS)
-    rho_e, _ = _collapsed_closed_form(states, e, BellOutcome.PHI_MINUS)
+    e = thermal_elements(p)
+    rho_o, _ = collapsed_closed_form(s, e, BellOutcome.PSI_MINUS)
+    rho_e, _ = collapsed_closed_form(s, e, BellOutcome.PHI_MINUS)
     return rho_o, pauli_correction(BellOutcome.PHI_MINUS, rho_e)
 
 
 def fidelity(s: InputState, rho_out: np.ndarray) -> float:
     """Transmission fidelity <psi_in| rho_out |psi_in> of a 2x2 output."""
+    _check_point(s)
     psi = input_vector(s)
     return float((psi.conj() @ rho_out @ psi).real)
 
@@ -307,6 +302,7 @@ def subspace_fidelities(s: InputState, p: DotParams) -> tuple[float, float]:
 def teleport_outcomes(s: InputState, p: DotParams) -> tuple[TeleportOutcome, ...]:
     """All four measurement branches with corrected outputs and fidelities."""
     e = thermal_elements(p)
+    _check_point(s, e)
     results = []
     for outcome in BellOutcome:
         state, prob = collapsed_closed_form(s, e, outcome)

@@ -9,21 +9,18 @@ gets the 1e-14 floor alone. The caller tolerance applies to everything else.
 
 Every check evaluates its whole grid as arrays, so a check reports the max
 deviation a loop over point calls would. The oracles and the closed forms
-are called by the public names that also take one point; only the
-closed-form collapse and output states go through their stacked twins
-in teleport, which cross a list of input states with a grid of elements.
+are called by the public names that also take one point.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import entanglement, linalg, model, teleport
+from . import entanglement, model, teleport
 from .linalg import LinalgError
 from .model import DomainError
 
@@ -74,11 +71,13 @@ def _params(grid) -> model.DotParams:
     return model.DotParams(*(axis.ravel() for axis in axes))
 
 
-def _input_states():
-    return [
-        teleport.InputState(theta=theta, phi=phi)
-        for theta, phi in itertools.product(TELEPORT_GRID["theta"], TELEPORT_GRID["phi"])
-    ]
+def _teleport_grid(grid=TELEPORT_GRID):
+    """The grid's input states as a row (m,) and its channels as a column
+    (n, 1), each in itertools.product order: every channel meets every state."""
+    theta, phi = np.meshgrid(grid["theta"], grid["phi"], indexing="ij")
+    p = _params(grid)
+    return (teleport.InputState(theta.ravel(), phi.ravel()),
+            model.DotParams(p.k0[:, None], p.r[:, None], p.T[:, None]))
 
 
 def _check(name: str):
@@ -184,18 +183,16 @@ def check_critical_temperature(tolerance: float):
 @_check("teleportation collapse vs brute force")
 def check_collapse(tolerance: float):
     """Closed-form collapsed branches against 8x8 projection."""
-    p = _params(TELEPORT_GRID)
-    e = model.thermal_elements(p)
-    states = _input_states()
-    inputs = np.array([teleport.input_density(s) for s in states])
-    # every channel with every input, (27, 20, 8, 8), checked as density
+    states, p = _teleport_grid()
+    # every channel with every input, (27, 12, 8, 8), checked as density
     # matrices once for all four outcomes
-    joint = linalg.kron(inputs, model.thermal_state(p)[:, None])
+    joint = teleport.joint_state(states, p)
     outcomes = tuple(teleport.BellOutcome)
     brute_states, brute_probs = teleport.collapse_bruteforce(joint, outcomes)
+    e = model.thermal_elements(p)
     dev = 0.0
     for outcome, brute_state, brute_prob in zip(outcomes, brute_states, brute_probs):
-        closed_state, closed_prob = teleport._collapsed_closed_form(states, e, outcome)
+        closed_state, closed_prob = teleport.collapsed_closed_form(states, e, outcome)
         dev = max(
             dev,
             float(np.abs(closed_state - brute_state).max()),
@@ -207,11 +204,11 @@ def check_collapse(tolerance: float):
 @_check("branch probability completeness")
 def check_completeness(tolerance: float):
     """The four branch probabilities sum to one at every grid point."""
-    e = model.thermal_elements(_params(TELEPORT_GRID))
-    states = _input_states()
+    states, p = _teleport_grid()
+    e = model.thermal_elements(p)
     total = 0.0
     for outcome in teleport.BellOutcome:  # summed in outcome order, as a point call would
-        total = total + teleport._collapsed_closed_form(states, e, outcome)[1]
+        total = total + teleport.collapsed_closed_form(states, e, outcome)[1]
     dev = float(np.abs(total - 1.0).max())
     return dev <= tolerance, dev, tolerance
 
@@ -219,8 +216,7 @@ def check_completeness(tolerance: float):
 @_check("output states coincide at r = 0")
 def check_r0_coincidence(tolerance: float):
     """With the field off, the two corrected outputs are one state."""
-    e = model.thermal_elements(_params({**TELEPORT_GRID, "r": (0.0,)}))
-    rho_o, rho_e = teleport._output_states(_input_states(), e)
+    rho_o, rho_e = teleport.output_states(*_teleport_grid({**TELEPORT_GRID, "r": (0.0,)}))
     dev = float(np.abs(rho_o - rho_e).max())
     return dev <= tolerance, dev, tolerance
 

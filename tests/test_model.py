@@ -17,8 +17,8 @@ from qdot.model import (
     thermal_state,
     thermal_state_oracle,
 )
-from qdot.teleport import InputState, average_fidelity, average_fidelity_closed_form
-from qdot.teleport import subspace_fidelities
+from qdot.teleport import BellOutcome, InputState, average_fidelity, average_fidelity_closed_form
+from qdot.teleport import collapsed_closed_form, joint_state, output_states, subspace_fidelities
 
 
 def test_params_validation():
@@ -63,8 +63,14 @@ _PAIR, _TRIPLE = np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])
         lambda: thermal_elements(DotParams(_PAIR, _TRIPLE, 1.0)),
         lambda: model_concurrence(DotParams(_PAIR, _TRIPLE, 1.0)),
         lambda: subspace_fidelities(InputState(_TRIPLE), DotParams(_PAIR, 0, 1)),
+        lambda: InputState(np.zeros(2), np.zeros(3)),
+        lambda: joint_state(InputState(_TRIPLE), DotParams(_PAIR, 0, 1)),
+        lambda: collapsed_closed_form(
+            InputState(_TRIPLE), thermal_elements(DotParams(_PAIR, 0, 1)), BellOutcome.PSI_MINUS),
+        lambda: output_states(InputState(0.5, _TRIPLE), DotParams(_PAIR, 0, 1)),
     ],
-    ids=["thermal_elements", "model_concurrence", "subspace_fidelities"],
+    ids=["thermal_elements", "model_concurrence", "subspace_fidelities", "input_state",
+         "joint_state", "collapsed_closed_form", "output_states"],
 )
 def test_fields_that_do_not_broadcast_raise_domain_error(call):
     # these raised numpy's plain ValueError from inside the kernels

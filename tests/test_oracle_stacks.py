@@ -1,8 +1,10 @@
-"""Property tests: each oracle takes one point or a stack under one name.
+"""Property tests: each oracle and each collapse route takes one point or a
+stack under one name.
 
-On small random grids, every cell of a stack call has the bits of its
-point call, and the stacked Kronecker product has the bits of np.kron pair
-by pair. Examples are derandomized, so every run draws the same ones.
+On small random grids, and over arrays of input states, every cell of a
+stack call has the bits of its point call, and the stacked Kronecker
+product has the bits of np.kron pair by pair. Examples are derandomized,
+so every run draws the same ones.
 """
 
 import math
@@ -59,20 +61,40 @@ def test_thermal_routes_stack_like_their_point_calls(grid):
     st.lists(st.tuples(_floats(0.0, math.pi), _floats(0.0, 2.0 * math.pi)), min_size=1, max_size=3),
 )
 def test_collapse_stacks_like_its_point_calls(grid, angles):
-    # fields this mild keep every branch probability far above the floor
-    p = model.DotParams(*grid)
-    states = [teleport.InputState(theta, phi) for theta, phi in angles]
-    inputs = np.array([teleport.input_density(s) for s in states])
-    joint = linalg.kron(inputs, model.thermal_state(p)[..., None, :, :])
+    # fields this mild keep every branch probability far above the floor;
+    # the poles at phi = 0 put signed zeros into the sines and the phase
+    angles = [*angles, (0.0, 0.0), (math.pi, 0.0)]
+    states = teleport.InputState(*(np.array(axis) for axis in zip(*angles)))
+    p = model.DotParams(*(field[..., None] for field in grid))  # every cell meets every state
+    e = model.thermal_elements(p)
+    vectors, inputs = teleport.input_vector(states), teleport.input_density(states)
+    joint = teleport.joint_state(states, p)
+    assert joint.tobytes() == linalg.kron(inputs, model.thermal_state(p)[..., None, :, :]).tobytes()
+    rho_o, rho_e = teleport.output_states(states, p)
+    for j, angle in enumerate(angles):
+        s = teleport.InputState(*angle)
+        assert vectors[j].tobytes() == teleport.input_vector(s).tobytes()
+        assert inputs[j].tobytes() == teleport.input_density(s).tobytes()
     for outcome in teleport.BellOutcome:
         brute_state, brute_prob = teleport.collapse_bruteforce(joint, outcome)
+        closed_state, closed_prob = teleport.collapsed_closed_form(states, e, outcome)
         for idx, point in _cells(*grid):
-            for j, s in enumerate(states):
-                point_joint = teleport.joint_state(s, model.DotParams(*point))
-                assert joint[(*idx, j)].tobytes() == point_joint.tobytes()
+            q = model.DotParams(*point)
+            e_q = model.thermal_elements(q)
+            for j, angle in enumerate(angles):
+                s, cell = teleport.InputState(*angle), (*idx, j)
+                point_joint = teleport.joint_state(s, q)
+                assert joint[cell].tobytes() == point_joint.tobytes()
                 state, prob = teleport.collapse_bruteforce(point_joint, outcome)
-                assert brute_state[(*idx, j)].tobytes() == state.tobytes()
-                assert brute_prob[(*idx, j)] == prob
+                assert brute_state[cell].tobytes() == state.tobytes()
+                assert brute_prob[cell] == prob
+                state, prob = teleport.collapsed_closed_form(s, e_q, outcome)
+                assert closed_state[cell].tobytes() == state.tobytes()
+                assert closed_prob[cell].tobytes() == np.float64(prob).tobytes()
+                if outcome is teleport.BellOutcome.PSI_MINUS:
+                    point_o, point_e = teleport.output_states(s, q)
+                    assert rho_o[cell].tobytes() == point_o.tobytes()
+                    assert rho_e[cell].tobytes() == point_e.tobytes()
 
 
 @PROPERTY

@@ -126,6 +126,18 @@ def test_unknown_name_raises_attribute_error():
         exec("from qdot import no_such_name", {})
 
 
+def test_verify_names_no_private_teleport_attribute():
+    # the checks set the closed forms a user calls against the oracles
+    tree = ast.parse(Path(qdot.__file__).with_name("verify.py").read_text())
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "teleport"}
+    used |= {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "teleport"
+             for alias in node.names}
+    assert "collapsed_closed_form" in used
+    assert [name for name in used if name.startswith("_")] == []
+
+
 def test_in_process_main_leaves_the_collector_as_it_found_it(tmp_path):
     found = gc.isenabled(), gc.get_freeze_count()
     assert main(["fig", "3", "--out", str(tmp_path / "fig3.csv")]) == 0

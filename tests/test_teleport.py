@@ -1,5 +1,6 @@
 """Tests for the Bell measurement, collapsed branches, and fidelities."""
 
+import cmath
 import math
 import threading
 import warnings
@@ -49,6 +50,15 @@ def test_input_vector_poles_and_norm():
     for _ in range(10):
         s = InputState(theta=rng.uniform(0, math.pi), phi=rng.uniform(0, 2 * math.pi))
         assert abs(np.linalg.norm(input_vector(s)) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "theta,phi", [(0.0, 0.0), (-0.0, -0.0), (math.pi, 0.0), (-0.0, 1.3), (1.0, -0.0), (-2.0, 0.7)]
+)
+def test_input_vector_has_the_bits_of_its_cmath_form(theta, phi):
+    # signed zeros included: the phase is not built as cos + 1j * sin
+    want = [math.cos(theta / 2.0), cmath.exp(1j * phi) * math.sin(theta / 2.0)]
+    assert input_vector(InputState(theta, phi)).tobytes() == np.array(want, complex).tobytes()
 
 
 def test_input_density_is_pure():
@@ -177,6 +187,22 @@ def test_closed_form_matches_bruteforce():
             got_state, got_prob = collapsed_closed_form(s, e, outcome)
             np.testing.assert_allclose(got_state, want_state, atol=1e-13)
             assert abs(got_prob - want_prob) < 1e-13
+
+
+def test_collapse_of_many_states_has_the_bits_of_each_point_call():
+    # libm's pow squares differently from x * x in about 0.1% of results, so
+    # the state axis must take its squares as a point call does; the assert
+    # on `differ` shows that these angles hold such squares
+    rng = np.random.default_rng(3)
+    theta, phi = rng.uniform(0.0, math.pi, 4000), rng.uniform(0.0, 2.0 * math.pi, 4000)
+    differ = sum(math.cos(t) ** 2 != math.cos(t) * math.cos(t) for t in (theta / 2.0).tolist())
+    assert differ > 0
+    e = thermal_elements(CHANNEL)
+    for outcome in BellOutcome:
+        states, probs = collapsed_closed_form(InputState(theta, phi), e, outcome)
+        for j, (t, f) in enumerate(zip(theta.tolist(), phi.tolist())):
+            state, prob = collapsed_closed_form(InputState(t, f), e, outcome)
+            assert states[j].tobytes() == state.tobytes() and probs[j] == prob
 
 
 def test_correction_identities_are_bitwise():
@@ -711,13 +737,12 @@ PAIR = DotParams(np.array([1.0, 2.0]), 0.0, 1.0)
 @pytest.mark.parametrize(
     "fn,args",
     [
-        (input_vector, (InputState(np.array([0.5, 1.0])),)),
-        (collapsed_closed_form,
-         (InputState(np.array([0.5, 1.0])), thermal_elements(CHANNEL), BellOutcome.PSI_MINUS)),
-        (output_states, (InputState(1.0), PAIR)),
+        (fidelity, (InputState(np.array([0.5, 1.0])), np.eye(2) / 2.0)),
+        (teleport_outcomes, (InputState(np.array([0.5, 1.0])), CHANNEL)),
+        (teleport_outcomes, (InputState(1.0), PAIR)),
         (average_fidelity, (PAIR,)),
     ],
-    ids=["input_vector-args4", "collapsed_closed_form-args5", "output_states-args6",
+    ids=["fidelity-states", "teleport_outcomes-states", "teleport_outcomes-params",
          "average_fidelity-args7"],
 )
 def test_point_only_routes_refuse_arrays(fn, args):

@@ -151,28 +151,31 @@ def test_thermal_stacks_equal_their_point_calls():
 
 
 def test_collapse_stacks_equal_their_point_calls():
-    p = verify._params(verify.TELEPORT_GRID)
+    states, p = verify._teleport_grid()
+    assert states.theta.shape == (len(STATES),) and p.k0.shape == (len(TELEPORT_POINTS), 1)
     e = model.thermal_elements(p)
-    inputs = np.array([teleport.input_density(s) for s in STATES])
-    joint = linalg.kron(inputs, model.thermal_state(p)[:, None])
-    rho_o, rho_e = teleport._output_states(STATES, e)
+    joint = teleport.joint_state(states, p)
+    rho_o, rho_e = teleport.output_states(states, p)
     for outcome in teleport.BellOutcome:
         brute_state, brute_prob = teleport.collapse_bruteforce(joint, outcome)
-        closed_state, closed_prob = teleport._collapsed_closed_form(STATES, e, outcome)
+        closed_state, closed_prob = teleport.collapsed_closed_form(states, e, outcome)
         for i, q in enumerate(TELEPORT_POINTS):
             e_q = model.thermal_elements(q)
             for j, s in enumerate(STATES):
+                assert (states.theta[j], states.phi[j]) == (s.theta, s.phi)
                 point_joint = teleport.joint_state(s, q)
                 assert joint[i, j].tobytes() == point_joint.tobytes()
                 state, prob = teleport.collapse_bruteforce(point_joint, outcome)
                 assert type(prob) is float
                 assert brute_state[i, j].tobytes() == state.tobytes() and brute_prob[i, j] == prob
                 state, prob = teleport.collapsed_closed_form(s, e_q, outcome)
-                assert np.array_equal(closed_state[i, j], state) and closed_prob[i, j] == prob
+                assert type(prob) is float
+                assert closed_state[i, j].tobytes() == state.tobytes() and closed_prob[i, j] == prob
     for i, q in enumerate(TELEPORT_POINTS):
         for j, s in enumerate(STATES):
             point_o, point_e = teleport.output_states(s, q)
-            assert np.array_equal(rho_o[i, j], point_o) and np.array_equal(rho_e[i, j], point_e)
+            assert rho_o[i, j].tobytes() == point_o.tobytes()
+            assert rho_e[i, j].tobytes() == point_e.tobytes()
 
 
 def test_bisection_stack_equals_its_point_calls():
@@ -192,14 +195,14 @@ def test_bisection_stack_names_the_first_bad_bracket():
 
 
 def test_corrupted_collapsed_closed_form_fails_the_collapse_check(monkeypatch, capsys):
-    real = teleport_mod._collapsed_closed_form
+    real = teleport_mod.collapsed_closed_form
 
-    def crooked(states, e, outcome):
-        state, probability = real(states, e, outcome)
+    def crooked(s, e, outcome):
+        state, probability = real(s, e, outcome)
         state[..., 0, 0] += 1e-6
         return state, probability
 
-    monkeypatch.setattr(teleport_mod, "_collapsed_closed_form", crooked)
+    monkeypatch.setattr(teleport_mod, "collapsed_closed_form", crooked)
     assert main(["verify", "--mc-samples", "2000"]) == 2
     lines = capsys.readouterr().out.splitlines()
     collapse = [line for line in lines if "teleportation collapse vs brute force" in line]

@@ -11,7 +11,8 @@ in-process row once with ``timeit`` (autorange: as many calls as fill
 of its own, and each CLI row runs as another child, whose ``wait4`` gives
 its wall time and peak resident size. Each row keeps the median of
 its ``--repeat`` samples per checkout, and the samples beside it. Only
-the standard library is used here; the children import qdot and numpy.
+the standard library is used here; the children import qdot, and all but
+the point commands numpy.
 """
 
 from __future__ import annotations
@@ -38,7 +39,10 @@ FIDELITY = "sweep 200x200 r x T (k0=4, F_a)"
 IMPORT = "import qdot.cli, fresh interpreter"
 CLI_ARGVS = (
     ["concurrence", "--k0", "4", "--sweep", "r:0:2:1000", "--sweep", "T:0.05:2:1000"],
-    ["concurrence", "--k0", "4", "--r", "1", "--t", "0.5"],  # a point: start-up is most of it
+    # points: start-up is most of them, and they load no numpy
+    ["concurrence", "--k0", "4", "--r", "1", "--t", "0.5"],
+    ["tc", "--k0", "4"],
+    ["ground-state", "--k0", "4", "--r", "1"],
     # shaped like qdotbench's fidelity-map: a 25x40 F_a sweep written as JSON
     ["fidelity", "--k0", "4", "--sweep", "T:0.05:2:25", "--sweep", "r:0:4:40",
      "--quantities", "F_o,F_e,F_a", "--format", "json"],

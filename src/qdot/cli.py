@@ -13,8 +13,7 @@ import math
 import os
 import re
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .entanglement import ground_state_concurrence
 from .model import DomainError
@@ -27,8 +26,12 @@ from .sweep import (
     format_json,
     iter_csv,
     run_figure,
+    run_point,
     run_sweep,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["main"]
 
@@ -218,9 +221,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(table: dict[str, np.ndarray], args) -> None:
+def _emit(table: dict[str, np.ndarray] | dict[str, float], args) -> None:
     # CSV is written chunk by chunk as it is formatted, never held whole; the
-    # file opens only now, so a sweep that raised has left none
+    # file opens only now, so a sweep that raised has left none. A point's
+    # row of Python floats is written without numpy
     pieces = iter_csv(table) if args.format == "csv" else (format_json(table),)
     if args.out:
         try:
@@ -243,15 +247,14 @@ def cmd_sweep(args) -> int:
         fixed=_fixed_params(args),
         quantities=args.quantities,
     )
-    _emit(run_sweep(spec), args)
+    _emit(run_sweep(spec) if spec.axes else run_point(spec), args)
     return 0
 
 
 def cmd_ground_state(args) -> int:
     if args.k0 is None:
         raise UsageError("ground-state needs --k0")
-    value = ground_state_concurrence(args.k0, args.r)
-    _emit({"k0": np.array([args.k0]), "r": np.array([args.r]), "C": np.array([value])}, args)
+    _emit({"k0": args.k0, "r": args.r, "C": ground_state_concurrence(args.k0, args.r)}, args)
     return 0
 
 

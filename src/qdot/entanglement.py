@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import linalg
-from .linalg import PAULI_Y, kron
 from .model import DotParams, ThermalElements, _any, _boltzmann_weights, _check_real
-from .model import _fields_equal, _scalar
+from .model import _fields_equal, _maximum, _scalar, _where
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ConcurrenceResult",
@@ -59,6 +59,11 @@ def wootters_concurrence(rho: np.ndarray) -> ConcurrenceResult:
     rejects eigenvalues of rho below its floor; those left round up to zero
     before the square root.
     """
+    import numpy as np
+
+    from . import linalg
+    from .linalg import PAULI_Y, kron
+
     rho = linalg.validate_density_matrix(rho, name="input state")
     if rho.shape[-2:] != (4, 4):
         raise linalg.LinalgError(f"concurrence needs a 4x4 state, got {rho.shape}")
@@ -78,6 +83,8 @@ def xstate_concurrence(e: ThermalElements) -> float:
     sqrt(uv) is taken as sqrt(u)*sqrt(v) so the product cannot underflow
     before the root. Broadcasts over array elements.
     """
+    import numpy as np
+
     root_uv = np.sqrt(e.u) * np.sqrt(e.v)
     return _scalar((2.0 / e.big_z) * np.maximum(abs(e.y) - root_uv, 0.0))
 
@@ -94,7 +101,7 @@ def model_concurrence(p: DotParams) -> float:
     if not _any(p.T != 0):
         return ground_state_concurrence(p.k0, p.r)
     u, v, e1, e2, _ = _boltzmann_weights(p)
-    return _scalar(np.maximum((e2 - 3.0 * e1) / (u + v + e1 + e2), 0.0))
+    return _scalar(_maximum((e2 - 3.0 * e1) / (u + v + e1 + e2), 0.0))
 
 
 def ground_state_concurrence(k0: float, r: float) -> float:
@@ -108,7 +115,7 @@ def ground_state_concurrence(k0: float, r: float) -> float:
     """
     _check_real(k0=k0, r=r)
     field, boundary = abs(r), k0 / 4.0
-    return _scalar(np.where(k0 > 0, (field < boundary) + 0.5 * (field == boundary), 0.0))
+    return _scalar(_where(k0 > 0, (field < boundary) + 0.5 * (field == boundary), 0.0))
 
 
 def critical_temperature(k0):
@@ -120,5 +127,5 @@ def critical_temperature(k0):
     does not depend on the field r.
     """
     _check_real(k0=k0)
-    tc = _scalar(np.where(k0 > 0, k0 / (4.0 * math.log(3.0)), math.nan))
+    tc = _scalar(_where(k0 > 0, k0 / (4.0 * math.log(3.0)), math.nan))
     return None if isinstance(tc, float) and math.isnan(tc) else tc

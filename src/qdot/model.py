@@ -12,13 +12,14 @@ sigma_z |1> = +|1>. Both couplings may take either sign.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass, is_dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import linalg
-from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DomainError",
@@ -60,19 +61,27 @@ class DotParams:
 
 
 def _first(value, where):
-    """``value`` where ``where`` first holds, as a Python scalar for messages."""
+    """``value`` where ``where`` first holds, as a Python scalar for messages;
+    a Python number is that scalar wherever ``where`` holds."""
+    np = _numpy(value)
+    if np is None:
+        return value
     return np.broadcast_to(value, np.shape(where))[where].flat[0].item()
 
 
 def _check_real(**fields) -> None:
     """Raise DomainError unless each field is a finite real number or array of them.
-    A finite Python float, or an int that numpy holds as int64 or uint64, passes
-    without a numpy call; everything else, and every refusal, takes numpy's route."""
+    A Python float, or an int that numpy holds as int64 or uint64, is checked
+    without numpy; everything else takes numpy's route."""
     for name, val in fields.items():
         if isinstance(val, float) and math.isfinite(val):
             continue
+        if type(val) is float:  # nan or inf; a numpy scalar's repr would differ
+            raise DomainError(f"{name} must be finite, got {val!r}")
         if type(val) is int and -2**63 <= val < 2**64:
             continue
+        import numpy as np
+
         arr = np.asarray(val)
         if arr.dtype.kind not in "biuf":
             raise DomainError(f"{name} must be a real number, got {val!r}")
@@ -83,6 +92,9 @@ def _check_real(**fields) -> None:
 def _check_broadcast(**fields) -> None:
     """Raise DomainError unless the array fields broadcast together; fields
     that are not arrays broadcast with anything and cost no numpy call."""
+    np = sys.modules.get("numpy")  # not loaded: no field is an array
+    if np is None:
+        return
     shapes = {name: val.shape for name, val in fields.items() if isinstance(val, np.ndarray)}
     if len(shapes) > 1:
         try:
@@ -95,6 +107,8 @@ def _check_broadcast(**fields) -> None:
 def _check_point(*values) -> None:
     """Raise DomainError if a value, or a field of a dataclass value, is an
     array: fidelity, teleport_outcomes and the quadrature take one point."""
+    import numpy as np  # loaded: only teleport's point routes call this
+
     for value in values:
         for x in vars(value).values() if is_dataclass(value) else (value,):
             if not isinstance(x, (int, float)) and np.ndim(x):  # np.ndim costs 1 us
@@ -108,17 +122,69 @@ def _fields_equal(self, other) -> bool:
     two distinct arrays."""
     if type(other) is not type(self):
         return NotImplemented
+    import numpy as np
+
     return all(np.array_equal(x, y) for x, y in zip(vars(self).values(), vars(other).values()))
+
+
+def _numpy(*values):
+    """numpy if a value is a numpy array or scalar, else None. Python numbers
+    take the math route of each guard below; while numpy is not loaded, no
+    value can be one of its types, so asking never loads it."""
+    np = sys.modules.get("numpy")
+    if np is not None:
+        for x in values:
+            if isinstance(x, (np.ndarray, np.generic)):
+                return np
+    return None
+
+
+def _is_array(x) -> bool:
+    """isinstance(x, np.ndarray), without loading numpy to learn it is not."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
 
 
 def _any(mask) -> bool:
     """np.any without its 6 us on a single bool."""
-    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
+    return bool(mask.any() if _is_array(mask) else mask)
 
 
 def _scalar(x):
     """A 0-d result as a Python float; arrays pass through."""
-    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+    return x if _is_array(x) and x.ndim else float(x)
+
+
+def _quiet(*values):
+    """np.errstate that ignores overflow and invalid results, over numpy
+    values; Python floats overflow to inf and NaN without a word."""
+    np = _numpy(*values)
+    if np is None:
+        return contextlib.nullcontext()
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _nonfinite(x):
+    """~np.isfinite(x), or not math.isfinite(x) on a Python float."""
+    np = _numpy(x)
+    return not math.isfinite(x) if np is None else ~np.isfinite(x)
+
+
+def _maximum(a, b):
+    """np.maximum(a, b), or its rule on Python floats: a NaN wins, and of two
+    equal values, 0.0 and -0.0 included, the second."""
+    np = _numpy(a, b)
+    if np is not None:
+        return np.maximum(a, b)
+    return a if a > b or a != a else b
+
+
+def _where(cond, a, b):
+    """np.where(cond, a, b), or a conditional expression on Python values."""
+    np = _numpy(cond, a, b)
+    if np is not None:
+        return np.where(cond, a, b)
+    return a if cond else b
 
 
 def _libm(fn, x):
@@ -126,8 +192,10 @@ def _libm(fn, x):
     arrays: numpy's exp and log differ from libm in 4.6% and about 0.1% of
     results on an AVX-512 build, and cells must match scalar calls bit for bit.
     Maps blocks of _LIBM_BLOCK cells, so the Python floats in flight stay few."""
-    if not isinstance(x, np.ndarray):
+    if not _is_array(x):
         return fn(x)
+    import numpy as np
+
     flat = x.ravel()
     out = np.empty(flat.size)
     for i in range(0, flat.size, _LIBM_BLOCK):
@@ -140,6 +208,10 @@ def hamiltonian_matrix(p: DotParams) -> np.ndarray:
     """4x4 Hamiltonian in the product basis, assembled from spin operators;
     over a grid of k0 and r, a stack (..., 4, 4). Raises DomainError where an
     entry overflows, as k0/16 - r does at k0 = -r = 1.7e308."""
+    import numpy as np
+
+    from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron
+
     sx, sy, sz = PAULI_X / 2.0, PAULI_Y / 2.0, PAULI_Z / 2.0
     exchange = kron(sx, sx) + kron(sy, sy) + kron(sz, sz)
     zeeman = kron(sz, IDENTITY_2) + kron(IDENTITY_2, sz)
@@ -188,24 +260,24 @@ def _boltzmann_weights(p: DotParams):
             "use the ground-state limits"
         )
     k0, r, T = p.k0, p.r, p.T
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet(k0, r, T):
         t16 = 16.0 * T
         exps = (-(k0 - 16.0 * r) / t16, -(k0 + 16.0 * r) / t16, -k0 / t16, 3.0 * k0 / t16)
         # 3 k0, k0 -+ 16 r or 16 T can overflow where the exponents do not
         # (k0 = 1e308 at T = 1e10 or 1e308); only those cells divide first.
-        bad = ~np.isfinite(exps[0]) | ~np.isfinite(exps[1])
-        bad |= ~np.isfinite(exps[2]) | ~np.isfinite(exps[3])
+        bad = _nonfinite(exps[0]) | _nonfinite(exps[1])
+        bad |= _nonfinite(exps[2]) | _nonfinite(exps[3])
         if _any(bad):
             q, s = k0 / T / 16.0, r / T
             exps = tuple(
-                _scalar(np.where(bad, late, early))
+                _scalar(_where(bad, late, early))
                 for late, early in zip((-(q - s), -(q + s), -q, 3.0 * q), exps)
             )
         a_u, a_v, b1, b2 = exps
         # An exponent at -inf only zeroes its weight; one at +inf (or NaN)
         # is the shift m itself, and the shifted exponents would be NaN.
-        m = _scalar(np.maximum(np.maximum(a_u, a_v), np.maximum(b1, b2)))
-        overflow = ~np.isfinite(m)
+        m = _scalar(_maximum(_maximum(a_u, a_v), _maximum(b1, b2)))
+        overflow = _nonfinite(m)
         if _any(overflow):
             k0, r, T = (_first(x, overflow) for x in (p.k0, p.r, p.T))
             raise DomainError(f"Boltzmann exponents overflow at k0={k0!r}, r={r!r}, T={T!r}")
@@ -229,6 +301,8 @@ def thermal_elements(p: DotParams) -> ThermalElements:
 def thermal_state(p: DotParams) -> np.ndarray:
     """Closed-form Gibbs state: an X-form 4x4 matrix in the product basis;
     over a grid, a stack (..., 4, 4)."""
+    import numpy as np
+
     e = thermal_elements(p)
     rho = np.zeros((*np.shape(e.big_z), 4, 4), dtype=complex)
     rho[..., 0, 0] = e.u
@@ -248,6 +322,10 @@ def thermal_state_oracle(p: DotParams) -> np.ndarray:
     finite. Over a grid it returns a stack (..., 4, 4), from one eigensolver
     call and one weighted matmul over the Hamiltonian stack.
     """
+    import numpy as np
+
+    from . import linalg
+
     h = hamiltonian_matrix(p)
     if _any(p.T <= 0):
         raise DomainError(f"thermal oracle needs T > 0, got T={_first(p.T, p.T <= 0)}")

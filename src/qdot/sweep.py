@@ -3,9 +3,10 @@
 A sweep varies one or two parameters on inclusive uniform grids while the
 rest stay fixed, and evaluates each requested quantity into one named column,
 block by block over the grid. Rows run in lexicographic axis order and are
-byte-stable: the same spec always renders the same text. teleport and json
-are imported where a fidelity or a JSON table first needs them, so a
-concurrence sweep to CSV loads neither.
+byte-stable: the same spec always renders the same text. numpy, teleport
+and json are imported where a grid, a fidelity or a JSON table first needs
+them: a concurrence sweep to CSV loads neither teleport nor json, and a spec
+with no axes is one row of Python floats (run_point), which loads no numpy.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .entanglement import critical_temperature, model_concurrence
 from .model import DomainError, DotParams, thermal_elements
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Axis", "SweepSpec", "FigurePreset", "run_sweep", "figure_preset", "run_figure"]
 
@@ -57,6 +60,8 @@ class Axis:
 
     def values(self) -> np.ndarray:
         """Grid points lo + i (hi - lo) / (steps - 1), endpoints inclusive."""
+        import numpy as np
+
         step = (self.hi - self.lo) / (self.steps - 1)
         return self.lo + step * np.arange(self.steps)
 
@@ -114,6 +119,8 @@ class SweepSpec:
     def grid(self) -> dict[str, np.ndarray | float]:
         """A flat column per axis, lexicographic in the axes (the last varies
         fastest), and the fixed values as scalars that broadcast."""
+        import numpy as np
+
         try:
             mesh = np.meshgrid(*(a.values() for a in self.axes), indexing="ij")
         except (MemoryError, ValueError) as exc:  # numpy refuses before it allocates
@@ -132,11 +139,12 @@ def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
     bits of the whole-grid call and a sweep raises at its first bad cell.
     A column whose inputs are all fixed is a zero-stride view.
     """
+    import numpy as np
+
     grid = spec.grid()
     size = math.prod(a.steps for a in spec.axes)
     table = {a.name: grid[a.name] for a in spec.axes}
-    thermal = {q: _POPULATION_COLUMNS if q == "populations" else (q,)
-               for q in spec.quantities if q != "Tc"}
+    thermal = _thermal_columns(spec)
     for q in spec.quantities:
         if q == "Tc":
             # an array k0, so that no transition reads NaN rather than None
@@ -146,29 +154,58 @@ def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
     for start in range(0, size if thermal else 0, _EVAL_BLOCK):
         cells = slice(start, start + _EVAL_BLOCK)
         at = {n: v[cells] if isinstance(v, np.ndarray) else v for n, v in grid.items()}
-        params = DotParams(at["k0"], at["r"], at["T"])
-        fids = None  # (F_o, F_e), evaluated together
-        for q, names in thermal.items():
-            if q == "C":
-                values = (model_concurrence(params),)
-            elif q in ("F_o", "F_e"):
-                from .teleport import InputState, subspace_fidelities
-
-                fids = fids or subspace_fidelities(InputState(at["theta"], at["phi"]), params)
-                values = (fids[q == "F_e"],)
-            elif q == "F_a":
-                from .teleport import average_fidelity_closed_form
-
-                values = (average_fidelity_closed_form(params),)
-            else:  # populations
-                e = thermal_elements(params)
-                values = (e.u / e.big_z, e.w / e.big_z, e.w / e.big_z, e.v / e.big_z)
-            for name, value in zip(names, values):
-                if np.ndim(value):
-                    table[name][cells] = value
-                else:  # every input fixed: one value, broadcast below
-                    table[name] = value
+        for name, value in _evaluate(thermal, at):
+            if np.ndim(value):
+                table[name][cells] = value
+            else:  # every input fixed: one value, broadcast below
+                table[name] = value
     return {name: np.broadcast_to(np.asarray(c, float), size) for name, c in table.items()}
+
+
+def run_point(spec: SweepSpec) -> dict[str, float]:
+    """Evaluate a spec with no axes on Python floats: the one row of its
+    table, column name -> value, in run_sweep's column order and with the
+    bits of its cells; NaN marks Tc without a transition. Loads numpy only
+    for the fidelities."""
+    if spec.axes:
+        raise UsageError(f"run_point takes a spec with no axes, got {len(spec.axes)}")
+    thermal = _thermal_columns(spec)
+    row = {}
+    if "Tc" in spec.quantities:  # first, as in run_sweep, so the same error wins
+        tc = critical_temperature(spec.fixed["k0"])
+        row["Tc"] = math.nan if tc is None else tc
+    if thermal:
+        row.update(_evaluate(thermal, spec.fixed))
+    return {name: row[name] for q in spec.quantities for name in thermal.get(q, (q,))}
+
+
+def _thermal_columns(spec: SweepSpec) -> dict[str, tuple[str, ...]]:
+    """Each requested quantity but Tc -> the columns it fills."""
+    return {q: _POPULATION_COLUMNS if q == "populations" else (q,)
+            for q in spec.quantities if q != "Tc"}
+
+
+def _evaluate(thermal: dict[str, tuple[str, ...]], at: dict) -> Iterator[tuple[str, object]]:
+    """(column, values) of each quantity in ``thermal`` at the parameters in
+    ``at``: Python floats for a point, arrays over a block of cells."""
+    params = DotParams(at["k0"], at["r"], at["T"])
+    fids = None  # (F_o, F_e), evaluated together
+    for q, names in thermal.items():
+        if q == "C":
+            values = (model_concurrence(params),)
+        elif q in ("F_o", "F_e"):
+            from .teleport import InputState, subspace_fidelities
+
+            fids = fids or subspace_fidelities(InputState(at["theta"], at["phi"]), params)
+            values = (fids[q == "F_e"],)
+        elif q == "F_a":
+            from .teleport import average_fidelity_closed_form
+
+            values = (average_fidelity_closed_form(params),)
+        else:  # populations
+            e = thermal_elements(params)
+            values = (e.u / e.big_z, e.w / e.big_z, e.w / e.big_z, e.v / e.big_z)
+        yield from zip(names, values)
 
 
 @dataclass(frozen=True)
@@ -213,6 +250,8 @@ def figure_preset(fig_id: int) -> FigurePreset:
 def run_figure(preset: FigurePreset) -> dict[str, np.ndarray]:
     """Evaluate all panels and concatenate their tables; the panel value
     becomes the leading column."""
+    import numpy as np
+
     tables = []
     for spec in preset.panels:
         table = run_sweep(spec)
@@ -229,15 +268,27 @@ def run_figure(preset: FigurePreset) -> dict[str, np.ndarray]:
 _CSV_CHUNK_ROWS = 1 << 11
 
 
-def iter_csv(table: dict[str, np.ndarray]) -> Iterator[str]:
+def _cells(values: list[float]) -> list[str]:
+    """CSV cells: format(x, ".17g"), which keeps the sign of -0.0; NaN (Tc
+    without a transition) is an empty cell."""
+    return ["" if x != x else format(x, ".17g") for x in values]
+
+
+def iter_csv(table: dict[str, np.ndarray] | dict[str, float]) -> Iterator[str]:
     """A table's CSV text in pieces: the header line, then one string per
     chunk of rows, so a writer never holds the whole text. Texts are keyed on
     float64 bit patterns (-0.0 and +0.0 apart), and a chunk formats only those
     its column's previous chunk lacked: an axis shorter than a chunk costs its
-    distinct values once."""
+    distinct values once. A point's row (run_point) is one line, written
+    without numpy."""
     columns = list(table.values())
-    size = len(columns[0])
     yield ",".join(table) + "\n"
+    if isinstance(columns[0], float):
+        yield ",".join(_cells(columns)) + "\n"
+        return
+    import numpy as np
+
+    size = len(columns[0])
     # Rows as cell, ",", cell, ..., "\n", one join per chunk from one buffer. A
     # string per row ran as fast, but the CLI's peak RSS was up to 3 MiB higher
     # in 5-25% of runs, depending on the lengths of its paths.
@@ -254,23 +305,25 @@ def iter_csv(table: dict[str, np.ndarray]) -> Iterator[str]:
             at = np.minimum(np.searchsorted(old_keys, keys), len(old_keys) - 1)
             texts, new = old_texts[at], old_keys[at] != keys
             fresh = keys[new].view(float).tolist()
-            texts[new] = ["" if x != x else format(x, ".17g") for x in fresh]
+            texts[new] = _cells(fresh)
             seen[j] = keys, texts
             rows[:, 2 * j] = texts[inverse]
         yield "".join(rows.ravel().tolist())
 
 
-def format_csv(table: dict[str, np.ndarray]) -> str:
+def format_csv(table: dict[str, np.ndarray] | dict[str, float]) -> str:
     """Render a table as CSV: format(x, ".17g") cells, LF newlines, no trailing
     delimiter; NaN (Tc without a transition) is an empty cell. The joined
     pieces of iter_csv."""
     return "".join(iter_csv(table))
 
 
-def format_json(table: dict[str, np.ndarray]) -> str:
-    """Render a table as a JSON object with columns and row arrays; NaN is null."""
+def format_json(table: dict[str, np.ndarray] | dict[str, float]) -> str:
+    """Render a table, or a point's row, as a JSON object with columns and
+    row arrays; NaN is null."""
     import json
 
-    columns = [[None if math.isnan(x) else x for x in col.tolist()] for col in table.values()]
+    lists = ([c] if isinstance(c, float) else c.tolist() for c in table.values())
+    columns = [[None if math.isnan(x) else x for x in col] for col in lists]
     payload = {"columns": list(table), "rows": list(zip(*columns))}
     return json.dumps(payload, indent=2) + "\n"

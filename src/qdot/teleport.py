@@ -279,8 +279,12 @@ def output_states(s: InputState, p: DotParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fidelity(s: InputState, rho_out: np.ndarray) -> float:
-    """Transmission fidelity <psi_in| rho_out |psi_in> of a 2x2 output."""
+    """Transmission fidelity <psi_in| rho_out |psi_in> of a 2x2 output.
+    Raises LinalgError unless ``rho_out`` is one finite 2x2 matrix."""
     _check_point(s)
+    rho_out = linalg.as_complex_matrix(rho_out)
+    if rho_out.shape != (2, 2):
+        raise linalg.LinalgError(f"output state must be 2x2, got {rho_out.shape}")
     psi = input_vector(s)
     return float((psi.conj() @ rho_out @ psi).real)
 

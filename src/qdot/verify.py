@@ -64,6 +64,12 @@ class CheckResult:
         )
 
 
+def _max_dev(*devs) -> float:
+    """The largest deviation as a float; NaN if any is NaN, which max() would
+    drop, so that a NaN fails the check that reports it."""
+    return math.nan if any(map(math.isnan, devs)) else float(max(devs))
+
+
 def _params(grid) -> model.DotParams:
     """DotParams of flat arrays over the product of a grid's k0, r and T
     values, in itertools.product order (T fastest)."""
@@ -154,8 +160,8 @@ def check_concurrence_triple(tolerance: float):
     c_model = entanglement.model_concurrence(p)
     c_x = entanglement.xstate_concurrence(e)
     c_w = entanglement.wootters_concurrence(model.thermal_state(p)).value
-    dev = float(max(np.abs(c_model - c_x).max(), np.abs(c_model - c_w).max(),
-                    np.abs(c_x - c_w).max()))
+    dev = _max_dev(np.abs(c_model - c_x).max(), np.abs(c_model - c_w).max(),
+                   np.abs(c_x - c_w).max())
     ferro = p.k0 < 0
     ferro_max = float(np.max([c_model[ferro], c_x[ferro], c_w[ferro]], initial=0.0))
     passed = dev <= tolerance and ferro_max == 0.0
@@ -182,7 +188,9 @@ def check_critical_temperature(tolerance: float):
 
 @_check("teleportation collapse vs brute force")
 def check_collapse(tolerance: float):
-    """Closed-form collapsed branches against 8x8 projection."""
+    """Closed-form collapsed branches against 8x8 projection, and the
+    closed-form F_o and F_e against the fidelity of the Pauli-corrected
+    Psi- and Phi- branches of that projection."""
     states, p = _teleport_grid()
     # every channel with every input, (27, 12, 8, 8), checked as density
     # matrices once for all four outcomes
@@ -190,15 +198,24 @@ def check_collapse(tolerance: float):
     outcomes = tuple(teleport.BellOutcome)
     brute_states, brute_probs = teleport.collapse_bruteforce(joint, outcomes)
     e = model.thermal_elements(p)
-    dev = 0.0
+    devs = []
     for outcome, brute_state, brute_prob in zip(outcomes, brute_states, brute_probs):
         closed_state, closed_prob = teleport.collapsed_closed_form(states, e, outcome)
-        dev = max(
-            dev,
-            float(np.abs(closed_state - brute_state).max()),
-            float(np.abs(closed_prob - brute_prob).max()),
-        )
-    return dev <= tolerance, dev, tolerance
+        devs += np.abs(closed_state - brute_state).max(), np.abs(closed_prob - brute_prob).max()
+    dev = _max_dev(*devs)
+    # <psi| rho |psi> as teleport.fidelity takes it, over the stack
+    psi = teleport.input_vector(states)
+    bra, ket = psi.conj()[..., None, :], psi[..., :, None]
+    branches = dict(zip(outcomes, brute_states))
+    fids = []
+    for outcome, closed in zip((teleport.BellOutcome.PSI_MINUS, teleport.BellOutcome.PHI_MINUS),
+                               teleport.subspace_fidelities(states, p)):
+        corrected = teleport.pauli_correction(outcome, branches[outcome])
+        brute = (bra @ corrected @ ket)[..., 0, 0].real
+        fids.append(float(np.abs(closed - brute).max()))
+    worst = _max_dev(dev, *fids)
+    detail = f"branches {dev:.3e}, F_o {fids[0]:.3e}, F_e {fids[1]:.3e}"
+    return worst <= tolerance, worst, tolerance, detail
 
 
 @_check("branch probability completeness")

@@ -47,12 +47,14 @@ def run_child(code: str) -> str:
     return child.stdout
 
 
-def loaded_after(argv: list[str], out: Path) -> list[str]:
-    """The watched modules in sys.modules after one CLI command."""
+def loaded_after(argv: list[str], watched=WATCHED, exit_code: int = 0) -> list[str]:
+    """The watched modules in sys.modules after one CLI command that exits
+    with ``exit_code``; its standard output and error are discarded."""
     code = (
-        "import sys; from qdot.cli import main; "
-        f"assert main({[*argv, '--out', str(out)]!r}) == 0; "
-        f"print([m for m in {WATCHED!r} if m in sys.modules])"
+        "import contextlib, io, sys; from qdot.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert main({argv!r}) == {exit_code}\n"
+        f"print([m for m in {watched!r} if m in sys.modules])"
     )
     return ast.literal_eval(run_child(code))
 
@@ -64,13 +66,45 @@ def loaded_after(argv: list[str], out: Path) -> list[str]:
     ["fig", "1"],
 ], ids=lambda argv: argv[0])
 def test_concurrence_commands_load_neither_teleport_nor_verify(tmp_path, argv):
-    assert loaded_after(argv, tmp_path / "out.csv") == []
+    assert loaded_after([*argv, "--out", str(tmp_path / "out.csv")]) == []
 
 
 def test_fidelity_sweep_loads_teleport_but_not_verify(tmp_path):
     argv = ["fidelity", "--k0", "4", "--sweep", "T:0.05:2:5", "--sweep", "r:0:4:4",
-            "--theta", "1", "--quantities", "F_o,F_e,F_a", "--format", "json"]
-    assert loaded_after(argv, tmp_path / "map.json") == ["qdot.teleport", "json"]
+            "--theta", "1", "--quantities", "F_o,F_e,F_a", "--format", "json",
+            "--out", str(tmp_path / "map.json")]
+    assert loaded_after(argv) == ["qdot.teleport", "json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["concurrence", "--k0", "4", "--r", "1", "--t", "0.5"],
+    ["tc", "--k0", "4"],
+    ["tc", "--k0", "-1"],  # no transition: an empty cell, or null
+    ["ground-state", "--k0", "4", "--r", "1"],
+], ids=" ".join)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_point_commands_load_neither_numpy_nor_linalg(argv, fmt):
+    assert loaded_after([*argv, "--format", fmt], ("numpy", "qdot.linalg")) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["concurrence", "--k0", "nan", "--r", "1", "--t", "0.5"],
+    ["concurrence", "--k0", "1", "--t", "1e-310"],  # the exponents overflow
+    ["concurrence", "--k0", "4", "--t", "-1"],
+    ["ground-state", "--k0", "inf"],
+], ids=" ".join)
+def test_point_domain_errors_load_no_numpy(argv):
+    assert loaded_after(argv, ("numpy", "qdot.linalg"), exit_code=3) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["concurrence", "--k0", "4", "--t", "0.5", "--sweep", "r:0:2:5"],
+    ["fig", "1"],
+    ["fidelity", "--k0", "4", "--r", "1", "--t", "0.5"],
+    ["verify", "--mc-samples", "2000"],
+], ids=lambda argv: argv[0])
+def test_grid_fidelity_and_verify_commands_load_numpy(argv):
+    assert loaded_after(argv, ("numpy",)) == ["numpy"]
 
 
 def test_importing_the_package_loads_no_module():
@@ -80,8 +114,7 @@ def test_importing_the_package_loads_no_module():
 
 @pytest.mark.parametrize("name, loaded", [
     ("teleport", ["qdot", "qdot.linalg", "qdot.model", "qdot.teleport"]),
-    ("cli", ["qdot", "qdot.cli", "qdot.entanglement", "qdot.linalg", "qdot.model",
-             "qdot.sweep"]),
+    ("cli", ["qdot", "qdot.cli", "qdot.entanglement", "qdot.model", "qdot.sweep"]),
 ])
 def test_a_submodule_name_loads_that_module_alone(name, loaded):
     code = (
@@ -169,6 +202,28 @@ def test_the_process_entry_collects_nothing_while_the_cli_imports(tmp_path):
     assert enabled
     # the imports were frozen before the command, and what it left alive after it
     assert 0 < frozen_at_start < frozen_at_exit
+
+
+def test_the_process_entry_collects_nothing_while_numpy_imports(tmp_path):
+    # a sweep imports numpy while the command runs; numpy's module is marked
+    # initializing from the start of its import to the end
+    code = (
+        "import gc, runpy, sys\n"
+        "during_numpy = []\n"
+        "def probe(phase, info):\n"
+        "    np = sys.modules.get('numpy')\n"
+        "    if phase == 'start' and np is not None and np.__spec__._initializing:\n"
+        "        during_numpy.append(info)\n"
+        "gc.callbacks.append(probe)\n"
+        "sys.argv = ['qdot', 'concurrence', '--k0', '4', '--t', '0.5', '--sweep', 'r:0:2:5',\n"
+        f"            '--out', {str(tmp_path / 'c.csv')!r}]\n"
+        "try:\n"
+        "    runpy.run_module('qdot', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print([during_numpy, 'numpy' in sys.modules, gc.isenabled()])\n"
+    )
+    assert ast.literal_eval(run_child(code)) == [[], True, True]
 
 
 def test_the_console_script_runs_what_python_m_qdot_runs():

@@ -33,6 +33,7 @@ from qdot.sweep import (
     format_json,
     iter_csv,
     run_figure,
+    run_point,
     run_sweep,
 )
 from qdot.teleport import InputState, average_fidelity_closed_form, subspace_fidelities
@@ -274,6 +275,31 @@ def test_population_columns_expand():
     (row,) = zip(*(col.tolist() for col in table.values()))
     assert abs(sum(row) - 1.0) < 1e-14
     assert row[1] == row[2]  # symmetric mid populations
+
+
+@pytest.mark.parametrize("fixed, quantities", [
+    ({"k0": 4.0, "r": 1.0, "T": 0.5}, ("C", "Tc", "populations")),
+    ({"k0": -1.0, "r": 0.0, "T": 0.5}, ("populations", "Tc", "C")),  # no transition
+    ({"k0": -0.0, "r": -0.0, "T": 5e-324}, ("C", "populations")),
+    ({"k0": 4.0, "r": 1.0, "T": 0.0}, ("C",)),  # the ground-state limit
+    ({"k0": 4.0}, ("Tc",)),
+    ({"k0": 4.0, "r": 1.0, "T": 0.5, "theta": 1.0, "phi": 0.5}, ("F_a", "F_e", "C", "F_o")),
+], ids=lambda v: ",".join(v) if isinstance(v, tuple) else None)
+def test_run_point_is_the_row_of_run_sweep(fixed, quantities):
+    # a spec with no axes: the same columns, in order, with the same bits
+    spec = SweepSpec((), fixed, quantities)
+    row = run_point(spec)
+    table = run_sweep(spec)
+    assert list(row) == list(table)
+    assert all(type(v) is float for v in row.values())
+    assert [v.hex() for v in row.values()] == [float(c[0]).hex() for c in table.values()]
+    assert format_csv(row) == format_csv(table)
+    assert format_json(row) == format_json(table)
+
+
+def test_run_point_refuses_axes():
+    with pytest.raises(UsageError, match="no axes"):
+        run_point(SweepSpec((Axis("T", 0.1, 1.0, 3),), {"k0": 4.0, "r": 0.0}))
 
 
 # ------------------------------------------------------------ figure presets

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qdot.teleport as teleport_mod
-from qdot.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron
+from qdot.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, LinalgError, kron
 from qdot.model import DomainError, DotParams, thermal_elements, thermal_state
 from qdot.teleport import (
     _MC_CHUNK,
@@ -124,8 +124,6 @@ def test_degenerate_branch_is_rejected():
 
 
 def test_collapse_bruteforce_takes_only_an_8x8_density_matrix():
-    from qdot.linalg import LinalgError
-
     with pytest.raises(LinalgError, match="8x8"):
         collapse_bruteforce(thermal_state(CHANNEL), BellOutcome.PSI_MINUS)  # 4x4
     with pytest.raises(LinalgError, match="trace deviates"):
@@ -324,6 +322,15 @@ def test_mean_branch_fidelity_matches_matrix_route():
 
 def test_fidelity_of_input_against_itself():
     assert abs(fidelity(STATE, input_density(STATE)) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("rho_out, message", [
+    (np.stack([IDENTITY_2 / 2.0] * 3), "expected a 2-D matrix, got ndim=3"),
+    (np.eye(3) / 3.0, r"output state must be 2x2, got \(3, 3\)"),
+], ids=["stack", "3x3"])
+def test_fidelity_takes_one_2x2_output(rho_out, message):
+    with pytest.raises(LinalgError, match=message):
+        fidelity(STATE, rho_out)
 
 
 def test_average_fidelity_classical_benchmark():

@@ -72,6 +72,11 @@ def reference_collapse():
                     float(np.abs(closed_state - brute_state).max()),
                     abs(closed_prob - brute_prob),
                 )
+                if outcome in (teleport.BellOutcome.PSI_MINUS, teleport.BellOutcome.PHI_MINUS):
+                    f_closed = teleport.subspace_fidelities(s, p)[
+                        outcome is teleport.BellOutcome.PHI_MINUS]
+                    corrected = teleport.pauli_correction(outcome, brute_state)
+                    dev = max(dev, abs(f_closed - teleport.fidelity(s, corrected)))
     return dev
 
 
@@ -208,6 +213,41 @@ def test_corrupted_collapsed_closed_form_fails_the_collapse_check(monkeypatch, c
     collapse = [line for line in lines if "teleportation collapse vs brute force" in line]
     assert collapse and collapse[0].startswith("[FAIL]")
     assert lines[-1].endswith("checks failed")
+
+
+def test_shifted_subspace_fidelities_fail_the_collapse_check(monkeypatch, capsys):
+    real = teleport_mod.subspace_fidelities
+
+    def shifted(s, p):
+        f_o, f_e = real(s, p)
+        return f_o + 1e-6, f_e + 1e-6
+
+    monkeypatch.setattr(teleport_mod, "subspace_fidelities", shifted)
+    assert main(["verify", "--mc-samples", "2000"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    collapse = [line for line in lines if "teleportation collapse vs brute force" in line]
+    assert collapse and collapse[0].startswith(
+        "[FAIL] teleportation collapse vs brute force: max deviation 1.000e-06 vs threshold")
+    assert collapse[0].endswith("F_o 1.000e-06, F_e 1.000e-06)")
+    # the ordering check reads the same function, and F_o - F_e did not move
+    assert lines[-1] == "1 of 8 checks failed"
+
+
+def test_nan_subspace_fidelities_fail_the_collapse_check(monkeypatch, capsys):
+    # a NaN deviation must not be dropped by the max over the check's parts
+    real = teleport_mod.subspace_fidelities
+
+    def nan_f_o(s, p):
+        f_o, f_e = real(s, p)
+        return f_o * math.nan, f_e
+
+    monkeypatch.setattr(teleport_mod, "subspace_fidelities", nan_f_o)
+    assert main(["verify", "--mc-samples", "2000"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    collapse = [line for line in lines if "teleportation collapse vs brute force" in line]
+    assert collapse and collapse[0].startswith(
+        "[FAIL] teleportation collapse vs brute force: max deviation nan vs threshold")
+    assert collapse[0].endswith(", F_o nan, F_e 4.441e-16)")
 
 
 def test_shifted_closed_form_average_fidelity_fails_the_quadrature_check(monkeypatch, capsys):

@@ -5,14 +5,16 @@
 Each ``--src LABEL=PATH`` names a checkout; its ``src/`` is the qdot that
 is measured (default: ``checkout=`` the checkout holding this script). Every
 repeat starts one fresh interpreter per checkout, in turn, so the checkouts
-interleave and share the machine's drift. That interpreter times each
-in-process row once with ``timeit`` (autorange: as many calls as fill
-0.2 s, per call). Then ``import qdot.cli`` is timed inside a fresh child
-of its own, and each CLI row runs as another child, whose ``wait4`` gives
-its wall time and peak resident size. Each row keeps the median of
-its ``--repeat`` samples per checkout, and the samples beside it. Only
-the standard library is used here; the children import qdot, and all but
-the point commands numpy.
+interleave and share the machine's drift; the turn order rotates by one
+each repeat, so no checkout always meets the drift first. That interpreter
+times each in-process row once with ``timeit`` (autorange: as many calls as
+fill 0.2 s, per call). Then ``import qdot.cli`` is timed inside a fresh
+child of its own, and each CLI row runs as another child, whose ``wait4``
+gives its wall time and peak resident size. Each row keeps the median of
+its ``--repeat`` samples per checkout, and the samples beside it, and, for
+each checkout after the first, its ``wins``: in how many repeats its sample
+was lower than the first checkout's. Only the standard library is used
+here; the children import qdot, and all but the point commands numpy.
 """
 
 from __future__ import annotations
@@ -153,6 +155,14 @@ def _sample(path: Path) -> tuple[str, dict[str, float]]:
     return result["numpy"], samples
 
 
+def _wins(samples: list[float], first: list[float]) -> int | None:
+    """In how many repeats ``samples`` was lower than the first checkout's;
+    None where either has no sample."""
+    if not samples or not first:
+        return None
+    return sum(x < y for x, y in zip(samples, first))
+
+
 def _commit(path: Path) -> str | None:
     """The checkout's commit, suffixed -dirty if tracked files differ from it."""
     try:
@@ -187,9 +197,11 @@ def main() -> None:
         parser.error("--repeat must be at least 1")
     samples = {label: {name: [] for name in ROWS} for label in checkouts}
     numpy_versions = set()
-    for _ in range(args.repeat):
-        for label, path in checkouts.items():
-            version, sample = _sample(path)
+    labels = list(checkouts)
+    for i in range(args.repeat):
+        turn = i % len(labels)
+        for label in labels[turn:] + labels[:turn]:
+            version, sample = _sample(checkouts[label])
             numpy_versions.add(version)
             for name, value in sample.items():
                 samples[label][name].append(value)
@@ -211,6 +223,8 @@ def main() -> None:
                 "median": {label: statistics.median(samples[label][name])
                            if samples[label][name] else None for label in checkouts},
                 "samples": {label: samples[label][name] for label in checkouts},
+                "wins": {label: _wins(samples[label][name], samples[labels[0]][name])
+                         for label in labels[1:]},
             }
             for name, unit in ROWS.items()
         ],

@@ -26,7 +26,6 @@ from .sweep import (
     format_json,
     iter_csv,
     run_figure,
-    run_point,
     run_sweep,
 )
 
@@ -247,7 +246,7 @@ def cmd_sweep(args) -> int:
         fixed=_fixed_params(args),
         quantities=args.quantities,
     )
-    _emit(run_sweep(spec) if spec.axes else run_point(spec), args)
+    _emit(run_sweep(spec), args)
     return 0
 
 

@@ -113,7 +113,7 @@ def ground_state_concurrence(k0: float, r: float) -> float:
     The comparison at the boundary is exact, not toleranced: k0/4 is
     computed in one rounding, so callers passing r = k0/4 hit the 1/2 case.
     """
-    _check_real(k0=k0, r=r)
+    k0, r = _check_real(k0=k0, r=r).values()
     field, boundary = abs(r), k0 / 4.0
     return _scalar(_where(k0 > 0, (field < boundary) + 0.5 * (field == boundary), 0.0))
 
@@ -126,6 +126,6 @@ def critical_temperature(k0):
     transition, and each cell has the bits of the scalar call. The value
     does not depend on the field r.
     """
-    _check_real(k0=k0)
+    k0 = _check_real(k0=k0)["k0"]
     tc = _scalar(_where(k0 > 0, k0 / (4.0 * math.log(3.0)), math.nan))
     return None if isinstance(tc, float) and math.isnan(tc) else tc

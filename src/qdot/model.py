@@ -41,7 +41,8 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class DotParams:
-    """Model parameters in natural units; floats, or arrays that broadcast.
+    """Model parameters in natural units; floats, or arrays that broadcast,
+    each held in float64 (an int or a float32 value is widened).
 
     k0 : exchange coupling scale, any sign (antiferromagnetic for k0 > 0).
     r  : Zeeman energy gamma * B0, any sign.
@@ -54,7 +55,8 @@ class DotParams:
     T: float
 
     def __post_init__(self) -> None:
-        _check_real(k0=self.k0, r=self.r, T=self.T)
+        for name, value in _check_real(k0=self.k0, r=self.r, T=self.T).items():
+            object.__setattr__(self, name, value)
         _check_broadcast(k0=self.k0, r=self.r, T=self.T)
         if _any(self.T < 0):
             raise DomainError(f"temperature must be >= 0, got {_first(self.T, self.T < 0)}")
@@ -69,24 +71,36 @@ def _first(value, where):
     return np.broadcast_to(value, np.shape(where))[where].flat[0].item()
 
 
-def _check_real(**fields) -> None:
-    """Raise DomainError unless each field is a finite real number or array of them.
-    A Python float, or an int that numpy holds as int64 or uint64, is checked
-    without numpy; everything else takes numpy's route."""
+def _check_real(**fields) -> dict:
+    """Each field as a finite real number or array of them in float64, or
+    DomainError. A Python float is returned as it is, and an int as a Python
+    float, without numpy; everything else takes numpy's route, where a
+    float64 array passes through uncopied and other real dtypes are widened,
+    so that every closed form computes in float64."""
+    widened = {}
     for name, val in fields.items():
+        if type(val) is int:
+            try:
+                val = float(val)
+            except OverflowError:
+                raise DomainError(
+                    f"{name} must be finite, got an int past the float range") from None
         if isinstance(val, float) and math.isfinite(val):
+            widened[name] = val
             continue
         if type(val) is float:  # nan or inf; a numpy scalar's repr would differ
             raise DomainError(f"{name} must be finite, got {val!r}")
-        if type(val) is int and -2**63 <= val < 2**64:
-            continue
         import numpy as np
 
         arr = np.asarray(val)
         if arr.dtype.kind not in "biuf":
             raise DomainError(f"{name} must be a real number, got {val!r}")
-        if not np.isfinite(arr).all():
-            raise DomainError(f"{name} must be finite, got {_first(arr, ~np.isfinite(arr))!r}")
+        with np.errstate(over="ignore"):  # a long double past float64's range is inf
+            wide = arr.astype(float, copy=False)
+        if not np.isfinite(wide).all():
+            raise DomainError(f"{name} must be finite, got {_first(arr, ~np.isfinite(wide))!r}")
+        widened[name] = wide[()] if isinstance(val, np.generic) else wide
+    return widened
 
 
 def _check_broadcast(**fields) -> None:

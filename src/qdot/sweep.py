@@ -6,7 +6,8 @@ block by block over the grid. Rows run in lexicographic axis order and are
 byte-stable: the same spec always renders the same text. numpy, teleport
 and json are imported where a grid, a fidelity or a JSON table first needs
 them: a concurrence sweep to CSV loads neither teleport nor json, and a spec
-with no axes is one row of Python floats (run_point), which loads no numpy.
+with no axes is one row of Python floats, which loads no numpy but for the
+fidelities.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class SweepSpec:
         return {**self.fixed, **{a.name: m.ravel() for a, m in zip(self.axes, mesh)}}
 
 
-def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
+def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray] | dict[str, float]:
     """Evaluate a sweep into a table: column name -> one flat float column.
 
     The axis columns come first, then the quantities in request order; NaN
@@ -137,14 +138,25 @@ def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
     over k0. The other quantities fill their columns over blocks of
     _EVAL_BLOCK cells in grid order; each is elementwise, so a cell has the
     bits of the whole-grid call and a sweep raises at its first bad cell.
-    A column whose inputs are all fixed is a zero-stride view.
+    A column whose inputs are all fixed is a zero-stride view. A spec with
+    no axes is one point, as every closed form takes one: its row of Python
+    floats, with the bits of the matching cell of a grid through it, which
+    loads numpy only for the fidelities.
     """
+    thermal = _thermal_columns(spec)
+    if not spec.axes:
+        row = {}
+        if "Tc" in spec.quantities:  # first, as on a grid, so the same error wins
+            tc = critical_temperature(spec.fixed["k0"])
+            row["Tc"] = math.nan if tc is None else tc
+        if thermal:
+            row.update(_evaluate(thermal, spec.fixed))
+        return {name: row[name] for q in spec.quantities for name in thermal.get(q, (q,))}
     import numpy as np
 
     grid = spec.grid()
     size = math.prod(a.steps for a in spec.axes)
     table = {a.name: grid[a.name] for a in spec.axes}
-    thermal = _thermal_columns(spec)
     for q in spec.quantities:
         if q == "Tc":
             # an array k0, so that no transition reads NaN rather than None
@@ -160,23 +172,6 @@ def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
             else:  # every input fixed: one value, broadcast below
                 table[name] = value
     return {name: np.broadcast_to(np.asarray(c, float), size) for name, c in table.items()}
-
-
-def run_point(spec: SweepSpec) -> dict[str, float]:
-    """Evaluate a spec with no axes on Python floats: the one row of its
-    table, column name -> value, in run_sweep's column order and with the
-    bits of its cells; NaN marks Tc without a transition. Loads numpy only
-    for the fidelities."""
-    if spec.axes:
-        raise UsageError(f"run_point takes a spec with no axes, got {len(spec.axes)}")
-    thermal = _thermal_columns(spec)
-    row = {}
-    if "Tc" in spec.quantities:  # first, as in run_sweep, so the same error wins
-        tc = critical_temperature(spec.fixed["k0"])
-        row["Tc"] = math.nan if tc is None else tc
-    if thermal:
-        row.update(_evaluate(thermal, spec.fixed))
-    return {name: row[name] for q in spec.quantities for name in thermal.get(q, (q,))}
 
 
 def _thermal_columns(spec: SweepSpec) -> dict[str, tuple[str, ...]]:
@@ -279,7 +274,7 @@ def iter_csv(table: dict[str, np.ndarray] | dict[str, float]) -> Iterator[str]:
     chunk of rows, so a writer never holds the whole text. Texts are keyed on
     float64 bit patterns (-0.0 and +0.0 apart), and a chunk formats only those
     its column's previous chunk lacked: an axis shorter than a chunk costs its
-    distinct values once. A point's row (run_point) is one line, written
+    distinct values once. A point's row of Python floats is one line, written
     without numpy."""
     columns = list(table.values())
     yield ",".join(table) + "\n"

@@ -79,7 +79,8 @@ class InputState:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_real(theta=self.theta, phi=self.phi)
+        for name, value in _check_real(theta=self.theta, phi=self.phi).items():
+            object.__setattr__(self, name, value)
         _check_broadcast(theta=self.theta, phi=self.phi)
 
 
@@ -189,15 +190,21 @@ def collapse_bruteforce(
     outcomes are projected one at a time, which keeps the peak heap at one
     outcome's sandwich. Purely mechanical: projector sandwich, partial trace
     over the first two qubits, trace normalization. Raises LinalgError unless
-    ``joint`` is an 8x8 density matrix or a stack of them.
+    ``joint`` is an 8x8 density matrix or a stack of them, and DomainError
+    unless ``outcome`` is a BellOutcome or a nonempty sequence of them.
     """
+    single = isinstance(outcome, BellOutcome)
+    branches = (outcome,) if single else outcome
+    if not (isinstance(branches, Sequence) and branches
+            and all(isinstance(b, BellOutcome) for b in branches)):
+        raise DomainError(
+            f"expected a BellOutcome or a nonempty sequence of them, got {outcome!r}")
     joint = linalg.as_complex_matrix(joint, stack=True)
     if joint.shape[-2:] != (8, 8):
         raise linalg.LinalgError(f"joint state must be 8x8, got {joint.shape}")
     joint = linalg.validate_density_matrix(joint, name="joint state")
-    single = isinstance(outcome, BellOutcome)
     states, probabilities = [], []
-    for branch in (outcome,) if single else outcome:
+    for branch in branches:
         m = _lifted_projector(branch)
         projected = m @ joint @ m.conj().T
         z = np.trace(projected, axis1=-2, axis2=-1).real

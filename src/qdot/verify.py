@@ -240,17 +240,20 @@ def check_r0_coincidence(tolerance: float):
 
 @_check("subspace fidelity ordering")
 def check_subspace_order(tolerance: float):
-    """F_o >= F_e on the grid at theta = pi/3 (the ordering can reverse
-    past theta = pi/2, so the scan pins the representative angle)."""
-    s = teleport.InputState(theta=math.pi / 3.0, phi=0.0)
-    f_o, f_e = teleport.subspace_fidelities(s, _params(TELEPORT_GRID))
-    worst = float((f_o - f_e).min())
-    dev = max(0.0, -worst)
+    """The ordering of F_o and F_e as a sign law. F_o - F_e is
+    N (u - v) cos(theta) / (z1 z2), and u - v has the sign of r, so
+    (F_o - F_e) sign(r cos theta) >= -tol over the grid's input states and
+    channels, with r of both signs; where r = 0 or theta = pi/2 the two tie."""
+    r = TELEPORT_GRID["r"]
+    states, p = _teleport_grid({**TELEPORT_GRID, "r": (*r, *(-x for x in r if x))})
+    f_o, f_e = teleport.subspace_fidelities(states, p)
+    # + 0.0: an exact tie times -1 is -0.0, and reads as 0
+    worst = float(((f_o - f_e) * np.sign(p.r * np.cos(states.theta))).min()) + 0.0
     return (
         worst >= -tolerance,
-        dev,
+        _max_dev(0.0, -worst),
         tolerance,
-        f"min(F_o - F_e) = {worst:.3e} at theta = pi/3",
+        f"min((F_o - F_e) sign(r cos theta)) = {worst:.3e}, theta 0 to pi, r of both signs",
     )
 
 

@@ -177,53 +177,57 @@ def test_in_process_main_leaves_the_collector_as_it_found_it(tmp_path):
     assert (gc.isenabled(), gc.get_freeze_count()) == found
 
 
-def test_the_process_entry_collects_nothing_while_the_cli_imports(tmp_path):
-    # runs qdot's __main__ as `python -m qdot` does; the command starts at
-    # its first parse_args call, after every import
-    code = (
-        "import argparse, gc, runpy, sys\n"
-        "during_import, start = [], []\n"
-        "gc.callbacks.append(lambda phase, info: phase == 'start' and not start\n"
-        "                    and 'qdot.cli' in sys.modules and during_import.append(info))\n"
-        "parse_args = argparse.ArgumentParser.parse_args\n"
-        "def first_parse(*args):\n"
-        "    start.append((gc.isenabled(), gc.get_freeze_count()))\n"
-        "    return parse_args(*args)\n"
-        "argparse.ArgumentParser.parse_args = first_parse\n"
-        f"sys.argv = ['qdot', 'fig', '3', '--out', {str(tmp_path / 'fig3.csv')!r}]\n"
-        "try:\n"
-        "    runpy.run_module('qdot', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n"
-        "print([during_import, *start[0], gc.get_freeze_count()])\n"
-    )
-    during_import, enabled, frozen_at_start, frozen_at_exit = ast.literal_eval(run_child(code))
-    assert during_import == []
-    assert enabled
-    # the imports were frozen before the command, and what it left alive after it
-    assert 0 < frozen_at_start < frozen_at_exit
-
-
-def test_the_process_entry_collects_nothing_while_numpy_imports(tmp_path):
-    # a sweep imports numpy while the command runs; numpy's module is marked
-    # initializing from the start of its import to the end
+@pytest.mark.parametrize("argv, numpy_loaded", [
+    (["concurrence", "--k0", "4", "--t", "0.5", "--sweep", "r:0:2:5"], True),
+    (["concurrence", "--k0", "4", "--r", "1", "--t", "0.5"], False),
+], ids=["sweep", "point"])
+def test_the_process_entry_never_collects(tmp_path, argv, numpy_loaded):
+    # runs qdot's __main__ as `python -m qdot` does; a collection counts from
+    # the entry on: once the collector is off, or the CLI's import has begun
     code = (
         "import gc, runpy, sys\n"
-        "during_numpy = []\n"
-        "def probe(phase, info):\n"
-        "    np = sys.modules.get('numpy')\n"
-        "    if phase == 'start' and np is not None and np.__spec__._initializing:\n"
-        "        during_numpy.append(info)\n"
-        "gc.callbacks.append(probe)\n"
-        "sys.argv = ['qdot', 'concurrence', '--k0', '4', '--t', '0.5', '--sweep', 'r:0:2:5',\n"
-        f"            '--out', {str(tmp_path / 'c.csv')!r}]\n"
+        "starts = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start'\n"
+        "                    and (not gc.isenabled() or 'qdot.cli' in sys.modules)\n"
+        "                    and starts.append(info))\n"
+        f"sys.argv = ['qdot', *{argv!r}, '--out', {str(tmp_path / 'out.csv')!r}]\n"
         "try:\n"
         "    runpy.run_module('qdot', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "print([during_numpy, 'numpy' in sys.modules, gc.isenabled()])\n"
+        "print([starts, 'numpy' in sys.modules, gc.get_freeze_count()])\n"
     )
-    assert ast.literal_eval(run_child(code)) == [[], True, True]
+    starts, loaded, frozen = ast.literal_eval(run_child(code))
+    assert starts == []
+    assert loaded == numpy_loaded
+    # what the command left alive is frozen before the shutdown collections
+    assert frozen > 0
+
+
+@pytest.mark.parametrize("small, large", [
+    (["concurrence", "--k0", "4", "--t", "0.5", "--sweep", "r:0:2:10"],
+     ["concurrence", "--t", "0.5", "--sweep", "k0:-2:10:300", "--sweep", "r:0:2:300"]),
+    (["fidelity", "--k0", "4", "--sweep", "T:0.05:2:5", "--sweep", "r:0:4:2", "--format=json"],
+     ["fidelity", "--k0", "4", "--sweep", "T:0.05:2:25", "--sweep", "r:0:4:40", "--format=json"]),
+    (["verify", "--mc-samples", "20000"], ["verify", "--mc-samples", "8000000", "--seed", "1"]),
+], ids=["concurrence", "fidelity", "verify"])
+def test_a_command_leaves_cyclic_garbage_that_does_not_grow_with_its_work(tmp_path, small, large):
+    # why the process entry never collects: with the collector off, what a
+    # command leaves for it is the same after a small and a large run
+    if small[0] != "verify":
+        small, large = ([*argv, "--out", str(tmp_path / "out")] for argv in (small, large))
+    code = (
+        "import contextlib, gc, io; from qdot.cli import main\n"
+        "gc.disable()\n"
+        "def garbage(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "    return gc.collect()\n"
+        f"garbage({small!r})  # first-use imports and caches\n"
+        f"print([garbage({small!r}), garbage({large!r})])\n"
+    )
+    after_small, after_large = ast.literal_eval(run_child(code))
+    assert after_small == after_large > 0
 
 
 def test_the_console_script_runs_what_python_m_qdot_runs():

@@ -10,6 +10,9 @@ the level crossing |r| = k0/4, Boltzmann exponents near +-709 (where exp
 overflows or underflows) and exponents that lie more than 1.8e308 apart
 (where the shifted exponent is -inf). Examples are derandomized, so every
 run draws the same ones.
+
+Inputs narrower than float64, or Python ints, are widened to float64 first,
+so they give the bits of the float64 call at the widened values.
 """
 
 import math
@@ -17,10 +20,12 @@ import sys
 
 import numpy as np
 from hypothesis import example, given, settings
+import pytest
 from hypothesis import strategies as st
 
 from qdot.entanglement import critical_temperature, ground_state_concurrence, model_concurrence
 from qdot.model import DomainError, DotParams, thermal_elements
+from qdot.teleport import InputState, average_fidelity_closed_form, subspace_fidelities
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=400)
 
@@ -127,3 +132,39 @@ def _same_route(k0, r, T) -> None:
 @example((1e-300, 2.5e-301, 1e-320))  # at the crossing, T subnormal
 def test_a_float_point_has_the_bits_of_its_one_element_array(point):
     _same_route(*point)
+
+
+def _quantities(k0, r, T, theta, phi):
+    """Every closed form at one point or over one grid, element by element."""
+    p = DotParams(k0, r, T)
+    e = thermal_elements(p)
+    return [e.u, e.v, e.w, e.y, e.big_z, model_concurrence(p),
+            *subspace_fidelities(InputState(theta, phi), p), average_fidelity_closed_form(p),
+            critical_temperature(k0), ground_state_concurrence(k0, r)]
+
+
+@pytest.mark.parametrize("point", [(4.0, 1.0, 0.3, 1.1, 0.4), (2.0, 0.2, 0.5, 0.3, 2.9),
+                                   (0.5, -0.7, 1.3, 2.5, 0.0)])
+def test_float32_inputs_give_the_bits_of_the_float64_call(point):
+    # computed at float32 precision, critical_temperature(np.float32(4))
+    # would be 0.9102392196655273, not 0.9102392266268373
+    narrow = [np.float32(x) for x in point]
+    want = [x.hex() for x in _quantities(*map(float, narrow))]
+    assert [float(x).hex() for x in _quantities(*narrow)] == want
+    columns = _quantities(*(np.array([x, x]) for x in narrow))
+    assert all(c.dtype == np.float64 for c in columns)
+    assert [float(c[1]).hex() for c in columns] == want
+
+
+def test_wide_values_are_held_in_float64():
+    k0 = np.array([1.0, 4.0])
+    assert DotParams(k0, 0.0, 1.0).k0 is k0  # a float64 array, uncopied
+    assert DotParams(np.arange(2), 0.0, 1.0).k0.dtype == np.float64
+    assert critical_temperature(10**20) == critical_temperature(1e20)
+    assert DotParams(10**20, 0.0, 1.0) == DotParams(1e20, 0.0, 1.0)
+    with pytest.raises(DomainError, match="k0 must be finite"):
+        critical_temperature(10**400)
+    huge = np.finfo(np.longdouble).max
+    if huge > np.finfo(float).max:  # a long double wider than float64
+        with pytest.raises(DomainError, match="T must be finite"):
+            DotParams(1.0, 0.0, np.array([1.0, huge]))

@@ -33,7 +33,6 @@ from qdot.sweep import (
     format_json,
     iter_csv,
     run_figure,
-    run_point,
     run_sweep,
 )
 from qdot.teleport import InputState, average_fidelity_closed_form, subspace_fidelities
@@ -272,34 +271,32 @@ def test_population_columns_expand():
     )
     table = run_sweep(spec)
     assert list(table) == ["p11", "p10", "p01", "p00"]
-    (row,) = zip(*(col.tolist() for col in table.values()))
+    row = tuple(table.values())
     assert abs(sum(row) - 1.0) < 1e-14
     assert row[1] == row[2]  # symmetric mid populations
 
 
-@pytest.mark.parametrize("fixed, quantities", [
-    ({"k0": 4.0, "r": 1.0, "T": 0.5}, ("C", "Tc", "populations")),
-    ({"k0": -1.0, "r": 0.0, "T": 0.5}, ("populations", "Tc", "C")),  # no transition
-    ({"k0": -0.0, "r": -0.0, "T": 5e-324}, ("C", "populations")),
-    ({"k0": 4.0, "r": 1.0, "T": 0.0}, ("C",)),  # the ground-state limit
-    ({"k0": 4.0}, ("Tc",)),
-    ({"k0": 4.0, "r": 1.0, "T": 0.5, "theta": 1.0, "phi": 0.5}, ("F_a", "F_e", "C", "F_o")),
+@pytest.mark.parametrize("fixed, quantities, axis", [
+    ({"k0": 4.0, "r": 1.0, "T": 0.5}, ("C", "Tc", "populations"), "T"),
+    ({"k0": -1.0, "r": 0.0, "T": 0.5}, ("populations", "Tc", "C"), "T"),  # no transition
+    ({"k0": -0.0, "r": -0.0, "T": 5e-324}, ("C", "populations"), "T"),
+    ({"k0": 4.0, "r": 1.0, "T": 0.0}, ("C",), "r"),  # the ground-state limit; no T axis at 0
+    ({"k0": 4.0}, ("Tc",), "k0"),
+    ({"k0": 4.0, "r": 1.0, "T": 0.5, "theta": 1.0, "phi": 0.5}, ("F_a", "F_e", "C", "F_o"), "T"),
 ], ids=lambda v: ",".join(v) if isinstance(v, tuple) else None)
-def test_run_point_is_the_row_of_run_sweep(fixed, quantities):
-    # a spec with no axes: the same columns, in order, with the same bits
-    spec = SweepSpec((), fixed, quantities)
-    row = run_point(spec)
-    table = run_sweep(spec)
-    assert list(row) == list(table)
+def test_a_point_is_the_cell_of_a_grid_through_it(fixed, quantities, axis):
+    # a spec with no axes is one row of Python floats: the quantity columns
+    # in order, with the bits of the first cell of a 2-step axis from the
+    # point's value
+    row = run_sweep(SweepSpec((), fixed, quantities))
+    grid = run_sweep(SweepSpec((Axis(axis, fixed[axis], fixed[axis] + 1.0, 2),), fixed, quantities))
+    assert grid[axis][0] == fixed[axis]
+    assert list(row) == list(grid)[1:]
     assert all(type(v) is float for v in row.values())
-    assert [v.hex() for v in row.values()] == [float(c[0]).hex() for c in table.values()]
-    assert format_csv(row) == format_csv(table)
-    assert format_json(row) == format_json(table)
-
-
-def test_run_point_refuses_axes():
-    with pytest.raises(UsageError, match="no axes"):
-        run_point(SweepSpec((Axis("T", 0.1, 1.0, 3),), {"k0": 4.0, "r": 0.0}))
+    assert [v.hex() for v in row.values()] == [float(grid[name][0]).hex() for name in row]
+    cell = {name: grid[name][:1] for name in row}
+    assert format_csv(row) == format_csv(cell)
+    assert format_json(row) == format_json(cell)
 
 
 # ------------------------------------------------------------ figure presets

@@ -134,6 +134,16 @@ def test_collapse_bruteforce_takes_only_an_8x8_density_matrix():
         collapse_bruteforce(bad, BellOutcome.PSI_MINUS)
 
 
+@pytest.mark.parametrize("outcome", [[], ["PsiMinus"], "PsiMinus"], ids=repr)
+def test_collapse_bruteforce_refuses_what_is_not_an_outcome(monkeypatch, outcome):
+    # unchecked, each would end in numpy's stack or the projector table
+    projected = []
+    monkeypatch.setattr(teleport_mod, "_lifted_projector", projected.append)
+    with pytest.raises(DomainError, match="nonempty sequence of them, got "):
+        collapse_bruteforce(joint_state(STATE, CHANNEL), outcome)
+    assert projected == []
+
+
 def test_collapse_stack_checks_every_joint_state():
     from qdot.linalg import LinalgError
 

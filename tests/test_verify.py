@@ -105,11 +105,13 @@ def reference_r0_coincidence():
 
 
 def reference_subspace_order():
+    # the sign law: F_o - F_e takes the sign of r cos(theta), r of both signs
     worst = math.inf
-    s = teleport.InputState(theta=math.pi / 3.0, phi=0.0)
     for p in TELEPORT_POINTS:
-        f_o, f_e = teleport.subspace_fidelities(s, p)
-        worst = min(worst, f_o - f_e)
+        for q in (p, model.DotParams(p.k0, -p.r, p.T)) if p.r else (p,):
+            for s in STATES:
+                f_o, f_e = teleport.subspace_fidelities(s, q)
+                worst = min(worst, (f_o - f_e) * np.sign(q.r * math.cos(s.theta)))
     return max(0.0, -worst)
 
 
@@ -259,3 +261,22 @@ def test_shifted_closed_form_average_fidelity_fails_the_quadrature_check(monkeyp
     assert quadrature and quadrature[0].startswith(
         "[FAIL] quadrature vs Monte Carlo: max deviation 1.000e-06 vs threshold 1.000e-10")
     assert lines[-1] == "1 of 8 checks failed"
+
+
+def test_ordered_subspace_fidelities_fail_the_sign_law(monkeypatch, capsys):
+    # (max, min) is the real pair at theta = pi/3 with r >= 0, where
+    # F_o >= F_e; the law needs F_o < F_e where r cos(theta) < 0
+    real = teleport_mod.subspace_fidelities
+
+    def ordered(s, p):
+        f_o, f_e = real(s, p)
+        return np.maximum(f_o, f_e), np.minimum(f_o, f_e)
+
+    s, p = teleport.InputState(theta=math.pi / 3.0), verify._params(verify.TELEPORT_GRID)
+    assert all((a == b).all() for a, b in zip(ordered(s, p), real(s, p)))
+    monkeypatch.setattr(teleport_mod, "subspace_fidelities", ordered)
+    assert main(["verify", "--mc-samples", "2000"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    order = [line for line in lines if "subspace fidelity ordering" in line]
+    assert order and order[0].startswith("[FAIL] subspace fidelity ordering: max deviation ")
+    assert "r of both signs)" in order[0]

@@ -10,11 +10,10 @@ pins down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .model import DotParams, ThermalElements, _any, _boltzmann_weights, _check_real
-from .model import _fields_equal, _maximum, _scalar, _where
+from .model import _ArrayRecord, _maximum, _scalar, _where
 
 if TYPE_CHECKING:
     import numpy as np
@@ -29,16 +28,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConcurrenceResult:
+class ConcurrenceResult(_ArrayRecord):
     """Concurrence value plus the four Wootters lambdas (descending, shape
     (4,)); over a stack of states, values (...) and lambdas (..., 4).
     ``==`` is True when the values and the lambdas are equal as arrays."""
 
-    value: float
-    lambdas: np.ndarray
+    __slots__ = ("value", "lambdas")
 
-    __eq__ = _fields_equal
+    def __init__(self, value: float, lambdas: np.ndarray) -> None:
+        _ArrayRecord.__init__(self, value, lambdas)
 
 
 def wootters_concurrence(rho: np.ndarray) -> ConcurrenceResult:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
-from dataclasses import dataclass, is_dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -39,8 +38,67 @@ class DomainError(ValueError):
     """Raised when a parameter lies outside an operation's numeric domain."""
 
 
-@dataclass(frozen=True)
-class DotParams:
+# Sets a field of a record, past its frozen __setattr__. DotParams and
+# ThermalElements, built on every kernel call, set theirs one by one: the loop
+# in _Record.__init__ adds about 0.4 us a record.
+_set_field = object.__setattr__
+
+
+class _Record:
+    """A frozen record: slots named for its fields, in order, set once in
+    __init__. Assignment and deletion raise AttributeError; repr, == and hash
+    take the fields in order, == only between records of one type."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _set_field(self, name, value)
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._fields().values()))
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), tuple(self._fields().values())
+
+
+class _ArrayRecord(_Record):
+    """A record whose fields may hold arrays: ``==`` holds when each field is
+    equal by np.array_equal (the same shape, every entry equal), where the
+    tuple rule would raise on two distinct arrays."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        import numpy as np
+
+        pairs = zip(self._fields().values(), other._fields().values())
+        return all(np.array_equal(x, y) for x, y in pairs)
+
+    __hash__ = _Record.__hash__  # a class that defines __eq__ loses the inherited one
+
+
+class DotParams(_Record):
     """Model parameters in natural units; floats, or arrays that broadcast,
     each held in float64 (an int or a float32 value is widened).
 
@@ -50,16 +108,16 @@ class DotParams:
          served by the explicit ground-state limits.
     """
 
-    k0: float
-    r: float
-    T: float
+    __slots__ = ("k0", "r", "T")
 
-    def __post_init__(self) -> None:
-        for name, value in _check_real(k0=self.k0, r=self.r, T=self.T).items():
-            object.__setattr__(self, name, value)
-        _check_broadcast(k0=self.k0, r=self.r, T=self.T)
-        if _any(self.T < 0):
-            raise DomainError(f"temperature must be >= 0, got {_first(self.T, self.T < 0)}")
+    def __init__(self, k0: float, r: float, T: float) -> None:
+        k0, r, T = _check_real(k0=k0, r=r, T=T).values()
+        _check_broadcast(k0=k0, r=r, T=T)
+        if _any(T < 0):
+            raise DomainError(f"temperature must be >= 0, got {_first(T, T < 0)}")
+        _set_field(self, "k0", k0)
+        _set_field(self, "r", r)
+        _set_field(self, "T", T)
 
 
 def _first(value, where):
@@ -94,7 +152,11 @@ def _check_real(**fields) -> dict:
 
         arr = np.asarray(val)
         if arr.dtype.kind not in "biuf":
-            raise DomainError(f"{name} must be a real number, got {val!r}")
+            try:
+                got = repr(val)
+            except ValueError:  # it holds an int past Python's int-to-str digit limit
+                got = f"{type(val).__name__} holding an int too long to print"
+            raise DomainError(f"{name} must be a real number, got {got}")
         with np.errstate(over="ignore"):  # a long double past float64's range is inf
             wide = arr.astype(float, copy=False)
         if not np.isfinite(wide).all():
@@ -119,26 +181,14 @@ def _check_broadcast(**fields) -> None:
 
 
 def _check_point(*values) -> None:
-    """Raise DomainError if a value, or a field of a dataclass value, is an
+    """Raise DomainError if a value, or a field of a record value, is an
     array: fidelity, teleport_outcomes and the quadrature take one point."""
     import numpy as np  # loaded: only teleport's point routes call this
 
     for value in values:
-        for x in vars(value).values() if is_dataclass(value) else (value,):
+        for x in value._fields().values() if isinstance(value, _Record) else (value,):
             if not isinstance(x, (int, float)) and np.ndim(x):  # np.ndim costs 1 us
                 raise DomainError(f"takes one parameter point, got an array of shape {np.shape(x)}")
-
-
-def _fields_equal(self, other) -> bool:
-    """``==`` for a record whose fields may hold arrays: the same type, and
-    each field equal by np.array_equal (the same shape, every entry equal).
-    The dataclass default compares the fields as a tuple, which raises on
-    two distinct arrays."""
-    if type(other) is not type(self):
-        return NotImplemented
-    import numpy as np
-
-    return all(np.array_equal(x, y) for x, y in zip(vars(self).values(), vars(other).values()))
 
 
 def _numpy(*values):
@@ -239,8 +289,7 @@ def hamiltonian_matrix(p: DotParams) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class ThermalElements:
+class ThermalElements(_Record):
     """Boltzmann-weight combinations entering the thermal state.
 
     u, v are the weights of |11> and |00>; w and y are the half-sum and
@@ -251,12 +300,16 @@ class ThermalElements:
     Over a grid each field is an array.
     """
 
-    u: float
-    v: float
-    w: float
-    y: float
-    big_z: float
-    log_scale: float
+    __slots__ = ("u", "v", "w", "y", "big_z", "log_scale")
+
+    def __init__(self, u: float, v: float, w: float, y: float, big_z: float,
+                 log_scale: float) -> None:
+        _set_field(self, "u", u)
+        _set_field(self, "v", v)
+        _set_field(self, "w", w)
+        _set_field(self, "y", y)
+        _set_field(self, "big_z", big_z)
+        _set_field(self, "log_scale", log_scale)
 
 
 def _boltzmann_weights(p: DotParams):

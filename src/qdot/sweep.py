@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .entanglement import critical_temperature, model_concurrence
-from .model import DomainError, DotParams, thermal_elements
+from .model import DomainError, DotParams, _Record, thermal_elements
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,16 +38,13 @@ class UsageError(ValueError):
     """Raised for malformed sweep requests (bad axes, unknown quantities)."""
 
 
-@dataclass(frozen=True)
-class Axis:
+class Axis(_Record):
     """Inclusive uniform grid over one parameter."""
 
-    name: str
-    lo: float
-    hi: float
-    steps: int
+    __slots__ = ("name", "lo", "hi", "steps")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, lo: float, hi: float, steps: int) -> None:
+        _Record.__init__(self, name, lo, hi, steps)
         if self.name not in SWEEPABLE:
             raise UsageError(f"cannot sweep {self.name!r}; choose one of {SWEEPABLE}")
         # also false for a span hi - lo that overflows between finite bounds
@@ -67,15 +63,15 @@ class Axis:
         return self.lo + step * np.arange(self.steps)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sweep: up to two axes, fixed parameters, requested quantities."""
+class SweepSpec(_Record):
+    """One sweep: up to two axes, fixed parameters (none by default),
+    requested quantities."""
 
-    axes: tuple[Axis, ...]
-    fixed: dict[str, float] = field(default_factory=dict)
-    quantities: tuple[str, ...] = ("C",)
+    __slots__ = ("axes", "fixed", "quantities")
 
-    def __post_init__(self) -> None:
+    def __init__(self, axes: tuple[Axis, ...], fixed: dict[str, float] | None = None,
+                 quantities: tuple[str, ...] = ("C",)) -> None:
+        _Record.__init__(self, axes, {} if fixed is None else fixed, quantities)
         if len(self.axes) > 2:
             raise UsageError(f"at most two sweep axes, got {len(self.axes)}")
         names = [a.name for a in self.axes]
@@ -203,12 +199,13 @@ def _evaluate(thermal: dict[str, tuple[str, ...]], at: dict) -> Iterator[tuple[s
         yield from zip(names, values)
 
 
-@dataclass(frozen=True)
-class FigurePreset:
+class FigurePreset(_Record):
     """A multi-panel sweep; panels share axes and quantities."""
 
-    panel_key: str | None
-    panels: tuple[SweepSpec, ...]
+    __slots__ = ("panel_key", "panels")
+
+    def __init__(self, panel_key: str | None, panels: tuple[SweepSpec, ...]) -> None:
+        _Record.__init__(self, panel_key, panels)
 
 
 # Figure id -> (panel key, panel values, axes, fixed values, quantities); a

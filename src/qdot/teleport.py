@@ -24,16 +24,15 @@ import math
 import os
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import linalg
 from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron
-from .model import DomainError, DotParams, ThermalElements, _check_broadcast, _check_point
-from .model import _any, _check_real, _fields_equal, _first, _libm, _scalar, thermal_elements
-from .model import thermal_state
+from .model import DomainError, DotParams, ThermalElements, _ArrayRecord, _check_broadcast
+from .model import _Record, _any, _check_point, _check_real, _first, _libm, _scalar
+from .model import thermal_elements, thermal_state
 
 __all__ = [
     "InputState",
@@ -70,18 +69,16 @@ _K_SERIES = tuple(1.0 / (2 * k + 3) for k in range(26))
 _MC_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class InputState:
+class InputState(_Record):
     """Bloch angles of the pure input qubit: polar theta, azimuthal phi;
     floats, or arrays that broadcast, one input state per cell."""
 
-    theta: float
-    phi: float = 0.0
+    __slots__ = ("theta", "phi")
 
-    def __post_init__(self) -> None:
-        for name, value in _check_real(theta=self.theta, phi=self.phi).items():
-            object.__setattr__(self, name, value)
-        _check_broadcast(theta=self.theta, phi=self.phi)
+    def __init__(self, theta: float, phi: float = 0.0) -> None:
+        theta, phi = _check_real(theta=theta, phi=phi).values()
+        _check_broadcast(theta=theta, phi=phi)
+        _Record.__init__(self, theta, phi)
 
 
 class BellOutcome(Enum):
@@ -100,31 +97,26 @@ class BellOutcome(Enum):
         return "e"
 
 
-@dataclass(frozen=True)
-class TeleportOutcome:
+class TeleportOutcome(_ArrayRecord):
     """One measurement branch: probability, corrected output, and fidelity.
     ``==`` is True when every field is equal, the state as an array."""
 
-    outcome: BellOutcome
-    probability: float
-    state: np.ndarray
-    fidelity: float
+    __slots__ = ("outcome", "probability", "state", "fidelity")
 
-    __eq__ = _fields_equal
+    def __init__(self, outcome: BellOutcome, probability: float, state: np.ndarray,
+                 fidelity: float) -> None:
+        _ArrayRecord.__init__(self, outcome, probability, state, fidelity)
 
 
-@dataclass(frozen=True)
-class MonteCarloFidelity:
+class MonteCarloFidelity(_ArrayRecord):
     """Monte Carlo estimate of the average fidelity with its standard error;
     value and stderr are floats for one point, arrays over a grid. ``==`` is
     True when every field is equal, value and stderr as arrays."""
 
-    value: float
-    stderr: float
-    samples: int
-    seed: int
+    __slots__ = ("value", "stderr", "samples", "seed")
 
-    __eq__ = _fields_equal
+    def __init__(self, value: float, stderr: float, samples: int, seed: int) -> None:
+        _ArrayRecord.__init__(self, value, stderr, samples, seed)
 
 
 def _complex(re, im) -> np.ndarray:
@@ -239,7 +231,7 @@ def collapsed_closed_form(
     conjugate azimuthal phase. The input's trig is libm's, squares by pow
     (x * x differs in about 0.1% of results), on floats and cells alike.
     """
-    _check_broadcast(theta=s.theta, phi=s.phi, **vars(e))
+    _check_broadcast(theta=s.theta, phi=s.phi, **e._fields())
     half = s.theta / 2.0
     c2 = _libm(lambda t: math.cos(t) ** 2, half)
     s2 = _libm(lambda t: math.sin(t) ** 2, half)
@@ -507,7 +499,7 @@ def average_fidelity_mc(
         raise DomainError(f"Monte Carlo seed must be an integer in [0, 2**128), got {seed!r}")
     e = thermal_elements(p)
     shape = np.shape(e.big_z)
-    cells = zip(*(np.ravel(f).tolist() for f in vars(e).values()))
+    cells = zip(*(np.ravel(f).tolist() for f in e._fields().values()))
     points = [ThermalElements(*cell) for cell in cells]  # Python floats, as a scalar call's
     # each point's integrand at the first sample, computed as in a chunk
     x0 = 2.0 * np.random.Generator(np.random.Philox(key=seed)).random(2)[:1] - 1.0

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import entanglement, model, teleport
 from .linalg import LinalgError
-from .model import DomainError
+from .model import DomainError, _Record
 
 __all__ = ["CheckResult", "bisect_critical_temperature", "verify_all"]
 
@@ -47,13 +46,12 @@ _MC_POINTS = ((2.0, 0.2, 0.5), (4.0, 1.0, 0.2), (0.5, 0.0, 1.0))
 _MC_ROUNDING_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    max_dev: float
-    threshold: float
-    detail: str = ""
+class CheckResult(_Record):
+    __slots__ = ("name", "passed", "max_dev", "threshold", "detail")
+
+    def __init__(self, name: str, passed: bool, max_dev: float, threshold: float,
+                 detail: str = "") -> None:
+        _Record.__init__(self, name, passed, max_dev, threshold, detail)
 
     def line(self) -> str:
         status = "ok  " if self.passed else "FAIL"

@@ -261,6 +261,17 @@ def test_check_real_keeps_its_messages_on_python_numbers():
         DotParams(k0="x", r=0.0, T=1.0)
 
 
+def test_a_sequence_holding_an_int_with_no_repr_is_a_domain_error():
+    # numpy holds such an int as an object; its repr raises ValueError past
+    # Python's 4,300-digit limit, so the refusal names only the type
+    for value in ([10**5000], (1.0, 10**5000), np.array([10**5000], dtype=object)):
+        message = f"k0 must be a real number, got {type(value).__name__} holding an int"
+        with pytest.raises(DomainError, match=message):
+            DotParams(value, 0.0, 1.0)
+    with pytest.raises(DomainError, match="theta must be a real number"):
+        InputState([10**5000])
+
+
 def test_far_shifted_exponents_do_not_warn():
     # exponents finite but more than 1.8e308 below the shift: x - m goes to
     # -inf, the weight to 0, and no overflow warning leaks from the array route

@@ -84,7 +84,9 @@ def test_fidelity_sweep_loads_teleport_but_not_verify(tmp_path):
 ], ids=" ".join)
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_point_commands_load_neither_numpy_nor_linalg(argv, fmt):
-    assert loaded_after([*argv, "--format", fmt], ("numpy", "qdot.linalg")) == []
+    # nor dataclasses and inspect: the records are plain classes
+    watched = ("numpy", "qdot.linalg", "dataclasses", "inspect")
+    assert loaded_after([*argv, "--format", fmt], watched) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -105,6 +107,13 @@ def test_point_domain_errors_load_no_numpy(argv):
 ], ids=lambda argv: argv[0])
 def test_grid_fidelity_and_verify_commands_load_numpy(argv):
     assert loaded_after(argv, ("numpy",)) == ["numpy"]
+
+
+def test_importing_the_cli_loads_no_code_introspection_module():
+    # what `from dataclasses import dataclass` would load: 8-12 ms of start-up
+    watched = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, qdot.cli; print([m for m in {watched!r} if m in sys.modules])"
+    assert ast.literal_eval(run_child(code)) == []
 
 
 def test_importing_the_package_loads_no_module():

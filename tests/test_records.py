@@ -1,0 +1,132 @@
+"""The contract of the package's ten records: construction by position and
+by keyword with their defaults, the repr text, ``==``, ``hash`` and pickling,
+and that no field can be assigned or deleted."""
+
+import pickle
+
+import numpy as np
+import pytest
+
+from qdot import (
+    Axis, BellOutcome, CheckResult, ConcurrenceResult, DotParams, FigurePreset, InputState,
+    MonteCarloFidelity, SweepSpec, TeleportOutcome, ThermalElements,
+)
+
+AXIS = Axis("r", 0.0, 2.0, 5)
+SPEC = SweepSpec((AXIS,), {"k0": 4.0, "T": 0.5}, ("C",))
+LAMBDAS = np.array([1.0, 0.5, 0.0, 0.0])
+STATE = np.array([[0.75, 0.25j], [-0.25j, 0.25]])
+
+# (type, field names, fields, fields of an unequal record, repr)
+RECORDS = [
+    (DotParams, ("k0", "r", "T"), (4.0, 1.0, 0.5), (4.0, 1.0, 0.25),
+     "DotParams(k0=4.0, r=1.0, T=0.5)"),
+    (ThermalElements, ("u", "v", "w", "y", "big_z", "log_scale"),
+     (1.0, 0.5, 0.25, -0.125, 2.0, 3.0), (1.0, 0.5, 0.25, 0.125, 2.0, 3.0),
+     "ThermalElements(u=1.0, v=0.5, w=0.25, y=-0.125, big_z=2.0, log_scale=3.0)"),
+    (ConcurrenceResult, ("value", "lambdas"), (0.5, LAMBDAS), (0.5, LAMBDAS[::-1]),
+     f"ConcurrenceResult(value=0.5, lambdas={LAMBDAS!r})"),
+    (Axis, ("name", "lo", "hi", "steps"), ("r", 0.0, 2.0, 5), ("r", 0.0, 2.0, 6),
+     "Axis(name='r', lo=0.0, hi=2.0, steps=5)"),
+    (SweepSpec, ("axes", "fixed", "quantities"), ((AXIS,), {"k0": 4.0, "T": 0.5}, ("C",)),
+     ((AXIS,), {"k0": 4.0, "T": 0.5}, ("populations",)),
+     "SweepSpec(axes=(Axis(name='r', lo=0.0, hi=2.0, steps=5),), "
+     "fixed={'k0': 4.0, 'T': 0.5}, quantities=('C',))"),
+    (FigurePreset, ("panel_key", "panels"), (None, (SPEC,)), ("k0", (SPEC,)),
+     f"FigurePreset(panel_key=None, panels=({SPEC!r},))"),
+    (InputState, ("theta", "phi"), (1.0, 0.5), (1.0, -0.5), "InputState(theta=1.0, phi=0.5)"),
+    (TeleportOutcome, ("outcome", "probability", "state", "fidelity"),
+     (BellOutcome.PSI_MINUS, 0.25, STATE, 0.75), (BellOutcome.PSI_MINUS, 0.25, STATE.T, 0.75),
+     f"TeleportOutcome(outcome={BellOutcome.PSI_MINUS!r}, probability=0.25, "
+     f"state={STATE!r}, fidelity=0.75)"),
+    (MonteCarloFidelity, ("value", "stderr", "samples", "seed"), (0.75, 1e-4, 1000, 7),
+     (0.75, 1e-4, 1000, 8), "MonteCarloFidelity(value=0.75, stderr=0.0001, samples=1000, seed=7)"),
+    (CheckResult, ("name", "passed", "max_dev", "threshold", "detail"),
+     ("check", True, 1e-16, 1e-10, "3 points"), ("check", False, 1e-16, 1e-10, "3 points"),
+     "CheckResult(name='check', passed=True, max_dev=1e-16, threshold=1e-10, detail='3 points')"),
+]
+# Records that hold an array or a dict have no hash.
+UNHASHABLE = {ConcurrenceResult, SweepSpec, FigurePreset, TeleportOutcome}
+
+
+def copied(values):
+    """The same values, each array a distinct copy."""
+    return tuple(v.copy() if isinstance(v, np.ndarray) else v for v in values)
+
+
+def same(x, y) -> bool:
+    return np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y and type(x) is type(y)
+
+
+@pytest.fixture(params=RECORDS, ids=lambda case: case[0].__name__)
+def case(request):
+    return request.param
+
+
+def test_positional_and_keyword_construction(case):
+    cls, names, values, _, _ = case
+    for record in (cls(*values), cls(**dict(zip(names, values)))):
+        assert type(record) is cls
+        for name, value in zip(names, values):
+            assert same(getattr(record, name), value), name
+
+
+def test_defaults():
+    assert InputState(1.0).phi == 0.0
+    assert InputState(1.0) == InputState(1.0, 0.0)
+    spec = SweepSpec((Axis("k0", 0.0, 4.0, 3),), quantities=("Tc",))
+    assert spec.fixed == {}
+    assert SweepSpec((AXIS,), {"k0": 4.0, "T": 0.5}).quantities == ("C",)
+    assert CheckResult("check", True, 0.0, 1.0).detail == ""
+
+
+def test_repr(case):
+    cls, _, values, _, text = case
+    assert repr(cls(*values)) == text
+
+
+def test_equality(case):
+    cls, _, values, other, _ = case
+    record = cls(*values)
+    assert record == cls(*copied(values))
+    assert not record != cls(*copied(values))
+    assert record != cls(*other)
+    assert record != values
+    assert (record == object()) is False
+
+
+def test_hash(case):
+    cls, _, values, _, _ = case
+    record = cls(*values)
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(cls(*values)) == hash(values)
+
+
+def test_equal_records_of_widened_inputs_hash_alike():
+    assert DotParams(4, 1, 0.5) == DotParams(4.0, 1.0, 0.5)
+    assert hash(DotParams(4, 1, 0.5)) == hash(DotParams(4.0, 1.0, 0.5))
+    assert hash(InputState(1)) == hash(InputState(1.0, 0.0))
+
+
+def test_pickle_round_trip(case):
+    cls, _, values, _, _ = case
+    record = cls(*values)
+    again = pickle.loads(pickle.dumps(record))
+    assert type(again) is cls and again == record
+
+
+def test_fields_are_frozen(case):
+    cls, names, values, _, _ = case
+    record = cls(*values)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.no_such_field = 1
+    for name, value in zip(names, values):
+        assert same(getattr(record, name), value), name

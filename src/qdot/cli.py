@@ -3,7 +3,7 @@
 Subcommands: concurrence, fidelity, tc, ground-state, fig, verify.
 Exit codes: 0 success, 1 usage error or unwritable output (an --out path,
 or stdout on a full disk or closed early by its reader), 2 verification
-failure, 3 numeric domain error (for example a sweep that touches T = 0).
+failure, 3 numeric domain error (for example a negative temperature).
 """
 
 from __future__ import annotations

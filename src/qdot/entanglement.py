@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .model import DotParams, ThermalElements, _any, _boltzmann_weights, _check_real
-from .model import _ArrayRecord, _maximum, _scalar, _where
+from .model import DotParams, ThermalElements, _ArrayRecord, _boltzmann_weights, _check_real
+from .model import _maximum, _scalar, _where
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,28 +92,19 @@ def model_concurrence(p: DotParams) -> float:
 
     Evaluates max((exp(3k0/16T) - 3 exp(-k0/16T)) / Z, 0) with the same
     log-domain shift as the thermal elements. The numerator is negative for
-    every k0 < 0, so ferromagnetic coupling never entangles. Where T = 0 at
-    every point the ground-state limit takes over; overflowing exponents
-    raise DomainError.
+    every k0 < 0, so ferromagnetic coupling never entangles; T = 0 gives
+    the ground-state limit. Overflowing exponents raise DomainError.
     """
-    if not _any(p.T != 0):
-        return ground_state_concurrence(p.k0, p.r)
     u, v, e1, e2, _ = _boltzmann_weights(p)
     return _scalar(_maximum((e2 - 3.0 * e1) / (u + v + e1 + e2), 0.0))
 
 
 def ground_state_concurrence(k0: float, r: float) -> float:
-    """Zero-temperature concurrence, exact by cases.
-
-    The ground state is the singlet for |r| < k0/4 (concurrence 1), the
-    polarized product state for |r| > k0/4 (concurrence 0), and their equal
-    mixture exactly at |r| = k0/4 (concurrence 1/2). Any k0 <= 0 gives 0.
-    The comparison at the boundary is exact, not toleranced: k0/4 is
-    computed in one rounding, so callers passing r = k0/4 hit the 1/2 case.
-    """
-    k0, r = _check_real(k0=k0, r=r).values()
-    field, boundary = abs(r), k0 / 4.0
-    return _scalar(_where(k0 > 0, (field < boundary) + 0.5 * (field == boundary), 0.0))
+    """Zero-temperature concurrence, model_concurrence at T = 0: 1 for the
+    singlet at |r| < k0/4, 0 for the polarized state at |r| > k0/4, 1/2 for
+    their equal mixture at |r| = k0/4 (an exact test of 4|r| against k0),
+    and 0 for any k0 <= 0."""
+    return model_concurrence(DotParams(k0, r, 0.0))
 
 
 def critical_temperature(k0):

@@ -104,8 +104,8 @@ class DotParams(_Record):
 
     k0 : exchange coupling scale, any sign (antiferromagnetic for k0 > 0).
     r  : Zeeman energy gamma * B0, any sign.
-    T  : temperature, >= 0. Thermal quantities require T > 0; T = 0 is
-         served by the explicit ground-state limits.
+    T  : temperature, >= 0. At T = 0 every thermal quantity takes its
+         ground-state limit: the levels of lowest energy weigh alike.
     """
 
     __slots__ = ("k0", "r", "T")
@@ -134,7 +134,8 @@ def _check_real(**fields) -> dict:
     DomainError. A Python float is returned as it is, and an int as a Python
     float, without numpy; everything else takes numpy's route, where a
     float64 array passes through uncopied and other real dtypes are widened,
-    so that every closed form computes in float64."""
+    so that every closed form computes in float64; Python numbers numpy
+    holds as objects (an int past int64) are checked one by one."""
     widened = {}
     for name, val in fields.items():
         if type(val) is int:
@@ -151,6 +152,8 @@ def _check_real(**fields) -> dict:
         import numpy as np
 
         arr = np.asarray(val)
+        if arr.dtype.kind == "O" and all(isinstance(x, (int, float)) for x in arr.flat):
+            arr = np.array([_check_real(**{name: x})[name] for x in arr.flat]).reshape(arr.shape)
         if arr.dtype.kind not in "biuf":
             try:
                 got = repr(val)
@@ -317,17 +320,14 @@ def _boltzmann_weights(p: DotParams):
 
     Returns (u, v, e1, e2, m): the weights of |11>, |00>, and the
     exchange exponentials exp(-k0/16T) and exp(3k0/16T), each divided by
-    exp(m), on floats or arrays. Raises DomainError for T <= 0 (the T = 0
-    limits live in the ground-state helpers) and when the largest exponent
-    overflows.
+    exp(m), on floats or arrays. A T = 0 cell holds their T -> 0+ limit:
+    weight 1 for each level of lowest energy and 0 for the rest, m = 0.
+    Raises DomainError when the largest exponent overflows.
     """
-    if _any(p.T <= 0):
-        raise DomainError(
-            f"thermal elements need T > 0, got T={_first(p.T, p.T <= 0)}; "
-            "use the ground-state limits"
-        )
     k0, r, T = p.k0, p.r, p.T
     with _quiet(k0, r, T):
+        cold = T == 0  # run at T = inf, with no division by 0; its exponents are set below
+        T = _scalar(_where(cold, math.inf, T))
         t16 = 16.0 * T
         exps = (-(k0 - 16.0 * r) / t16, -(k0 + 16.0 * r) / t16, -k0 / t16, 3.0 * k0 / t16)
         # 3 k0, k0 -+ 16 r or 16 T can overflow where the exponents do not
@@ -340,6 +340,11 @@ def _boltzmann_weights(p: DotParams):
                 _scalar(_where(bad, late, early))
                 for late, early in zip((-(q - s), -(q + s), -q, 3.0 * q), exps)
             )
+        if _any(cold):  # exponent 0 for each level of lowest energy, -inf for the rest
+            # (k0/16 -+ r, k0/16, -3k0/16): 4 r is exact, or inf, which compares right
+            low = ((r >= 0) & (4.0 * r >= k0), (r <= 0) & (-4.0 * r >= k0),
+                   (r == 0) & (k0 <= 0), k0 >= 4.0 * abs(r))
+            exps = [_scalar(_where(cold, _where(g, 0.0, -math.inf), x)) for g, x in zip(low, exps)]
         a_u, a_v, b1, b2 = exps
         # An exponent at -inf only zeroes its weight; one at +inf (or NaN)
         # is the shift m itself, and the shifted exponents would be NaN.
@@ -356,8 +361,8 @@ def _boltzmann_weights(p: DotParams):
 
 def thermal_elements(p: DotParams) -> ThermalElements:
     """Closed-form thermal-state elements with a common log-domain shift;
-    Python floats for a scalar p. Raises DomainError for T <= 0, where the
-    ground-state helpers take over, and where the Boltzmann exponents overflow.
+    Python floats for a scalar p, and T = 0 cells at their limit. Raises
+    DomainError where the Boltzmann exponents overflow.
     """
     u, v, e1, e2, m = _boltzmann_weights(p)
     w = 0.5 * (e1 + e2)

@@ -89,18 +89,16 @@ class SweepSpec(_Record):
                 raise UsageError(f"unknown quantity {q!r}; choose from {QUANTITY_NAMES}")
         if "theta" in names and not (_FIDELITY_QUANTITIES & set(self.quantities)):
             raise UsageError("a theta axis only makes sense for fidelity quantities")
-        for axis in self.axes:
-            if axis.name == "T" and axis.lo <= 0:
-                raise DomainError(
-                    "temperature axis touches T <= 0; thermal sweeps need T > 0 "
-                    "(the T = 0 point is served by the ground-state limits)"
-                )
         needed = self._needed_parameters()
         missing = [
             k for k in needed if k not in names and k not in self.fixed
         ]
         if missing:
             raise UsageError(f"missing parameter value(s): {', '.join(missing)}")
+        # the lowest temperature: a T axis's lo, else the fixed T (Tc alone needs none)
+        low = min((a.lo for a in self.axes if a.name == "T"), default=self.fixed.get("T", 0.0))
+        if isinstance(low, (int, float)) and low < 0:
+            raise DomainError(f"temperature must be >= 0, got {low}")
 
     def _needed_parameters(self) -> tuple[str, ...]:
         needed = ["k0"]

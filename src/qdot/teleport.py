@@ -230,6 +230,7 @@ def collapsed_closed_form(
     minus and plus outcome of each subspace, and the Phi branches carry the
     conjugate azimuthal phase. The input's trig is libm's, squares by pow
     (x * x differs in about 0.1% of results), on floats and cells alike.
+    Raises DomainError where the branch weight is 0: that branch has no state.
     """
     _check_broadcast(theta=s.theta, phi=s.phi, **e._fields())
     half = s.theta / 2.0
@@ -241,6 +242,8 @@ def collapsed_closed_form(
         top, bot, z, sign = e.w * c2 + e.u * s2, e.v * c2 + e.w * s2, z1, -1.0
     else:
         top, bot, z, sign = e.u * c2 + e.w * s2, e.w * c2 + e.v * s2, z2, 1.0
+    if _any(z == 0):
+        raise DomainError(f"branch {outcome.value} has probability 0; it has no collapsed state")
     if outcome in (BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS):
         off = -off
     # the phase of cmath.exp(-1j * phi), conjugated on the Phi branches
@@ -290,8 +293,8 @@ def fidelity(s: InputState, rho_out: np.ndarray) -> float:
 
 def subspace_fidelities(s: InputState, p: DotParams) -> tuple[float, float]:
     """(F_o, F_e): fidelity conditioned on a Psi-type or Phi-type outcome,
-    as the closed forms N/z1 and N/z2 of _mean_branch_fidelity. Capped at 1:
-    a singlet channel rounds to 1 + 2.2e-16."""
+    as the closed forms N/z1 and N/z2 of _mean_branch_fidelity. Capped at 1
+    (a singlet channel rounds to 1 + 2.2e-16); NaN for a branch of weight 0."""
     _check_broadcast(theta=s.theta, phi=s.phi, k0=p.k0, r=p.r, T=p.T)
     e = thermal_elements(p)
     c, sn = np.cos(s.theta / 2.0), np.sin(s.theta / 2.0)
@@ -299,7 +302,8 @@ def subspace_fidelities(s: InputState, p: DotParams) -> tuple[float, float]:
     cross = c2 * s2
     num = e.w * (c2 * c2 + s2 * s2) + (e.u + e.v) * cross - 2.0 * e.y * cross
     z1, z2 = _branch_weights(e, c2, s2)
-    return _scalar(np.minimum(num / z1, 1.0)), _scalar(np.minimum(num / z2, 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return tuple(_scalar(np.where(z > 0, np.minimum(num / z, 1.0), np.nan)) for z in (z1, z2))
 
 
 def teleport_outcomes(s: InputState, p: DotParams) -> tuple[TeleportOutcome, ...]:

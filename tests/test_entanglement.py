@@ -188,6 +188,50 @@ def test_ground_state_cases():
     assert ground_state_concurrence(4.0, -1.0) == 0.5  # field sign is irrelevant
 
 
+def _case_analysis(k0, r):
+    """The ground-state concurrence by cases against the rounded boundary
+    k0/4, as ground_state_concurrence computed it before T = 0 became a cell
+    of model_concurrence; exact wherever k0/4 is, that is for |k0| >= 2^-1020."""
+    if k0 <= 0:
+        return 0.0
+    return 1.0 if abs(r) < k0 / 4.0 else 0.5 if abs(r) == k0 / 4.0 else 0.0
+
+
+def _ulps(x, n):
+    """x and the n floats on each side of it."""
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(n):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+@pytest.mark.parametrize("k0", [4.0, 3.0, 0.1, 1e-300, 2.0**-1020, 1e300, 1.7e308, sys.float_info.max])
+def test_ground_state_ties_follow_the_case_analysis(k0):
+    # |r| at k0/4 and 1-2 ulps either side, field of either sign, both
+    # couplings' signs: the exact sign tests give the cases' values
+    for r in _ulps(k0 / 4.0, 2):
+        for kk, rr in ((k0, r), (k0, -r), (-k0, r)):
+            want = _case_analysis(kk, rr)
+            assert ground_state_concurrence(kk, rr) == want
+            assert model_concurrence(DotParams(kk, rr, 0.0)) == want
+            assert ground_state_concurrence(np.array([kk]), np.array([rr])).tolist() == [want]
+
+
+def test_ground_state_of_subnormal_couplings():
+    # below 2^-1020 the rounded k0/4 is not the boundary: the exact test of
+    # 4|r| against k0 decides, where the case analysis gave 1/2
+    tiny = 5e-324
+    assert _case_analysis(2 * tiny, 0.0) == 0.5  # k0/4 rounds to 0
+    assert ground_state_concurrence(2 * tiny, 0.0) == 1.0  # the singlet alone
+    assert _case_analysis(3 * tiny, tiny) == 0.5  # k0/4 rounds to tiny
+    assert ground_state_concurrence(3 * tiny, tiny) == 0.0  # |11> alone: 4r > k0
+    assert ground_state_concurrence(4 * tiny, -tiny) == 0.5  # 4|r| = k0, a true tie
+    assert ground_state_concurrence(tiny, 0.0) == 1.0
+
+
 def test_zero_temperature_limits_are_reached_smoothly():
     # T = 1e-3 sits deep in the ground state away from the level crossing
     assert abs(model_concurrence(DotParams(k0=4.0, r=0.5, T=1e-3)) - 1.0) < 1e-3

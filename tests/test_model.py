@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qdot.entanglement import ground_state_concurrence, model_concurrence
+from qdot.entanglement import ground_state_concurrence, model_concurrence, wootters_concurrence
 from qdot.linalg import kron, IDENTITY_2, PAULI_Z, validate_density_matrix
 from qdot.model import (
     _libm,
@@ -18,7 +18,8 @@ from qdot.model import (
     thermal_state_oracle,
 )
 from qdot.teleport import BellOutcome, InputState, average_fidelity, average_fidelity_closed_form
-from qdot.teleport import collapsed_closed_form, joint_state, output_states, subspace_fidelities
+from qdot.teleport import collapse_bruteforce, collapsed_closed_form, input_density, joint_state
+from qdot.teleport import output_states, subspace_fidelities
 
 
 def test_params_validation():
@@ -171,9 +172,74 @@ def test_thermal_elements_survive_deep_cold():
     assert e.big_z > 0
 
 
-def test_thermal_elements_reject_zero_temperature():
-    with pytest.raises(DomainError):
-        thermal_elements(DotParams(k0=1.0, r=0.0, T=0.0))
+def test_thermal_elements_at_zero_temperature_weigh_the_ground_levels():
+    # weight 1 for each level of lowest energy, 0 for the rest, shift 0:
+    # the singlet, the singlet tied with |11> at r = k0/4, and at k0 < 0
+    # the triplet levels |11>, |00> and triplet-0 at r = 0
+    for k0, r, fields in ((1.0, 0.0, (0.0, 0.0, 0.5, -0.5, 1.0)),
+                          (4.0, 1.0, (1.0, 0.0, 0.5, -0.5, 2.0)),
+                          (-4.0, 0.0, (1.0, 1.0, 0.5, 0.5, 3.0)),
+                          (0.0, 0.0, (1.0, 1.0, 1.0, 0.0, 4.0))):
+        e = thermal_elements(DotParams(k0=k0, r=r, T=0.0))
+        assert (e.u, e.v, e.w, e.y, e.big_z, e.log_scale) == (*fields, 0.0)
+        assert all(type(x) is float for x in e._fields().values())
+
+
+def _ground_mixture(p):
+    """Test-only T = 0 oracle: the equal mixture of the eigenvectors of
+    hamiltonian_matrix whose eigenvalues lie within 1e-9 (relative to the
+    couplings) of the lowest."""
+    evals, vecs = np.linalg.eigh(hamiltonian_matrix(p))
+    ground = vecs[:, evals - evals[0] <= 1e-9 * max(1.0, abs(p.k0), abs(p.r))]
+    return ground @ ground.conj().T / ground.shape[1]
+
+
+@pytest.mark.parametrize("k0, r", [(4.0, 1.0), (4.0, -1.0), (4.0, 0.5), (4.0, 2.5),
+                                   (-4.0, 0.5), (-4.0, -1.5), (-4.0, 0.0), (0.0, 0.0),
+                                   (0.0, 0.7), (4.0, 0.0), (1e3, 250.0)])
+def test_zero_temperature_state_is_the_ground_mixture(k0, r):
+    # the crossing, k0 of both signs, k0 = 0 and r = 0
+    p = DotParams(k0, r, 0.0)
+    want = _ground_mixture(p)
+    np.testing.assert_allclose(thermal_state(p), want, atol=1e-12)
+    assert abs(model_concurrence(p) - wootters_concurrence(want).value) < 1e-12
+    # the collapse through the oracle's channel, at an input with no branch of weight 0
+    s = InputState(1.1, 0.4)
+    joint = kron(input_density(s), want)
+    for outcome in BellOutcome:
+        state, prob = collapse_bruteforce(joint, outcome)
+        closed_state, closed_prob = collapsed_closed_form(s, thermal_elements(p), outcome)
+        np.testing.assert_allclose(closed_state, state, atol=1e-12)
+        assert abs(closed_prob - prob) < 1e-12
+
+
+def test_zero_temperature_cells_have_the_bits_of_t_1e_30():
+    # |k0|, |r| log-uniform in [1e-3, 1e3] with random signs, 10% of the
+    # points at the crossing |r| = k0/4 and 5% at r = 0; the input state at
+    # random angles, with theta = 0 and pi among them (at theta = 0 a
+    # polarised channel has a branch of weight 0, F_o or F_e absent on both sides)
+    rng = np.random.default_rng(26)
+    n = 10_000
+    k0 = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    r = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    kind = rng.uniform(size=n)
+    r = np.where(kind < 0.1, np.sign(r) * k0 / 4.0, np.where(kind < 0.15, 0.0, r))
+    edge = rng.uniform(size=n)
+    theta = np.where(edge < 0.1, 0.0, np.where(edge < 0.2, math.pi, rng.uniform(0.0, math.pi, n)))
+    s = InputState(theta, rng.uniform(0.0, 2.0 * math.pi, n))
+
+    def quantities(T):
+        p = DotParams(k0, r, T)
+        e = thermal_elements(p)
+        return [model_concurrence(p), *subspace_fidelities(s, p), average_fidelity_closed_form(p),
+                e.u / e.big_z, e.w / e.big_z, e.v / e.big_z]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cold, near = quantities(0.0), quantities(1e-30)
+    for a, b in zip(cold, near):
+        assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
+    assert np.isnan(cold[1]).any() and np.isnan(cold[2]).any()  # the zero branches were hit
 
 
 @pytest.mark.parametrize("k0,r,T", [(1.0, 0.0, 1e-310), (1e308, 0.0, 1e-308)])
@@ -262,14 +328,34 @@ def test_check_real_keeps_its_messages_on_python_numbers():
 
 
 def test_a_sequence_holding_an_int_with_no_repr_is_a_domain_error():
-    # numpy holds such an int as an object; its repr raises ValueError past
-    # Python's 4,300-digit limit, so the refusal names only the type
+    # numpy holds such an int as an object. Beside other numbers it is
+    # widened as a bare int is, past the float range refused alike; beside a
+    # non-number its repr raises ValueError past Python's 4,300-digit limit,
+    # so the refusal names only the type
     for value in ([10**5000], (1.0, 10**5000), np.array([10**5000], dtype=object)):
+        with pytest.raises(DomainError, match="k0 must be finite, got an int past the float range"):
+            DotParams(value, 0.0, 1.0)
+    with pytest.raises(DomainError, match="theta must be finite, got an int past the float range"):
+        InputState([10**5000])
+    for value in ([10**5000, "x"], (None, 10**5000), np.array([10**5000, 1j], dtype=object)):
         message = f"k0 must be a real number, got {type(value).__name__} holding an int"
         with pytest.raises(DomainError, match=message):
             DotParams(value, 0.0, 1.0)
     with pytest.raises(DomainError, match="theta must be a real number"):
-        InputState([10**5000])
+        InputState([10**5000, "x"])
+
+
+def test_a_sequence_of_ints_past_int64_is_widened_as_a_bare_int():
+    # numpy holds 2**70 as an object, not an int64; each int becomes the
+    # float nearest it, as DotParams(2**70, 0, 1) makes its k0
+    p = DotParams([2**70, 1], [[-2**70], [True]], (1, 2.5))
+    assert p.k0.dtype == p.r.dtype == p.T.dtype == np.float64
+    assert p.k0.tolist() == [2.0**70, 1.0] and p.r.tolist() == [[-2.0**70], [1.0]]
+    assert p.T.tolist() == [1.0, 2.5]
+    assert DotParams(2**70, 0, 1).k0 == p.k0[0]
+    assert model_concurrence(p).shape == (2, 2)
+    with pytest.raises(DomainError, match="r must be finite, got nan"):
+        DotParams(1.0, [2**70, math.nan], 1.0)
 
 
 def test_far_shifted_exponents_do_not_warn():

@@ -93,6 +93,7 @@ def _same_route(k0, r, T) -> None:
             want, want_error = _run(fn, point)
             got, got_error = _run(fn, stack)
             assert want_error == got_error
+            assert want_error is None or T != 0  # a T = 0 cell never overflows
             if fn is thermal_elements and want is not None:
                 for name in ("u", "v", "w", "y", "big_z", "log_scale"):
                     _bits(getattr(want, name), getattr(got, name))
@@ -118,8 +119,11 @@ def _same_route(k0, r, T) -> None:
 @given(_points())
 @example((0.0, 0.0, 0.5))  # every exponent a zero of either sign: the shift m is -0.0
 @example((-0.0, -0.0, 5e-324))
-@example((4.0, 1.0, 0.0))  # the ground-state limit
+@example((4.0, 1.0, 0.0))  # T = 0 at the crossing: values, singlet and |11> tied
 @example((4.0, 1.0, -0.0))
+@example((-4.0, 0.0, 0.0))  # three triplet levels tied
+@example((3 * 5e-324, 5e-324, 0.0))  # subnormal couplings at T = 0: 4r > k0
+@example((1.7e308, 4.25e307, 0.0))  # 16 r overflows at T = 0; 4r = k0, a tie
 @example((1.0, 0.0, 1e-310))  # the exponents overflow
 @example((1e308, 0.0, 1e-300))
 @example((1e308, 0.0, 1e10))  # 3 k0 overflows where 3 k0/16T does not

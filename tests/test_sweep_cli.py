@@ -94,13 +94,17 @@ def test_spec_validation():
         SweepSpec(axes=(t_axis,), fixed={"k0": 1.0, "r": 0.0}, quantities=("C", "C"))
 
 
-def test_spec_rejects_temperature_axis_touching_zero():
-    with pytest.raises(DomainError, match="ground-state"):
-        SweepSpec(
-            axes=(Axis("T", 0.0, 1.0, 5),),
-            fixed={"k0": 1.0, "r": 0.0},
-            quantities=("C",),
-        )
+def test_spec_rejects_negative_temperature():
+    # one rule for an axis and a fixed value alike, Tc (which needs no T)
+    # included; an axis from T = 0 is ordinary, its first cell the ground state
+    with pytest.raises(DomainError, match=r"^temperature must be >= 0, got -1.0$"):
+        SweepSpec(axes=(Axis("T", -1.0, 1.0, 5),), fixed={"k0": 1.0, "r": 0.0}, quantities=("C",))
+    with pytest.raises(DomainError, match=r"^temperature must be >= 0, got -0.5$"):
+        SweepSpec(axes=(), fixed={"k0": 1.0, "T": -0.5}, quantities=("Tc",))
+    spec = SweepSpec(axes=(Axis("T", 0.0, 1.0, 5),), fixed={"k0": 1.0, "r": 0.0}, quantities=("C",))
+    assert run_sweep(spec)["C"][0] == 1.0
+    # a fixed T beside an axis over T is not used, so it is not checked
+    SweepSpec(axes=(Axis("T", 0.5, 1.0, 5),), fixed={"k0": 1.0, "r": 0.0, "T": -1.0})
 
 
 def test_average_fidelity_needs_no_angles():
@@ -280,9 +284,11 @@ def test_population_columns_expand():
     ({"k0": 4.0, "r": 1.0, "T": 0.5}, ("C", "Tc", "populations"), "T"),
     ({"k0": -1.0, "r": 0.0, "T": 0.5}, ("populations", "Tc", "C"), "T"),  # no transition
     ({"k0": -0.0, "r": -0.0, "T": 5e-324}, ("C", "populations"), "T"),
-    ({"k0": 4.0, "r": 1.0, "T": 0.0}, ("C",), "r"),  # the ground-state limit; no T axis at 0
+    ({"k0": 4.0, "r": 1.0, "T": 0.0}, ("C",), "r"),  # the ground-state limit
     ({"k0": 4.0}, ("Tc",), "k0"),
     ({"k0": 4.0, "r": 1.0, "T": 0.5, "theta": 1.0, "phi": 0.5}, ("F_a", "F_e", "C", "F_o"), "T"),
+    ({"k0": 4.0, "r": 1.5, "T": 0.0, "theta": 0.0, "phi": 0.0},  # a T axis from 0; F_o absent
+     ("C", "F_o", "F_e", "F_a", "populations"), "T"),
 ], ids=lambda v: ",".join(v) if isinstance(v, tuple) else None)
 def test_a_point_is_the_cell_of_a_grid_through_it(fixed, quantities, axis):
     # a spec with no axes is one row of Python floats: the quantity columns
@@ -600,15 +606,34 @@ def test_cli_negative_numbers_in_exponent_form(capsys, argv, flag, value, code):
 
 
 def test_cli_domain_error_exit_code(capsys):
-    rc, _, err = run_cli(
-        capsys, "concurrence", "--k0", "4", "--r", "0", "--sweep", "T:0:1:5"
+    rc, out, err = run_cli(
+        capsys, "concurrence", "--k0", "4", "--r", "0", "--sweep", "T:-1:1:5"
     )
-    assert rc == 3
-    assert "domain error" in err
-    # fidelities need a Gibbs state; T = 0 has none
-    rc, out, err = run_cli(capsys, "fidelity", "--k0", "4", "--t", "0")
     assert rc == 3 and out == ""
-    assert err.startswith("domain error:") and "T=0.0" in err
+    assert err == "domain error: temperature must be >= 0, got -1.0\n"
+    rc, out, err = run_cli(capsys, "tc", "--k0", "4", "--t", "-1")
+    assert rc == 3 and out == ""
+    assert err == "domain error: temperature must be >= 0, got -1.0\n"
+    # exp(k0/16T) overflows at T = 1e-310
+    rc, out, err = run_cli(capsys, "fidelity", "--k0", "1", "--t", "1e-310")
+    assert rc == 3 and out == ""
+    assert err.startswith("domain error: Boltzmann exponents overflow at k0=1.0")
+
+
+def test_cli_zero_temperature_is_the_limit_of_the_cold_cells(capsys):
+    # T = 0 prints what T = 1e-30 prints, byte for byte; at theta = 0 the
+    # polarised channel's Psi branch has weight 0, and its F_o is absent
+    args = ("fidelity", "--k0", "4", "--r", "1.5", "--theta", "0",
+            "--quantities", "C,F_o,F_e,F_a,populations")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fmt in ("csv", "json"):
+            cold = run_cli(capsys, *args, "--t", "0", "--format", fmt)
+            assert cold == run_cli(capsys, *args, "--t", "1e-30", "--format", fmt)
+    assert cold[0] == 0 and cold[2] == ""
+    assert json.loads(cold[1])["rows"] == [[0.0, None, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0]]
+    _, out, _ = run_cli(capsys, *args, "--t", "0")
+    assert out == "C,F_o,F_e,F_a,p11,p10,p01,p00\n0,,0,0.5,1,0,0,0\n"
 
 
 def test_cli_json_format(capsys):

@@ -31,13 +31,12 @@ class LinalgError(ValueError):
     """Raised when a matrix fails a structural precondition."""
 
 
-def as_complex_matrix(m: np.ndarray, stack: bool = False) -> np.ndarray:
-    """Coerce input to a finite 2-D complex128 array; with ``stack``, to a
-    finite stack of them, shape (..., rows, cols)."""
+def as_complex_matrix(m: np.ndarray) -> np.ndarray:
+    """Coerce input to a finite complex128 matrix or stack of them, shape
+    (..., rows, cols)."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 and not (stack and a.ndim > 2):
-        expected = "a 2-D matrix or a stack of them" if stack else "a 2-D matrix"
-        raise LinalgError(f"expected {expected}, got ndim={a.ndim}")
+    if a.ndim < 2:
+        raise LinalgError(f"expected a 2-D matrix or a stack of them, got ndim={a.ndim}")
     if a.size == 0:
         raise LinalgError("empty matrix")
     if not np.isfinite(a).all():  # a complex entry is finite when both parts are
@@ -72,7 +71,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     matrices or of stacks (..., m, n) and (..., p, q) whose leading axes
     broadcast, as (..., m p, n q): the entrywise products of np.kron, in
     its order and with its bits."""
-    a, b = as_complex_matrix(a, stack=True), as_complex_matrix(b, stack=True)
+    a, b = as_complex_matrix(a), as_complex_matrix(b)
     try:
         prod = a[..., :, None, :, None] * b[..., None, :, None, :]
     except ValueError:  # numpy refuses leading axes that do not broadcast
@@ -86,7 +85,7 @@ def trace_to_last_qubit(m: np.ndarray) -> np.ndarray:
     The operator is on (first factors) (x) qubit, in the Kronecker order of
     :func:`kron`; a 2x2 operator is returned as it is.
     """
-    a = as_complex_matrix(m, stack=True)
+    a = as_complex_matrix(m)
     n = a.shape[-1]
     if a.shape[-2] != n or n % 2:
         raise LinalgError(f"shape {a.shape} is not an operator ending in a qubit")
@@ -100,7 +99,7 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ascending order and orthonormal eigenvectors as columns. Rejects input
     whose anti-Hermitian part exceeds HERMITICITY_TOL entrywise.
     """
-    a = as_complex_matrix(m, stack=True)
+    a = as_complex_matrix(m)
     if a.shape[-1] != a.shape[-2]:
         raise LinalgError(f"matrix is not square: {a.shape}")
     dev = _first_above(np.abs(a - _adjoint(a)).max(axis=(-2, -1)), HERMITICITY_TOL)
@@ -116,7 +115,7 @@ def validate_density_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     Requirements: square, Hermitian to 1e-12, unit trace to 1e-12, and all
     eigenvalues at least -1e-10.
     """
-    a = as_complex_matrix(m, stack=True)
+    a = as_complex_matrix(m)
     if a.shape[-1] != a.shape[-2]:
         raise LinalgError(f"{name} is not square: {a.shape}")
     herm_dev = _first_above(np.abs(a - _adjoint(a)).max(axis=(-2, -1)), DENSITY_HERMITICITY_TOL)

@@ -131,14 +131,14 @@ def _first(value, where):
 
 def _check_real(**fields) -> dict:
     """Each field as a finite real number or array of them in float64, or
-    DomainError. A Python float is returned as it is, and an int as a Python
-    float, without numpy; everything else takes numpy's route, where a
-    float64 array passes through uncopied and other real dtypes are widened,
-    so that every closed form computes in float64; Python numbers numpy
-    holds as objects (an int past int64) are checked one by one."""
+    DomainError. A Python float is returned as it is, and an int or a bool
+    as a Python float, without numpy; everything else takes numpy's route,
+    where a float64 array passes through uncopied and other real dtypes are
+    widened, so that every closed form computes in float64; Python numbers
+    numpy holds as objects (an int past int64) are checked one by one."""
     widened = {}
     for name, val in fields.items():
-        if type(val) is int:
+        if type(val) in (int, bool):
             try:
                 val = float(val)
             except OverflowError:
@@ -181,17 +181,6 @@ def _check_broadcast(**fields) -> None:
         except ValueError:
             listed = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
             raise DomainError(f"field shapes do not broadcast together: {listed}") from None
-
-
-def _check_point(*values) -> None:
-    """Raise DomainError if a value, or a field of a record value, is an
-    array: fidelity, teleport_outcomes and the quadrature take one point."""
-    import numpy as np  # loaded: only teleport's point routes call this
-
-    for value in values:
-        for x in value._fields().values() if isinstance(value, _Record) else (value,):
-            if not isinstance(x, (int, float)) and np.ndim(x):  # np.ndim costs 1 us
-                raise DomainError(f"takes one parameter point, got an array of shape {np.shape(x)}")
 
 
 def _numpy(*values):

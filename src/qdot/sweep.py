@@ -95,10 +95,11 @@ class SweepSpec(_Record):
         ]
         if missing:
             raise UsageError(f"missing parameter value(s): {', '.join(missing)}")
-        # the lowest temperature: a T axis's lo, else the fixed T (Tc alone needs none)
-        low = min((a.lo for a in self.axes if a.name == "T"), default=self.fixed.get("T", 0.0))
-        if isinstance(low, (int, float)) and low < 0:
-            raise DomainError(f"temperature must be >= 0, got {low}")
+        # every temperature held: a T axis's lo and a fixed T, which the axis
+        # overrides (Tc alone needs none)
+        for low in (*(a.lo for a in self.axes if a.name == "T"), self.fixed.get("T", 0.0)):
+            if isinstance(low, (int, float)) and low < 0:
+                raise DomainError(f"temperature must be >= 0, got {low}")
 
     def _needed_parameters(self) -> tuple[str, ...]:
         needed = ["k0"]
@@ -128,39 +129,27 @@ def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray] | dict[str, float]:
     """Evaluate a sweep into a table: column name -> one flat float column.
 
     The axis columns come first, then the quantities in request order; NaN
-    marks an absent value (Tc where there is no transition). Tc is one call
-    over k0. The other quantities fill their columns over blocks of
-    _EVAL_BLOCK cells in grid order; each is elementwise, so a cell has the
-    bits of the whole-grid call and a sweep raises at its first bad cell.
-    A column whose inputs are all fixed is a zero-stride view. A spec with
-    no axes is one point, as every closed form takes one: its row of Python
-    floats, with the bits of the matching cell of a grid through it, which
-    loads numpy only for the fidelities.
+    marks an absent value (Tc where there is no transition). The quantities
+    fill their columns over blocks of _EVAL_BLOCK cells in grid order; each
+    is elementwise, so a cell has the bits of the whole-grid call and a
+    sweep raises at its first bad cell. A column whose inputs are all fixed
+    is a zero-stride view. A spec with no axes is one point, as every closed
+    form takes one: its row of Python floats, with the bits of the matching
+    cell of a grid through it, which loads numpy only for the fidelities.
     """
-    thermal = _thermal_columns(spec)
+    columns = {q: _POPULATION_COLUMNS if q == "populations" else (q,) for q in spec.quantities}
     if not spec.axes:
-        row = {}
-        if "Tc" in spec.quantities:  # first, as on a grid, so the same error wins
-            tc = critical_temperature(spec.fixed["k0"])
-            row["Tc"] = math.nan if tc is None else tc
-        if thermal:
-            row.update(_evaluate(thermal, spec.fixed))
-        return {name: row[name] for q in spec.quantities for name in thermal.get(q, (q,))}
+        return dict(_evaluate(columns, spec.fixed))
     import numpy as np
 
     grid = spec.grid()
     size = math.prod(a.steps for a in spec.axes)
     table = {a.name: grid[a.name] for a in spec.axes}
-    for q in spec.quantities:
-        if q == "Tc":
-            # an array k0, so that no transition reads NaN rather than None
-            table[q] = critical_temperature(np.atleast_1d(grid["k0"]))
-        else:
-            table.update((name, np.empty(size)) for name in thermal[q])
-    for start in range(0, size if thermal else 0, _EVAL_BLOCK):
+    table.update((name, np.empty(size)) for names in columns.values() for name in names)
+    for start in range(0, size, _EVAL_BLOCK):
         cells = slice(start, start + _EVAL_BLOCK)
         at = {n: v[cells] if isinstance(v, np.ndarray) else v for n, v in grid.items()}
-        for name, value in _evaluate(thermal, at):
+        for name, value in _evaluate(columns, at):
             if np.ndim(value):
                 table[name][cells] = value
             else:  # every input fixed: one value, broadcast below
@@ -168,18 +157,19 @@ def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray] | dict[str, float]:
     return {name: np.broadcast_to(np.asarray(c, float), size) for name, c in table.items()}
 
 
-def _thermal_columns(spec: SweepSpec) -> dict[str, tuple[str, ...]]:
-    """Each requested quantity but Tc -> the columns it fills."""
-    return {q: _POPULATION_COLUMNS if q == "populations" else (q,)
-            for q in spec.quantities if q != "Tc"}
-
-
-def _evaluate(thermal: dict[str, tuple[str, ...]], at: dict) -> Iterator[tuple[str, object]]:
-    """(column, values) of each quantity in ``thermal`` at the parameters in
-    ``at``: Python floats for a point, arrays over a block of cells."""
-    params = DotParams(at["k0"], at["r"], at["T"])
-    fids = None  # (F_o, F_e), evaluated together
-    for q, names in thermal.items():
+def _evaluate(columns: dict[str, tuple[str, ...]], at: dict) -> Iterator[tuple[str, object]]:
+    """(column, values) of each quantity in ``columns``, which maps it to the
+    columns it fills, at the parameters in ``at``: Python floats for a
+    point, arrays over a block of cells. Tc, which needs neither r nor T,
+    reads NaN where there is no transition; the parameters of the other
+    quantities are checked where the first of them needs them."""
+    params = fids = None  # fids: (F_o, F_e), evaluated together
+    for q, names in columns.items():
+        if q == "Tc":
+            tc = critical_temperature(at["k0"])
+            yield q, math.nan if tc is None else tc
+            continue
+        params = params or DotParams(at["k0"], at["r"], at["T"])
         if q == "C":
             values = (model_concurrence(params),)
         elif q in ("F_o", "F_e"):

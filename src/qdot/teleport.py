@@ -12,8 +12,8 @@ the common Boltzmann scale never appears.
 The fidelity averaged over the input's Bloch sphere, F_a, has a closed form,
 average_fidelity_closed_form, exact to about 1e-15 and evaluated over whole
 grids. Two routes share nothing with it but the integrand: average_fidelity
-integrates it by Gauss-Legendre quadrature at one point, and
-average_fidelity_mc averages it over seeded random inputs.
+integrates it by Gauss-Legendre quadrature, and average_fidelity_mc averages
+it over seeded random inputs.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from . import linalg
 from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron
 from .model import DomainError, DotParams, ThermalElements, _ArrayRecord, _check_broadcast
-from .model import _Record, _any, _check_point, _check_real, _first, _libm, _scalar
+from .model import _Record, _any, _check_real, _first, _libm, _scalar
 from .model import thermal_elements, thermal_state
 
 __all__ = [
@@ -191,7 +191,7 @@ def collapse_bruteforce(
             and all(isinstance(b, BellOutcome) for b in branches)):
         raise DomainError(
             f"expected a BellOutcome or a nonempty sequence of them, got {outcome!r}")
-    joint = linalg.as_complex_matrix(joint, stack=True)
+    joint = linalg.as_complex_matrix(joint)
     if joint.shape[-2:] != (8, 8):
         raise linalg.LinalgError(f"joint state must be 8x8, got {joint.shape}")
     joint = linalg.validate_density_matrix(joint, name="joint state")
@@ -281,14 +281,21 @@ def output_states(s: InputState, p: DotParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fidelity(s: InputState, rho_out: np.ndarray) -> float:
-    """Transmission fidelity <psi_in| rho_out |psi_in> of a 2x2 output.
-    Raises LinalgError unless ``rho_out`` is one finite 2x2 matrix."""
-    _check_point(s)
+    """Transmission fidelity <psi_in| rho_out |psi_in> of a 2x2 output, or
+    over a stack (..., 2, 2), with the state's and the stack's broadcast
+    shape. Raises LinalgError unless ``rho_out`` is finite, each matrix 2x2,
+    and its leading axes broadcast with the state's."""
     rho_out = linalg.as_complex_matrix(rho_out)
-    if rho_out.shape != (2, 2):
+    if rho_out.shape[-2:] != (2, 2):
         raise linalg.LinalgError(f"output state must be 2x2, got {rho_out.shape}")
     psi = input_vector(s)
-    return float((psi.conj() @ rho_out @ psi).real)
+    try:
+        value = psi.conj()[..., None, :] @ rho_out @ psi[..., :, None]
+    except ValueError:  # numpy refuses leading axes that do not broadcast
+        raise linalg.LinalgError(
+            f"states of shape {psi.shape[:-1]} and outputs of shape {rho_out.shape} "
+            "do not broadcast") from None
+    return _scalar(value[..., 0, 0].real)
 
 
 def subspace_fidelities(s: InputState, p: DotParams) -> tuple[float, float]:
@@ -307,9 +314,10 @@ def subspace_fidelities(s: InputState, p: DotParams) -> tuple[float, float]:
 
 
 def teleport_outcomes(s: InputState, p: DotParams) -> tuple[TeleportOutcome, ...]:
-    """All four measurement branches with corrected outputs and fidelities."""
+    """All four measurement branches with corrected outputs and fidelities;
+    over a grid, each field of the state's and the parameters' broadcast
+    shape."""
     e = thermal_elements(p)
-    _check_point(s, e)
     results = []
     for outcome in BellOutcome:
         state, prob = collapsed_closed_form(s, e, outcome)
@@ -326,8 +334,8 @@ def teleport_outcomes(s: InputState, p: DotParams) -> tuple[TeleportOutcome, ...
 
 
 def _mean_branch_fidelity(e: ThermalElements, x: np.ndarray, work=None) -> np.ndarray:
-    """Mean of the two subspace fidelities at polar angle arccos(x), for the
-    elements of one point.
+    """Mean of the two subspace fidelities at polar angle arccos(x), over
+    the broadcast shape of x and the elements.
 
     Shares its numerator between the branches:
 
@@ -336,16 +344,16 @@ def _mean_branch_fidelity(e: ThermalElements, x: np.ndarray, work=None) -> np.nd
 
     The azimuthal phase cancels out of both branch fidelities; the matrix
     route in the tests confirms that. Every intermediate is written into
-    ``work``, five rows (c2, s2, cross, num, tmp) of x's shape, in one array
-    or as five views, and allocated here when None; the result is the num
-    row, a view into ``work``, and ``x`` is only read. Each
-    operation and its operand order are those of the out-of-place formula,
+    ``work``, five rows (c2, s2, cross, num, tmp) of that shape, in one
+    array or as five views, and allocated here when None; the result is the
+    num row, a view into ``work``, and ``x`` is only read. Each operation
+    and its operand order are those of the out-of-place formula,
     so a reused workspace keeps its bits. Kept inline: in a helper shared
     with subspace_fidelities it slowed Monte Carlo by 10-20%.
     """
     x = np.asarray(x, dtype=float)
     if work is None:
-        work = np.empty((5, *x.shape))
+        work = np.empty((5, *np.broadcast_shapes(x.shape, np.shape(e.big_z))))
     c2, s2, cross, num, tmp = work
     np.multiply(0.5, np.add(1.0, x, out=c2), out=c2)
     np.multiply(0.5, np.subtract(1.0, x, out=s2), out=s2)
@@ -434,8 +442,10 @@ def _log_l(w, u, v, a, t, t2):
 
 
 def average_fidelity(p: DotParams, nodes: int = 64) -> float:
-    """Average fidelity over the Bloch sphere by Gauss-Legendre quadrature, at
-    one point: the quadrature oracle of average_fidelity_closed_form.
+    """Average fidelity over the Bloch sphere by Gauss-Legendre quadrature:
+    the quadrature oracle of average_fidelity_closed_form. A float for a
+    scalar p, an array of the parameters' broadcast shape otherwise, each
+    cell with the bits of its scalar call.
 
     The integrand does not depend on the azimuthal phase, so the sphere
     average is half the integral over cos(theta) in [-1, 1], taken with
@@ -447,11 +457,13 @@ def average_fidelity(p: DotParams, nodes: int = 64) -> float:
     for r = 0, 0.5, 1 and 3: the error sits past the level crossing
     |r| = k0/4 at low T, where it is above the package's 1e-10 tolerances.
     """
-    _check_point(p)
     if not isinstance(nodes, (int, np.integer)) or nodes < 2:
         raise DomainError(f"quadrature needs an integer nodes >= 2, got {nodes!r}")
     x, wx = np.polynomial.legendre.leggauss(nodes)
-    return float((_mean_branch_fidelity(thermal_elements(p), x) * (wx / 2.0)).sum())
+    # each element gains a trailing axis, along which the nodes lie
+    fields = thermal_elements(p)._fields().values()
+    e = ThermalElements(*(np.asarray(f)[..., None] for f in fields))
+    return _scalar((_mean_branch_fidelity(e, x) * (wx / 2.0)).sum(axis=-1))
 
 
 def average_fidelity_mc(

@@ -201,16 +201,12 @@ def check_collapse(tolerance: float):
         closed_state, closed_prob = teleport.collapsed_closed_form(states, e, outcome)
         devs += np.abs(closed_state - brute_state).max(), np.abs(closed_prob - brute_prob).max()
     dev = _max_dev(*devs)
-    # <psi| rho |psi> as teleport.fidelity takes it, over the stack
-    psi = teleport.input_vector(states)
-    bra, ket = psi.conj()[..., None, :], psi[..., :, None]
     branches = dict(zip(outcomes, brute_states))
     fids = []
     for outcome, closed in zip((teleport.BellOutcome.PSI_MINUS, teleport.BellOutcome.PHI_MINUS),
                                teleport.subspace_fidelities(states, p)):
         corrected = teleport.pauli_correction(outcome, branches[outcome])
-        brute = (bra @ corrected @ ket)[..., 0, 0].real
-        fids.append(float(np.abs(closed - brute).max()))
+        fids.append(float(np.abs(closed - teleport.fidelity(states, corrected)).max()))
     worst = _max_dev(dev, *fids)
     detail = f"branches {dev:.3e}, F_o {fids[0]:.3e}, F_e {fids[1]:.3e}"
     return worst <= tolerance, worst, tolerance, detail
@@ -269,13 +265,13 @@ def check_quadrature_mc(tolerance: float, mc_samples: int, seed: int):
     """
     columns = model.DotParams(*(np.array(column) for column in zip(*_MC_POINTS)))
     mc = teleport.average_fidelity_mc(columns, n=mc_samples, seed=seed)  # one stream, all points
+    quadratures = teleport.average_fidelity(columns).tolist()
     closed = teleport.average_fidelity_closed_form(columns).tolist()
     passed = True
     worst = (-1.0, 0.0, 0.0)  # (gap / bound, gap, bound)
     floors = []
-    for point, value, stderr, f_a in zip(_MC_POINTS, mc.value.tolist(),
-                                          mc.stderr.tolist(), closed):
-        quadrature = teleport.average_fidelity(model.DotParams(*point))
+    for quadrature, value, stderr, f_a in zip(quadratures, mc.value.tolist(),
+                                               mc.stderr.tolist(), closed):
         for gap, bound in (
             (abs(quadrature - value), max(tolerance, 4.0 * stderr, _MC_ROUNDING_FLOOR)),
             (abs(f_a - quadrature), max(tolerance, _MC_ROUNDING_FLOOR)),

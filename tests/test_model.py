@@ -327,6 +327,15 @@ def test_check_real_keeps_its_messages_on_python_numbers():
         DotParams(k0="x", r=0.0, T=1.0)
 
 
+def test_a_bool_is_taken_as_an_int():
+    # a Python float, as an int gives, so the record hashes and prints as one
+    p = DotParams(4, 1, True)
+    assert repr(p) == "DotParams(k0=4.0, r=1.0, T=1.0)"
+    assert type(p.T) is float and type(DotParams(False, 0, 1).k0) is float
+    assert hash(p) == hash(DotParams(4.0, 1.0, 1.0))
+    assert InputState(theta=False).theta == 0.0
+
+
 def test_a_sequence_holding_an_int_with_no_repr_is_a_domain_error():
     # numpy holds such an int as an object. Beside other numbers it is
     # widened as a bare int is, past the float range refused alike; beside a

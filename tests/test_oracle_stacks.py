@@ -1,5 +1,5 @@
-"""Property tests: each oracle and each collapse route takes one point or a
-stack under one name.
+"""Property tests: each oracle, each collapse route, the fidelity and the
+teleportation outcomes take one point or a stack under one name.
 
 On small random grids, and over arrays of input states, every cell of a
 stack call has the bits of its point call, and the stacked Kronecker
@@ -10,6 +10,7 @@ so every run draws the same ones.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -125,3 +126,77 @@ def test_kron_equals_np_kron_pair_by_pair(data):
         want = np.kron(a_cells[idx], b_cells[idx])
         assert got[idx].tobytes() == want.tobytes()
         assert linalg.kron(a_cells[idx], b_cells[idx]).tobytes() == want.tobytes()
+
+
+ANGLES = st.lists(st.tuples(_floats(0.0, math.pi), _floats(0.0, 2.0 * math.pi)),
+                  min_size=1, max_size=3)
+
+
+def _states(angles):
+    """The input states of a list of (theta, phi) as one stack, and one by one."""
+    stack = teleport.InputState(*(np.array(axis) for axis in zip(*angles)))
+    return stack, [teleport.InputState(*angle) for angle in angles]
+
+
+@PROPERTY
+@given(ANGLES, st.integers(1, 3), st.data())
+def test_fidelity_stacks_like_its_point_calls(angles, count, data):
+    # any finite 2x2 outputs: fidelity reads them as they are
+    entries = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    outputs = data.draw(hnp.arrays(complex, (count, 2, 2), elements=entries))
+    stack, states = _states(angles)
+    every = teleport.fidelity(stack, outputs[:, None])  # every output meets every state
+    assert every.shape == (count, len(states))
+    for i, rho in enumerate(outputs):
+        per_state = teleport.fidelity(stack, rho)  # a stack of states, one output
+        assert per_state.shape == (len(states),)
+        for j, s in enumerate(states):
+            point = teleport.fidelity(s, rho)
+            assert type(point) is float
+            assert every[i, j].tobytes() == np.float64(point).tobytes()
+            assert per_state[j].tobytes() == np.float64(point).tobytes()
+    for j, s in enumerate(states):
+        per_output = teleport.fidelity(s, outputs)  # a point state, a stack of outputs
+        for i, rho in enumerate(outputs):
+            assert per_output[i].tobytes() == np.float64(teleport.fidelity(s, rho)).tobytes()
+
+
+def test_fidelity_refuses_shapes_that_do_not_broadcast():
+    states = teleport.InputState(np.array([0.5, 1.0]))
+    outputs = np.stack([np.eye(2) / 2.0] * 3)
+    with pytest.raises(linalg.LinalgError, match=r"states of shape \(2,\) and outputs of shape "
+                       r"\(3, 2, 2\) do not broadcast"):
+        teleport.fidelity(states, outputs)
+
+
+@PROPERTY
+@given(_grids((-8.0, 8.0), (-2.0, 2.0), (0.25, 10.0)), ANGLES)
+def test_teleport_outcomes_stack_like_their_point_calls(grid, angles):
+    stack, states = _states(angles)
+    p = model.DotParams(*(field[..., None] for field in grid))  # every cell meets every state
+    outcomes = teleport.teleport_outcomes(stack, p)
+    for idx, point in _cells(*grid):
+        q = model.DotParams(*point)
+        for j, s in enumerate(states):
+            cell = (*idx, j)
+            for got, want in zip(outcomes, teleport.teleport_outcomes(s, q)):
+                assert got.outcome is want.outcome
+                assert got.probability[cell].tobytes() == np.float64(want.probability).tobytes()
+                assert got.state[cell].tobytes() == want.state.tobytes()
+                assert got.fidelity[cell].tobytes() == np.float64(want.fidelity).tobytes()
+
+
+@PROPERTY
+@given(st.data(), st.integers(2, 96))
+def test_quadrature_stacks_like_its_point_calls(data, nodes):
+    # k0 and T on one axis, r on another: w and y vary with k0 and T only,
+    # so the elements come in two shapes
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    k0, T = (data.draw(hnp.arrays(float, n, elements=_floats(*b))) for b in ((-20, 20), (0.01, 10)))
+    r = data.draw(hnp.arrays(float, m, elements=_floats(-10.0, 10.0)))
+    grid = teleport.average_fidelity(model.DotParams(k0[:, None], r, T[:, None]), nodes)
+    assert grid.shape == (n, m)
+    for i, j in np.ndindex(n, m):
+        point = teleport.average_fidelity(model.DotParams(k0[i], r[j], T[i]), nodes)
+        assert type(point) is float
+        assert grid[i, j].tobytes() == np.float64(point).tobytes()

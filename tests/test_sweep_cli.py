@@ -103,8 +103,9 @@ def test_spec_rejects_negative_temperature():
         SweepSpec(axes=(), fixed={"k0": 1.0, "T": -0.5}, quantities=("Tc",))
     spec = SweepSpec(axes=(Axis("T", 0.0, 1.0, 5),), fixed={"k0": 1.0, "r": 0.0}, quantities=("C",))
     assert run_sweep(spec)["C"][0] == 1.0
-    # a fixed T beside an axis over T is not used, so it is not checked
-    SweepSpec(axes=(Axis("T", 0.5, 1.0, 5),), fixed={"k0": 1.0, "r": 0.0, "T": -1.0})
+    # a fixed T beside an axis over T is not used, but it is checked all the same
+    with pytest.raises(DomainError, match=r"^temperature must be >= 0, got -1.0$"):
+        SweepSpec(axes=(Axis("T", 0.5, 1.0, 5),), fixed={"k0": 1.0, "r": 0.0, "T": -1.0})
 
 
 def test_average_fidelity_needs_no_angles():
@@ -614,6 +615,12 @@ def test_cli_domain_error_exit_code(capsys):
     rc, out, err = run_cli(capsys, "tc", "--k0", "4", "--t", "-1")
     assert rc == 3 and out == ""
     assert err == "domain error: temperature must be >= 0, got -1.0\n"
+    # a negative --t beside an axis over T: the axis wins, but --t is checked
+    for t in ("-1", "-1e-300"):
+        rc, out, err = run_cli(capsys, "concurrence", "--k0", "4", "--r", "0",
+                               "--sweep", "T:0.5:1:3", "--t", t)
+        assert rc == 3 and out == ""
+        assert err == f"domain error: temperature must be >= 0, got {float(t)!r}\n"
     # exp(k0/16T) overflows at T = 1e-310
     rc, out, err = run_cli(capsys, "fidelity", "--k0", "1", "--t", "1e-310")
     assert rc == 3 and out == ""
@@ -1027,9 +1034,11 @@ def test_verify_quadrature_check_holds_each_point_to_its_own_bound(monkeypatch):
     from qdot.verify import check_quadrature_mc
 
     real = teleport_mod.average_fidelity
+    shapes = []
 
-    def shifted(p, nodes=64):
-        off = 5e-5 if (p.k0, p.r, p.T) == (2.0, 0.2, 0.5) else 0.0
+    def shifted(p, nodes=64):  # shifts one cell of the stack of the three points
+        shapes.append(np.shape(p.k0))
+        off = np.where((p.k0 == 2.0) & (p.r == 0.2) & (p.T == 0.5), 5e-5, 0.0)
         return real(p, nodes) + off
 
     assert check_quadrature_mc(1e-10, 200_000, 0).passed
@@ -1038,3 +1047,4 @@ def test_verify_quadrature_check_holds_each_point_to_its_own_bound(monkeypatch):
     monkeypatch.setattr(teleport_mod, "average_fidelity", shifted)
     res = check_quadrature_mc(1e-10, 200_000, 0)
     assert res.line().startswith("[FAIL] quadrature vs Monte Carlo")
+    assert shapes == [(3,)]  # one quadrature call over all three points

@@ -335,10 +335,12 @@ def test_fidelity_of_input_against_itself():
 
 
 @pytest.mark.parametrize("rho_out, message", [
-    (np.stack([IDENTITY_2 / 2.0] * 3), "expected a 2-D matrix, got ndim=3"),
+    (np.stack([np.eye(3) / 3.0] * 2), r"output state must be 2x2, got \(2, 3, 3\)"),
     (np.eye(3) / 3.0, r"output state must be 2x2, got \(3, 3\)"),
 ], ids=["stack", "3x3"])
 def test_fidelity_takes_one_2x2_output(rho_out, message):
+    # each output is 2x2, alone or in a stack; stacks of them are in
+    # test_oracle_stacks
     with pytest.raises(LinalgError, match=message):
         fidelity(STATE, rho_out)
 
@@ -747,21 +749,3 @@ def test_monte_carlo_rejects_seeds_outside_the_philox_key_range(seed):
     average_fidelity_mc(DotParams(k0=2.0, r=0.2, T=0.5), n=10, seed=2**128 - 1)
     average_fidelity_mc(DotParams(k0=2.0, r=0.2, T=0.5), n=10, seed=np.uint64(7))
 
-
-PAIR = DotParams(np.array([1.0, 2.0]), 0.0, 1.0)
-
-
-@pytest.mark.parametrize(
-    "fn,args",
-    [
-        (fidelity, (InputState(np.array([0.5, 1.0])), np.eye(2) / 2.0)),
-        (teleport_outcomes, (InputState(np.array([0.5, 1.0])), CHANNEL)),
-        (teleport_outcomes, (InputState(1.0), PAIR)),
-        (average_fidelity, (PAIR,)),
-    ],
-    ids=["fidelity-states", "teleport_outcomes-states", "teleport_outcomes-params",
-         "average_fidelity-args7"],
-)
-def test_point_only_routes_refuse_arrays(fn, args):
-    with pytest.raises(DomainError, match="one parameter point"):
-        fn(*args)

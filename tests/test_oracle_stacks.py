@@ -169,16 +169,28 @@ def test_fidelity_refuses_shapes_that_do_not_broadcast():
         teleport.fidelity(states, outputs)
 
 
+@pytest.mark.parametrize("stacked", ["states", "params", "both"])
 @PROPERTY
 @given(_grids((-8.0, 8.0), (-2.0, 2.0), (0.25, 10.0)), ANGLES)
-def test_teleport_outcomes_stack_like_their_point_calls(grid, angles):
+def test_teleport_outcomes_stack_like_their_point_calls(stacked, grid, angles):
+    # a stack of states on one channel, one state on a parameter grid, or both
     stack, states = _states(angles)
-    p = model.DotParams(*(field[..., None] for field in grid))  # every cell meets every state
-    outcomes = teleport.teleport_outcomes(stack, p)
+    if stacked == "both":  # every cell meets every state
+        p = model.DotParams(*(field[..., None] for field in grid))
+        whole = teleport.teleport_outcomes(stack, p)
+    elif stacked == "params":
+        per_state = [teleport.teleport_outcomes(s, model.DotParams(*grid)) for s in states]
     for idx, point in _cells(*grid):
         q = model.DotParams(*point)
+        if stacked == "states":
+            per_cell = teleport.teleport_outcomes(stack, q)
         for j, s in enumerate(states):
-            cell = (*idx, j)
+            if stacked == "both":
+                outcomes, cell = whole, (*idx, j)
+            elif stacked == "params":
+                outcomes, cell = per_state[j], idx
+            else:
+                outcomes, cell = per_cell, (j,)
             for got, want in zip(outcomes, teleport.teleport_outcomes(s, q)):
                 assert got.outcome is want.outcome
                 assert got.probability[cell].tobytes() == np.float64(want.probability).tobytes()

@@ -113,11 +113,17 @@ class DotParams(_Record):
     def __init__(self, k0: float, r: float, T: float) -> None:
         k0, r, T = _check_real(k0=k0, r=r, T=T).values()
         _check_broadcast(k0=k0, r=r, T=T)
-        if _any(T < 0):
-            raise DomainError(f"temperature must be >= 0, got {_first(T, T < 0)}")
+        _check_temperature(T)
         _set_field(self, "k0", k0)
         _set_field(self, "r", r)
         _set_field(self, "T", T)
+
+
+def _check_temperature(T) -> None:
+    """Raise DomainError where a real temperature, a float or an array, is
+    below 0."""
+    if _any(T < 0):
+        raise DomainError(f"temperature must be >= 0, got {_first(T, T < 0)}")
 
 
 def _first(value, where):

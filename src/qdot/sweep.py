@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from .entanglement import critical_temperature, model_concurrence
-from .model import DomainError, DotParams, _Record, thermal_elements
+from .model import DotParams, _check_real, _check_temperature, _Record, thermal_elements
 
 if TYPE_CHECKING:
     import numpy as np
@@ -26,9 +26,20 @@ __all__ = ["Axis", "SweepSpec", "FigurePreset", "run_sweep", "figure_preset", "r
 
 PARAMETER_NAMES = ("k0", "r", "T", "theta", "phi")
 SWEEPABLE = ("k0", "r", "T", "theta")
-QUANTITY_NAMES = ("C", "Tc", "F_o", "F_e", "F_a", "populations")
-_FIDELITY_QUANTITIES = frozenset({"F_o", "F_e", "F_a"})
-_POPULATION_COLUMNS = ("p11", "p10", "p01", "p00")
+# Quantity -> (the parameters it reads, the columns it fills). Tc needs only
+# k0; F_a integrates the angles out, so only the conditional fidelities pin
+# the input state.
+_QUANTITIES = {
+    "C": (("k0", "r", "T"), ("C",)),
+    "Tc": (("k0",), ("Tc",)),
+    "F_o": (("k0", "r", "T", "theta", "phi"), ("F_o",)),
+    "F_e": (("k0", "r", "T", "theta", "phi"), ("F_e",)),
+    "F_a": (("k0", "r", "T"), ("F_a",)),
+    "populations": (("k0", "r", "T"), ("p11", "p10", "p01", "p00")),
+}
+QUANTITY_NAMES = tuple(_QUANTITIES)
+# a theta axis needs one of these among the quantities, F_a too, which reads no angle
+_FIDELITIES = ("F_o", "F_e", "F_a")
 # Grid cells per evaluation block: run_sweep's temporaries scale with this,
 # not with the grid.
 _EVAL_BLOCK = 1 << 14
@@ -65,7 +76,9 @@ class Axis(_Record):
 
 class SweepSpec(_Record):
     """One sweep: up to two axes, fixed parameters (none by default),
-    requested quantities."""
+    requested quantities. Every fixed value must be a finite real number,
+    and every temperature at least 0, whether a requested quantity reads it
+    or not: DomainError otherwise, by the rules of DotParams."""
 
     __slots__ = ("axes", "fixed", "quantities")
 
@@ -87,30 +100,18 @@ class SweepSpec(_Record):
         for q in self.quantities:
             if q not in QUANTITY_NAMES:
                 raise UsageError(f"unknown quantity {q!r}; choose from {QUANTITY_NAMES}")
-        if "theta" in names and not (_FIDELITY_QUANTITIES & set(self.quantities)):
+        if "theta" in names and not set(_FIDELITIES) & set(self.quantities):
             raise UsageError("a theta axis only makes sense for fidelity quantities")
-        needed = self._needed_parameters()
-        missing = [
-            k for k in needed if k not in names and k not in self.fixed
-        ]
+        needed = {k for q in self.quantities for k in _QUANTITIES[q][0]}
+        missing = [k for k in PARAMETER_NAMES
+                   if k in needed and k not in names and k not in self.fixed]
         if missing:
             raise UsageError(f"missing parameter value(s): {', '.join(missing)}")
-        # every temperature held: a T axis's lo and a fixed T, which the axis
-        # overrides (Tc alone needs none)
-        for low in (*(a.lo for a in self.axes if a.name == "T"), self.fixed.get("T", 0.0)):
-            if isinstance(low, (int, float)) and low < 0:
-                raise DomainError(f"temperature must be >= 0, got {low}")
-
-    def _needed_parameters(self) -> tuple[str, ...]:
-        needed = ["k0"]
-        thermal = set(self.quantities) - {"Tc"}
-        if thermal:
-            needed += ["r", "T"]
-        # F_a integrates the angles out, so only the conditional fidelities
-        # pin the input state.
-        if {"F_o", "F_e"} & set(self.quantities):
-            needed += ["theta", "phi"]
-        return tuple(needed)
+        # checked, not stored: the spec keeps the values it was given. The
+        # temperatures are a T axis's lo and a fixed T, which the axis overrides
+        held = _check_real(**self.fixed)
+        for low in (*(a.lo for a in self.axes if a.name == "T"), held.get("T", 0.0)):
+            _check_temperature(low)
 
     def grid(self) -> dict[str, np.ndarray | float]:
         """A flat column per axis, lexicographic in the axes (the last varies
@@ -137,19 +138,18 @@ def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray] | dict[str, float]:
     form takes one: its row of Python floats, with the bits of the matching
     cell of a grid through it, which loads numpy only for the fidelities.
     """
-    columns = {q: _POPULATION_COLUMNS if q == "populations" else (q,) for q in spec.quantities}
     if not spec.axes:
-        return dict(_evaluate(columns, spec.fixed))
+        return dict(_evaluate(spec.quantities, spec.fixed))
     import numpy as np
 
     grid = spec.grid()
     size = math.prod(a.steps for a in spec.axes)
     table = {a.name: grid[a.name] for a in spec.axes}
-    table.update((name, np.empty(size)) for names in columns.values() for name in names)
+    table.update((name, np.empty(size)) for q in spec.quantities for name in _QUANTITIES[q][1])
     for start in range(0, size, _EVAL_BLOCK):
         cells = slice(start, start + _EVAL_BLOCK)
         at = {n: v[cells] if isinstance(v, np.ndarray) else v for n, v in grid.items()}
-        for name, value in _evaluate(columns, at):
+        for name, value in _evaluate(spec.quantities, at):
             if np.ndim(value):
                 table[name][cells] = value
             else:  # every input fixed: one value, broadcast below
@@ -157,14 +157,13 @@ def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray] | dict[str, float]:
     return {name: np.broadcast_to(np.asarray(c, float), size) for name, c in table.items()}
 
 
-def _evaluate(columns: dict[str, tuple[str, ...]], at: dict) -> Iterator[tuple[str, object]]:
-    """(column, values) of each quantity in ``columns``, which maps it to the
-    columns it fills, at the parameters in ``at``: Python floats for a
-    point, arrays over a block of cells. Tc, which needs neither r nor T,
-    reads NaN where there is no transition; the parameters of the other
-    quantities are checked where the first of them needs them."""
+def _evaluate(quantities: tuple[str, ...], at: dict) -> Iterator[tuple[str, object]]:
+    """(column, values) of each column the quantities fill, at the
+    parameters in ``at``: Python floats for a point, arrays over a block of
+    cells. Tc, which needs neither r nor T, reads NaN where there is no
+    transition."""
     params = fids = None  # fids: (F_o, F_e), evaluated together
-    for q, names in columns.items():
+    for q in quantities:
         if q == "Tc":
             tc = critical_temperature(at["k0"])
             yield q, math.nan if tc is None else tc
@@ -184,7 +183,7 @@ def _evaluate(columns: dict[str, tuple[str, ...]], at: dict) -> Iterator[tuple[s
         else:  # populations
             e = thermal_elements(params)
             values = (e.u / e.big_z, e.w / e.big_z, e.w / e.big_z, e.v / e.big_z)
-        yield from zip(names, values)
+        yield from zip(_QUANTITIES[q][1], values)
 
 
 class FigurePreset(_Record):
@@ -199,7 +198,6 @@ class FigurePreset(_Record):
 # Figure id -> (panel key, panel values, axes, fixed values, quantities); a
 # figure without a panel key is one panel. Fidelities are cut at theta = pi/3.
 _CUT = {"theta": math.pi / 3.0, "phi": 0.0}
-_FIDELITIES = ("F_o", "F_e", "F_a")
 _FIGURES = {
     1: ("T", (0.2, 1.0), (Axis("k0", 0.0, 10.0, 41), Axis("r", 0.0, 2.0, 41)), {}, ("C",)),
     2: ("k0", (3.0, 4.0, 5.0, 10.0), (Axis("T", 0.05, 2.5, 50),), {"r": 1.0}, ("C",)),

@@ -1,22 +1,28 @@
-"""The CLI contract as a property: whatever the argv, ``qdot`` exits 0, 1, 2
-or 3, raises nothing, and prints no NaN on a success.
+"""The CLI contract as a property: whatever the argv and config file,
+``qdot`` exits 0, 1, 2 or 3, raises nothing, and on a success prints no NaN
+and was given only finite parameter values.
 
 Argv is drawn over the six subcommands, their flags and edge values (NaN,
 infinities, a float past the range, -0, an int past int64, a division of pi
 by zero, the empty string, negative exponents), each flag spaced or joined
-with "=". Runs in-process under warnings as errors. Grids stay at 12 steps
-an axis and Monte Carlo at 2e4 samples, so that the file runs in seconds.
-Examples are derandomized, so every run draws the same ones.
+with "=". Some commands move some of their flags into a config file in a
+temporary directory, which argv names with --config. Runs in-process under
+warnings as errors. Grids stay at 12 steps an axis and Monte Carlo at 2e4
+samples, so that the file runs in seconds. Examples are derandomized, so
+every run draws the same ones.
 """
 
 import contextlib
 import io
+import math
+import os
+import tempfile
 import warnings
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdot.cli import main
+from qdot.cli import main, parse_angle
 from qdot.sweep import QUANTITY_NAMES
 
 # plain values three times as often as edge values, and plain choices of
@@ -60,13 +66,17 @@ FLAGS = {
 }
 # the flags a command needs, drawn more often than the others
 NEEDED = {"--k0", "--t"}
+# at exit 0, the last value given to each of these is a finite number
+PARAMETERS = ("--k0", "--r", "--t", "--theta", "--phi")
 # verify always takes a sample count at most 2e4: its default is 2e5
 MC_SAMPLES = st.sampled_from(["2", "3", "1000", "20000", "2e4", "-2", "x", ""])
 FIG_IDS = st.sampled_from(["1", "2", "3", "4", "5", "0", "6", "-1", str(2**70), "x", ""])
 
 
 @st.composite
-def _argv(draw):
+def _command(draw):
+    """(argv, config lines): one command in three moves some of its flags
+    into a config file, as `key = value` lines."""
     command = draw(st.sampled_from(sorted(FLAGS)))
     flags = FLAGS[command]
     pairs = []
@@ -77,23 +87,51 @@ def _argv(draw):
     if command == "verify":
         pairs.append(("--mc-samples", draw(MC_SAMPLES)))
     argv = [command] if command != "fig" else [command, draw(FIG_IDS)]
+    config = draw(st.sampled_from([False, False, True]))
+    lines = []
     for name, value in draw(st.permutations(pairs)):
-        argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
-    return argv
+        if config and draw(st.booleans()):
+            lines.append(f"{name[2:]} = {value}")
+        else:
+            argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    return argv, lines
+
+
+def _parameter_values(argv, lines):
+    """The last value given to each parameter flag: the config file's go
+    first, so the command line's win by position."""
+    pairs = [(f"--{key.strip()}", value.strip())
+             for key, _, value in (line.partition("=") for line in lines)]
+    tokens = iter(argv)
+    for token in tokens:
+        name, joined, value = token.partition("=")
+        if name in PARAMETERS:
+            pairs.append((name, value if joined else next(tokens)))
+    return {name: value for name, value in pairs if name in PARAMETERS}
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(_argv())
-@example(["verify", "--tol", "0", "--mc-samples", "1000"])  # exit 2
-@example(["concurrence", "--k0", "4", "--sweep", "T:0.5:1:3", "--t", "-1"])  # exit 3
-@example(["tc", "--quantities", "Tc,C", "--k0", "nan", "--t", "1"])  # exit 3
-@example(["tc", "--sweep", "k0:-4:4:9", "--format", "json"])  # Tc is null where k0 <= 0
-def test_every_argv_exits_with_a_documented_code(argv):
+@given(_command())
+@example((["verify", "--tol", "0", "--mc-samples", "1000"], []))  # exit 2
+@example((["concurrence", "--k0", "4", "--sweep", "T:0.5:1:3", "--t", "-1"], []))  # exit 3
+@example((["tc", "--quantities", "Tc,C", "--k0", "nan", "--t", "1"], []))  # exit 3
+@example((["tc", "--sweep", "k0:-4:4:9", "--format", "json"], []))  # Tc is null where k0 <= 0
+@example((["tc", "--k0", "4", "--t", "nan"], []))  # exit 3: Tc reads no T, but T is checked
+@example((["fidelity", "--k0", "4", "--t", "1", "--quantities", "F_a"], ["theta = nan"]))
+def test_every_argv_exits_with_a_documented_code(command):
+    argv, lines = command
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if lines:
+            path = os.path.join(tmp, "qdot.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(f"{line}\n" for line in lines)
+            argv = [*argv, "--config", path]
         warnings.simplefilter("error")
         code = main(argv)
-    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert code in (0, 1, 2, 3), (argv, lines, code, err.getvalue())
     if code == 0:
-        assert "nan" not in out.getvalue().lower(), (argv, out.getvalue())
+        assert "nan" not in out.getvalue().lower(), (argv, lines, out.getvalue())
+        values = _parameter_values(argv, lines)
+        assert all(math.isfinite(parse_angle(v)) for v in values.values()), (argv, lines)

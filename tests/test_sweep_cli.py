@@ -87,11 +87,22 @@ def test_spec_validation():
             fixed={"k0": 1.0, "r": 0.0, "T": 0.5},
             quantities=("C",),
         )
+    # but not for a fidelity, F_a included, though F_a does not read theta
+    table = run_sweep(SweepSpec((Axis("theta", 0.0, 3.0, 3),), {"k0": 4.0, "r": 0.0, "T": 1.0},
+                                ("F_a",)))
+    assert list(table) == ["theta", "F_a"] and len(set(table["F_a"].tolist())) == 1
     with pytest.raises(UsageError, match="missing parameter"):
         SweepSpec(axes=(k_axis,), fixed={}, quantities=("C",))
     with pytest.raises(UsageError, match="duplicate quantity"):
         # a table holds one column per name
         SweepSpec(axes=(t_axis,), fixed={"k0": 1.0, "r": 0.0}, quantities=("C", "C"))
+    # every fixed value is finite, whether a requested quantity reads it or not
+    for fixed, name, value in (({"k0": 4.0, "T": math.nan}, "T", "nan"),
+                               ({"k0": 4.0, "r": math.inf}, "r", "inf")):
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got {value}$"):
+            SweepSpec((), fixed, ("Tc",))
+    with pytest.raises(DomainError, match="^T must be finite, got nan$"):
+        SweepSpec((t_axis,), {"k0": 1.0, "r": 0.0, "T": math.nan})
 
 
 def test_spec_rejects_negative_temperature():
@@ -812,6 +823,16 @@ def test_cli_errors_name_scalar_values(capsys):
     rc, _, err = run_cli(capsys, "concurrence", "--k0", "nan", "--t", "1")
     assert rc == 3
     assert err == "domain error: k0 must be finite, got nan\n"
+    # a flag's value is checked whether the requested quantities read it or not
+    for argv, name, value in (
+        (("tc", "--k0", "4", "--t", "nan"), "T", "nan"),
+        (("tc", "--k0", "4", "--r", "inf"), "r", "inf"),
+        (("fidelity", "--k0", "4", "--t", "1", "--quantities", "F_a", "--theta", "nan"),
+         "theta", "nan"),
+    ):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 3 and out == ""
+        assert err == f"domain error: {name} must be finite, got {value}\n"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc, _, err = run_cli(

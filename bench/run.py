@@ -48,6 +48,9 @@ CLI_ARGVS = (
     # shaped like qdotbench's fidelity-map: a 25x40 F_a sweep written as JSON
     ["fidelity", "--k0", "4", "--sweep", "T:0.05:2:25", "--sweep", "r:0:4:40",
      "--quantities", "F_o,F_e,F_a", "--format", "json"],
+    # 7.6 MB of JSON: formatting and writing, as concurrence-map's CSV
+    ["concurrence", "--sweep", "k0:-2:10:300", "--sweep", "r:0:2:300", "--t", "0.5",
+     "--format", "json"],
 )
 CLIS = ["CLI " + " ".join(argv) for argv in CLI_ARGVS]
 

@@ -23,8 +23,8 @@ from .sweep import (
     SweepSpec,
     UsageError,
     figure_preset,
-    format_json,
     iter_csv,
+    iter_json,
     run_figure,
     run_sweep,
 )
@@ -221,10 +221,10 @@ def build_parser() -> _Parser:
 
 
 def _emit(table: dict[str, np.ndarray] | dict[str, float], args) -> None:
-    # CSV is written chunk by chunk as it is formatted, never held whole; the
-    # file opens only now, so a sweep that raised has left none. A point's
-    # row of Python floats is written without numpy
-    pieces = iter_csv(table) if args.format == "csv" else (format_json(table),)
+    # either format is written chunk by chunk as it is formatted, never held
+    # whole; the file opens only now, so a sweep that raised has left none. A
+    # point's row of Python floats is written without numpy
+    pieces = (iter_csv if args.format == "csv" else iter_json)(table)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -3,17 +3,16 @@
 A sweep varies one or two parameters on inclusive uniform grids while the
 rest stay fixed, and evaluates each requested quantity into one named column,
 block by block over the grid. Rows run in lexicographic axis order and are
-byte-stable: the same spec always renders the same text. numpy, teleport
-and json are imported where a grid, a fidelity or a JSON table first needs
-them: a concurrence sweep to CSV loads neither teleport nor json, and a spec
-with no axes is one row of Python floats, which loads no numpy but for the
-fidelities.
+byte-stable: the same spec always renders the same text, CSV or JSON, chunk
+by chunk. numpy and teleport are imported where a grid or a fidelity first
+needs them: a concurrence sweep loads no teleport, and a spec with no axes is
+one row of Python floats, which loads no numpy but for the fidelities.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING
 
 from .entanglement import critical_temperature, model_concurrence
@@ -58,8 +57,11 @@ class Axis(_Record):
         _Record.__init__(self, name, lo, hi, steps)
         if self.name not in SWEEPABLE:
             raise UsageError(f"cannot sweep {self.name!r}; choose one of {SWEEPABLE}")
-        # also false for a span hi - lo that overflows between finite bounds
-        if not math.isfinite(self.hi - self.lo):
+        try:  # also false for a span that overflows between finite bounds
+            finite = math.isfinite(float(self.hi) - float(self.lo))
+        except OverflowError:  # an int bound past the float range
+            finite = False
+        if not finite:
             raise UsageError(f"axis {self.name} bounds and span must be finite")
         if self.steps < 2:
             raise UsageError(f"axis {self.name} needs at least 2 steps, got {self.steps}")
@@ -240,10 +242,11 @@ def run_figure(preset: FigurePreset) -> dict[str, np.ndarray]:
     return {name: np.concatenate([t[name] for t in tables]) for name in tables[0]}
 
 
-# Rows formatted per chunk; a chunk reuses its predecessor's texts, so an axis
-# shorter than it is formatted once. At 4,096 rows the chunk's object arrays
-# left a 300x300 CLI sweep's peak RSS 0.3-0.4 MiB higher.
-_CSV_CHUNK_ROWS = 1 << 11
+# Rows formatted per chunk, in either format; a chunk reuses its predecessor's
+# texts, so an axis shorter than it is formatted once. At 4,096 rows the
+# chunk's object arrays left a 300x300 CLI sweep's peak RSS 0.3-0.4 MiB higher.
+_CHUNK_ROWS = 1 << 11
+_JSON_INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
 
 def _cells(values: list[float]) -> list[str]:
@@ -252,30 +255,41 @@ def _cells(values: list[float]) -> list[str]:
     return ["" if x != x else format(x, ".17g") for x in values]
 
 
-def iter_csv(table: dict[str, np.ndarray] | dict[str, float]) -> Iterator[str]:
-    """A table's CSV text in pieces: the header line, then one string per
-    chunk of rows, so a writer never holds the whole text. Texts are keyed on
-    float64 bit patterns (-0.0 and +0.0 apart), and a chunk formats only those
-    its column's previous chunk lacked: an axis shorter than a chunk costs its
-    distinct values once. A point's row of Python floats is one line, written
-    without numpy."""
+def _json_cells(values: list[float]) -> list[str]:
+    """JSON cells as json.dumps writes floats: float.__repr__, which keeps
+    the sign of -0.0, and Infinity, -Infinity; NaN of either sign is null."""
+    return ["null" if x != x else _JSON_INFINITIES.get(x) or float.__repr__(x) for x in values]
+
+
+def _iter_rows(table: dict[str, np.ndarray] | dict[str, float],
+               cells: Callable[[list[float]], list[str]], zero: str, sep: str, eol: str,
+               last: str) -> Iterator[str]:
+    """A table's rows as text, one string per chunk of rows: each cell's text
+    from ``cells`` (``zero`` is its text of +0.0), ``sep`` after each cell but
+    a row's last, ``eol`` after each row but the table's last, and ``last``
+    after that one. Texts are keyed on float64 bit patterns (-0.0 and +0.0
+    apart), and a chunk formats only those its column's previous chunk
+    lacked: an axis shorter than a chunk costs its distinct values once. A
+    point's row of Python floats is one string, written without numpy."""
     columns = list(table.values())
-    yield ",".join(table) + "\n"
     if isinstance(columns[0], float):
-        yield ",".join(_cells(columns)) + "\n"
+        yield sep.join(cells(columns)) + last
         return
     import numpy as np
 
     size = len(columns[0])
-    # Rows as cell, ",", cell, ..., "\n", one join per chunk from one buffer. A
+    # Rows as cell, sep, cell, ..., eol, one join per chunk from one buffer. A
     # string per row ran as fast, but the CLI's peak RSS was up to 3 MiB higher
-    # in 5-25% of runs, depending on the lengths of its paths.
-    cells = np.full((min(size, _CSV_CHUNK_ROWS), 2 * len(columns)), ",", object)
-    cells[:, -1] = "\n"
-    # per column, the last chunk's sorted bit patterns and texts; "0" (+0.0) keeps it nonempty
-    seen = [(np.zeros(1, np.int64), np.array(["0"], object))] * len(columns)
-    for start in range(0, size, _CSV_CHUNK_ROWS):
-        rows = cells[:size - start]
+    # in 5-25% of runs, depending on the lengths of its paths. Every sep is one
+    # shared string: np.full makes a string per cell from a numpy str array
+    # (0.3 MiB of JSON separators on fidelity-map's 1,000 rows)
+    buffer = np.empty((min(size, _CHUNK_ROWS), 2 * len(columns)), object)
+    buffer[:] = sep
+    buffer[:, -1] = eol
+    # per column, the last chunk's sorted bit patterns and texts; +0.0 keeps it nonempty
+    seen = [(np.zeros(1, np.int64), np.array([zero], object))] * len(columns)
+    for start in range(0, size, _CHUNK_ROWS):
+        rows = buffer[:size - start]
         for j, col in enumerate(columns):
             bits = np.ascontiguousarray(col[start:start + len(rows)], float).view(np.int64)
             keys, inverse = np.unique(bits, return_inverse=True)
@@ -283,10 +297,31 @@ def iter_csv(table: dict[str, np.ndarray] | dict[str, float]) -> Iterator[str]:
             at = np.minimum(np.searchsorted(old_keys, keys), len(old_keys) - 1)
             texts, new = old_texts[at], old_keys[at] != keys
             fresh = keys[new].view(float).tolist()
-            texts[new] = _cells(fresh)
+            texts[new] = cells(fresh)
             seen[j] = keys, texts
             rows[:, 2 * j] = texts[inverse]
+        if start + len(rows) == size:
+            rows[-1, -1] = last
         yield "".join(rows.ravel().tolist())
+
+
+def iter_csv(table: dict[str, np.ndarray] | dict[str, float]) -> Iterator[str]:
+    """A table's CSV text in pieces: the header line, then one string per
+    chunk of rows (see _iter_rows), so a writer never holds the whole text."""
+    yield ",".join(table) + "\n"
+    yield from _iter_rows(table, _cells, "0", ",", "\n", "\n")
+
+
+def iter_json(table: dict[str, np.ndarray] | dict[str, float]) -> Iterator[str]:
+    """A table's JSON text in pieces, as iter_csv gives CSV: the header up to
+    the first row's first cell, one string per chunk of rows, then the
+    closing. Joined, it is json.dumps({"columns": ..., "rows": ...},
+    indent=2) and a newline, byte for byte; a column name is written as it
+    is, since none needs an escape."""
+    names = ",\n    ".join(f'"{name}"' for name in table)
+    yield '{\n  "columns": [\n    ' + names + '\n  ],\n  "rows": [\n    [\n      '
+    yield from _iter_rows(table, _json_cells, "0.0", ",\n      ", "\n    ],\n    [\n      ", "")
+    yield "\n    ]\n  ]\n}\n"
 
 
 def format_csv(table: dict[str, np.ndarray] | dict[str, float]) -> str:
@@ -298,10 +333,5 @@ def format_csv(table: dict[str, np.ndarray] | dict[str, float]) -> str:
 
 def format_json(table: dict[str, np.ndarray] | dict[str, float]) -> str:
     """Render a table, or a point's row, as a JSON object with columns and
-    row arrays; NaN is null."""
-    import json
-
-    lists = ([c] if isinstance(c, float) else c.tolist() for c in table.values())
-    columns = [[None if math.isnan(x) else x for x in col] for col in lists]
-    payload = {"columns": list(table), "rows": list(zip(*columns))}
-    return json.dumps(payload, indent=2) + "\n"
+    row arrays; NaN is null. The joined pieces of iter_json."""
+    return "".join(iter_json(table))

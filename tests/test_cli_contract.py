@@ -1,15 +1,18 @@
 """The CLI contract as a property: whatever the argv and config file,
 ``qdot`` exits 0, 1, 2 or 3, raises nothing, and on a success prints no NaN
-and was given only finite parameter values.
+and was given only finite parameter values. A command told to write to
+--out writes there what it would print on success, and leaves no file on
+a domain error.
 
 Argv is drawn over the six subcommands, their flags and edge values (NaN,
 infinities, a float past the range, -0, an int past int64, a division of pi
 by zero, the empty string, negative exponents), each flag spaced or joined
 with "=". Some commands move some of their flags into a config file in a
-temporary directory, which argv names with --config. Runs in-process under
-warnings as errors. Grids stay at 12 steps an axis and Monte Carlo at 2e4
-samples, so that the file runs in seconds. Examples are derandomized, so
-every run draws the same ones.
+temporary directory, which argv names with --config, and some write to
+--out in that directory. Runs in-process under warnings as errors. Grids
+stay at 12 steps an axis and Monte Carlo at 2e4 samples, so that the file
+runs in seconds. Examples are derandomized, so every run draws the same
+ones.
 """
 
 import contextlib
@@ -75,8 +78,9 @@ FIG_IDS = st.sampled_from(["1", "2", "3", "4", "5", "0", "6", "-1", str(2**70), 
 
 @st.composite
 def _command(draw):
-    """(argv, config lines): one command in three moves some of its flags
-    into a config file, as `key = value` lines."""
+    """(argv, config lines, whether to add --out): one command in three moves
+    some of its flags into a config file, as `key = value` lines; half of
+    those that write a table write it to --out."""
     command = draw(st.sampled_from(sorted(FLAGS)))
     flags = FLAGS[command]
     pairs = []
@@ -94,7 +98,15 @@ def _command(draw):
             lines.append(f"{name[2:]} = {value}")
         else:
             argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
-    return argv, lines
+    return argv, lines, command != "verify" and draw(st.booleans())
+
+
+def _run(argv):
+    """Exit code, standard output and error of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def _parameter_values(argv, lines):
@@ -112,26 +124,36 @@ def _parameter_values(argv, lines):
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(_command())
-@example((["verify", "--tol", "0", "--mc-samples", "1000"], []))  # exit 2
-@example((["concurrence", "--k0", "4", "--sweep", "T:0.5:1:3", "--t", "-1"], []))  # exit 3
-@example((["tc", "--quantities", "Tc,C", "--k0", "nan", "--t", "1"], []))  # exit 3
-@example((["tc", "--sweep", "k0:-4:4:9", "--format", "json"], []))  # Tc is null where k0 <= 0
-@example((["tc", "--k0", "4", "--t", "nan"], []))  # exit 3: Tc reads no T, but T is checked
-@example((["fidelity", "--k0", "4", "--t", "1", "--quantities", "F_a"], ["theta = nan"]))
+@example((["verify", "--tol", "0", "--mc-samples", "1000"], [], False))  # exit 2
+@example((["concurrence", "--k0", "4", "--sweep", "T:0.5:1:3", "--t", "-1"], [], False))  # exit 3
+@example((["concurrence", "--k0", "4", "--sweep", "T:0.5:1:3", "--t", "-1"], [], True))
+@example((["tc", "--quantities", "Tc,C", "--k0", "nan", "--t", "1"], [], False))  # exit 3
+@example((["tc", "--sweep", "k0:-4:4:9", "--format", "json"], [], False))  # Tc is null where k0 <= 0
+@example((["tc", "--sweep", "k0:-4:4:9", "--format", "json"], [], True))
+@example((["tc", "--k0", "4", "--t", "nan"], [], False))  # exit 3: Tc reads no T, but T is checked
+@example((["fidelity", "--k0", "4", "--t", "1", "--quantities", "F_a"], ["theta = nan"], False))
 def test_every_argv_exits_with_a_documented_code(command):
-    argv, lines = command
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    argv, lines, to_file = command
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
         if lines:
             path = os.path.join(tmp, "qdot.cfg")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.writelines(f"{line}\n" for line in lines)
             argv = [*argv, "--config", path]
-        warnings.simplefilter("error")
-        code = main(argv)
-    assert code in (0, 1, 2, 3), (argv, lines, code, err.getvalue())
+        target = os.path.join(tmp, "out")
+        code, out, err = _run([*argv, "--out", target] if to_file else argv)
+        assert code in (0, 1, 2, 3), (argv, lines, code, err)
+        if to_file and code == 0:
+            # the file holds what the same command prints, and nothing is printed
+            assert out == "", (argv, lines, out)
+            with open(target, "rb") as fh:
+                written = fh.read()
+            code, out, err = _run(argv)
+            assert code == 0 and written == out.encode(), (argv, lines, code, err)
+        if to_file and code == 3:
+            assert not os.path.exists(target), (argv, lines)
     if code == 0:
-        assert "nan" not in out.getvalue().lower(), (argv, lines, out.getvalue())
+        assert "nan" not in out.lower(), (argv, lines, out)
         values = _parameter_values(argv, lines)
         assert all(math.isfinite(parse_angle(v)) for v in values.values()), (argv, lines)

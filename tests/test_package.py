@@ -73,7 +73,16 @@ def test_fidelity_sweep_loads_teleport_but_not_verify(tmp_path):
     argv = ["fidelity", "--k0", "4", "--sweep", "T:0.05:2:5", "--sweep", "r:0:4:4",
             "--theta", "1", "--quantities", "F_o,F_e,F_a", "--format", "json",
             "--out", str(tmp_path / "map.json")]
-    assert loaded_after(argv) == ["qdot.teleport", "json"]
+    assert loaded_after(argv) == ["qdot.teleport"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["concurrence", "--k0", "4", "--sweep", "r:0:2:30", "--sweep", "T:0.05:2:30"],
+    ["concurrence", "--k0", "4", "--r", "1", "--t", "0.5"],
+], ids=["sweep", "point"])
+def test_json_output_loads_no_json_module(argv):
+    # JSON goes through the CSV chunk loop, with its own cell texts
+    assert loaded_after([*argv, "--format", "json"], ("json",)) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,6 +25,8 @@ from qdot.cli import main, parse_angle, parse_axis, parse_quantities
 from qdot.entanglement import critical_temperature, model_concurrence
 from qdot.model import DomainError, DotParams, thermal_elements
 from qdot.sweep import (
+    PARAMETER_NAMES,
+    QUANTITY_NAMES,
     Axis,
     SweepSpec,
     UsageError,
@@ -32,6 +34,7 @@ from qdot.sweep import (
     format_csv,
     format_json,
     iter_csv,
+    iter_json,
     run_figure,
     run_sweep,
 )
@@ -64,6 +67,11 @@ def test_axis_validation():
         with pytest.raises(UsageError, match="span"):
             Axis("k0", -1e308, 1e308, 3)  # hi - lo overflows, the bounds do not
         Axis("k0", -1e308, 0.5e308, 3).values()
+    # an int bound past the float range is refused as an infinite one
+    with pytest.raises(UsageError, match="axis k0 bounds and span must be finite"):
+        Axis("k0", 0, 2**1100, 3)
+    with pytest.raises(UsageError, match="axis T bounds and span must be finite"):
+        Axis("T", -2**1100, 1, 3)
 
 
 def test_spec_validation():
@@ -383,7 +391,7 @@ def test_format_csv_17_digits():
 
 def test_format_csv_rows_across_chunks():
     # one more row than a formatting chunk holds, NaN cells on both sides
-    size = sweep_mod._CSV_CHUNK_ROWS + 1
+    size = sweep_mod._CHUNK_ROWS + 1
     x = np.arange(size) * 0.1
     y = np.where(np.arange(size) % 3 == 0, math.nan, -x)
     text = format_csv({"x": x, "y": y})
@@ -407,9 +415,9 @@ def test_format_csv_matches_per_cell_reference():
     # chunks, so 0.1 is in chunks 0 and 2 but not in chunk 1 between them
     pool = np.array([0.0, -0.0, math.nan, np.copysign(math.nan, -1.0), 5e-324,
                      2.2250738585072014e-308 / 3, 0.1, 1e300, -1.5])
-    size = 3 * sweep_mod._CSV_CHUNK_ROWS + 2 * len(pool) + 1
+    size = 3 * sweep_mod._CHUNK_ROWS + 2 * len(pool) + 1
     rng = np.random.default_rng(12)
-    odd_chunk = np.arange(size) // sweep_mod._CSV_CHUNK_ROWS % 2 == 1
+    odd_chunk = np.arange(size) // sweep_mod._CHUNK_ROWS % 2 == 1
     table = {
         "mixed": np.resize(pool, size),
         "gap": np.resize(pool, size) * np.where(odd_chunk, 3.0, 1.0),
@@ -423,7 +431,7 @@ def test_format_csv_matches_per_cell_reference():
                      "7.4169128616906696e-309", "0.10000000000000001",
                      "1.0000000000000001e+300", "-1.5"}
     chunks = list(iter_csv(table))[1:]
-    assert len(chunks) == 4 and chunks[-1].count("\n") < sweep_mod._CSV_CHUNK_ROWS
+    assert len(chunks) == 4 and chunks[-1].count("\n") < sweep_mod._CHUNK_ROWS
     assert ["0.10000000000000001" in {row.split(",")[1] for row in c.splitlines()}
             for c in chunks] == [True, False, True, False]
 
@@ -441,7 +449,7 @@ def test_iter_csv_formats_each_axis_value_once(monkeypatch):
     monkeypatch.setattr(sweep_mod, "format", counting_format, raising=False)
     outer, inner = 1.0 + np.arange(30.0), 0.5 + np.arange(300.0)
     table = {"k0": np.repeat(outer, len(inner)), "r": np.tile(inner, len(outer))}
-    assert len(table["r"]) > 4 * sweep_mod._CSV_CHUNK_ROWS
+    assert len(table["r"]) > 4 * sweep_mod._CHUNK_ROWS
     assert format_csv(table) == _reference_csv(table)
     assert calls == Counter([*outer.tolist(), *inner.tolist()])
 
@@ -451,22 +459,64 @@ def test_format_csv_sweep_table_matches_per_cell_reference():
     spec = SweepSpec((Axis("r", -1.0, 1.0, 67), Axis("T", 0.05, 2.0, 67)), {"k0": 4.0},
                      ("C", "Tc", "populations"))
     table = run_sweep(spec)
-    assert len(table["r"]) > sweep_mod._CSV_CHUNK_ROWS
+    assert len(table["r"]) > sweep_mod._CHUNK_ROWS
     assert table["Tc"].strides == (0,)
     assert format_csv(table) == _reference_csv(table)
 
 
 def test_iter_csv_pieces_are_the_header_and_one_per_chunk():
-    table = {"x": np.arange(2 * sweep_mod._CSV_CHUNK_ROWS + 1) * 0.5}
+    table = {"x": np.arange(2 * sweep_mod._CHUNK_ROWS + 1) * 0.5}
     pieces = list(iter_csv(table))
     assert pieces[0] == "x\n"
-    assert [p.count("\n") for p in pieces[1:]] == [sweep_mod._CSV_CHUNK_ROWS] * 2 + [1]
+    assert [p.count("\n") for p in pieces[1:]] == [sweep_mod._CHUNK_ROWS] * 2 + [1]
     assert "".join(pieces) == format_csv(table) == _reference_csv(table)
 
 
 def test_format_json_round_trip():
     payload = json.loads(format_json({"x": np.array([1.5]), "y": np.array([math.nan])}))
     assert payload == {"columns": ["x", "y"], "rows": [[1.5, None]]}
+
+
+def _reference_json(table):
+    """format_json rebuilt by json.dumps: NaN cells of either sign as None."""
+    lists = ([c] if isinstance(c, float) else c.tolist() for c in table.values())
+    rows = [[None if math.isnan(x) else x for x in row] for row in zip(*lists)]
+    return json.dumps({"columns": list(table), "rows": rows}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("make_table", [
+    lambda: run_sweep(SweepSpec((), {"k0": 4.0, "r": 1.0, "T": 0.5, "theta": 1.0, "phi": 0.5},
+                                QUANTITY_NAMES)),
+    lambda: run_sweep(SweepSpec((Axis("k0", -1.0, 1.0, 3),), {"r": 0.0, "T": 0.5},
+                                ("Tc", "C"))),
+    lambda: {"x": np.array([0.0, -0.0, 0.0, math.inf, -math.inf, -math.nan, 5e-324]),
+             "y": np.array([-0.0, 0.0, 1e300, 0.1, math.nan, -0.0, 1.0])},
+    lambda: run_figure(figure_preset(2)),  # a panel-key column leads
+    # 50 x 100 rows: two full chunks and a partial third; Tc is NaN at k0 <= 0
+    lambda: run_sweep(SweepSpec((Axis("k0", -2.0, 10.0, 50), Axis("r", 0.0, 2.0, 100)),
+                                {"T": 0.5}, ("C", "Tc", "populations"))),
+    lambda: {"k0": np.array([4.0]), "C": np.array([0.5]), "Tc": np.array([math.nan])},
+], ids=["point", "tc-nan", "signed-zeros", "fig2", "sweep-5000", "one-row"])
+def test_format_json_is_json_dumps_byte_for_byte(make_table):
+    table = make_table()
+    expected = _reference_json(table)
+    assert format_json(table) == expected
+    pieces = list(iter_json(table))
+    assert "".join(pieces) == format_json(table)
+    # the header, one piece per chunk, the closing
+    size = len(np.atleast_1d(next(iter(table.values()))))
+    assert len(pieces) == 2 + -(-size // sweep_mod._CHUNK_ROWS)
+    assert pieces[-1] == "\n    ]\n  ]\n}\n"
+
+
+def test_every_column_name_needs_no_json_escape():
+    # iter_json writes a column name between quotes as it is
+    panel_keys = {figure_preset(n).panel_key for n in range(1, 6)} - {None}
+    columns = {name for _, names in sweep_mod._QUANTITIES.values() for name in names}
+    names = {*PARAMETER_NAMES, *columns, *panel_keys}
+    assert {"k0", "theta", "Tc", "F_a", "p00"} <= names
+    for name in names:
+        assert json.dumps(name) == f'"{name}"'
 
 
 # ------------------------------------------------------------------ parsers
@@ -876,6 +926,19 @@ def test_cli_sweep_output_is_format_csv_on_stdout_and_in_a_file(tmp_path, capsys
     assert target.read_bytes() == expected
 
 
+def test_cli_json_sweep_is_format_json_on_stdout_and_in_a_file(tmp_path, capsys):
+    # 22,500 rows: 11 JSON chunks, written as they come, as CSV's are
+    axes = ["--sweep", "r:0:2:150", "--sweep", "T:0.05:2:150", "--format", "json"]
+    spec = SweepSpec((Axis("r", 0.0, 2.0, 150), Axis("T", 0.05, 2.0, 150)), {"k0": 4.0}, ("C",))
+    expected = format_json(run_sweep(spec)).encode()
+    rc, out, err = run_cli(capsys, "concurrence", "--k0", "4", *axes)
+    assert rc == 0 and err == "" and out.encode() == expected
+    target = tmp_path / "map.json"
+    rc, out, err = run_cli(capsys, "concurrence", "--k0", "4", *axes, "--out", str(target))
+    assert rc == 0 and out == err == ""
+    assert target.read_bytes() == expected
+
+
 def test_cli_overflow_past_the_first_block_names_its_first_cell(tmp_path, capsys):
     # the first overflowing cell is 19,100, in the second evaluation block
     assert sweep_mod._EVAL_BLOCK < 19_100
@@ -888,12 +951,10 @@ def test_cli_overflow_past_the_first_block_names_its_first_cell(tmp_path, capsys
     assert not target.exists()
 
 
-def test_streamed_csv_write_peak_memory(tmp_path):
-    # writing a 300x300 C sweep: format_csv and one write of its text peaked
-    # 9.2 MiB above the table; chunk by chunk it is 0.5 MiB, and the bound is 2 MiB
-    spec = SweepSpec((Axis("k0", -2.0, 10.0, 300), Axis("r", 0.0, 2.0, 300)), {"T": 0.5}, ("C",))
-    table = run_sweep(spec)
-    args = argparse.Namespace(format="csv", out=str(tmp_path / "map.csv"))
+def _emit_peak(table, fmt, target):
+    """Bytes that tracemalloc sees at the peak of cli._emit writing ``table``
+    to ``target``, above what was allocated before."""
+    args = argparse.Namespace(format=fmt, out=str(target))
     cli_mod._emit(table, args)  # first-call caches stay out of the measure
     tracemalloc.start()
     try:
@@ -902,8 +963,30 @@ def test_streamed_csv_write_peak_memory(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak - base
+
+
+def _table_300x300():
+    spec = SweepSpec((Axis("k0", -2.0, 10.0, 300), Axis("r", 0.0, 2.0, 300)), {"T": 0.5}, ("C",))
+    return run_sweep(spec)
+
+
+def test_streamed_csv_write_peak_memory(tmp_path):
+    # writing a 300x300 C sweep: format_csv and one write of its text peaked
+    # 9.2 MiB above the table; chunk by chunk it is 0.5 MiB, and the bound is 2 MiB
+    table = _table_300x300()
+    peak = _emit_peak(table, "csv", tmp_path / "map.csv")
     assert (tmp_path / "map.csv").read_bytes() == format_csv(table).encode()
-    assert peak - base < 2 * 2**20
+    assert peak < 2 * 2**20
+
+
+def test_streamed_json_write_peak_memory(tmp_path):
+    # the same sweep as JSON: json.dumps of its row tuples peaked 50 MiB above
+    # the table; through the chunk loop it is 1.1 MiB
+    table = _table_300x300()
+    peak = _emit_peak(table, "json", tmp_path / "map.json")
+    assert (tmp_path / "map.json").read_bytes() == format_json(table).encode()
+    assert peak < 2 * 2**20
 
 
 def _child_env(**extra):
@@ -987,7 +1070,8 @@ def test_cli_stdout_on_a_full_disk_exits_1_without_a_traceback(tmp_path, capsys,
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
-@pytest.mark.parametrize("argv", [["fig", "1"], ["verify", "--mc-samples", "100"]])
+@pytest.mark.parametrize("argv", [["fig", "1"], ["verify", "--mc-samples", "100"],
+                                  ["fig", "1", "--format", "json"]])
 def test_cli_stdout_to_dev_full_exits_1_without_a_traceback(argv):
     # /dev/full refuses every write: the flush at exit must stay quiet too
     with open("/dev/full", "w") as full:

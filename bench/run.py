@@ -45,6 +45,8 @@ CLI_ARGVS = (
     ["concurrence", "--k0", "4", "--r", "1", "--t", "0.5"],
     ["tc", "--k0", "4"],
     ["ground-state", "--k0", "4", "--r", "1"],
+    # the fidelity point still loads numpy, through teleport
+    ["fidelity", "--k0", "4", "--r", "1", "--t", "0.5"],
     # shaped like qdotbench's fidelity-map: a 25x40 F_a sweep written as JSON
     ["fidelity", "--k0", "4", "--sweep", "T:0.05:2:25", "--sweep", "r:0:4:40",
      "--quantities", "F_o,F_e,F_a", "--format", "json"],

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .model import DotParams, ThermalElements, _ArrayRecord, _boltzmann_weights, _check_real
+from .model import DotParams, ThermalElements, _Record, _boltzmann_weights, _check_real
 from .model import _maximum, _scalar, _where
 
 if TYPE_CHECKING:
@@ -28,15 +28,14 @@ __all__ = [
 ]
 
 
-class ConcurrenceResult(_ArrayRecord):
+class ConcurrenceResult(_Record):
     """Concurrence value plus the four Wootters lambdas (descending, shape
-    (4,)); over a stack of states, values (...) and lambdas (..., 4).
-    ``==`` is True when the values and the lambdas are equal as arrays."""
+    (4,)); over a stack of states, values (...) and lambdas (..., 4)."""
 
     __slots__ = ("value", "lambdas")
 
     def __init__(self, value: float, lambdas: np.ndarray) -> None:
-        _ArrayRecord.__init__(self, value, lambdas)
+        _Record.__init__(self, value, lambdas)
 
 
 def wootters_concurrence(rho: np.ndarray) -> ConcurrenceResult:

@@ -47,7 +47,9 @@ _set_field = object.__setattr__
 class _Record:
     """A frozen record: slots named for its fields, in order, set once in
     __init__. Assignment and deletion raise AttributeError; repr, == and hash
-    take the fields in order, == only between records of one type."""
+    take the fields in order, == only between records of one type: a field
+    pair by np.array_equal (the same shape, every entry equal) where either
+    side is an array, else equal when it is one object or by ==."""
 
     __slots__ = ()
 
@@ -71,31 +73,19 @@ class _Record:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._fields() == other._fields()
+        for x, y in zip(self._fields().values(), other._fields().values()):
+            if _is_array(x) or _is_array(y):
+                if not sys.modules["numpy"].array_equal(x, y):
+                    return False
+            elif not (x is y or x == y):
+                return False
+        return True
 
     def __hash__(self) -> int:
         return hash(tuple(self._fields().values()))
 
     def __reduce__(self):  # copy and pickle rebuild through __init__
         return type(self), tuple(self._fields().values())
-
-
-class _ArrayRecord(_Record):
-    """A record whose fields may hold arrays: ``==`` holds when each field is
-    equal by np.array_equal (the same shape, every entry equal), where the
-    tuple rule would raise on two distinct arrays."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        import numpy as np
-
-        pairs = zip(self._fields().values(), other._fields().values())
-        return all(np.array_equal(x, y) for x, y in pairs)
-
-    __hash__ = _Record.__hash__  # a class that defines __eq__ loses the inherited one
 
 
 class DotParams(_Record):

@@ -12,11 +12,13 @@ one row of Python floats, which loads no numpy but for the fidelities.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING
 
 from .entanglement import critical_temperature, model_concurrence
-from .model import DotParams, _check_real, _check_temperature, _Record, thermal_elements
+from .model import DomainError, DotParams, _check_real, _check_temperature, _is_array, _Record
+from .model import thermal_elements
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,12 +59,22 @@ class Axis(_Record):
         _Record.__init__(self, name, lo, hi, steps)
         if self.name not in SWEEPABLE:
             raise UsageError(f"cannot sweep {self.name!r}; choose one of {SWEEPABLE}")
-        try:  # also false for a span that overflows between finite bounds
-            finite = math.isfinite(float(self.hi) - float(self.lo))
+        try:  # math.isfinite takes real numbers alone, where float() parses a str;
+            # the span is not finite either where it overflows between finite bounds
+            finite = (math.isfinite(self.lo) and math.isfinite(self.hi)
+                      and math.isfinite(float(self.hi) - float(self.lo)))
+        except TypeError:
+            raise UsageError(f"axis {self.name} bounds must be real numbers, "
+                             f"got {self.lo!r} and {self.hi!r}") from None
         except OverflowError:  # an int bound past the float range
             finite = False
         if not finite:
             raise UsageError(f"axis {self.name} bounds and span must be finite")
+        try:  # np.int64 too, but not 3.0 or "3"
+            operator.index(self.steps)
+        except TypeError:
+            raise UsageError(f"axis {self.name} needs a whole number of steps, "
+                             f"got {self.steps!r}") from None
         if self.steps < 2:
             raise UsageError(f"axis {self.name} needs at least 2 steps, got {self.steps}")
         if not self.lo < self.hi:
@@ -80,7 +92,10 @@ class SweepSpec(_Record):
     """One sweep: up to two axes, fixed parameters (none by default),
     requested quantities. Every fixed value must be a finite real number,
     and every temperature at least 0, whether a requested quantity reads it
-    or not: DomainError otherwise, by the rules of DotParams."""
+    or not: DomainError otherwise, by the rules of DotParams. A fixed value
+    is one number (a 0-d array or a numpy scalar too): an array of one
+    dimension or more raises DomainError, since the axes alone span the
+    grid."""
 
     __slots__ = ("axes", "fixed", "quantities")
 
@@ -114,6 +129,9 @@ class SweepSpec(_Record):
         held = _check_real(**self.fixed)
         for low in (*(a.lo for a in self.axes if a.name == "T"), held.get("T", 0.0)):
             _check_temperature(low)
+        for key, value in held.items():
+            if _is_array(value) and value.ndim:
+                raise DomainError(f"{key} must be one number, got an array of shape {value.shape}")
 
     def grid(self) -> dict[str, np.ndarray | float]:
         """A flat column per axis, lexicographic in the axes (the last varies
@@ -150,7 +168,7 @@ def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray] | dict[str, float]:
     table.update((name, np.empty(size)) for q in spec.quantities for name in _QUANTITIES[q][1])
     for start in range(0, size, _EVAL_BLOCK):
         cells = slice(start, start + _EVAL_BLOCK)
-        at = {n: v[cells] if isinstance(v, np.ndarray) else v for n, v in grid.items()}
+        at = {n: v[cells] if np.ndim(v) else v for n, v in grid.items()}
         for name, value in _evaluate(spec.quantities, at):
             if np.ndim(value):
                 table[name][cells] = value

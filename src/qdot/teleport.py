@@ -30,8 +30,8 @@ import numpy as np
 
 from . import linalg
 from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron
-from .model import DomainError, DotParams, ThermalElements, _ArrayRecord, _check_broadcast
-from .model import _Record, _any, _check_real, _first, _libm, _scalar
+from .model import DomainError, DotParams, ThermalElements, _Record, _any, _check_broadcast
+from .model import _check_real, _first, _libm, _scalar
 from .model import thermal_elements, thermal_state
 
 __all__ = [
@@ -97,26 +97,24 @@ class BellOutcome(Enum):
         return "e"
 
 
-class TeleportOutcome(_ArrayRecord):
-    """One measurement branch: probability, corrected output, and fidelity.
-    ``==`` is True when every field is equal, the state as an array."""
+class TeleportOutcome(_Record):
+    """One measurement branch: probability, corrected output, and fidelity."""
 
     __slots__ = ("outcome", "probability", "state", "fidelity")
 
     def __init__(self, outcome: BellOutcome, probability: float, state: np.ndarray,
                  fidelity: float) -> None:
-        _ArrayRecord.__init__(self, outcome, probability, state, fidelity)
+        _Record.__init__(self, outcome, probability, state, fidelity)
 
 
-class MonteCarloFidelity(_ArrayRecord):
+class MonteCarloFidelity(_Record):
     """Monte Carlo estimate of the average fidelity with its standard error;
-    value and stderr are floats for one point, arrays over a grid. ``==`` is
-    True when every field is equal, value and stderr as arrays."""
+    value and stderr are floats for one point, arrays over a grid."""
 
     __slots__ = ("value", "stderr", "samples", "seed")
 
     def __init__(self, value: float, stderr: float, samples: int, seed: int) -> None:
-        _ArrayRecord.__init__(self, value, stderr, samples, seed)
+        _Record.__init__(self, value, stderr, samples, seed)
 
 
 def _complex(re, im) -> np.ndarray:

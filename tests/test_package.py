@@ -125,6 +125,16 @@ def test_importing_the_cli_loads_no_code_introspection_module():
     assert ast.literal_eval(run_child(code)) == []
 
 
+def test_comparing_records_of_floats_loads_no_numpy():
+    # one __eq__ serves every record: it asks whether a field is an array
+    # without loading numpy to learn that it is not
+    code = ("import sys; from qdot.model import DotParams; from qdot.sweep import Axis; "
+            "p, q = DotParams(4.0, 1.0, 0.5), DotParams(4.0, 1.0, 0.25); "
+            "print([p == DotParams(4, 1, 0.5), p == q, Axis('r', 0.0, 2.0, 5) == "
+            "Axis('r', 0, 2, 5), 'numpy' in sys.modules])")
+    assert ast.literal_eval(run_child(code)) == [True, False, True, False]
+
+
 def test_importing_the_package_loads_no_module():
     code = "import sys, qdot; print(sorted(m for m in sys.modules if m.startswith('qdot')))"
     assert ast.literal_eval(run_child(code)) == ["qdot"]

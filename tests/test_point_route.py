@@ -1,15 +1,17 @@
 """Property tests: a point of Python floats takes the math route of each
-guard, and that route has the bits of the numpy route.
+guard, and that route has the bits of the numpy route; every closed form
+stays in its range and keeps the model's field-reversal symmetries exactly.
 
-For the Boltzmann elements, the concurrences, the populations and Tc, a
-call on Python floats must give Python floats with the same hex bits as the
-call on one-element arrays, signed zeros included; where one raises, both
-raise DomainError with the same message, non-finite inputs included. The
+For the Boltzmann elements, the concurrences, the populations, Tc, the
+subspace fidelities and the closed-form F_a, a call on Python floats must
+give Python floats with the same hex bits as the call on one-element
+arrays, signed zeros included; where one raises, both raise DomainError
+with the same message, non-finite inputs included. The
 draws lean on the edges: subnormal couplings and temperatures, fields at
 the level crossing |r| = k0/4, Boltzmann exponents near +-709 (where exp
 overflows or underflows) and exponents that lie more than 1.8e308 apart
-(where the shifted exponent is -inf). Examples are derandomized, so every
-run draws the same ones.
+(where the shifted exponent is -inf); the input state's angles are drawn
+beside them. Examples are derandomized, so every run draws the same ones.
 
 Inputs narrower than float64, or Python ints, are widened to float64 first,
 so they give the bits of the float64 call at the widened values.
@@ -63,6 +65,14 @@ def _points(draw):
     return k0, r, T
 
 
+# Bloch angles: a turn and a bit either way, the exact cuts, any finite
+# float and the non-finite values, which InputState refuses on both routes
+_ANGLE = st.one_of(st.floats(-7.0, 7.0), st.sampled_from((0.0, -0.0, math.pi / 2, math.pi)),
+                   _ANY, st.sampled_from((math.nan, math.inf, -math.inf)))
+_ANGLES = st.tuples(_ANGLE, _ANGLE)
+_CUT = (math.pi / 3.0, 0.0)
+
+
 def _run(fn, *args):
     """(result, None) or (None, the DomainError's message)."""
     try:
@@ -82,14 +92,24 @@ def _populations(e):
     return e.u / e.big_z, e.w / e.big_z, e.v / e.big_z
 
 
-def _same_route(k0, r, T) -> None:
-    """Every routed quantity at (k0, r, T): floats against one-element arrays."""
+def _same_route(k0, r, T, theta, phi) -> None:
+    """Every routed quantity at (k0, r, T) and the input state (theta, phi):
+    floats against one-element arrays."""
     arrays = tuple(np.array([x]) for x in (k0, r, T))
     point, point_error = _run(DotParams, k0, r, T)
     stack, stack_error = _run(DotParams, *arrays)
     assert point_error == stack_error
+    state, state_error = _run(InputState, theta, phi)
+    states, states_error = _run(InputState, np.array([theta]), np.array([phi]))
+    assert state_error == states_error
+    if point_error is None and state_error is None:
+        want, want_error = _run(subspace_fidelities, state, point)
+        got, got_error = _run(subspace_fidelities, states, stack)
+        assert want_error == got_error
+        for a, b in zip(want or (), got or ()):
+            _bits(a, b)
     if point_error is None:
-        for fn in (thermal_elements, model_concurrence):
+        for fn in (thermal_elements, model_concurrence, average_fidelity_closed_form):
             want, want_error = _run(fn, point)
             got, got_error = _run(fn, stack)
             assert want_error == got_error
@@ -116,26 +136,83 @@ def _same_route(k0, r, T) -> None:
 
 
 @PROPERTY
-@given(_points())
-@example((0.0, 0.0, 0.5))  # every exponent a zero of either sign: the shift m is -0.0
-@example((-0.0, -0.0, 5e-324))
-@example((4.0, 1.0, 0.0))  # T = 0 at the crossing: values, singlet and |11> tied
-@example((4.0, 1.0, -0.0))
-@example((-4.0, 0.0, 0.0))  # three triplet levels tied
-@example((3 * 5e-324, 5e-324, 0.0))  # subnormal couplings at T = 0: 4r > k0
-@example((1.7e308, 4.25e307, 0.0))  # 16 r overflows at T = 0; 4r = k0, a tie
-@example((1.0, 0.0, 1e-310))  # the exponents overflow
-@example((1e308, 0.0, 1e-300))
-@example((1e308, 0.0, 1e10))  # 3 k0 overflows where 3 k0/16T does not
-@example((0.0, 1e308, 1.0))  # 16 r overflows; a_v - m is -inf
-@example((1.7e308, -1.7e308, 1.0))
-@example((2836.0, 0.0, 1.0))  # exp(-4 k0/16T) near its underflow
-@example((4.0, 1.0, -1.0))
-@example((5e-324, 1.25e-324, 5e-324))  # subnormal k0, r and T
-@example((-5e-324, 0.0, 5e-324))
-@example((1e-300, 2.5e-301, 1e-320))  # at the crossing, T subnormal
-def test_a_float_point_has_the_bits_of_its_one_element_array(point):
-    _same_route(*point)
+@given(_points(), _ANGLES)
+@example((0.0, 0.0, 0.5), _CUT)  # every exponent a zero of either sign: the shift m is -0.0
+@example((-0.0, -0.0, 5e-324), _CUT)
+@example((4.0, 1.0, 0.0), _CUT)  # T = 0 at the crossing: values, singlet and |11> tied
+@example((4.0, 1.0, -0.0), _CUT)
+@example((-4.0, 0.0, 0.0), _CUT)  # three triplet levels tied
+@example((3 * 5e-324, 5e-324, 0.0), _CUT)  # subnormal couplings at T = 0: 4r > k0
+@example((1.7e308, 4.25e307, 0.0), _CUT)  # 16 r overflows at T = 0; 4r = k0, a tie
+@example((1.0, 0.0, 1e-310), _CUT)  # the exponents overflow
+@example((1e308, 0.0, 1e-300), _CUT)
+@example((1e308, 0.0, 1e10), _CUT)  # 3 k0 overflows where 3 k0/16T does not
+@example((0.0, 1e308, 1.0), _CUT)  # 16 r overflows; a_v - m is -inf
+@example((1.7e308, -1.7e308, 1.0), _CUT)
+@example((2836.0, 0.0, 1.0), _CUT)  # exp(-4 k0/16T) near its underflow
+@example((4.0, 1.0, -1.0), _CUT)
+@example((5e-324, 1.25e-324, 5e-324), _CUT)  # subnormal k0, r and T
+@example((-5e-324, 0.0, 5e-324), _CUT)
+@example((1e-300, 2.5e-301, 1e-320), _CUT)  # at the crossing, T subnormal
+@example((4.0, 1.5, 0.0), (0.0, 0.0))  # a polarised channel at theta = 0: F_o is NaN
+@example((4.0, -1.5, 0.0), (math.pi, 0.0))  # and F_e at theta = pi
+def test_a_float_point_has_the_bits_of_its_one_element_array(point, angles):
+    _same_route(*point, *angles)
+
+
+@PROPERTY
+@given(_points(), _ANGLES)
+@example((4.0, 1.5, 0.0), (0.0, 0.0))  # F_o's branch has weight 0
+@example((4.0, 0.0, 1e-300), (math.pi / 2, 0.0))  # a singlet channel: F_o, F_e round to 1
+def test_closed_forms_stay_in_their_ranges(point, angles):
+    # each closed form gives finite values in its range, or raises
+    # DomainError; F_o and F_e are NaN exactly where their branch weighs 0
+    p, error = _run(DotParams, *point)
+    s, state_error = _run(InputState, *angles)
+    if error is not None or state_error is not None:
+        return
+    c, _ = _run(model_concurrence, p)
+    if c is not None:
+        assert 0.0 <= c <= 1.0, c
+    fa, _ = _run(average_fidelity_closed_form, p)
+    if fa is not None:
+        assert 0.0 <= fa <= 1.0, fa
+    e, error = _run(thermal_elements, p)
+    if e is None:
+        return
+    populations = (e.u / e.big_z, e.w / e.big_z, e.w / e.big_z, e.v / e.big_z)
+    assert all(x >= 0.0 for x in populations), populations
+    assert abs(sum(populations) - 1.0) <= 4 * math.ulp(1.0), populations
+    c2, s2 = np.cos(s.theta / 2.0) ** 2, np.sin(s.theta / 2.0) ** 2
+    weights = (e.w + e.u * s2 + e.v * c2, e.w + e.v * s2 + e.u * c2)
+    for f, z in zip(subspace_fidelities(s, p), weights):
+        assert math.isnan(f) == (z == 0.0), (f, z)
+        assert math.isnan(f) or 0.0 <= f <= 1.0, f
+
+
+@PROPERTY
+@given(_points(), _ANGLES)
+@example((4.0, 1.0, 0.0), _CUT)  # the crossing at T = 0
+@example((0.0, 1e308, 1.0), _CUT)  # a weight shifted to 0
+def test_field_reversal_symmetries_hold_bit_for_bit(point, angles):
+    # r -> -r swaps the weights u and v, so C and F_a are even in r, and it
+    # swaps the branch weights z1 and z2, so F_o at -r is F_e at r
+    k0, r, T = point
+    plus, error = _run(DotParams, k0, r, T)
+    s, state_error = _run(InputState, *angles)
+    if error is not None or state_error is not None:
+        return
+    minus = DotParams(k0, -r, T)
+    for fn in (model_concurrence, average_fidelity_closed_form):
+        want, _ = _run(fn, plus)
+        got, _ = _run(fn, minus)  # an overflow raises at both, naming its own r
+        assert (want is None) == (got is None)
+        assert want is None or want.hex() == got.hex(), (want, got)
+    want, _ = _run(subspace_fidelities, s, plus)
+    got, _ = _run(subspace_fidelities, s, minus)
+    assert (want is None) == (got is None)
+    if want is not None:
+        assert [x.hex() for x in want] == [x.hex() for x in got[::-1]], (want, got)
 
 
 def _quantities(k0, r, T, theta, phi):

@@ -1,7 +1,9 @@
 """The contract of the package's ten records: construction by position and
-by keyword with their defaults, the repr text, ``==``, ``hash`` and pickling,
-and that no field can be assigned or deleted."""
+by keyword with their defaults, the repr text, ``==``, ``hash``, pickling and
+deep copies, and that no field can be assigned or deleted. Every record
+compares its arrays by value, those of a grid's parameters included."""
 
+import copy
 import pickle
 
 import numpy as np
@@ -17,8 +19,13 @@ SPEC = SweepSpec((AXIS,), {"k0": 4.0, "T": 0.5}, ("C",))
 LAMBDAS = np.array([1.0, 0.5, 0.0, 0.0])
 STATE = np.array([[0.75, 0.25j], [-0.25j, 0.25]])
 
-# (type, field names, fields, fields of an unequal record, repr)
-RECORDS = [
+K0S = np.array([4.0, 2.0])
+THETAS = np.array([1.0, 2.0])
+WEIGHTS = np.array([1.0, 0.5])
+
+# case -> (type, field names, fields, fields of an unequal record, repr); a
+# case named for its type holds what one point holds, an "-arrays" case a grid
+RECORDS = {case[0].__name__: case for case in [
     (DotParams, ("k0", "r", "T"), (4.0, 1.0, 0.5), (4.0, 1.0, 0.25),
      "DotParams(k0=4.0, r=1.0, T=0.5)"),
     (ThermalElements, ("u", "v", "w", "y", "big_z", "log_scale"),
@@ -44,9 +51,21 @@ RECORDS = [
     (CheckResult, ("name", "passed", "max_dev", "threshold", "detail"),
      ("check", True, 1e-16, 1e-10, "3 points"), ("check", False, 1e-16, 1e-10, "3 points"),
      "CheckResult(name='check', passed=True, max_dev=1e-16, threshold=1e-10, detail='3 points')"),
-]
-# Records that hold an array or a dict have no hash.
-UNHASHABLE = {ConcurrenceResult, SweepSpec, FigurePreset, TeleportOutcome}
+]}
+RECORDS.update({
+    "DotParams-arrays": (DotParams, ("k0", "r", "T"), (K0S, 1.0, 0.5), (K0S[::-1], 1.0, 0.5),
+                         f"DotParams(k0={K0S!r}, r=1.0, T=0.5)"),
+    "InputState-arrays": (InputState, ("theta", "phi"), (THETAS, 0.5), (THETAS, -0.5),
+                          f"InputState(theta={THETAS!r}, phi=0.5)"),
+    "ThermalElements-arrays": (
+        ThermalElements, ("u", "v", "w", "y", "big_z", "log_scale"),
+        (WEIGHTS, 0.5, 0.25, -0.125, 2.0, 3.0), (WEIGHTS[:1], 0.5, 0.25, -0.125, 2.0, 3.0),
+        f"ThermalElements(u={WEIGHTS!r}, v=0.5, w=0.25, y=-0.125, big_z=2.0, log_scale=3.0)"),
+})
+# Cases that hold an array or a dict have no hash: the key is the case, since
+# a DotParams of floats hashes and one of arrays does not.
+UNHASHABLE = {"ConcurrenceResult", "SweepSpec", "FigurePreset", "TeleportOutcome",
+              "DotParams-arrays", "InputState-arrays", "ThermalElements-arrays"}
 
 
 def copied(values):
@@ -58,9 +77,14 @@ def same(x, y) -> bool:
     return np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y and type(x) is type(y)
 
 
-@pytest.fixture(params=RECORDS, ids=lambda case: case[0].__name__)
-def case(request):
+@pytest.fixture(params=list(RECORDS))
+def case_name(request):
     return request.param
+
+
+@pytest.fixture
+def case(case_name):
+    return RECORDS[case_name]
 
 
 def test_positional_and_keyword_construction(case):
@@ -95,10 +119,10 @@ def test_equality(case):
     assert (record == object()) is False
 
 
-def test_hash(case):
+def test_hash(case_name, case):
     cls, _, values, _, _ = case
     record = cls(*values)
-    if cls in UNHASHABLE:
+    if case_name in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(record)
     else:
@@ -114,8 +138,8 @@ def test_equal_records_of_widened_inputs_hash_alike():
 def test_pickle_round_trip(case):
     cls, _, values, _, _ = case
     record = cls(*values)
-    again = pickle.loads(pickle.dumps(record))
-    assert type(again) is cls and again == record
+    for again in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(again) is cls and again == record
 
 
 def test_fields_are_frozen(case):

@@ -72,6 +72,18 @@ def test_axis_validation():
         Axis("k0", 0, 2**1100, 3)
     with pytest.raises(UsageError, match="axis T bounds and span must be finite"):
         Axis("T", -2**1100, 1, 3)
+    # a step count is an integer and a bound a real number, or the axis names
+    # what it got: 2.5 steps would run past hi, and "0" < "1" compares text
+    for steps in (2.5, 3.0, "3"):
+        with pytest.raises(UsageError, match=f"^axis k0 needs a whole number of steps, "
+                                             f"got {steps!r}$"):
+            Axis("k0", 0.0, 1.0, steps)
+    for lo, hi in (("0", "1"), (0.0, "1"), (0.0, 1j)):
+        with pytest.raises(UsageError, match=rf"^axis k0 bounds must be real numbers, "
+                                             rf"got {lo!r} and {hi!r}$"):
+            Axis("k0", lo, hi, 3)
+    assert Axis("k0", np.float64(0.0), np.array(1.0), np.int64(3)).values().tolist() == [
+        0.0, 0.5, 1.0]
 
 
 def test_spec_validation():
@@ -111,6 +123,18 @@ def test_spec_validation():
             SweepSpec((), fixed, ("Tc",))
     with pytest.raises(DomainError, match="^T must be finite, got nan$"):
         SweepSpec((t_axis,), {"k0": 1.0, "r": 0.0, "T": math.nan})
+    # a fixed value is one number: an array would pair its entries with the
+    # axis cells, or make a point of two rows
+    for axes in ((Axis("T", 0.1, 1.0, 2),), ()):
+        for k0 in (np.array([4.0, 2.0]), [4.0, 2.0], np.ones((1, 1))):
+            with pytest.raises(DomainError, match=r"^k0 must be one number, got an array of shape"):
+                SweepSpec(axes, {"k0": k0, "r": 1.0, "T": 0.5}, ("C",))
+    # a 0-d array or a numpy scalar is one, on an axis and at a point
+    for axes in ((t_axis,), ()):
+        want = run_sweep(SweepSpec(axes, {"k0": 4.0, "r": 1.0, "T": 0.5}, ("C", "Tc")))
+        got = run_sweep(SweepSpec(axes, {"k0": np.array(4.0), "r": np.float64(1.0), "T": 0.5},
+                                  ("C", "Tc")))
+        assert format_csv(got) == format_csv(want)
 
 
 def test_spec_rejects_negative_temperature():
@@ -374,6 +398,40 @@ def test_fig2_reentrant_series_present():
     assert values[0] < 0.05
     assert max(values) > 0.2
     assert values[-1] == 0.0
+
+
+def _mp_figure_cell(mpmath, k0, r, T, theta):
+    """C of one concurrence-figure cell, or F_o and F_e of one at the polar
+    angle theta, by their closed forms in mpmath from the cell's exact
+    doubles: C = max((e2 - 3 e1)/Z, 0), F_o = N/z1 and F_e = N/z2."""
+    k0, r, T = (mpmath.mpf(x) for x in (k0, r, T))
+    u, v = mpmath.exp(-(k0 - 16 * r) / (16 * T)), mpmath.exp(-(k0 + 16 * r) / (16 * T))
+    e1, e2 = mpmath.exp(-k0 / (16 * T)), mpmath.exp(3 * k0 / (16 * T))
+    if theta is None:
+        return {"C": max((e2 - 3 * e1) / (u + v + e1 + e2), 0)}
+    w, y = (e1 + e2) / 2, (e1 - e2) / 2
+    c2, s2 = mpmath.cos(mpmath.mpf(theta) / 2) ** 2, mpmath.sin(mpmath.mpf(theta) / 2) ** 2
+    num = w * (c2 * c2 + s2 * s2) + (u + v) * c2 * s2 - 2 * y * c2 * s2
+    return {"F_o": num / (w + u * s2 + v * c2), "F_e": num / (w + v * s2 + u * c2)}
+
+
+def test_figure_columns_are_within_1e_15_of_50_digit_mpmath():
+    # every C, F_o and F_e cell of fig 1..5 against the same formula in
+    # 50-digit mpmath: the worst measured was 4.9e-16 (fig 4's F_e), and C
+    # was within 2.4e-16
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for fig_id in range(1, 6):
+            for spec in figure_preset(fig_id).panels:
+                table = run_sweep(spec)
+                size = len(table[spec.axes[0].name])
+                cells = {name: table[name].tolist() if name in table else [spec.fixed[name]] * size
+                         for name in ("k0", "r", "T")}
+                theta = spec.fixed.get("theta")
+                for i, (k0, r, T) in enumerate(zip(cells["k0"], cells["r"], cells["T"])):
+                    for name, want in _mp_figure_cell(mpmath, k0, r, T, theta).items():
+                        err = abs(table[name][i] - want)
+                        assert err <= 1e-15, (fig_id, name, k0, r, T, float(err))
 
 
 # ------------------------------------------------------------- format layer

@@ -319,6 +319,9 @@ def test_records_holding_arrays_compare_by_value():
     a, b = (average_fidelity_mc(grid, n=1_000, seed=3) for _ in range(2))
     assert (a == b) is True and (a != b) is False
     assert (a == average_fidelity_mc(grid, n=1_000, seed=4)) is False
+    # a field that is one object on both sides is equal, a NaN float too, as in a tuple
+    nan = MonteCarloFidelity(float("nan"), 0.0, 10, 1)
+    assert (nan == nan) is True and nan != MonteCarloFidelity(float("nan"), 0.0, 10, 1)
 
 
 def test_mean_branch_fidelity_matches_matrix_route():

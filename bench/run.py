@@ -14,7 +14,8 @@ gives its wall time and peak resident size. Each row keeps the median of
 its ``--repeat`` samples per checkout, and the samples beside it, and, for
 each checkout after the first, its ``wins``: in how many repeats its sample
 was lower than the first checkout's. Only the standard library is used
-here; the children import qdot, and all but the point commands numpy.
+here; the children import qdot, and numpy where they fill arrays: the
+in-process rows, verify's oracles and grids past 2,048 cells.
 """
 
 from __future__ import annotations
@@ -45,11 +46,12 @@ CLI_ARGVS = (
     ["concurrence", "--k0", "4", "--r", "1", "--t", "0.5"],
     ["tc", "--k0", "4"],
     ["ground-state", "--k0", "4", "--r", "1"],
-    # the fidelity point still loads numpy, through teleport
     ["fidelity", "--k0", "4", "--r", "1", "--t", "0.5"],
     # shaped like qdotbench's fidelity-map: a 25x40 F_a sweep written as JSON
     ["fidelity", "--k0", "4", "--sweep", "T:0.05:2:25", "--sweep", "r:0:4:40",
      "--quantities", "F_o,F_e,F_a", "--format", "json"],
+    # 3,362 cells of C in two 1,681-cell panels, each on Python floats
+    ["fig", "1"],
     # 7.6 MB of JSON: formatting and writing, as concurrence-map's CSV
     ["concurrence", "--sweep", "k0:-2:10:300", "--sweep", "r:0:2:300", "--t", "0.5",
      "--format", "json"],

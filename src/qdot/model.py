@@ -182,7 +182,8 @@ def _check_broadcast(**fields) -> None:
 def _numpy(*values):
     """numpy if a value is a numpy array or scalar, else None. Python numbers
     take the math route of each guard below; while numpy is not loaded, no
-    value can be one of its types, so asking never loads it."""
+    value can be one of its types, so asking never loads it. The guards
+    called most on a cell of Python floats skip the question for them."""
     np = sys.modules.get("numpy")
     if np is not None:
         for x in values:
@@ -193,7 +194,7 @@ def _numpy(*values):
 
 def _is_array(x) -> bool:
     """isinstance(x, np.ndarray), without loading numpy to learn it is not."""
-    np = sys.modules.get("numpy")
+    np = None if type(x) is float else sys.modules.get("numpy")
     return np is not None and isinstance(x, np.ndarray)
 
 
@@ -218,17 +219,25 @@ def _quiet(*values):
 
 def _nonfinite(x):
     """~np.isfinite(x), or not math.isfinite(x) on a Python float."""
-    np = _numpy(x)
+    np = None if type(x) is float else _numpy(x)
     return not math.isfinite(x) if np is None else ~np.isfinite(x)
 
 
 def _maximum(a, b):
     """np.maximum(a, b), or its rule on Python floats: a NaN wins, and of two
     equal values, 0.0 and -0.0 included, the second."""
-    np = _numpy(a, b)
+    np = None if type(a) is type(b) is float else _numpy(a, b)
     if np is not None:
         return np.maximum(a, b)
     return a if a > b or a != a else b
+
+
+def _minimum(a, b):
+    """np.minimum(a, b), or its rule on Python floats, _maximum's mirror."""
+    np = None if type(a) is type(b) is float else _numpy(a, b)
+    if np is not None:
+        return np.minimum(a, b)
+    return a if a < b or a != a else b
 
 
 def _where(cond, a, b):

@@ -4,13 +4,15 @@ A sweep varies one or two parameters on inclusive uniform grids while the
 rest stay fixed, and evaluates each requested quantity into one named column,
 block by block over the grid. Rows run in lexicographic axis order and are
 byte-stable: the same spec always renders the same text, CSV or JSON, chunk
-by chunk. numpy and teleport are imported where a grid or a fidelity first
-needs them: a concurrence sweep loads no teleport, and a spec with no axes is
-one row of Python floats, which loads no numpy but for the fidelities.
+by chunk. A grid that fits one output chunk, a point included, is
+evaluated cell by cell on Python floats and loads no numpy; a larger one
+loads it for its arrays. teleport is imported where a fidelity first needs
+it, so a concurrence sweep loads none.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Callable, Iterator
@@ -22,6 +24,9 @@ from .model import thermal_elements
 
 if TYPE_CHECKING:
     import numpy as np
+
+    # a table: float arrays, lists of Python floats, or a point's floats
+    Table = dict[str, np.ndarray] | dict[str, list[float]] | dict[str, float]
 
 __all__ = ["Axis", "SweepSpec", "FigurePreset", "run_sweep", "figure_preset", "run_figure"]
 
@@ -84,8 +89,12 @@ class Axis(_Record):
         """Grid points lo + i (hi - lo) / (steps - 1), endpoints inclusive."""
         import numpy as np
 
-        step = (self.hi - self.lo) / (self.steps - 1)
-        return self.lo + step * np.arange(self.steps)
+        return self._value(np.arange(self.steps))
+
+    def _value(self, i):
+        """Grid point i, the one formula of both routes: a Python float at an
+        int, float64 cells at an int array."""
+        return float(self.lo) + float((self.hi - self.lo) / (self.steps - 1)) * i
 
 
 class SweepSpec(_Record):
@@ -102,6 +111,10 @@ class SweepSpec(_Record):
     def __init__(self, axes: tuple[Axis, ...], fixed: dict[str, float] | None = None,
                  quantities: tuple[str, ...] = ("C",)) -> None:
         _Record.__init__(self, axes, {} if fixed is None else fixed, quantities)
+        if not (isinstance(axes, (tuple, list)) and all(isinstance(a, Axis) for a in axes)):
+            raise UsageError(f"axes must be a tuple of Axis, got {axes!r}")
+        if not isinstance(quantities, (tuple, list)):  # a str would be read letter by letter
+            raise UsageError(f"quantities must be a tuple of names, got {quantities!r}")
         if len(self.axes) > 2:
             raise UsageError(f"at most two sweep axes, got {len(self.axes)}")
         names = [a.name for a in self.axes]
@@ -146,20 +159,21 @@ class SweepSpec(_Record):
         return {**self.fixed, **{a.name: m.ravel() for a, m in zip(self.axes, mesh)}}
 
 
-def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray] | dict[str, float]:
+def run_sweep(spec: SweepSpec) -> Table:
     """Evaluate a sweep into a table: column name -> one flat float column.
 
     The axis columns come first, then the quantities in request order; NaN
-    marks an absent value (Tc where there is no transition). The quantities
-    fill their columns over blocks of _EVAL_BLOCK cells in grid order; each
-    is elementwise, so a cell has the bits of the whole-grid call and a
-    sweep raises at its first bad cell. A column whose inputs are all fixed
-    is a zero-stride view. A spec with no axes is one point, as every closed
-    form takes one: its row of Python floats, with the bits of the matching
-    cell of a grid through it, which loads numpy only for the fidelities.
+    marks an absent value (Tc where there is no transition). Every closed
+    form is elementwise and rounds alike on Python floats and arrays, so a
+    cell has the same bits on either route, and a sweep raises at its first
+    bad cell in grid order. A grid of at most _CHUNK_ROWS cells is evaluated
+    cell by cell on Python floats, without numpy: its columns are lists of
+    them. A larger one fills float arrays over blocks of _EVAL_BLOCK cells,
+    and a column whose inputs are all fixed is a zero-stride view. A spec
+    with no axes is one point: its row of Python floats.
     """
-    if not spec.axes:
-        return dict(_evaluate(spec.quantities, spec.fixed))
+    if math.prod(a.steps for a in spec.axes) <= _CHUNK_ROWS:
+        return _run_cells(spec)
     import numpy as np
 
     grid = spec.grid()
@@ -177,9 +191,24 @@ def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray] | dict[str, float]:
     return {name: np.broadcast_to(np.asarray(c, float), size) for name, c in table.items()}
 
 
+def _run_cells(spec: SweepSpec) -> dict[str, list[float]] | dict[str, float]:
+    """run_sweep's table, one cell at a time in grid order, on Python floats:
+    a list per column, or one float per column for a spec with no axes."""
+    names = [a.name for a in spec.axes]
+    columns = [*names, *(c for q in spec.quantities for c in _QUANTITIES[q][1])]
+    fixed = {k: float(v) for k, v in spec.fixed.items()}  # numpy scalars too
+    rows = []
+    for cell in itertools.product(*(map(a._value, range(a.steps)) for a in spec.axes)):
+        at = {**fixed, **dict(zip(names, cell))}
+        rows.append((*cell, *(value for _, value in _evaluate(spec.quantities, at))))
+    if not spec.axes:
+        return dict(zip(columns, rows[0]))
+    return {name: list(column) for name, column in zip(columns, zip(*rows))}
+
+
 def _evaluate(quantities: tuple[str, ...], at: dict) -> Iterator[tuple[str, object]]:
     """(column, values) of each column the quantities fill, at the
-    parameters in ``at``: Python floats for a point, arrays over a block of
+    parameters in ``at``: Python floats for one cell, arrays over a block of
     cells. Tc, which needs neither r nor T, reads NaN where there is no
     transition."""
     params = fids = None  # fids: (F_o, F_e), evaluated together
@@ -235,6 +264,8 @@ def figure_preset(fig_id: int) -> FigurePreset:
     coupling, and field at theta = pi/3 (3, 4, 5). Grid ranges and step
     counts are chosen for smooth plots; panel values are part of the preset.
     """
+    if isinstance(fig_id, bool) or not isinstance(fig_id, int):  # True == 1, and 1.0 too
+        raise UsageError(f"a figure is named by an int, got {fig_id!r}")
     if fig_id not in _FIGURES:
         raise UsageError(f"unknown figure {fig_id}; presets are 1 through 5")
     key, values, axes, fixed, quantities = _FIGURES[fig_id]
@@ -245,18 +276,24 @@ def figure_preset(fig_id: int) -> FigurePreset:
     )
 
 
-def run_figure(preset: FigurePreset) -> dict[str, np.ndarray]:
+def run_figure(preset: FigurePreset) -> Table:
     """Evaluate all panels and concatenate their tables; the panel value
-    becomes the leading column."""
-    import numpy as np
-
+    becomes the leading column. Panels of lists (each of at most
+    _CHUNK_ROWS cells) join as lists without numpy; otherwise the columns
+    are float arrays."""
+    if not preset.panels:
+        raise UsageError("a figure needs at least one panel")
     tables = []
     for spec in preset.panels:
         table = run_sweep(spec)
         if preset.panel_key is not None:
             size = math.prod(a.steps for a in spec.axes)
-            table = {preset.panel_key: np.full(size, spec.fixed[preset.panel_key]), **table}
+            table = {preset.panel_key: [float(spec.fixed[preset.panel_key])] * size, **table}
         tables.append(table)
+    if all(isinstance(column, list) for t in tables for column in t.values()):
+        return {name: [x for t in tables for x in t[name]] for name in tables[0]}
+    import numpy as np
+
     return {name: np.concatenate([t[name] for t in tables]) for name in tables[0]}
 
 
@@ -279,19 +316,26 @@ def _json_cells(values: list[float]) -> list[str]:
     return ["null" if x != x else _JSON_INFINITIES.get(x) or float.__repr__(x) for x in values]
 
 
-def _iter_rows(table: dict[str, np.ndarray] | dict[str, float],
+def _iter_rows(table: Table,
                cells: Callable[[list[float]], list[str]], zero: str, sep: str, eol: str,
                last: str) -> Iterator[str]:
     """A table's rows as text, one string per chunk of rows: each cell's text
     from ``cells`` (``zero`` is its text of +0.0), ``sep`` after each cell but
     a row's last, ``eol`` after each row but the table's last, and ``last``
-    after that one. Texts are keyed on float64 bit patterns (-0.0 and +0.0
-    apart), and a chunk formats only those its column's previous chunk
-    lacked: an axis shorter than a chunk costs its distinct values once. A
-    point's row of Python floats is one string, written without numpy."""
+    after that one. List columns, and a point's row, are formatted cell by
+    cell as Python floats, without numpy. In array columns texts are
+    keyed on float64 bit patterns (-0.0 and +0.0 apart), and a chunk formats
+    only those its column's previous chunk lacked: an axis shorter than a
+    chunk costs its distinct values once."""
     columns = list(table.values())
-    if isinstance(columns[0], float):
-        yield sep.join(cells(columns)) + last
+    if isinstance(columns[0], float):  # a point
+        columns = [[x] for x in columns]
+    if isinstance(columns[0], list):
+        texts = [cells(list(map(float, column))) for column in columns]
+        size = len(texts[0])
+        for start in range(0, size, _CHUNK_ROWS):
+            rows = zip(*(t[start:start + _CHUNK_ROWS] for t in texts))
+            yield eol.join(map(sep.join, rows)) + (eol if start + _CHUNK_ROWS < size else last)
         return
     import numpy as np
 
@@ -323,14 +367,14 @@ def _iter_rows(table: dict[str, np.ndarray] | dict[str, float],
         yield "".join(rows.ravel().tolist())
 
 
-def iter_csv(table: dict[str, np.ndarray] | dict[str, float]) -> Iterator[str]:
+def iter_csv(table: Table) -> Iterator[str]:
     """A table's CSV text in pieces: the header line, then one string per
     chunk of rows (see _iter_rows), so a writer never holds the whole text."""
     yield ",".join(table) + "\n"
     yield from _iter_rows(table, _cells, "0", ",", "\n", "\n")
 
 
-def iter_json(table: dict[str, np.ndarray] | dict[str, float]) -> Iterator[str]:
+def iter_json(table: Table) -> Iterator[str]:
     """A table's JSON text in pieces, as iter_csv gives CSV: the header up to
     the first row's first cell, one string per chunk of rows, then the
     closing. Joined, it is json.dumps({"columns": ..., "rows": ...},
@@ -342,14 +386,14 @@ def iter_json(table: dict[str, np.ndarray] | dict[str, float]) -> Iterator[str]:
     yield "\n    ]\n  ]\n}\n"
 
 
-def format_csv(table: dict[str, np.ndarray] | dict[str, float]) -> str:
+def format_csv(table: Table) -> str:
     """Render a table as CSV: format(x, ".17g") cells, LF newlines, no trailing
     delimiter; NaN (Tc without a transition) is an empty cell. The joined
     pieces of iter_csv."""
     return "".join(iter_csv(table))
 
 
-def format_json(table: dict[str, np.ndarray] | dict[str, float]) -> str:
+def format_json(table: Table) -> str:
     """Render a table, or a point's row, as a JSON object with columns and
     row arrays; NaN is null. The joined pieces of iter_json."""
     return "".join(iter_json(table))

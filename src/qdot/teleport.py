@@ -14,25 +14,27 @@ average_fidelity_closed_form, exact to about 1e-15 and evaluated over whole
 grids. Two routes share nothing with it but the integrand: average_fidelity
 integrates it by Gauss-Legendre quadrature, and average_fidelity_mc averages
 it over seeded random inputs.
+
+numpy and linalg are imported inside the functions that need them: on
+Python floats, subspace_fidelities and average_fidelity_closed_form run
+without either, as model's closed forms do.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 import os
-import threading
 from collections.abc import Sequence
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import linalg
-from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron
 from .model import DomainError, DotParams, ThermalElements, _Record, _any, _check_broadcast
-from .model import _check_real, _first, _libm, _scalar
+from .model import _check_real, _first, _is_array, _libm, _maximum, _minimum, _scalar, _where
 from .model import thermal_elements, thermal_state
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "InputState",
@@ -120,6 +122,8 @@ class MonteCarloFidelity(_Record):
 def _complex(re, im) -> np.ndarray:
     """re + i im of equal-shaped parts, signed zeros kept: re + 1j * im can
     turn a zero im's sign."""
+    import numpy as np
+
     z = np.empty(np.shape(re), dtype=complex)
     z.real, z.imag = re, im
     return z
@@ -128,6 +132,8 @@ def _complex(re, im) -> np.ndarray:
 def input_vector(s: InputState) -> np.ndarray:
     """State vector of the input qubit in the {|1>, |0>} basis, (..., 2). The
     phase has cmath.exp(1j * phi)'s bits, its sine taken at 0.0 + phi."""
+    import numpy as np
+
     half = s.theta / 2.0
     lower = _complex(_libm(math.cos, s.phi), _libm(math.sin, s.phi + 0.0)) * _libm(math.sin, half)
     return np.stack(np.broadcast_arrays(_libm(math.cos, half), lower), axis=-1)
@@ -142,6 +148,8 @@ def input_density(s: InputState) -> np.ndarray:
 def bell_projectors() -> dict[BellOutcome, np.ndarray]:
     """Rank-one projectors onto the four Bell states, product-basis order
     {|11>, |10>, |01>, |00>}."""
+    import numpy as np
+
     s = 1.0 / math.sqrt(2.0)
     vectors = {
         BellOutcome.PSI_MINUS: np.array([0, s, -s, 0], dtype=complex),
@@ -155,6 +163,8 @@ def bell_projectors() -> dict[BellOutcome, np.ndarray]:
 def joint_state(s: InputState, p: DotParams) -> np.ndarray:
     """8x8 state of input (x) channel before the measurement, (..., 8, 8)
     over the state's and the parameters' broadcast shape."""
+    from .linalg import kron
+
     _check_broadcast(theta=s.theta, phi=s.phi, k0=p.k0, r=p.r, T=p.T)
     return kron(input_density(s), thermal_state(p))
 
@@ -163,6 +173,8 @@ def joint_state(s: InputState, p: DotParams) -> np.ndarray:
 def _lifted_projector(outcome: BellOutcome) -> np.ndarray:
     """The outcome's Bell projector lifted to 8x8 as P (x) I, built once and
     read-only."""
+    from .linalg import IDENTITY_2, kron
+
     m = kron(bell_projectors()[outcome], IDENTITY_2)
     m.flags.writeable = False
     return m
@@ -183,6 +195,10 @@ def collapse_bruteforce(
     ``joint`` is an 8x8 density matrix or a stack of them, and DomainError
     unless ``outcome`` is a BellOutcome or a nonempty sequence of them.
     """
+    import numpy as np
+
+    from . import linalg
+
     single = isinstance(outcome, BellOutcome)
     branches = (outcome,) if single else outcome
     if not (isinstance(branches, Sequence) and branches
@@ -230,6 +246,8 @@ def collapsed_closed_form(
     (x * x differs in about 0.1% of results), on floats and cells alike.
     Raises DomainError where the branch weight is 0: that branch has no state.
     """
+    import numpy as np
+
     _check_broadcast(theta=s.theta, phi=s.phi, **e._fields())
     half = s.theta / 2.0
     c2 = _libm(lambda t: math.cos(t) ** 2, half)
@@ -251,17 +269,16 @@ def collapsed_closed_form(
     return state / np.asarray(z)[..., None, None], _scalar(z / (2.0 * e.big_z))
 
 
-_CORRECTIONS = {
-    BellOutcome.PSI_MINUS: IDENTITY_2,
-    BellOutcome.PSI_PLUS: PAULI_Z,
-    BellOutcome.PHI_MINUS: PAULI_X,
-    BellOutcome.PHI_PLUS: PAULI_Y,
-}
-
-
 def pauli_correction(outcome: BellOutcome, state: np.ndarray) -> np.ndarray:
     """Apply the protocol's conditional Pauli to a collapsed state."""
-    g = _CORRECTIONS[outcome]
+    from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
+
+    g = {
+        BellOutcome.PSI_MINUS: IDENTITY_2,
+        BellOutcome.PSI_PLUS: PAULI_Z,
+        BellOutcome.PHI_MINUS: PAULI_X,
+        BellOutcome.PHI_PLUS: PAULI_Y,
+    }[outcome]
     return g @ state @ g.conj().T
 
 
@@ -283,6 +300,8 @@ def fidelity(s: InputState, rho_out: np.ndarray) -> float:
     over a stack (..., 2, 2), with the state's and the stack's broadcast
     shape. Raises LinalgError unless ``rho_out`` is finite, each matrix 2x2,
     and its leading axes broadcast with the state's."""
+    from . import linalg
+
     rho_out = linalg.as_complex_matrix(rho_out)
     if rho_out.shape[-2:] != (2, 2):
         raise linalg.LinalgError(f"output state must be 2x2, got {rho_out.shape}")
@@ -299,16 +318,18 @@ def fidelity(s: InputState, rho_out: np.ndarray) -> float:
 def subspace_fidelities(s: InputState, p: DotParams) -> tuple[float, float]:
     """(F_o, F_e): fidelity conditioned on a Psi-type or Phi-type outcome,
     as the closed forms N/z1 and N/z2 of _mean_branch_fidelity. Capped at 1
-    (a singlet channel rounds to 1 + 2.2e-16); NaN for a branch of weight 0."""
+    (a singlet channel rounds to 1 + 2.2e-16); NaN for a branch of weight 0,
+    whose weight is replaced by NaN before the division. The input's trig is
+    libm's on floats and cells alike, so Python floats give Python floats
+    with their cell's bits, and load no numpy."""
     _check_broadcast(theta=s.theta, phi=s.phi, k0=p.k0, r=p.r, T=p.T)
     e = thermal_elements(p)
-    c, sn = np.cos(s.theta / 2.0), np.sin(s.theta / 2.0)
+    c, sn = _libm(math.cos, s.theta / 2.0), _libm(math.sin, s.theta / 2.0)
     c2, s2 = c * c, sn * sn
     cross = c2 * s2
     num = e.w * (c2 * c2 + s2 * s2) + (e.u + e.v) * cross - 2.0 * e.y * cross
     z1, z2 = _branch_weights(e, c2, s2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return tuple(_scalar(np.where(z > 0, np.minimum(num / z, 1.0), np.nan)) for z in (z1, z2))
+    return tuple(_scalar(_minimum(num / _where(z > 0, z, math.nan), 1.0)) for z in (z1, z2))
 
 
 def teleport_outcomes(s: InputState, p: DotParams) -> tuple[TeleportOutcome, ...]:
@@ -349,6 +370,8 @@ def _mean_branch_fidelity(e: ThermalElements, x: np.ndarray, work=None) -> np.nd
     so a reused workspace keeps its bits. Kept inline: in a helper shared
     with subspace_fidelities it slowed Monte Carlo by 10-20%.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     if work is None:
         work = np.empty((5, *np.broadcast_shapes(x.shape, np.shape(e.big_z))))
@@ -399,7 +422,9 @@ def average_fidelity_closed_form(p: DotParams):
     a = w + 0.5 * (u + v)
     t = 0.5 * (v - u) / a
     t2 = t * t
-    if isinstance(t, np.ndarray):  # a grid: each cell takes its side of the cutoff
+    if _is_array(t):  # a grid: each cell takes its side of the cutoff
+        import numpy as np
+
         big_l, k_minus_l = np.empty_like(t), np.empty_like(t)
         series = np.abs(t) < _SERIES_CUTOFF
         big_l[series], k_minus_l[series] = _series_l(t2[series])
@@ -434,7 +459,7 @@ def _log_l(w, u, v, a, t, t2):
     0, which gives the polarised limit. Floats or arrays, logarithms by
     math.log either way."""
     wu, wv = w + u, w + v
-    ln_wu, ln_wv = (_libm(math.log, np.maximum(x, math.ulp(0.0))) for x in (wu, wv))
+    ln_wu, ln_wv = (_libm(math.log, _maximum(x, math.ulp(0.0))) for x in (wu, wv))
     big_l = 0.5 * (ln_wv - ln_wu) / t
     return big_l, (big_l * (wu * wv / (a * a)) - 1.0) / t2
 
@@ -455,6 +480,8 @@ def average_fidelity(p: DotParams, nodes: int = 64) -> float:
     for r = 0, 0.5, 1 and 3: the error sits past the level crossing
     |r| = k0/4 at low T, where it is above the package's 1e-10 tolerances.
     """
+    import numpy as np
+
     if not isinstance(nodes, (int, np.integer)) or nodes < 2:
         raise DomainError(f"quadrature needs an integer nodes >= 2, got {nodes!r}")
     x, wx = np.polynomial.legendre.leggauss(nodes)
@@ -507,6 +534,11 @@ def average_fidelity_mc(
     n = 1e6, seed = 0. That includes the zero-field point (0.5, 0, 1), whose
     spread is pure rounding (stderr 7.4e-20).
     """
+    import contextvars
+    import threading
+
+    import numpy as np
+
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise DomainError(f"Monte Carlo needs an integer n >= 2, got {n!r}")
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
@@ -568,6 +600,8 @@ def _mc_chunks(points, shift, seed, n, first, stop):
     chunk-long row. Calls only private helpers and numpy: the benchmark's
     tracer keeps one span stack and assumes one thread.
     """
+    import numpy as np
+
     offset = first * _MC_CHUNK
     rng = np.random.Generator(np.random.Philox(key=seed, counter=offset // 2))
     size = min(n - offset, _MC_CHUNK)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import qdot
+from qdot import sweep
 from qdot.cli import main
 
 # The package API in its published order, as the eager imports gave it.
@@ -108,14 +109,32 @@ def test_point_domain_errors_load_no_numpy(argv):
     assert loaded_after(argv, ("numpy", "qdot.linalg"), exit_code=3) == []
 
 
+# The largest grid that runs on Python floats: one output chunk of rows.
+SMALL_GRID = sweep._CHUNK_ROWS
+
+
 @pytest.mark.parametrize("argv", [
-    ["concurrence", "--k0", "4", "--t", "0.5", "--sweep", "r:0:2:5"],
-    ["fig", "1"],
-    ["fidelity", "--k0", "4", "--r", "1", "--t", "0.5"],
+    ["concurrence", "--k0", "4", "--t", "0.5", "--sweep", f"r:0:2:{SMALL_GRID + 1}"],
+    ["fidelity", "--k0", "4", "--sweep", "T:0.05:2:41", "--sweep", "r:0:4:50"],  # 2,050 cells
     ["verify", "--mc-samples", "2000"],
 ], ids=lambda argv: argv[0])
 def test_grid_fidelity_and_verify_commands_load_numpy(argv):
+    # a grid past one output chunk fills arrays; verify's oracles are numpy's
     assert loaded_after(argv, ("numpy",)) == ["numpy"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["fig", str(n)] for n in range(1, 6)),
+    ["fidelity", "--k0", "4", "--r", "1", "--t", "0.5"],
+    ["fidelity", "--k0", "4", "--r", "1.5", "--t", "0", "--theta", "0",  # an absent F_o
+     "--quantities", "C,Tc,F_o,F_e,F_a,populations"],
+    ["concurrence", "--k0", "4", "--t", "0.5", "--sweep", f"r:0:2:{SMALL_GRID}"],
+    ["fidelity", "--k0", "4", "--sweep", "T:0:2:32", "--sweep", "theta:0:pi:64"],
+], ids=" ".join)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_figures_fidelity_points_and_one_chunk_grids_load_neither_numpy_nor_linalg(argv, fmt):
+    # at most one output chunk of cells runs cell by cell on Python floats
+    assert loaded_after([*argv, "--format", fmt], ("numpy", "qdot.linalg")) == []
 
 
 def test_importing_the_cli_loads_no_code_introspection_module():
@@ -141,7 +160,7 @@ def test_importing_the_package_loads_no_module():
 
 
 @pytest.mark.parametrize("name, loaded", [
-    ("teleport", ["qdot", "qdot.linalg", "qdot.model", "qdot.teleport"]),
+    ("teleport", ["qdot", "qdot.model", "qdot.teleport"]),  # linalg with numpy, on use
     ("cli", ["qdot", "qdot.cli", "qdot.entanglement", "qdot.model", "qdot.sweep"]),
 ])
 def test_a_submodule_name_loads_that_module_alone(name, loaded):
@@ -206,7 +225,7 @@ def test_in_process_main_leaves_the_collector_as_it_found_it(tmp_path):
 
 
 @pytest.mark.parametrize("argv, numpy_loaded", [
-    (["concurrence", "--k0", "4", "--t", "0.5", "--sweep", "r:0:2:5"], True),
+    (["concurrence", "--k0", "4", "--t", "0.5", "--sweep", f"r:0:2:{SMALL_GRID + 1}"], True),
     (["concurrence", "--k0", "4", "--r", "1", "--t", "0.5"], False),
 ], ids=["sweep", "point"])
 def test_the_process_entry_never_collects(tmp_path, argv, numpy_loaded):
@@ -232,30 +251,39 @@ def test_the_process_entry_never_collects(tmp_path, argv, numpy_loaded):
     assert frozen > 0
 
 
-@pytest.mark.parametrize("small, large", [
-    (["concurrence", "--k0", "4", "--t", "0.5", "--sweep", "r:0:2:10"],
-     ["concurrence", "--t", "0.5", "--sweep", "k0:-2:10:300", "--sweep", "r:0:2:300"]),
-    (["fidelity", "--k0", "4", "--sweep", "T:0.05:2:5", "--sweep", "r:0:4:2", "--format=json"],
-     ["fidelity", "--k0", "4", "--sweep", "T:0.05:2:25", "--sweep", "r:0:4:40", "--format=json"]),
-    (["verify", "--mc-samples", "20000"], ["verify", "--mc-samples", "8000000", "--seed", "1"]),
+@pytest.mark.parametrize("runs", [
+    # (small, large) on Python floats, then on arrays
+    ((["concurrence", "--k0", "4", "--t", "0.5", "--sweep", "r:0:2:10"],
+      ["concurrence", "--t", "0.5", "--sweep", "k0:-2:10:40", "--sweep", "r:0:2:50"]),
+     (["concurrence", "--k0", "4", "--t", "0.5", "--sweep", f"r:0:2:{SMALL_GRID + 1}"],
+      ["concurrence", "--t", "0.5", "--sweep", "k0:-2:10:300", "--sweep", "r:0:2:300"])),
+    ((["fidelity", "--k0", "4", "--sweep", "T:0.05:2:5", "--sweep", "r:0:4:2", "--format=json"],
+      ["fidelity", "--k0", "4", "--sweep", "T:0.05:2:25", "--sweep", "r:0:4:40", "--format=json"]),
+     (["fidelity", "--k0", "4", "--sweep", "T:0.05:2:41", "--sweep", "r:0:4:50", "--format=json"],
+      ["fidelity", "--k0", "4", "--sweep", "T:0.05:2:150", "--sweep", "r:0:4:150",
+       "--format=json"])),
+    ((["verify", "--mc-samples", "20000"], ["verify", "--mc-samples", "8000000", "--seed", "1"]),),
 ], ids=["concurrence", "fidelity", "verify"])
-def test_a_command_leaves_cyclic_garbage_that_does_not_grow_with_its_work(tmp_path, small, large):
+def test_a_command_leaves_cyclic_garbage_that_does_not_grow_with_its_work(tmp_path, runs):
     # why the process entry never collects: with the collector off, what a
-    # command leaves for it is the same after a small and a large run
-    if small[0] != "verify":
-        small, large = ([*argv, "--out", str(tmp_path / "out")] for argv in (small, large))
-    code = (
-        "import contextlib, gc, io; from qdot.cli import main\n"
-        "gc.disable()\n"
-        "def garbage(argv):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(argv) == 0\n"
-        "    return gc.collect()\n"
-        f"garbage({small!r})  # first-use imports and caches\n"
-        f"print([garbage({small!r}), garbage({large!r})])\n"
-    )
-    after_small, after_large = ast.literal_eval(run_child(code))
-    assert after_small == after_large > 0
+    # command leaves for it is the same after a small and a large run. A grid
+    # of one output chunk and a larger one take different routes, so each
+    # route has its own pair of sizes
+    if runs[0][0][0] != "verify":
+        runs = [[[*argv, "--out", str(tmp_path / "out")] for argv in pair] for pair in runs]
+    for small, large in runs:
+        code = (
+            "import contextlib, gc, io; from qdot.cli import main\n"
+            "gc.disable()\n"
+            "def garbage(argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0\n"
+            "    return gc.collect()\n"
+            f"garbage({small!r})  # first-use imports and caches\n"
+            f"print([garbage({small!r}), garbage({large!r})])\n"
+        )
+        after_small, after_large = ast.literal_eval(run_child(code))
+        assert after_small == after_large > 0, (small, after_small, after_large)
 
 
 def test_the_console_script_runs_what_python_m_qdot_runs():

@@ -15,16 +15,21 @@ beside them. Examples are derandomized, so every run draws the same ones.
 
 Inputs narrower than float64, or Python ints, are widened to float64 first,
 so they give the bits of the float64 call at the widened values.
+
+A sweep grid of one output chunk is evaluated the same way, cell by cell on
+Python floats, and writes the bytes that the array route writes for it.
 """
 
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 import pytest
 from hypothesis import strategies as st
 
+import qdot.sweep as sweep_mod
 from qdot.entanglement import critical_temperature, ground_state_concurrence, model_concurrence
 from qdot.model import DomainError, DotParams, thermal_elements
 from qdot.teleport import InputState, average_fidelity_closed_form, subspace_fidelities
@@ -249,3 +254,76 @@ def test_wide_values_are_held_in_float64():
     if huge > np.finfo(float).max:  # a long double wider than float64
         with pytest.raises(DomainError, match="T must be finite"):
             DotParams(1.0, 0.0, np.array([1.0, huge]))
+
+
+# Per parameter: values at an edge of the model, beside ordinary draws. With
+# k0 = 4 the crossing |r| = k0/4 is r = +-1; k0 = 1e306 overflows the
+# exponents below T = 1e-3, and T = 1e-310 overflows them at k0 = 1
+_EDGES = {
+    "k0": (-4.0, 0.0, 1.0, 4.0, 1e306),
+    "r": (-1.0, 0.0, 1.0, 1.5),
+    "T": (0.0, 1e-310, 1e-3, 0.5),
+    "theta": (0.0, math.pi / 3.0, math.pi),
+    "phi": (0.0, 1.1),
+}
+_KINDS = (float, np.float64, np.float32, np.array)  # how a fixed value is given
+
+
+@st.composite
+def _small_sweeps(draw):
+    """(axes, fixed, quantities) of a sweep of one or two short axes, any
+    mix of quantities in any order, and every other parameter fixed, as a
+    Python float, a numpy scalar or a 0-d array."""
+    quantities = draw(st.permutations(sweep_mod.QUANTITY_NAMES))[:draw(st.integers(1, 6))]
+    names = draw(st.lists(st.sampled_from(sweep_mod.SWEEPABLE), min_size=1, max_size=2,
+                          unique=True))
+    if "theta" in names and not set(quantities) & {"F_o", "F_e", "F_a"}:
+        quantities = (*quantities, "F_e")
+    axes = []
+    for name in names:
+        low = st.floats(0.0, 10.0) if name == "T" else st.floats(-10.0, 10.0)
+        lo = draw(st.one_of(st.sampled_from(_EDGES[name]), low))
+        span = draw(st.one_of(st.sampled_from((1.0, 2.0, 8.0)), st.floats(1e-3, 1e3)))
+        hi = lo + span * max(1.0, abs(lo) / 1e3)  # above lo where lo is huge
+        axes.append(sweep_mod.Axis(name, lo, hi, draw(st.integers(2, 7))))
+    fixed = {}
+    for name in sweep_mod.PARAMETER_NAMES:
+        if name not in names:
+            value = draw(st.one_of(st.sampled_from(_EDGES[name]), st.floats(0.0, 10.0)))
+            kinds = _KINDS if abs(value) < 1e38 else (float, np.float64, np.array)  # float32's range
+            fixed[name] = draw(st.sampled_from(kinds))(value)
+    return tuple(axes), fixed, tuple(quantities)
+
+
+def _routed(spec, threshold):
+    """run_sweep's table of ``spec`` with grids above ``threshold`` cells on
+    arrays, or the DomainError's message."""
+    with mock.patch.object(sweep_mod, "_CHUNK_ROWS", threshold):
+        try:
+            return sweep_mod.run_sweep(spec)
+        except DomainError as exc:
+            return str(exc)
+
+
+@PROPERTY
+@given(_small_sweeps())
+@example(((sweep_mod.Axis("k0", 1.0, 1e306, 4), sweep_mod.Axis("T", 1e-3, 1.0, 3)),
+          {"r": 0.0}, ("Tc", "C")))  # the first bad cell is the last k0's first T
+@example(((sweep_mod.Axis("T", 0.0, 1.0, 3), sweep_mod.Axis("theta", 0.0, math.pi, 3)),
+          {"k0": np.float64(4.0), "r": np.array(1.5), "phi": np.float32(1.1)},
+          ("C", "Tc", "F_o", "F_e", "F_a", "populations")))  # F_o absent at T = 0, theta = 0
+@example(((sweep_mod.Axis("r", -1.0, 1.0, 3),), {"k0": 4.0, "T": 0.0, "theta": 1.0, "phi": 0.0},
+          ("F_a", "C")))  # the crossing at T = 0
+def test_a_small_grid_on_python_floats_writes_the_bytes_of_its_arrays(sweep):
+    # a grid of one output chunk runs cell by cell on Python floats; forced
+    # onto arrays, the same spec writes the same CSV and JSON bytes, or
+    # raises the same DomainError, which names the same first bad cell
+    spec = sweep_mod.SweepSpec(*sweep)
+    cells, arrays = _routed(spec, sweep_mod._CHUNK_ROWS), _routed(spec, 0)
+    if isinstance(cells, str) or isinstance(arrays, str):
+        assert cells == arrays
+        return
+    assert all(type(x) is float for column in cells.values() for x in column)
+    assert all(isinstance(column, np.ndarray) for column in arrays.values())
+    for fmt in (sweep_mod.format_csv, sweep_mod.format_json):
+        assert fmt(cells) == fmt(arrays)

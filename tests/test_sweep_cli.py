@@ -28,6 +28,7 @@ from qdot.sweep import (
     PARAMETER_NAMES,
     QUANTITY_NAMES,
     Axis,
+    FigurePreset,
     SweepSpec,
     UsageError,
     figure_preset,
@@ -110,9 +111,18 @@ def test_spec_validation():
     # but not for a fidelity, F_a included, though F_a does not read theta
     table = run_sweep(SweepSpec((Axis("theta", 0.0, 3.0, 3),), {"k0": 4.0, "r": 0.0, "T": 1.0},
                                 ("F_a",)))
-    assert list(table) == ["theta", "F_a"] and len(set(table["F_a"].tolist())) == 1
+    assert list(table) == ["theta", "F_a"] and len(set(table["F_a"])) == 1
     with pytest.raises(UsageError, match="missing parameter"):
         SweepSpec(axes=(k_axis,), fixed={}, quantities=("C",))
+    # axes and quantities are sequences: a str is not read letter by letter,
+    # and a bare Axis is not taken for its fields
+    for quantities in ("C", "F_a"):
+        with pytest.raises(UsageError, match=rf"^quantities must be a tuple of names, "
+                                             rf"got '{quantities}'$"):
+            SweepSpec((), {"k0": 4.0, "r": 1.0, "T": 0.5}, quantities)
+    for axes in (t_axis, ("T:0.1:1:5",)):
+        with pytest.raises(UsageError, match=r"^axes must be a tuple of Axis, got "):
+            SweepSpec(axes, {"k0": 1.0, "r": 0.0})
     with pytest.raises(UsageError, match="duplicate quantity"):
         # a table holds one column per name
         SweepSpec(axes=(t_axis,), fixed={"k0": 1.0, "r": 0.0}, quantities=("C", "C"))
@@ -202,8 +212,9 @@ def test_run_sweep_point_values():
         table = run_sweep(spec)
         assert list(table) == [a.name for a in axes] + names
         size = axes[0].steps * axes[1].steps
-        assert all(col.shape == (size,) and col.dtype == float for col in table.values())
-        for row in zip(*(col.tolist() for col in table.values())):
+        assert all(len(col) == size and {type(x) for x in col} == {float}
+                   for col in table.values())
+        for row in zip(*table.values()):
             point = dict(fixed, **{a.name: v for a, v in zip(axes, row)})
             # NaN in a Tc cell is the scalar call's None
             cells = [None if math.isnan(x) else x for x in row[len(axes):]]
@@ -282,7 +293,7 @@ def test_run_sweep_two_axes_is_lexicographic():
         quantities=("C",),
     )
     table = run_sweep(spec)
-    grid = list(zip(table["k0"].tolist(), table["r"].tolist()))
+    grid = list(zip(table["k0"], table["r"]))
     assert grid == [
         (1.0, 0.0),
         (1.0, 0.5),
@@ -378,6 +389,12 @@ def test_figure_presets_pin_model_parameters():
 
     with pytest.raises(UsageError):
         figure_preset(6)
+    # True == 1 and 1.0 == 1 are keys of the presets, but name no figure
+    for fig_id in (True, 1.0, "1"):
+        with pytest.raises(UsageError, match=rf"^a figure is named by an int, got {fig_id!r}$"):
+            figure_preset(fig_id)
+    with pytest.raises(UsageError, match="^a figure needs at least one panel$"):
+        run_figure(FigurePreset(None, ()))
 
 
 def test_fig1_transition_boundary_in_emitted_data():
@@ -394,7 +411,7 @@ def test_fig2_reentrant_series_present():
     # the k0 = 3 series starts almost unentangled, is heated into
     # entanglement, and loses it again above the transition
     table = run_figure(figure_preset(2))
-    values = table["C"][table["k0"] == 3.0].tolist()
+    values = [c for k0, c in zip(table["k0"], table["C"]) if k0 == 3.0]
     assert values[0] < 0.05
     assert max(values) > 0.2
     assert values[-1] == 0.0
@@ -425,7 +442,7 @@ def test_figure_columns_are_within_1e_15_of_50_digit_mpmath():
             for spec in figure_preset(fig_id).panels:
                 table = run_sweep(spec)
                 size = len(table[spec.axes[0].name])
-                cells = {name: table[name].tolist() if name in table else [spec.fixed[name]] * size
+                cells = {name: table[name] if name in table else [spec.fixed[name]] * size
                          for name in ("k0", "r", "T")}
                 theta = spec.fixed.get("theta")
                 for i, (k0, r, T) in enumerate(zip(cells["k0"], cells["r"], cells["T"])):
@@ -537,7 +554,7 @@ def test_format_json_round_trip():
 
 def _reference_json(table):
     """format_json rebuilt by json.dumps: NaN cells of either sign as None."""
-    lists = ([c] if isinstance(c, float) else c.tolist() for c in table.values())
+    lists = (np.atleast_1d(np.asarray(c, float)).tolist() for c in table.values())
     rows = [[None if math.isnan(x) else x for x in row] for row in zip(*lists)]
     return json.dumps({"columns": list(table), "rows": rows}, indent=2) + "\n"
 
@@ -554,7 +571,9 @@ def _reference_json(table):
     lambda: run_sweep(SweepSpec((Axis("k0", -2.0, 10.0, 50), Axis("r", 0.0, 2.0, 100)),
                                 {"T": 0.5}, ("C", "Tc", "populations"))),
     lambda: {"k0": np.array([4.0]), "C": np.array([0.5]), "Tc": np.array([math.nan])},
-], ids=["point", "tc-nan", "signed-zeros", "fig2", "sweep-5000", "one-row"])
+    # list columns are written as Python floats, an int or a numpy scalar too
+    lambda: {"x": [1, 0.5, -0.0, 2**70], "y": [math.nan, np.float32(0.25), 1e300, -math.inf]},
+], ids=["point", "tc-nan", "signed-zeros", "fig2", "sweep-5000", "one-row", "lists"])
 def test_format_json_is_json_dumps_byte_for_byte(make_table):
     table = make_table()
     expected = _reference_json(table)

@@ -37,6 +37,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SMALL = "sweep 300x300 k0 x r (T=0.5, C)"
 LARGE = "sweep 1000x1000 r x T (k0=4, C)"
 FIDELITY = "sweep 200x200 r x T (k0=4, F_a)"
+# a grid of one output chunk, run by a caller that has numpy loaded: arrays
+SMALL_FIDELITY = "sweep 25x40 T x r (k0=4, F_o, F_e, F_a)"
+# an input-angle axis: the fidelities take libm's cos and sin of each cell
+THETA = "sweep 300x300 theta x T (k0=4, r=1, F_o, F_e)"
 # qdot's __init__ imports nothing until a name is used, so the import row
 # times what every command starts with: the CLI module and what it loads.
 IMPORT = "import qdot.cli, fresh interpreter"
@@ -82,7 +86,7 @@ SCALAR_CALLS = (
 # _import_time, the CLI rows by _cli.
 ROWS = {
     **{f"{q}, {label}": "s" for label in (SMALL, LARGE) for q in ("run_sweep", "format_csv")},
-    f"run_sweep, {FIDELITY}": "s",
+    **{f"run_sweep, {label}": "s" for label in (FIDELITY, SMALL_FIDELITY, THETA)},
     IMPORT: "s",
     **{f"{call}, per call": "s" for call in SCALAR_CALLS},
     **{f"{cli}, {q}": unit for cli in CLIS for q, unit in (("wall", "s"), ("peak RSS", "MiB"))},
@@ -115,9 +119,16 @@ def _child() -> None:
         table = run_sweep(spec)
         samples[f"format_csv, {label}"] = _per_call(timeit.Timer(lambda: format_csv(table)))
         del table
-    spec = SweepSpec((Axis("r", 0.0, 2.0, 200), Axis("T", 0.05, 2.0, 200)), {"k0": 4.0},
-                     quantities=("F_a",))
-    samples[f"run_sweep, {FIDELITY}"] = _per_call(timeit.Timer(lambda: run_sweep(spec)))
+    specs = {
+        FIDELITY: SweepSpec((Axis("r", 0.0, 2.0, 200), Axis("T", 0.05, 2.0, 200)),
+                            {"k0": 4.0}, ("F_a",)),
+        SMALL_FIDELITY: SweepSpec((Axis("T", 0.05, 2.0, 25), Axis("r", 0.0, 4.0, 40)),
+                                  {"k0": 4.0, "theta": 1.0, "phi": 0.0}, ("F_o", "F_e", "F_a")),
+        THETA: SweepSpec((Axis("theta", 0.0, 3.0, 300), Axis("T", 0.05, 2.0, 300)),
+                         {"k0": 4.0, "r": 1.0, "phi": 0.0}, ("F_o", "F_e")),
+    }
+    for label, spec in specs.items():
+        samples[f"run_sweep, {label}"] = _per_call(timeit.Timer(lambda: run_sweep(spec)))
     api = {name: getattr(qdot, name) for name in qdot.__all__}
     for call in SCALAR_CALLS:
         try:

@@ -4,10 +4,10 @@ A sweep varies one or two parameters on inclusive uniform grids while the
 rest stay fixed, and evaluates each requested quantity into one named column,
 block by block over the grid. Rows run in lexicographic axis order and are
 byte-stable: the same spec always renders the same text, CSV or JSON, chunk
-by chunk. A grid that fits one output chunk, a point included, is
-evaluated cell by cell on Python floats and loads no numpy; a larger one
-loads it for its arrays. teleport is imported where a fidelity first needs
-it, so a concurrence sweep loads none.
+by chunk. While numpy is not loaded, a grid that fits one output chunk, a
+point included, is evaluated cell by cell on Python floats and loads none;
+a larger one, or any grid once numpy is loaded, fills arrays. teleport is
+imported where a fidelity first needs it, so a concurrence sweep loads none.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING
 
@@ -166,18 +167,18 @@ def run_sweep(spec: SweepSpec) -> Table:
     marks an absent value (Tc where there is no transition). Every closed
     form is elementwise and rounds alike on Python floats and arrays, so a
     cell has the same bits on either route, and a sweep raises at its first
-    bad cell in grid order. A grid of at most _CHUNK_ROWS cells is evaluated
-    cell by cell on Python floats, without numpy: its columns are lists of
-    them. A larger one fills float arrays over blocks of _EVAL_BLOCK cells,
-    and a column whose inputs are all fixed is a zero-stride view. A spec
-    with no axes is one point: its row of Python floats.
+    bad cell in grid order. A grid that _on_floats picks is evaluated cell
+    by cell on Python floats: its columns are lists of them. Any other fills
+    float arrays over blocks of _EVAL_BLOCK cells, and a column whose inputs
+    are all fixed is a zero-stride view. So wrap a column in np.asarray for
+    arithmetic. A spec with no axes is one point: its row of Python floats.
     """
-    if math.prod(a.steps for a in spec.axes) <= _CHUNK_ROWS:
+    size = math.prod(a.steps for a in spec.axes)
+    if not spec.axes or _on_floats(size):
         return _run_cells(spec)
     import numpy as np
 
     grid = spec.grid()
-    size = math.prod(a.steps for a in spec.axes)
     table = {a.name: grid[a.name] for a in spec.axes}
     table.update((name, np.empty(size)) for q in spec.quantities for name in _QUANTITIES[q][1])
     for start in range(0, size, _EVAL_BLOCK):
@@ -189,6 +190,13 @@ def run_sweep(spec: SweepSpec) -> Table:
             else:  # every input fixed: one value, broadcast below
                 table[name] = value
     return {name: np.broadcast_to(np.asarray(c, float), size) for name, c in table.items()}
+
+
+def _on_floats(size: int) -> bool:
+    """Whether a grid runs on Python floats: at most _CHUNK_ROWS cells, and
+    numpy not loaded, whose import costs more (75 ms) than their cells. Once
+    loaded, arrays ran 1,000-2,048 cells about 30 times faster."""
+    return size <= _CHUNK_ROWS and "numpy" not in sys.modules
 
 
 def _run_cells(spec: SweepSpec) -> dict[str, list[float]] | dict[str, float]:
@@ -278,17 +286,22 @@ def figure_preset(fig_id: int) -> FigurePreset:
 
 def run_figure(preset: FigurePreset) -> Table:
     """Evaluate all panels and concatenate their tables; the panel value
-    becomes the leading column. Panels of lists (each of at most
-    _CHUNK_ROWS cells) join as lists without numpy; otherwise the columns
-    are float arrays."""
+    becomes the leading column. Panels of lists join as lists, without
+    numpy, others as float arrays: wrap a column in np.asarray for arithmetic."""
     if not preset.panels:
         raise UsageError("a figure needs at least one panel")
     tables = []
     for spec in preset.panels:
         table = run_sweep(spec)
         if preset.panel_key is not None:
-            size = math.prod(a.steps for a in spec.axes)
-            table = {preset.panel_key: [float(spec.fixed[preset.panel_key])] * size, **table}
+            size, value = math.prod(a.steps for a in spec.axes), spec.fixed[preset.panel_key]
+            if _is_array(table[spec.axes[0].name]):
+                import numpy as np
+
+                column = np.full(size, value)
+            else:
+                column = [float(value)] * size
+            table = {preset.panel_key: column, **table}
         tables.append(table)
     if all(isinstance(column, list) for t in tables for column in t.values()):
         return {name: [x for t in tables for x in t[name]] for name in tables[0]}
@@ -300,6 +313,8 @@ def run_figure(preset: FigurePreset) -> Table:
 # Rows formatted per chunk, in either format; a chunk reuses its predecessor's
 # texts, so an axis shorter than it is formatted once. At 4,096 rows the
 # chunk's object arrays left a 300x300 CLI sweep's peak RSS 0.3-0.4 MiB higher.
+# It also bounds _on_floats's grids, which ran 27% faster than arrays and
+# numpy's import at 2,048 cells of five quantities: remeasure on a change.
 _CHUNK_ROWS = 1 << 11
 _JSON_INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
 

@@ -137,6 +137,25 @@ def test_figures_fidelity_points_and_one_chunk_grids_load_neither_numpy_nor_lina
     assert loaded_after([*argv, "--format", fmt], ("numpy", "qdot.linalg")) == []
 
 
+def test_a_small_grid_runs_on_python_floats_only_while_numpy_is_not_loaded():
+    # without numpy, a grid of one output chunk is lists of Python floats;
+    # once the caller has loaded it, arrays cost far less per cell than the
+    # float route, so the same spec fills arrays, and so does a larger grid.
+    # qdot.sweep loads no numpy; `from qdot import Axis` binds the whole API,
+    # whose oracle modules import it
+    code = (
+        "import sys; from qdot.sweep import Axis, SweepSpec, run_figure, figure_preset, run_sweep\n"
+        "def kinds(table): return sorted({type(c).__name__ for c in table.values()})\n"
+        "def grid(n): return SweepSpec((Axis('r', 0.0, 2.0, n),), {'k0': 4.0, 'T': 0.5})\n"
+        f"small, large = grid({SMALL_GRID}), grid({SMALL_GRID + 1})\n"
+        "print([kinds(run_sweep(small)), kinds(run_figure(figure_preset(1))),\n"
+        "       'numpy' in sys.modules, kinds(run_sweep(large)), kinds(run_sweep(small)),\n"
+        "       kinds(run_figure(figure_preset(1)))])\n"
+    )
+    assert ast.literal_eval(run_child(code)) == [
+        ["list"], ["list"], False, ["ndarray"], ["ndarray"], ["ndarray"]]
+
+
 def test_importing_the_cli_loads_no_code_introspection_module():
     # what `from dataclasses import dataclass` would load: 8-12 ms of start-up
     watched = ("dataclasses", "inspect", "ast", "dis", "tokenize")

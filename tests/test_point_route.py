@@ -16,8 +16,9 @@ beside them. Examples are derandomized, so every run draws the same ones.
 Inputs narrower than float64, or Python ints, are widened to float64 first,
 so they give the bits of the float64 call at the widened values.
 
-A sweep grid of one output chunk is evaluated the same way, cell by cell on
-Python floats, and writes the bytes that the array route writes for it.
+A sweep grid of one output chunk, while numpy is not loaded, is evaluated
+the same way, cell by cell on Python floats, and writes the bytes that the
+array route writes for it.
 """
 
 import math
@@ -295,10 +296,10 @@ def _small_sweeps(draw):
     return tuple(axes), fixed, tuple(quantities)
 
 
-def _routed(spec, threshold):
-    """run_sweep's table of ``spec`` with grids above ``threshold`` cells on
-    arrays, or the DomainError's message."""
-    with mock.patch.object(sweep_mod, "_CHUNK_ROWS", threshold):
+def _routed(spec, on_floats):
+    """run_sweep's table of ``spec`` on Python floats or on arrays, or the
+    DomainError's message."""
+    with mock.patch.object(sweep_mod, "_on_floats", lambda size: on_floats):
         try:
             return sweep_mod.run_sweep(spec)
         except DomainError as exc:
@@ -315,11 +316,11 @@ def _routed(spec, threshold):
 @example(((sweep_mod.Axis("r", -1.0, 1.0, 3),), {"k0": 4.0, "T": 0.0, "theta": 1.0, "phi": 0.0},
           ("F_a", "C")))  # the crossing at T = 0
 def test_a_small_grid_on_python_floats_writes_the_bytes_of_its_arrays(sweep):
-    # a grid of one output chunk runs cell by cell on Python floats; forced
-    # onto arrays, the same spec writes the same CSV and JSON bytes, or
+    # forced cell by cell onto Python floats, and then onto arrays, the
+    # same spec writes the same CSV and JSON bytes, or
     # raises the same DomainError, which names the same first bad cell
     spec = sweep_mod.SweepSpec(*sweep)
-    cells, arrays = _routed(spec, sweep_mod._CHUNK_ROWS), _routed(spec, 0)
+    cells, arrays = _routed(spec, True), _routed(spec, False)
     if isinstance(cells, str) or isinstance(arrays, str):
         assert cells == arrays
         return

@@ -111,7 +111,7 @@ def test_spec_validation():
     # but not for a fidelity, F_a included, though F_a does not read theta
     table = run_sweep(SweepSpec((Axis("theta", 0.0, 3.0, 3),), {"k0": 4.0, "r": 0.0, "T": 1.0},
                                 ("F_a",)))
-    assert list(table) == ["theta", "F_a"] and len(set(table["F_a"])) == 1
+    assert list(table) == ["theta", "F_a"] and len(set(table["F_a"].tolist())) == 1
     with pytest.raises(UsageError, match="missing parameter"):
         SweepSpec(axes=(k_axis,), fixed={}, quantities=("C",))
     # axes and quantities are sequences: a str is not read letter by letter,
@@ -212,9 +212,8 @@ def test_run_sweep_point_values():
         table = run_sweep(spec)
         assert list(table) == [a.name for a in axes] + names
         size = axes[0].steps * axes[1].steps
-        assert all(len(col) == size and {type(x) for x in col} == {float}
-                   for col in table.values())
-        for row in zip(*table.values()):
+        assert all(col.shape == (size,) and col.dtype == float for col in table.values())
+        for row in zip(*(col.tolist() for col in table.values())):
             point = dict(fixed, **{a.name: v for a, v in zip(axes, row)})
             # NaN in a Tc cell is the scalar call's None
             cells = [None if math.isnan(x) else x for x in row[len(axes):]]
@@ -293,7 +292,7 @@ def test_run_sweep_two_axes_is_lexicographic():
         quantities=("C",),
     )
     table = run_sweep(spec)
-    grid = list(zip(table["k0"], table["r"]))
+    grid = list(zip(table["k0"].tolist(), table["r"].tolist()))
     assert grid == [
         (1.0, 0.0),
         (1.0, 0.5),
@@ -411,7 +410,7 @@ def test_fig2_reentrant_series_present():
     # the k0 = 3 series starts almost unentangled, is heated into
     # entanglement, and loses it again above the transition
     table = run_figure(figure_preset(2))
-    values = [c for k0, c in zip(table["k0"], table["C"]) if k0 == 3.0]
+    values = table["C"][table["k0"] == 3.0].tolist()
     assert values[0] < 0.05
     assert max(values) > 0.2
     assert values[-1] == 0.0
@@ -442,7 +441,7 @@ def test_figure_columns_are_within_1e_15_of_50_digit_mpmath():
             for spec in figure_preset(fig_id).panels:
                 table = run_sweep(spec)
                 size = len(table[spec.axes[0].name])
-                cells = {name: table[name] if name in table else [spec.fixed[name]] * size
+                cells = {name: table[name].tolist() if name in table else [spec.fixed[name]] * size
                          for name in ("k0", "r", "T")}
                 theta = spec.fixed.get("theta")
                 for i, (k0, r, T) in enumerate(zip(cells["k0"], cells["r"], cells["T"])):

@@ -220,10 +220,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(table: dict[str, np.ndarray] | dict[str, float], args) -> None:
+def _emit(table: dict[str, np.ndarray] | dict[str, list[float]], args) -> None:
     # either format is written chunk by chunk as it is formatted, never held
     # whole; the file opens only now, so a sweep that raised has left none. A
-    # point's row of Python floats is written without numpy
+    # table of Python floats is written without numpy
     pieces = (iter_csv if args.format == "csv" else iter_json)(table)
     if args.out:
         try:
@@ -253,7 +253,7 @@ def cmd_sweep(args) -> int:
 def cmd_ground_state(args) -> int:
     if args.k0 is None:
         raise UsageError("ground-state needs --k0")
-    _emit({"k0": args.k0, "r": args.r, "C": ground_state_concurrence(args.k0, args.r)}, args)
+    _emit({"k0": [args.k0], "r": [args.r], "C": [ground_state_concurrence(args.k0, args.r)]}, args)
     return 0
 
 

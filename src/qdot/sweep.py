@@ -1,13 +1,14 @@
 """Parameter sweeps over the model, with CSV/JSON emission.
 
-A sweep varies one or two parameters on inclusive uniform grids while the
-rest stay fixed, and evaluates each requested quantity into one named column,
-block by block over the grid. Rows run in lexicographic axis order and are
-byte-stable: the same spec always renders the same text, CSV or JSON, chunk
-by chunk. While numpy is not loaded, a grid that fits one output chunk, a
-point included, is evaluated cell by cell on Python floats and loads none;
-a larger one, or any grid once numpy is loaded, fills arrays. teleport is
-imported where a fidelity first needs it, so a concurrence sweep loads none.
+A sweep varies up to two parameters on inclusive uniform grids while the
+rest stay fixed, and evaluates each requested quantity into one named column;
+a table's columns share one length, and a point, with no axis, is one row.
+Rows run in lexicographic axis order and are byte-stable: the same spec
+always renders the same text, CSV or JSON, chunk by chunk. One loop fills
+every table. A point, and while numpy is not loaded a grid that fits one
+output chunk, runs cell by cell into lists of Python floats and loads none;
+any other grid fills arrays block by block. teleport is imported where a
+fidelity first needs it, so a concurrence sweep loads none.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from typing import TYPE_CHECKING
 
 from .entanglement import critical_temperature, model_concurrence
 from .model import DomainError, DotParams, _check_real, _check_temperature, _is_array, _Record
-from .model import thermal_elements
+from .model import _numpy, thermal_elements
 
 if TYPE_CHECKING:
     import numpy as np
 
-    # a table: float arrays, lists of Python floats, or a point's floats
-    Table = dict[str, np.ndarray] | dict[str, list[float]] | dict[str, float]
+    # a table: columns of one length, float arrays or lists of Python floats
+    Table = dict[str, np.ndarray] | dict[str, list[float]]
 
 __all__ = ["Axis", "SweepSpec", "FigurePreset", "run_sweep", "figure_preset", "run_figure"]
 
@@ -86,15 +87,10 @@ class Axis(_Record):
         if not self.lo < self.hi:
             raise UsageError(f"axis {self.name} needs lo < hi, got [{self.lo}, {self.hi}]")
 
-    def values(self) -> np.ndarray:
-        """Grid points lo + i (hi - lo) / (steps - 1), endpoints inclusive."""
-        import numpy as np
-
-        return self._value(np.arange(self.steps))
-
     def _value(self, i):
-        """Grid point i, the one formula of both routes: a Python float at an
-        int, float64 cells at an int array."""
+        """Grid point i, lo + i (hi - lo) / (steps - 1) with both endpoints
+        inclusive, the one formula of both routes: a Python float at an int,
+        float64 cells at an int array."""
         return float(self.lo) + float((self.hi - self.lo) / (self.steps - 1)) * i
 
 
@@ -147,71 +143,61 @@ class SweepSpec(_Record):
             if _is_array(value) and value.ndim:
                 raise DomainError(f"{key} must be one number, got an array of shape {value.shape}")
 
-    def grid(self) -> dict[str, np.ndarray | float]:
-        """A flat column per axis, lexicographic in the axes (the last varies
-        fastest), and the fixed values as scalars that broadcast."""
+
+def run_sweep(spec: SweepSpec) -> Table:
+    """Evaluate a sweep into a table: column name -> one flat float column,
+    every column of one length, a row per grid cell.
+
+    The axis columns come first, then the quantities in request order; NaN
+    marks an absent value (Tc where there is no transition). A spec with no
+    axes is one point: a table of one row. Every closed form is elementwise
+    and rounds alike on Python floats and arrays, so a cell has the same bits
+    on either route, and a sweep raises at its first bad cell in grid order.
+    Every column is built first, then one loop fills the quantities: cell by
+    cell into lists of Python floats where _on_floats picks the grid, else
+    over blocks of _EVAL_BLOCK cells into float arrays, where a column whose
+    inputs are all fixed is a zero-stride view. So wrap a column in
+    np.asarray for arithmetic.
+    """
+    size = math.prod(a.steps for a in spec.axes)
+    names = [a.name for a in spec.axes]
+    quantities = [name for q in spec.quantities for name in _QUANTITIES[q][1]]
+    floats = _on_floats(size)
+    if floats:
+        axes = zip(*itertools.product(*(map(a._value, range(a.steps)) for a in spec.axes)))
+        table = dict(zip(names, map(list, axes)))
+        table.update((q, [0.0] * size) for q in quantities)
+        blocks = range(size)
+    else:
         import numpy as np
 
         try:
-            mesh = np.meshgrid(*(a.values() for a in self.axes), indexing="ij")
+            mesh = np.meshgrid(*(a._value(np.arange(a.steps)) for a in spec.axes), indexing="ij")
         except (MemoryError, ValueError) as exc:  # numpy refuses before it allocates
-            shape = " x ".join(f"{a.name}:{a.steps}" for a in self.axes)
+            shape = " x ".join(f"{a.name}:{a.steps}" for a in spec.axes)
             raise UsageError(f"grid {shape} is too large: {exc}") from None
-        return {**self.fixed, **{a.name: m.ravel() for a, m in zip(self.axes, mesh)}}
-
-
-def run_sweep(spec: SweepSpec) -> Table:
-    """Evaluate a sweep into a table: column name -> one flat float column.
-
-    The axis columns come first, then the quantities in request order; NaN
-    marks an absent value (Tc where there is no transition). Every closed
-    form is elementwise and rounds alike on Python floats and arrays, so a
-    cell has the same bits on either route, and a sweep raises at its first
-    bad cell in grid order. A grid that _on_floats picks is evaluated cell
-    by cell on Python floats: its columns are lists of them. Any other fills
-    float arrays over blocks of _EVAL_BLOCK cells, and a column whose inputs
-    are all fixed is a zero-stride view. So wrap a column in np.asarray for
-    arithmetic. A spec with no axes is one point: its row of Python floats.
-    """
-    size = math.prod(a.steps for a in spec.axes)
-    if not spec.axes or _on_floats(size):
-        return _run_cells(spec)
-    import numpy as np
-
-    grid = spec.grid()
-    table = {a.name: grid[a.name] for a in spec.axes}
-    table.update((name, np.empty(size)) for q in spec.quantities for name in _QUANTITIES[q][1])
-    for start in range(0, size, _EVAL_BLOCK):
-        cells = slice(start, start + _EVAL_BLOCK)
-        at = {n: v[cells] if np.ndim(v) else v for n, v in grid.items()}
+        table = {n: m.ravel() for n, m in zip(names, mesh)}
+        table.update((q, np.empty(size)) for q in quantities)
+        blocks = (slice(start, start + _EVAL_BLOCK) for start in range(0, size, _EVAL_BLOCK))
+    fixed = {k: float(v) for k, v in spec.fixed.items()}  # numpy scalars too
+    for cells in blocks:
+        at = {**fixed, **{n: table[n][cells] for n in names}}
         for name, value in _evaluate(spec.quantities, at):
-            if np.ndim(value):
+            if floats or _is_array(value):
                 table[name][cells] = value
             else:  # every input fixed: one value, broadcast below
                 table[name] = value
+    if floats:
+        return table
     return {name: np.broadcast_to(np.asarray(c, float), size) for name, c in table.items()}
 
 
 def _on_floats(size: int) -> bool:
-    """Whether a grid runs on Python floats: at most _CHUNK_ROWS cells, and
-    numpy not loaded, whose import costs more (75 ms) than their cells. Once
-    loaded, arrays ran 1,000-2,048 cells about 30 times faster."""
-    return size <= _CHUNK_ROWS and "numpy" not in sys.modules
-
-
-def _run_cells(spec: SweepSpec) -> dict[str, list[float]] | dict[str, float]:
-    """run_sweep's table, one cell at a time in grid order, on Python floats:
-    a list per column, or one float per column for a spec with no axes."""
-    names = [a.name for a in spec.axes]
-    columns = [*names, *(c for q in spec.quantities for c in _QUANTITIES[q][1])]
-    fixed = {k: float(v) for k, v in spec.fixed.items()}  # numpy scalars too
-    rows = []
-    for cell in itertools.product(*(map(a._value, range(a.steps)) for a in spec.axes)):
-        at = {**fixed, **dict(zip(names, cell))}
-        rows.append((*cell, *(value for _, value in _evaluate(spec.quantities, at))))
-    if not spec.axes:
-        return dict(zip(columns, rows[0]))
-    return {name: list(column) for name, column in zip(columns, zip(*rows))}
+    """Whether a grid of ``size`` cells runs on Python floats: a point, one
+    cell, always; a grid of at most _CHUNK_ROWS cells while numpy is not
+    loaded, whose import costs more (75 ms) than their cells. Once loaded,
+    arrays ran 1,000-2,048 cells about 30 times faster."""
+    return size == 1 or (size <= _CHUNK_ROWS and "numpy" not in sys.modules)
 
 
 def _evaluate(quantities: tuple[str, ...], at: dict) -> Iterator[tuple[str, object]]:
@@ -244,12 +230,27 @@ def _evaluate(quantities: tuple[str, ...], at: dict) -> Iterator[tuple[str, obje
 
 
 class FigurePreset(_Record):
-    """A multi-panel sweep; panels share axes and quantities."""
+    """A multi-panel sweep: at least one SweepSpec, all with the same axis
+    names and quantities. A panel key names the parameter that tells the
+    panels apart: fixed in every panel, swept in none."""
 
     __slots__ = ("panel_key", "panels")
 
     def __init__(self, panel_key: str | None, panels: tuple[SweepSpec, ...]) -> None:
         _Record.__init__(self, panel_key, panels)
+        if not (isinstance(panels, (tuple, list))
+                and all(isinstance(p, SweepSpec) for p in panels)):
+            raise UsageError(f"panels must be a tuple of SweepSpec, got {panels!r}")
+        if not panels:
+            raise UsageError("a figure needs at least one panel")
+        columns = {(tuple(a.name for a in p.axes), tuple(p.quantities)) for p in panels}
+        if len(columns) > 1:
+            raise UsageError("the panels of a figure need the same axis names and quantities")
+        names = [a.name for a in panels[0].axes]
+        if panel_key is not None and (panel_key not in PARAMETER_NAMES or panel_key in names
+                                      or any(panel_key not in p.fixed for p in panels)):
+            raise UsageError(f"panel key {panel_key!r} must be fixed in every panel "
+                             "and swept in none")
 
 
 # Figure id -> (panel key, panel values, axes, fixed values, quantities); a
@@ -285,22 +286,17 @@ def figure_preset(fig_id: int) -> FigurePreset:
 
 
 def run_figure(preset: FigurePreset) -> Table:
-    """Evaluate all panels and concatenate their tables; the panel value
-    becomes the leading column. Panels of lists join as lists, without
-    numpy, others as float arrays: wrap a column in np.asarray for arithmetic."""
-    if not preset.panels:
-        raise UsageError("a figure needs at least one panel")
+    """Evaluate all panels and concatenate their tables, a point's one row
+    too; the panel value becomes the leading column. Panels of lists join as
+    lists, without numpy, others as float arrays: wrap a column in np.asarray
+    for arithmetic."""
     tables = []
     for spec in preset.panels:
         table = run_sweep(spec)
         if preset.panel_key is not None:
-            size, value = math.prod(a.steps for a in spec.axes), spec.fixed[preset.panel_key]
-            if _is_array(table[spec.axes[0].name]):
-                import numpy as np
-
-                column = np.full(size, value)
-            else:
-                column = [float(value)] * size
+            first, value = next(iter(table.values())), float(spec.fixed[preset.panel_key])
+            np = _numpy(first)  # None for a list
+            column = [value] * len(first) if np is None else np.full(len(first), value)
             table = {preset.panel_key: column, **table}
         tables.append(table)
     if all(isinstance(column, list) for t in tables for column in t.values()):
@@ -337,14 +333,12 @@ def _iter_rows(table: Table,
     """A table's rows as text, one string per chunk of rows: each cell's text
     from ``cells`` (``zero`` is its text of +0.0), ``sep`` after each cell but
     a row's last, ``eol`` after each row but the table's last, and ``last``
-    after that one. List columns, and a point's row, are formatted cell by
-    cell as Python floats, without numpy. In array columns texts are
-    keyed on float64 bit patterns (-0.0 and +0.0 apart), and a chunk formats
-    only those its column's previous chunk lacked: an axis shorter than a
-    chunk costs its distinct values once."""
+    after that one. List columns are formatted cell by cell as Python
+    floats, without numpy. In array columns texts are keyed on float64 bit
+    patterns (-0.0 and +0.0 apart), and a chunk formats only those its
+    column's previous chunk lacked: an axis shorter than a chunk costs its
+    distinct values once."""
     columns = list(table.values())
-    if isinstance(columns[0], float):  # a point
-        columns = [[x] for x in columns]
     if isinstance(columns[0], list):
         texts = [cells(list(map(float, column))) for column in columns]
         size = len(texts[0])
@@ -409,6 +403,6 @@ def format_csv(table: Table) -> str:
 
 
 def format_json(table: Table) -> str:
-    """Render a table, or a point's row, as a JSON object with columns and
-    row arrays; NaN is null. The joined pieces of iter_json."""
+    """Render a table as a JSON object with columns and row arrays; NaN is
+    null. The joined pieces of iter_json."""
     return "".join(iter_json(table))

@@ -13,6 +13,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,12 +47,17 @@ from qdot.teleport import InputState, average_fidelity_closed_form, subspace_fid
 
 
 def test_axis_grid_formula():
-    ax = Axis("T", 0.1, 2.0, 20)
-    vals = ax.values()
-    assert len(vals) == 20
-    assert vals[0] == 0.1
-    np.testing.assert_allclose(vals[-1], 2.0, rtol=1e-15)
-    np.testing.assert_allclose(np.diff(vals), (2.0 - 0.1) / 19, rtol=1e-12)
+    # run_sweep's axis column, forced onto either route, is lo + i * step
+    # with both endpoints inclusive
+    spec = SweepSpec((Axis("T", 0.1, 2.0, 20),), {"k0": 4.0, "r": 1.0}, ("C",))
+    for on_floats in (True, False):
+        with mock.patch.object(sweep_mod, "_on_floats", lambda size: on_floats):
+            vals = run_sweep(spec)["T"]
+        assert isinstance(vals, list) == on_floats
+        assert [float(v) for v in vals] == [0.1 + (2.0 - 0.1) / 19 * i for i in range(20)]
+        assert vals[0] == 0.1
+        np.testing.assert_allclose(vals[-1], 2.0, rtol=1e-15)
+        np.testing.assert_allclose(np.diff(vals), (2.0 - 0.1) / 19, rtol=1e-12)
 
 
 def test_axis_validation():
@@ -67,7 +73,8 @@ def test_axis_validation():
         warnings.simplefilter("error")
         with pytest.raises(UsageError, match="span"):
             Axis("k0", -1e308, 1e308, 3)  # hi - lo overflows, the bounds do not
-        Axis("k0", -1e308, 0.5e308, 3).values()
+        axis = Axis("k0", -1e308, 0.5e308, 3)
+        assert axis._value(np.arange(3)).tolist() == [axis._value(i) for i in range(3)]
     # an int bound past the float range is refused as an infinite one
     with pytest.raises(UsageError, match="axis k0 bounds and span must be finite"):
         Axis("k0", 0, 2**1100, 3)
@@ -83,8 +90,11 @@ def test_axis_validation():
         with pytest.raises(UsageError, match=rf"^axis k0 bounds must be real numbers, "
                                              rf"got {lo!r} and {hi!r}$"):
             Axis("k0", lo, hi, 3)
-    assert Axis("k0", np.float64(0.0), np.array(1.0), np.int64(3)).values().tolist() == [
-        0.0, 0.5, 1.0]
+    axis = Axis("k0", np.float64(0.0), np.array(1.0), np.int64(3))
+    spec = SweepSpec((axis,), {"r": 0.0, "T": 0.5})
+    for on_floats in (True, False):
+        with mock.patch.object(sweep_mod, "_on_floats", lambda size: on_floats):
+            assert list(run_sweep(spec)["k0"]) == [0.0, 0.5, 1.0]
 
 
 def test_spec_validation():
@@ -222,7 +232,9 @@ def test_run_sweep_point_values():
 
 def _whole_grid_columns(spec):
     """run_sweep's quantity columns from one array call each over the whole grid."""
-    grid = spec.grid()
+    mesh = np.meshgrid(*(a.lo + (a.hi - a.lo) / (a.steps - 1) * np.arange(a.steps)
+                         for a in spec.axes), indexing="ij")
+    grid = {**spec.fixed, **{a.name: m.ravel() for a, m in zip(spec.axes, mesh)}}
     p = DotParams(grid["k0"], grid["r"], grid["T"])
     e = thermal_elements(p)
     f_o, f_e = subspace_fidelities(InputState(grid["theta"], grid["phi"]), p)
@@ -329,7 +341,7 @@ def test_population_columns_expand():
     )
     table = run_sweep(spec)
     assert list(table) == ["p11", "p10", "p01", "p00"]
-    row = tuple(table.values())
+    row = [column for column, in table.values()]  # one row
     assert abs(sum(row) - 1.0) < 1e-14
     assert row[1] == row[2]  # symmetric mid populations
 
@@ -345,15 +357,15 @@ def test_population_columns_expand():
      ("C", "F_o", "F_e", "F_a", "populations"), "T"),
 ], ids=lambda v: ",".join(v) if isinstance(v, tuple) else None)
 def test_a_point_is_the_cell_of_a_grid_through_it(fixed, quantities, axis):
-    # a spec with no axes is one row of Python floats: the quantity columns
-    # in order, with the bits of the first cell of a 2-step axis from the
-    # point's value
+    # a spec with no axes is a table of one row, lists of one Python float:
+    # the quantity columns in order, with the bits of the first cell of a
+    # 2-step axis from the point's value
     row = run_sweep(SweepSpec((), fixed, quantities))
     grid = run_sweep(SweepSpec((Axis(axis, fixed[axis], fixed[axis] + 1.0, 2),), fixed, quantities))
     assert grid[axis][0] == fixed[axis]
     assert list(row) == list(grid)[1:]
-    assert all(type(v) is float for v in row.values())
-    assert [v.hex() for v in row.values()] == [float(grid[name][0]).hex() for name in row]
+    assert all(type(c) is list and len(c) == 1 and type(c[0]) is float for c in row.values())
+    assert [c[0].hex() for c in row.values()] == [float(grid[name][0]).hex() for name in row]
     cell = {name: grid[name][:1] for name in row}
     assert format_csv(row) == format_csv(cell)
     assert format_json(row) == format_json(cell)
@@ -392,8 +404,43 @@ def test_figure_presets_pin_model_parameters():
     for fig_id in (True, 1.0, "1"):
         with pytest.raises(UsageError, match=rf"^a figure is named by an int, got {fig_id!r}$"):
             figure_preset(fig_id)
-    with pytest.raises(UsageError, match="^a figure needs at least one panel$"):
-        run_figure(FigurePreset(None, ()))
+
+
+_PANEL = SweepSpec((Axis("r", 0.0, 2.0, 3),), {"k0": 4.0, "T": 0.5}, ("C",))
+_KEY_REFUSED = r"^panel key {} must be fixed in every panel and swept in none$"
+_UNLIKE = "^the panels of a figure need the same axis names and quantities$"
+
+
+@pytest.mark.parametrize("panel_key, panels, message", [
+    (None, (), "^a figure needs at least one panel$"),
+    (None, (_PANEL, "T:0:1:3"), "^panels must be a tuple of SweepSpec, got "),
+    # no panel fixes phi: run_figure raised a bare KeyError
+    ("phi", (_PANEL,), _KEY_REFUSED.format("'phi'")),
+    # a key that names no parameter, unhashable too
+    (["T"], (_PANEL,), _KEY_REFUSED.format(r"\['T'\]")),
+    # the T axis overwrote the T panel column, in the column's leading place
+    ("T", (SweepSpec((Axis("T", 0.1, 1.0, 3),), {"k0": 4.0, "r": 1.0, "T": 0.5}),),
+     _KEY_REFUSED.format("'T'")),
+    # the second panel's Tc was dropped
+    ("T", (_PANEL, SweepSpec(_PANEL.axes, {"k0": 4.0, "T": 1.0}, ("C", "Tc"))), _UNLIKE),
+    # the second panel's k0 axis raised a bare KeyError: 'r'
+    ("T", (_PANEL, SweepSpec((Axis("k0", 0.0, 2.0, 3),), {"r": 1.0, "T": 1.0})), _UNLIKE),
+], ids=["no-panel", "not-a-spec", "key-not-fixed", "key-not-a-name", "key-swept",
+        "unlike-quantities", "unlike-axes"])
+def test_figure_preset_refuses_panels_that_do_not_join(panel_key, panels, message):
+    with pytest.raises(UsageError, match=message):
+        FigurePreset(panel_key, panels)
+
+
+def test_point_panels_join_as_rows():
+    # a point is a one-row table, so points join as the rows of a figure,
+    # its panel column first; run_figure raised an IndexError on them
+    panels = tuple(SweepSpec((), {"k0": 4.0, "r": 1.0, "T": t}, ("C", "Tc")) for t in (0.2, 1.0))
+    table = run_figure(FigurePreset("T", panels))
+    rows = [run_sweep(spec) for spec in panels]
+    assert table == {"T": [0.2, 1.0], "C": [row["C"][0] for row in rows],
+                     "Tc": [row["Tc"][0] for row in rows]}
+    assert format_csv(table).splitlines()[0] == "T,C,Tc"
 
 
 def test_fig1_transition_boundary_in_emitted_data():

@@ -39,6 +39,9 @@ LARGE = "sweep 1000x1000 r x T (k0=4, C)"
 FIDELITY = "sweep 200x200 r x T (k0=4, F_a)"
 # a grid of one output chunk, run by a caller that has numpy loaded: arrays
 SMALL_FIDELITY = "sweep 25x40 T x r (k0=4, F_o, F_e, F_a)"
+# the same grid forced cell by cell onto Python floats, as the CLI runs it
+# without numpy: the per-cell cost of the sweep's evaluation step
+FLOAT_FIDELITY = "sweep 25x40 T x r (k0=4, F_o, F_e, F_a) on Python floats"
 # an input-angle axis: the fidelities take libm's cos and sin of each cell
 THETA = "sweep 300x300 theta x T (k0=4, r=1, F_o, F_e)"
 # qdot's __init__ imports nothing until a name is used, so the import row
@@ -86,7 +89,8 @@ SCALAR_CALLS = (
 # _import_time, the CLI rows by _cli.
 ROWS = {
     **{f"{q}, {label}": "s" for label in (SMALL, LARGE) for q in ("run_sweep", "format_csv")},
-    **{f"run_sweep, {label}": "s" for label in (FIDELITY, SMALL_FIDELITY, THETA)},
+    **{f"run_sweep, {label}": "s"
+       for label in (FIDELITY, SMALL_FIDELITY, FLOAT_FIDELITY, THETA)},
     IMPORT: "s",
     **{f"{call}, per call": "s" for call in SCALAR_CALLS},
     **{f"{cli}, {q}": unit for cli in CLIS for q, unit in (("wall", "s"), ("peak RSS", "MiB"))},
@@ -104,6 +108,7 @@ def _child() -> None:
     import numpy as np
 
     import qdot
+    import qdot.sweep
     from qdot import Axis, SweepSpec, run_sweep
     from qdot.sweep import format_csv
 
@@ -129,6 +134,15 @@ def _child() -> None:
     }
     for label, spec in specs.items():
         samples[f"run_sweep, {label}"] = _per_call(timeit.Timer(lambda: run_sweep(spec)))
+    spec = SweepSpec((Axis("T", 0.05, 2.0, 25), Axis("r", 0.0, 4.0, 40)),
+                     {"k0": 4.0, "theta": 1.0, "phi": 2.0}, ("F_o", "F_e", "F_a"))
+    route = qdot.sweep._on_floats
+    qdot.sweep._on_floats = lambda size: True  # numpy is loaded here: force the float route
+    try:
+        assert isinstance(run_sweep(spec)["F_a"], list)
+        samples[f"run_sweep, {FLOAT_FIDELITY}"] = _per_call(timeit.Timer(lambda: run_sweep(spec)))
+    finally:
+        qdot.sweep._on_floats = route
     api = {name: getattr(qdot, name) for name in qdot.__all__}
     for call in SCALAR_CALLS:
         try:

@@ -7,8 +7,8 @@ Rows run in lexicographic axis order and are byte-stable: the same spec
 always renders the same text, CSV or JSON, chunk by chunk. One loop fills
 every table. A point, and while numpy is not loaded a grid that fits one
 output chunk, runs cell by cell into lists of Python floats and loads none;
-any other grid fills arrays block by block. teleport is imported where a
-fidelity first needs it, so a concurrence sweep loads none.
+any other grid fills arrays block by block. teleport is imported once per
+sweep that requests a fidelity, so a concurrence sweep loads none.
 """
 
 from __future__ import annotations
@@ -180,9 +180,10 @@ def run_sweep(spec: SweepSpec) -> Table:
         table.update((q, np.empty(size)) for q in quantities)
         blocks = (slice(start, start + _EVAL_BLOCK) for start in range(0, size, _EVAL_BLOCK))
     fixed = {k: float(v) for k, v in spec.fixed.items()}  # numpy scalars too
+    evaluate = _evaluator(spec.quantities, fixed, names)
     for cells in blocks:
         at = {**fixed, **{n: table[n][cells] for n in names}}
-        for name, value in _evaluate(spec.quantities, at):
+        for name, value in evaluate(at):
             if floats or _is_array(value):
                 table[name][cells] = value
             else:  # every input fixed: one value, broadcast below
@@ -195,38 +196,52 @@ def run_sweep(spec: SweepSpec) -> Table:
 def _on_floats(size: int) -> bool:
     """Whether a grid of ``size`` cells runs on Python floats: a point, one
     cell, always; a grid of at most _CHUNK_ROWS cells while numpy is not
-    loaded, whose import costs more (75 ms) than their cells. Once loaded,
-    arrays ran 1,000-2,048 cells about 30 times faster."""
+    loaded, whose import costs more (75-140 ms) than their cells. Once
+    loaded, arrays ran 1,000-2,048 cells about 30 times faster."""
     return size == 1 or (size <= _CHUNK_ROWS and "numpy" not in sys.modules)
 
 
-def _evaluate(quantities: tuple[str, ...], at: dict) -> Iterator[tuple[str, object]]:
-    """(column, values) of each column the quantities fill, at the
-    parameters in ``at``: Python floats for one cell, arrays over a block of
-    cells. Tc, which needs neither r nor T, reads NaN where there is no
-    transition."""
-    params = fids = None  # fids: (F_o, F_e), evaluated together
-    for q in quantities:
-        if q == "Tc":
-            tc = critical_temperature(at["k0"])
-            yield q, math.nan if tc is None else tc
-            continue
-        params = params or DotParams(at["k0"], at["r"], at["T"])
-        if q == "C":
-            values = (model_concurrence(params),)
-        elif q in ("F_o", "F_e"):
-            from .teleport import InputState, subspace_fidelities
+def _evaluator(quantities: tuple[str, ...], fixed: dict,
+               swept: list[str]) -> Callable[[dict], Iterator[tuple[str, object]]]:
+    """A function of ``at`` that yields (column, values) of each column the
+    quantities fill, at the parameters in ``at``: Python floats for one
+    cell, arrays over a block of cells. Tc, which needs neither r nor T,
+    reads NaN where there is no transition. A step builds its DotParams and
+    thermal elements at most once, shared by the fidelities and the
+    populations; C takes its own Boltzmann weights. What no step changes is
+    bound here, once per sweep: teleport's kernels where a fidelity is
+    requested, and the input state where theta is not ``swept`` (an axis
+    overrides a fixed value)."""
+    state = None
+    if set(_FIDELITIES) & set(quantities):
+        from .teleport import InputState, _average_fidelity_closed_form, _subspace_fidelities
 
-            fids = fids or subspace_fidelities(InputState(at["theta"], at["phi"]), params)
-            values = (fids[q == "F_e"],)
-        elif q == "F_a":
-            from .teleport import average_fidelity_closed_form
+        if "theta" not in swept and {"F_o", "F_e"} & set(quantities):
+            state = InputState(fixed["theta"], fixed["phi"])
 
-            values = (average_fidelity_closed_form(params),)
-        else:  # populations
-            e = thermal_elements(params)
-            values = (e.u / e.big_z, e.w / e.big_z, e.w / e.big_z, e.v / e.big_z)
-        yield from zip(_QUANTITIES[q][1], values)
+    def evaluate(at: dict) -> Iterator[tuple[str, object]]:
+        params = e = fids = None  # fids: (F_o, F_e), evaluated together
+        for q in quantities:
+            if q == "Tc":
+                tc = critical_temperature(at["k0"])
+                yield q, math.nan if tc is None else tc
+                continue
+            params = params or DotParams(at["k0"], at["r"], at["T"])
+            if q == "C":
+                yield q, model_concurrence(params)
+                continue
+            e = e or thermal_elements(params)
+            if q in ("F_o", "F_e"):
+                fids = fids or _subspace_fidelities(
+                    state or InputState(at["theta"], at["phi"]), e)
+                values = (fids[q == "F_e"],)
+            elif q == "F_a":
+                values = (_average_fidelity_closed_form(e),)
+            else:  # populations
+                values = (e.u / e.big_z, e.w / e.big_z, e.w / e.big_z, e.v / e.big_z)
+            yield from zip(_QUANTITIES[q][1], values)
+
+    return evaluate
 
 
 class FigurePreset(_Record):
@@ -309,8 +324,10 @@ def run_figure(preset: FigurePreset) -> Table:
 # Rows formatted per chunk, in either format; a chunk reuses its predecessor's
 # texts, so an axis shorter than it is formatted once. At 4,096 rows the
 # chunk's object arrays left a 300x300 CLI sweep's peak RSS 0.3-0.4 MiB higher.
-# It also bounds _on_floats's grids, which ran 27% faster than arrays and
-# numpy's import at 2,048 cells of five quantities: remeasure on a change.
+# It also bounds _on_floats's grids: at 2,048 cells of C, F_o, F_e, F_a and
+# the populations, a fresh interpreter ran them on floats in 54 ms, against
+# 141 ms for numpy's import and arrays (medians of 21, 2 vCPU); the two meet
+# near 5,400 cells, but RSS keeps the value. Remeasure on a change.
 _CHUNK_ROWS = 1 << 11
 _JSON_INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
 

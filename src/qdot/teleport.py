@@ -323,8 +323,23 @@ def subspace_fidelities(s: InputState, p: DotParams) -> tuple[float, float]:
     libm's on floats and cells alike, so Python floats give Python floats
     with their cell's bits, and load no numpy."""
     _check_broadcast(theta=s.theta, phi=s.phi, k0=p.k0, r=p.r, T=p.T)
-    e = thermal_elements(p)
-    c, sn = _libm(math.cos, s.theta / 2.0), _libm(math.sin, s.theta / 2.0)
+    return _subspace_fidelities(s, thermal_elements(p))
+
+
+def _subspace_fidelities(s: InputState, e: ThermalElements) -> tuple[float, float]:
+    """subspace_fidelities from the channel's thermal elements, which a sweep
+    shares with its other quantities. Over arrays, libm's cos and sin are
+    taken once per distinct half-angle: a theta axis repeats each of its
+    values across the other axis."""
+    half = s.theta / 2.0
+    if _is_array(half):
+        import numpy as np
+
+        keys, inverse = np.unique(half.ravel(), return_inverse=True)
+        inverse = inverse.reshape(half.shape)
+        c, sn = _libm(math.cos, keys)[inverse], _libm(math.sin, keys)[inverse]
+    else:
+        c, sn = math.cos(half), math.sin(half)
     c2, s2 = c * c, sn * sn
     cross = c2 * s2
     num = e.w * (c2 * c2 + s2 * s2) + (e.u + e.v) * cross - 2.0 * e.y * cross
@@ -417,7 +432,12 @@ def average_fidelity_closed_form(p: DotParams):
     T in [0.03, 3], small fields, 600 within 2% of the cutoff, and polarised
     points down to w + v = 0); the tests hold 137 of them to 1e-15.
     """
-    e = thermal_elements(p)
+    return _average_fidelity_closed_form(thermal_elements(p))
+
+
+def _average_fidelity_closed_form(e: ThermalElements):
+    """average_fidelity_closed_form from the channel's thermal elements,
+    which a sweep shares with its other quantities."""
     u, v, w, y = e.u, e.v, e.w, e.y
     a = w + 0.5 * (u + v)
     t = 0.5 * (v - u) / a

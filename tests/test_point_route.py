@@ -31,6 +31,7 @@ import pytest
 from hypothesis import strategies as st
 
 import qdot.sweep as sweep_mod
+import qdot.teleport as teleport_mod
 from qdot.entanglement import critical_temperature, ground_state_concurrence, model_concurrence
 from qdot.model import DomainError, DotParams, thermal_elements
 from qdot.teleport import InputState, average_fidelity_closed_form, subspace_fidelities
@@ -315,6 +316,13 @@ def _routed(spec, on_floats):
           ("C", "Tc", "F_o", "F_e", "F_a", "populations")))  # F_o absent at T = 0, theta = 0
 @example(((sweep_mod.Axis("r", -1.0, 1.0, 3),), {"k0": 4.0, "T": 0.0, "theta": 1.0, "phi": 0.0},
           ("F_a", "C")))  # the crossing at T = 0
+@example(((sweep_mod.Axis("T", 0.05, 2.0, 5), sweep_mod.Axis("r", 0.0, 4.0, 7)),
+          {"k0": 4.0, "theta": 1.0, "phi": 2.0}, ("F_o", "F_e", "F_a")))  # fidelity-map's shape
+@example(((sweep_mod.Axis("theta", 0.0, math.pi, 5), sweep_mod.Axis("T", 0.0, 2.0, 4)),
+          {"k0": 4.0, "r": 1.5, "theta": 1.0, "phi": 0.3},
+          ("F_e", "populations", "F_o")))  # theta outer, overriding a fixed theta
+@example(((sweep_mod.Axis("r", 0.0, 2.0, 4), sweep_mod.Axis("theta", -3.0, 3.0, 7)),
+          {"k0": 4.0, "T": 0.5, "phi": 0.3}, ("F_a", "F_o", "C")))  # theta inner
 def test_a_small_grid_on_python_floats_writes_the_bytes_of_its_arrays(sweep):
     # forced cell by cell onto Python floats, and then onto arrays, the
     # same spec writes the same CSV and JSON bytes, or
@@ -328,3 +336,28 @@ def test_a_small_grid_on_python_floats_writes_the_bytes_of_its_arrays(sweep):
     assert all(isinstance(column, np.ndarray) for column in arrays.values())
     for fmt in (sweep_mod.format_csv, sweep_mod.format_json):
         assert fmt(cells) == fmt(arrays)
+
+
+_STEP_SPECS = {
+    "fixed theta": ((sweep_mod.Axis("T", 0.0, 2.0, 5), sweep_mod.Axis("r", 0.0, 4.0, 4)),
+                    {"k0": 4.0, "theta": 1.0, "phi": 2.0}),
+    "theta axis": ((sweep_mod.Axis("T", 0.0, 2.0, 5), sweep_mod.Axis("theta", 0.0, 3.0, 4)),
+                   {"k0": 4.0, "r": 1.0, "theta": 1.0, "phi": 2.0}),
+}
+
+
+@pytest.mark.parametrize("on_floats", [True, False], ids=["floats", "arrays"])
+@pytest.mark.parametrize("axes, fixed", _STEP_SPECS.values(), ids=_STEP_SPECS)
+def test_an_evaluation_step_builds_its_thermal_elements_once(axes, fixed, on_floats):
+    # F_o, F_e, F_a and the populations share one build of the elements per
+    # step (a cell on Python floats, a block of arrays), and teleport builds
+    # none of its own; a fixed theta makes one input state for the sweep
+    spec = sweep_mod.SweepSpec(axes, fixed, ("F_o", "F_e", "F_a", "populations"))
+    steps = 20 if on_floats else 1
+    with mock.patch.object(sweep_mod, "thermal_elements", wraps=thermal_elements) as built, \
+            mock.patch.object(teleport_mod, "thermal_elements", wraps=thermal_elements) as own, \
+            mock.patch.object(teleport_mod, "InputState", wraps=InputState) as states:
+        table = _routed(spec, on_floats)
+    assert isinstance(table["F_a"], list) == on_floats
+    assert (built.call_count, own.call_count) == (steps, 0)
+    assert states.call_count == (steps if axes[1].name == "theta" else 1)

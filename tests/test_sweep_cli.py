@@ -371,6 +371,21 @@ def test_a_point_is_the_cell_of_a_grid_through_it(fixed, quantities, axis):
     assert format_json(row) == format_json(cell)
 
 
+@pytest.mark.parametrize("on_floats", [True, False], ids=["floats", "arrays"])
+def test_a_theta_axis_overrides_a_fixed_theta_in_every_cell(on_floats):
+    # the CLI fixes theta at pi/3 beside a theta axis; each cell of the
+    # sweep holds the bits of the point at its own theta, not the fixed one
+    quantities = ("F_o", "F_e", "F_a")
+    fixed = {"k0": 4.0, "r": 1.0, "theta": math.pi / 3.0, "phi": 0.3}
+    spec = SweepSpec((Axis("T", 0.5, 1.0, 2), Axis("theta", 0.0, 3.0, 4)), fixed, quantities)
+    with mock.patch.object(sweep_mod, "_on_floats", lambda size: on_floats):
+        grid = run_sweep(spec)
+    for i in range(8):
+        at = {**fixed, "T": float(grid["T"][i]), "theta": float(grid["theta"][i])}
+        point = run_sweep(SweepSpec((), at, quantities))
+        assert [point[q][0].hex() for q in quantities] == [float(grid[q][i]).hex() for q in quantities]
+
+
 # ------------------------------------------------------------ figure presets
 
 

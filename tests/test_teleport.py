@@ -276,6 +276,23 @@ def test_singlet_channel_fidelities_are_capped_at_one(k0, r, T):
     assert f_e.tolist() == [1.0, subspace_fidelities(s, DotParams(4.0, 1.0, 0.5))[1]]
 
 
+@pytest.mark.parametrize("shape", [(4, 3), (12, 1), (3,)])
+def test_subspace_fidelities_over_repeated_angles_keep_each_cells_bits(shape):
+    # libm's cos and sin are taken once per distinct half-angle: repeats,
+    # signed zeros and a theta column that broadcasts against the channel
+    theta = np.array([0.0, -0.0, 1.0, 1.0, math.pi, -2.5, 1.0, 0.0, 3.0, -0.0, 2.0, 1.0])
+    theta = theta[:math.prod(shape)].reshape(shape)
+    T = np.linspace(0.0, 2.0, 3)
+    p = DotParams(4.0, 1.0, T)
+    f_o, f_e = subspace_fidelities(InputState(theta, 0.4), p)
+    want = np.broadcast_shapes(shape, T.shape)
+    assert f_o.shape == f_e.shape == want
+    for index in np.ndindex(want):
+        point = subspace_fidelities(InputState(float(np.broadcast_to(theta, want)[index]), 0.4),
+                                    DotParams(4.0, 1.0, float(np.broadcast_to(T, want)[index])))
+        assert [x.hex() for x in point] == [float(f_o[index]).hex(), float(f_e[index]).hex()]
+
+
 def test_fidelities_ignore_the_azimuthal_phase():
     base_o, base_e = subspace_fidelities(InputState(theta=1.1, phi=0.0), CHANNEL)
     for phi in (0.3, math.pi / 2, 2.0, 5.9):

@@ -3,19 +3,20 @@
 The package models two exchange-coupled electron spins in a magnetic field,
 builds their Gibbs state in closed form, quantifies its entanglement, and
 drives the standard teleportation protocol through it. A sweep layer and a
-CLI sit on top. The ``__all__`` of each module in _MODULES is its part of
-the package API.
+CLI sit on top. The brute-force routes the closed forms are checked against
+live apart, in ``oracles``, which only ``verify`` imports. The ``__all__`` of
+each module in _MODULES is its part of the package API, in that order.
 
 Nothing is imported until it is used (PEP 562), so a command loads only the
 modules it runs. A submodule name (``qdot.teleport``, ``from qdot import
 cli``) imports that module alone; any other name, ``__all__`` and
-``from qdot import *`` included, imports the six modules once and binds
+``from qdot import *`` included, imports the seven modules once and binds
 their API names here.
 """
 
 __version__ = "0.1.0"
 
-_MODULES = ("entanglement", "linalg", "model", "sweep", "teleport", "verify")
+_MODULES = ("entanglement", "linalg", "model", "oracles", "sweep", "teleport", "verify")
 
 
 def __getattr__(name: str):

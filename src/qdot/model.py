@@ -23,11 +23,9 @@ if TYPE_CHECKING:
 __all__ = [
     "DomainError",
     "DotParams",
-    "hamiltonian_matrix",
     "ThermalElements",
     "thermal_elements",
     "thermal_state",
-    "thermal_state_oracle",
 ]
 
 # Cells per math-function map in _libm: bounds its list of Python floats.
@@ -265,27 +263,6 @@ def _libm(fn, x):
     return out.reshape(x.shape)
 
 
-def hamiltonian_matrix(p: DotParams) -> np.ndarray:
-    """4x4 Hamiltonian in the product basis, assembled from spin operators;
-    over a grid of k0 and r, a stack (..., 4, 4). Raises DomainError where an
-    entry overflows, as k0/16 - r does at k0 = -r = 1.7e308."""
-    import numpy as np
-
-    from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron
-
-    sx, sy, sz = PAULI_X / 2.0, PAULI_Y / 2.0, PAULI_Z / 2.0
-    exchange = kron(sx, sx) + kron(sy, sy) + kron(sz, sz)
-    zeeman = kron(sz, IDENTITY_2) + kron(IDENTITY_2, sz)
-    k0, r = np.asarray(p.k0)[..., None, None], np.asarray(p.r)[..., None, None]
-    with np.errstate(over="ignore"):
-        h = (k0 / 4.0) * exchange - r * zeeman
-    bad = ~np.isfinite(h).all(axis=(-2, -1))
-    if _any(bad):
-        k0, r = (_first(x[..., 0, 0], bad) for x in (k0, r))
-        raise DomainError(f"Hamiltonian entries overflow at k0={k0!r}, r={r!r}")
-    return h
-
-
 class ThermalElements(_Record):
     """Boltzmann-weight combinations entering the thermal state.
 
@@ -376,31 +353,3 @@ def thermal_state(p: DotParams) -> np.ndarray:
     rho[..., 1, 2] = rho[..., 2, 1] = e.y
     rho[..., 3, 3] = e.v
     return rho / np.asarray(e.big_z)[..., None, None]
-
-
-def thermal_state_oracle(p: DotParams) -> np.ndarray:
-    """Gibbs state by direct spectral assembly of exp(-H/T), trace-normalized.
-
-    Independent of the closed form: diagonalizes the Hamiltonian matrix
-    numerically and shifts by the ground energy before exponentiating, so the
-    result stays finite at any T > 0. A level gap that overflows against T
-    gives its level weight 0. Raises DomainError where the spectrum is not
-    finite. Over a grid it returns a stack (..., 4, 4), from one eigensolver
-    call and one weighted matmul over the Hamiltonian stack.
-    """
-    import numpy as np
-
-    from . import linalg
-
-    h = hamiltonian_matrix(p)
-    if _any(p.T <= 0):
-        raise DomainError(f"thermal oracle needs T > 0, got T={_first(p.T, p.T <= 0)}")
-    evals, evecs = linalg.hermitian_eig(h)
-    bad = ~np.isfinite(evals).all(axis=-1)
-    if _any(bad):
-        k0, r = (_first(x, bad) for x in (p.k0, p.r))
-        raise DomainError(f"thermal oracle spectrum is not finite at k0={k0!r}, r={r!r}")
-    with np.errstate(over="ignore"):  # a gap past the float range weighs exp(-inf) = 0
-        weights = np.exp(-(evals - evals.min(axis=-1, keepdims=True)) / np.asarray(p.T)[..., None])
-    rho = (evecs * weights[..., None, :]) @ linalg._adjoint(evecs)
-    return rho / weights.sum(axis=-1)[..., None, None]

@@ -180,7 +180,7 @@ def run_sweep(spec: SweepSpec) -> Table:
         table.update((q, np.empty(size)) for q in quantities)
         blocks = (slice(start, start + _EVAL_BLOCK) for start in range(0, size, _EVAL_BLOCK))
     fixed = {k: float(v) for k, v in spec.fixed.items()}  # numpy scalars too
-    evaluate = _evaluator(spec.quantities, fixed, names)
+    evaluate = _evaluator(spec.quantities)
     for cells in blocks:
         at = {**fixed, **{n: table[n][cells] for n in names}}
         for name, value in evaluate(at):
@@ -201,23 +201,18 @@ def _on_floats(size: int) -> bool:
     return size == 1 or (size <= _CHUNK_ROWS and "numpy" not in sys.modules)
 
 
-def _evaluator(quantities: tuple[str, ...], fixed: dict,
-               swept: list[str]) -> Callable[[dict], Iterator[tuple[str, object]]]:
+def _evaluator(quantities: tuple[str, ...]) -> Callable[[dict], Iterator[tuple[str, object]]]:
     """A function of ``at`` that yields (column, values) of each column the
     quantities fill, at the parameters in ``at``: Python floats for one
     cell, arrays over a block of cells. Tc, which needs neither r nor T,
     reads NaN where there is no transition. A step builds its DotParams and
     thermal elements at most once, shared by the fidelities and the
-    populations; C takes its own Boltzmann weights. What no step changes is
-    bound here, once per sweep: teleport's kernels where a fidelity is
-    requested, and the input state where theta is not ``swept`` (an axis
-    overrides a fixed value)."""
-    state = None
+    populations; C takes its own Boltzmann weights. F_o and F_e read theta
+    alone, since phi cancels; SweepSpec and Axis have checked it finite.
+    teleport's kernels are bound here, once per sweep, where a fidelity is
+    requested."""
     if set(_FIDELITIES) & set(quantities):
-        from .teleport import InputState, _average_fidelity_closed_form, _subspace_fidelities
-
-        if "theta" not in swept and {"F_o", "F_e"} & set(quantities):
-            state = InputState(fixed["theta"], fixed["phi"])
+        from .teleport import _average_fidelity_closed_form, _subspace_fidelities
 
     def evaluate(at: dict) -> Iterator[tuple[str, object]]:
         params = e = fids = None  # fids: (F_o, F_e), evaluated together
@@ -232,8 +227,7 @@ def _evaluator(quantities: tuple[str, ...], fixed: dict,
                 continue
             e = e or thermal_elements(params)
             if q in ("F_o", "F_e"):
-                fids = fids or _subspace_fidelities(
-                    state or InputState(at["theta"], at["phi"]), e)
+                fids = fids or _subspace_fidelities(at["theta"], e)
                 values = (fids[q == "F_e"],)
             elif q == "F_a":
                 values = (_average_fidelity_closed_form(e),)

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from . import entanglement, model, teleport
+from . import entanglement, model, oracles, teleport
 from .linalg import LinalgError
 from .model import DomainError, _Record
 
@@ -145,7 +145,7 @@ def check_thermal_oracle(tolerance: float):
     """Closed-form Gibbs state against spectral exp(-H/T)/Z, entrywise."""
     p = _params(GRID)
     closed = model.thermal_state(p)
-    oracle = model.thermal_state_oracle(p)
+    oracle = oracles.thermal_state_oracle(p)
     dev = float(np.abs(closed - oracle).max())
     return dev <= tolerance, dev, tolerance
 
@@ -157,7 +157,7 @@ def check_concurrence_triple(tolerance: float):
     e = model.thermal_elements(p)
     c_model = entanglement.model_concurrence(p)
     c_x = entanglement.xstate_concurrence(e)
-    c_w = entanglement.wootters_concurrence(model.thermal_state(p)).value
+    c_w = oracles.wootters_concurrence(model.thermal_state(p)).value
     dev = _max_dev(np.abs(c_model - c_x).max(), np.abs(c_model - c_w).max(),
                    np.abs(c_x - c_w).max())
     ferro = p.k0 < 0
@@ -192,9 +192,9 @@ def check_collapse(tolerance: float):
     states, p = _teleport_grid()
     # every channel with every input, (27, 12, 8, 8), checked as density
     # matrices once for all four outcomes
-    joint = teleport.joint_state(states, p)
+    joint = oracles.joint_state(states, p)
     outcomes = tuple(teleport.BellOutcome)
-    brute_states, brute_probs = teleport.collapse_bruteforce(joint, outcomes)
+    brute_states, brute_probs = oracles.collapse_bruteforce(joint, outcomes)
     e = model.thermal_elements(p)
     devs = []
     for outcome, brute_state, brute_prob in zip(outcomes, brute_states, brute_probs):
@@ -206,7 +206,7 @@ def check_collapse(tolerance: float):
     for outcome, closed in zip((teleport.BellOutcome.PSI_MINUS, teleport.BellOutcome.PHI_MINUS),
                                teleport.subspace_fidelities(states, p)):
         corrected = teleport.pauli_correction(outcome, branches[outcome])
-        fids.append(float(np.abs(closed - teleport.fidelity(states, corrected)).max()))
+        fids.append(float(np.abs(closed - oracles.fidelity(states, corrected)).max()))
     worst = _max_dev(dev, *fids)
     detail = f"branches {dev:.3e}, F_o {fids[0]:.3e}, F_e {fids[1]:.3e}"
     return worst <= tolerance, worst, tolerance, detail
@@ -264,8 +264,8 @@ def check_quadrature_mc(tolerance: float, mc_samples: int, seed: int):
     form must match it there.
     """
     columns = model.DotParams(*(np.array(column) for column in zip(*_MC_POINTS)))
-    mc = teleport.average_fidelity_mc(columns, n=mc_samples, seed=seed)  # one stream, all points
-    quadratures = teleport.average_fidelity(columns).tolist()
+    mc = oracles.average_fidelity_mc(columns, n=mc_samples, seed=seed)  # one stream, all points
+    quadratures = oracles.average_fidelity(columns).tolist()
     closed = teleport.average_fidelity_closed_form(columns).tolist()
     passed = True
     worst = (-1.0, 0.0, 0.0)  # (gap / bound, gap, bound)

@@ -16,28 +16,26 @@ from qdot.entanglement import (
     critical_temperature,
     ground_state_concurrence,
     model_concurrence,
-    wootters_concurrence,
     xstate_concurrence,
 )
 from qdot.cli import main
 from qdot.linalg import PAULI_X, PAULI_Y, PAULI_Z
-from qdot.model import (
-    DotParams,
+from qdot.model import DotParams, thermal_elements, thermal_state
+from qdot.oracles import (
+    average_fidelity,
+    average_fidelity_mc,
+    collapse_bruteforce,
+    fidelity,
     hamiltonian_matrix,
-    thermal_elements,
-    thermal_state,
+    joint_state,
     thermal_state_oracle,
+    wootters_concurrence,
 )
 from qdot.sweep import figure_preset, run_figure
 from qdot.teleport import (
     BellOutcome,
     InputState,
-    average_fidelity,
-    average_fidelity_mc,
-    collapse_bruteforce,
     collapsed_closed_form,
-    fidelity,
-    joint_state,
     output_states,
     pauli_correction,
     subspace_fidelities,

@@ -15,11 +15,11 @@ from qdot.entanglement import (
     critical_temperature,
     ground_state_concurrence,
     model_concurrence,
-    wootters_concurrence,
     xstate_concurrence,
 )
 from qdot.linalg import PAULI_Y, LinalgError, kron
-from qdot.model import DomainError, DotParams, thermal_elements, thermal_state, thermal_state_oracle
+from qdot.model import DomainError, DotParams, thermal_elements, thermal_state
+from qdot.oracles import thermal_state_oracle, wootters_concurrence
 from qdot.verify import bisect_critical_temperature
 
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)

@@ -6,20 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from qdot.entanglement import ground_state_concurrence, model_concurrence, wootters_concurrence
+from qdot.entanglement import ground_state_concurrence, model_concurrence
 from qdot.linalg import kron, IDENTITY_2, PAULI_Z, validate_density_matrix
-from qdot.model import (
-    _libm,
-    DomainError,
-    DotParams,
-    hamiltonian_matrix,
-    thermal_elements,
-    thermal_state,
-    thermal_state_oracle,
-)
-from qdot.teleport import BellOutcome, InputState, average_fidelity, average_fidelity_closed_form
-from qdot.teleport import collapse_bruteforce, collapsed_closed_form, input_density, joint_state
-from qdot.teleport import output_states, subspace_fidelities
+from qdot.model import _libm, DomainError, DotParams, thermal_elements, thermal_state
+from qdot.oracles import average_fidelity, collapse_bruteforce, hamiltonian_matrix, input_density
+from qdot.oracles import joint_state, thermal_state_oracle, wootters_concurrence
+from qdot.teleport import BellOutcome, InputState, average_fidelity_closed_form
+from qdot.teleport import collapsed_closed_form, output_states, subspace_fidelities
 
 
 def test_params_validation():

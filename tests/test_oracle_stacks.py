@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qdot import entanglement, linalg, model, teleport, verify
+from qdot import linalg, model, oracles, teleport, verify
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=30)
 SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, max_side=3)
@@ -42,16 +42,16 @@ def _cells(*fields):
 @given(_grids((-20.0, 20.0), (-10.0, 10.0), (0.01, 10.0)))
 def test_thermal_routes_stack_like_their_point_calls(grid):
     p = model.DotParams(*grid)
-    hamiltonians = model.hamiltonian_matrix(p)
+    hamiltonians = oracles.hamiltonian_matrix(p)
     closed = model.thermal_state(p)
-    oracle = model.thermal_state_oracle(p)
-    concurrence = entanglement.wootters_concurrence(closed)
+    oracle = oracles.thermal_state_oracle(p)
+    concurrence = oracles.wootters_concurrence(closed)
     for idx, point in _cells(*grid):
         q = model.DotParams(*point)
-        assert hamiltonians[idx].tobytes() == model.hamiltonian_matrix(q).tobytes()
+        assert hamiltonians[idx].tobytes() == oracles.hamiltonian_matrix(q).tobytes()
         assert closed[idx].tobytes() == model.thermal_state(q).tobytes()
-        assert oracle[idx].tobytes() == model.thermal_state_oracle(q).tobytes()
-        want = entanglement.wootters_concurrence(model.thermal_state(q))
+        assert oracle[idx].tobytes() == oracles.thermal_state_oracle(q).tobytes()
+        want = oracles.wootters_concurrence(model.thermal_state(q))
         assert concurrence.value[idx] == want.value
         assert concurrence.lambdas[idx].tobytes() == want.lambdas.tobytes()
 
@@ -68,25 +68,25 @@ def test_collapse_stacks_like_its_point_calls(grid, angles):
     states = teleport.InputState(*(np.array(axis) for axis in zip(*angles)))
     p = model.DotParams(*(field[..., None] for field in grid))  # every cell meets every state
     e = model.thermal_elements(p)
-    vectors, inputs = teleport.input_vector(states), teleport.input_density(states)
-    joint = teleport.joint_state(states, p)
+    vectors, inputs = oracles.input_vector(states), oracles.input_density(states)
+    joint = oracles.joint_state(states, p)
     assert joint.tobytes() == linalg.kron(inputs, model.thermal_state(p)[..., None, :, :]).tobytes()
     rho_o, rho_e = teleport.output_states(states, p)
     for j, angle in enumerate(angles):
         s = teleport.InputState(*angle)
-        assert vectors[j].tobytes() == teleport.input_vector(s).tobytes()
-        assert inputs[j].tobytes() == teleport.input_density(s).tobytes()
+        assert vectors[j].tobytes() == oracles.input_vector(s).tobytes()
+        assert inputs[j].tobytes() == oracles.input_density(s).tobytes()
     for outcome in teleport.BellOutcome:
-        brute_state, brute_prob = teleport.collapse_bruteforce(joint, outcome)
+        brute_state, brute_prob = oracles.collapse_bruteforce(joint, outcome)
         closed_state, closed_prob = teleport.collapsed_closed_form(states, e, outcome)
         for idx, point in _cells(*grid):
             q = model.DotParams(*point)
             e_q = model.thermal_elements(q)
             for j, angle in enumerate(angles):
                 s, cell = teleport.InputState(*angle), (*idx, j)
-                point_joint = teleport.joint_state(s, q)
+                point_joint = oracles.joint_state(s, q)
                 assert joint[cell].tobytes() == point_joint.tobytes()
-                state, prob = teleport.collapse_bruteforce(point_joint, outcome)
+                state, prob = oracles.collapse_bruteforce(point_joint, outcome)
                 assert brute_state[cell].tobytes() == state.tobytes()
                 assert brute_prob[cell] == prob
                 state, prob = teleport.collapsed_closed_form(s, e_q, outcome)
@@ -145,20 +145,20 @@ def test_fidelity_stacks_like_its_point_calls(angles, count, data):
     entries = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
     outputs = data.draw(hnp.arrays(complex, (count, 2, 2), elements=entries))
     stack, states = _states(angles)
-    every = teleport.fidelity(stack, outputs[:, None])  # every output meets every state
+    every = oracles.fidelity(stack, outputs[:, None])  # every output meets every state
     assert every.shape == (count, len(states))
     for i, rho in enumerate(outputs):
-        per_state = teleport.fidelity(stack, rho)  # a stack of states, one output
+        per_state = oracles.fidelity(stack, rho)  # a stack of states, one output
         assert per_state.shape == (len(states),)
         for j, s in enumerate(states):
-            point = teleport.fidelity(s, rho)
+            point = oracles.fidelity(s, rho)
             assert type(point) is float
             assert every[i, j].tobytes() == np.float64(point).tobytes()
             assert per_state[j].tobytes() == np.float64(point).tobytes()
     for j, s in enumerate(states):
-        per_output = teleport.fidelity(s, outputs)  # a point state, a stack of outputs
+        per_output = oracles.fidelity(s, outputs)  # a point state, a stack of outputs
         for i, rho in enumerate(outputs):
-            assert per_output[i].tobytes() == np.float64(teleport.fidelity(s, rho)).tobytes()
+            assert per_output[i].tobytes() == np.float64(oracles.fidelity(s, rho)).tobytes()
 
 
 def test_fidelity_refuses_shapes_that_do_not_broadcast():
@@ -166,7 +166,7 @@ def test_fidelity_refuses_shapes_that_do_not_broadcast():
     outputs = np.stack([np.eye(2) / 2.0] * 3)
     with pytest.raises(linalg.LinalgError, match=r"states of shape \(2,\) and outputs of shape "
                        r"\(3, 2, 2\) do not broadcast"):
-        teleport.fidelity(states, outputs)
+        oracles.fidelity(states, outputs)
 
 
 @pytest.mark.parametrize("stacked", ["states", "params", "both"])
@@ -177,13 +177,13 @@ def test_teleport_outcomes_stack_like_their_point_calls(stacked, grid, angles):
     stack, states = _states(angles)
     if stacked == "both":  # every cell meets every state
         p = model.DotParams(*(field[..., None] for field in grid))
-        whole = teleport.teleport_outcomes(stack, p)
+        whole = oracles.teleport_outcomes(stack, p)
     elif stacked == "params":
-        per_state = [teleport.teleport_outcomes(s, model.DotParams(*grid)) for s in states]
+        per_state = [oracles.teleport_outcomes(s, model.DotParams(*grid)) for s in states]
     for idx, point in _cells(*grid):
         q = model.DotParams(*point)
         if stacked == "states":
-            per_cell = teleport.teleport_outcomes(stack, q)
+            per_cell = oracles.teleport_outcomes(stack, q)
         for j, s in enumerate(states):
             if stacked == "both":
                 outcomes, cell = whole, (*idx, j)
@@ -191,7 +191,7 @@ def test_teleport_outcomes_stack_like_their_point_calls(stacked, grid, angles):
                 outcomes, cell = per_state[j], idx
             else:
                 outcomes, cell = per_cell, (j,)
-            for got, want in zip(outcomes, teleport.teleport_outcomes(s, q)):
+            for got, want in zip(outcomes, oracles.teleport_outcomes(s, q)):
                 assert got.outcome is want.outcome
                 assert got.probability[cell].tobytes() == np.float64(want.probability).tobytes()
                 assert got.state[cell].tobytes() == want.state.tobytes()
@@ -206,9 +206,9 @@ def test_quadrature_stacks_like_its_point_calls(data, nodes):
     n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     k0, T = (data.draw(hnp.arrays(float, n, elements=_floats(*b))) for b in ((-20, 20), (0.01, 10)))
     r = data.draw(hnp.arrays(float, m, elements=_floats(-10.0, 10.0)))
-    grid = teleport.average_fidelity(model.DotParams(k0[:, None], r, T[:, None]), nodes)
+    grid = oracles.average_fidelity(model.DotParams(k0[:, None], r, T[:, None]), nodes)
     assert grid.shape == (n, m)
     for i, j in np.ndindex(n, m):
-        point = teleport.average_fidelity(model.DotParams(k0[i], r[j], T[i]), nodes)
+        point = oracles.average_fidelity(model.DotParams(k0[i], r[j], T[i]), nodes)
         assert type(point) is float
         assert grid[i, j].tobytes() == np.float64(point).tobytes()

@@ -16,23 +16,24 @@ import qdot
 from qdot import sweep
 from qdot.cli import main
 
-# The package API in its published order, as the eager imports gave it.
+# The package API in its published order: each module's names, modules in
+# _MODULES order.
 API = [
     "__version__",
-    "ConcurrenceResult", "wootters_concurrence", "xstate_concurrence", "model_concurrence",
-    "ground_state_concurrence", "critical_temperature",
+    "xstate_concurrence", "model_concurrence", "ground_state_concurrence",
+    "critical_temperature",
     "LinalgError",
-    "DomainError", "DotParams", "hamiltonian_matrix", "ThermalElements", "thermal_elements",
-    "thermal_state", "thermal_state_oracle",
-    "Axis", "SweepSpec", "FigurePreset", "run_sweep", "figure_preset", "run_figure",
-    "InputState", "BellOutcome", "TeleportOutcome", "MonteCarloFidelity", "input_density",
-    "bell_projectors", "joint_state", "collapse_bruteforce", "collapsed_closed_form",
-    "pauli_correction", "output_states", "fidelity", "subspace_fidelities",
-    "teleport_outcomes", "average_fidelity_closed_form", "average_fidelity",
+    "DomainError", "DotParams", "ThermalElements", "thermal_elements", "thermal_state",
+    "hamiltonian_matrix", "thermal_state_oracle", "ConcurrenceResult", "wootters_concurrence",
+    "TeleportOutcome", "MonteCarloFidelity", "input_density", "bell_projectors", "joint_state",
+    "collapse_bruteforce", "fidelity", "teleport_outcomes", "average_fidelity",
     "average_fidelity_mc",
+    "Axis", "SweepSpec", "FigurePreset", "run_sweep", "figure_preset", "run_figure",
+    "InputState", "BellOutcome", "collapsed_closed_form", "pauli_correction", "output_states",
+    "subspace_fidelities", "average_fidelity_closed_form",
     "CheckResult", "bisect_critical_temperature", "verify_all",
 ]
-MODULES = ("entanglement", "linalg", "model", "sweep", "teleport", "verify")
+MODULES = ("entanglement", "linalg", "model", "oracles", "sweep", "teleport", "verify")
 WATCHED = ("qdot.teleport", "qdot.verify", "json")
 
 
@@ -211,8 +212,8 @@ def test_star_import_binds_each_name_to_its_module_object():
 
 def test_star_import_in_a_fresh_interpreter_binds_the_api():
     code = (
-        "from qdot import *; import qdot.teleport as t, qdot.verify as v; "
-        "print(joint_state is t.joint_state, verify_all is v.verify_all)"
+        "from qdot import *; import qdot.oracles as o, qdot.verify as v; "
+        "print(joint_state is o.joint_state, verify_all is v.verify_all)"
     )
     assert run_child(code).split() == ["True", "True"]
 
@@ -226,15 +227,53 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_verify_names_no_private_teleport_attribute():
-    # the checks set the closed forms a user calls against the oracles
+    # the checks set the closed forms a user calls against the oracles a user
+    # calls, of teleport and of oracles alike
     tree = ast.parse(Path(qdot.__file__).with_name("verify.py").read_text())
-    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name) and node.value.id == "teleport"}
-    used |= {alias.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) and node.module == "teleport"
-             for alias in node.names}
-    assert "collapsed_closed_form" in used
-    assert [name for name in used if name.startswith("_")] == []
+    for module, public in (("teleport", "collapsed_closed_form"),
+                           ("oracles", "collapse_bruteforce")):
+        used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == module}
+        used |= {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == module
+                 for alias in node.names}
+        assert public in used, module
+        assert [name for name in used if name.startswith("_")] == [], module
+
+
+@pytest.mark.parametrize("module", ["model", "entanglement", "teleport", "sweep"])
+def test_a_closed_form_module_imports_neither_oracles_nor_verify(module):
+    # at any level, function-local imports included: the oracles stay apart
+    # from the forms they check
+    tree = ast.parse(Path(qdot.__file__).with_name(f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    parts = {part for name in imported for part in name.split(".")}
+    assert parts & {"oracles", "verify"} == set(), sorted(imported)
+
+
+@pytest.mark.parametrize("argv", [
+    *(["fidelity", "--k0", "4", "--r", "1", "--t", "0.5", "--theta", "1", "--phi", "2",
+       "--quantities", q] for q in ("C", "Tc", "F_o", "F_e", "F_a", "populations")),
+    *(["fidelity", "--k0", "4", "--t", "0.5", "--sweep", f"r:0:4:{cells}", "--theta", "1",
+       "--phi", "2", "--quantities", "F_o,F_e,F_a"] for cells in (SMALL_GRID, SMALL_GRID + 1)),
+    *(["fig", str(n)] for n in range(1, 6)),
+], ids=" ".join)
+def test_closed_form_commands_load_neither_oracles_nor_linalg(tmp_path, argv):
+    # points of every quantity, fidelity sweeps on both sides of one output
+    # chunk and every figure evaluate closed forms alone
+    watched = ("qdot.oracles", "qdot.linalg")
+    assert loaded_after([*argv, "--out", str(tmp_path / "out")], watched) == []
+
+
+def test_verify_loads_the_oracles():
+    assert loaded_after(["verify", "--mc-samples", "2000"], ("qdot.oracles",)) == ["qdot.oracles"]
 
 
 def test_in_process_main_leaves_the_collector_as_it_found_it(tmp_path):

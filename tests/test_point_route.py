@@ -351,7 +351,7 @@ _STEP_SPECS = {
 def test_an_evaluation_step_builds_its_thermal_elements_once(axes, fixed, on_floats):
     # F_o, F_e, F_a and the populations share one build of the elements per
     # step (a cell on Python floats, a block of arrays), and teleport builds
-    # none of its own; a fixed theta makes one input state for the sweep
+    # none of its own; the fidelities read theta alone, so no input state
     spec = sweep_mod.SweepSpec(axes, fixed, ("F_o", "F_e", "F_a", "populations"))
     steps = 20 if on_floats else 1
     with mock.patch.object(sweep_mod, "thermal_elements", wraps=thermal_elements) as built, \
@@ -360,4 +360,4 @@ def test_an_evaluation_step_builds_its_thermal_elements_once(axes, fixed, on_flo
         table = _routed(spec, on_floats)
     assert isinstance(table["F_a"], list) == on_floats
     assert (built.call_count, own.call_count) == (steps, 0)
-    assert states.call_count == (steps if axes[1].name == "theta" else 1)
+    assert states.call_count == 0

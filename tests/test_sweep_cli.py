@@ -1273,10 +1273,10 @@ def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
 
 
 def test_verify_quadrature_check_holds_each_point_to_its_own_bound(monkeypatch):
-    import qdot.teleport as teleport_mod
+    import qdot.oracles as oracles
     from qdot.verify import check_quadrature_mc
 
-    real = teleport_mod.average_fidelity
+    real = oracles.average_fidelity
     shapes = []
 
     def shifted(p, nodes=64):  # shifts one cell of the stack of the three points
@@ -1287,7 +1287,7 @@ def test_verify_quadrature_check_holds_each_point_to_its_own_bound(monkeypatch):
     assert check_quadrature_mc(1e-10, 200_000, 0).passed
     # below the 1e-14 rounding floor the zero-field point still passes
     assert check_quadrature_mc(1e-16, 200_000, 0).passed
-    monkeypatch.setattr(teleport_mod, "average_fidelity", shifted)
+    monkeypatch.setattr(oracles, "average_fidelity", shifted)
     res = check_quadrature_mc(1e-10, 200_000, 0)
     assert res.line().startswith("[FAIL] quadrature vs Monte Carlo")
     assert shapes == [(3,)]  # one quadrature call over all three points

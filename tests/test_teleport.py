@@ -8,31 +8,33 @@ import warnings
 import numpy as np
 import pytest
 
-import qdot.teleport as teleport_mod
+import qdot.oracles as oracles
 from qdot.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, LinalgError, kron
 from qdot.model import DomainError, DotParams, thermal_elements, thermal_state
-from qdot.teleport import (
+from qdot.oracles import (
     _MC_CHUNK,
-    _SERIES_CUTOFF,
-    BellOutcome,
-    InputState,
     MonteCarloFidelity,
     _lifted_projector,
     _mean_branch_fidelity,
     average_fidelity,
-    average_fidelity_closed_form,
     average_fidelity_mc,
     bell_projectors,
     collapse_bruteforce,
-    collapsed_closed_form,
     fidelity,
     input_density,
     input_vector,
     joint_state,
+    teleport_outcomes,
+)
+from qdot.teleport import (
+    _SERIES_CUTOFF,
+    BellOutcome,
+    InputState,
+    average_fidelity_closed_form,
+    collapsed_closed_form,
     output_states,
     pauli_correction,
     subspace_fidelities,
-    teleport_outcomes,
 )
 from qdot.verify import _MC_POINTS
 
@@ -138,7 +140,7 @@ def test_collapse_bruteforce_takes_only_an_8x8_density_matrix():
 def test_collapse_bruteforce_refuses_what_is_not_an_outcome(monkeypatch, outcome):
     # unchecked, each would end in numpy's stack or the projector table
     projected = []
-    monkeypatch.setattr(teleport_mod, "_lifted_projector", projected.append)
+    monkeypatch.setattr(oracles, "_lifted_projector", projected.append)
     with pytest.raises(DomainError, match="nonempty sequence of them, got "):
         collapse_bruteforce(joint_state(STATE, CHANNEL), outcome)
     assert projected == []
@@ -649,7 +651,7 @@ def test_monte_carlo_array_cells_are_their_scalar_calls():
 def _on_cpus(monkeypatch, cpus):
     """Make the Monte Carlo worker count see ``cpus`` usable CPUs."""
     monkeypatch.setattr(
-        teleport_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+        oracles.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
     )
 
 
@@ -671,10 +673,10 @@ def test_monte_carlo_has_the_same_bits_on_one_worker_and_two(monkeypatch, n, see
     _on_cpus(monkeypatch, 2)
     assert (bits(scalar), bits(grid)) == one
     # without sched_getaffinity the CPU count decides
-    monkeypatch.delattr(teleport_mod.os, "sched_getaffinity")
-    monkeypatch.setattr(teleport_mod.os, "cpu_count", lambda: None)
+    monkeypatch.delattr(oracles.os, "sched_getaffinity")
+    monkeypatch.setattr(oracles.os, "cpu_count", lambda: None)
     assert (bits(scalar), bits(grid)) == one
-    monkeypatch.setattr(teleport_mod.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(oracles.os, "cpu_count", lambda: 2)
     assert (bits(scalar), bits(grid)) == one
 
 
@@ -688,7 +690,7 @@ def test_monte_carlo_raises_the_helper_threads_exception(monkeypatch):
     monkeypatch.setattr(threading, "excepthook", hooked.append)
     caller = threading.get_ident()
     failure = _HelperFailure("chunk on the helper")
-    real = teleport_mod._mean_branch_fidelity
+    real = oracles._mean_branch_fidelity
 
     def failing_off_the_caller(e, x, work=None):
         if threading.get_ident() != caller:
@@ -696,7 +698,7 @@ def test_monte_carlo_raises_the_helper_threads_exception(monkeypatch):
         return real(e, x, work)
 
     before = threading.enumerate()
-    monkeypatch.setattr(teleport_mod, "_mean_branch_fidelity", failing_off_the_caller)
+    monkeypatch.setattr(oracles, "_mean_branch_fidelity", failing_off_the_caller)
     with pytest.raises(_HelperFailure) as raised:
         average_fidelity_mc(DotParams(2.0, 0.2, 0.5), n=3 * _MC_CHUNK, seed=1)
     assert raised.value is failure
@@ -711,7 +713,7 @@ def test_monte_carlo_raises_the_helper_threads_exception(monkeypatch):
             raise failure
         return real(e, x, work)
 
-    monkeypatch.setattr(teleport_mod, "_mean_branch_fidelity", failing_on_the_caller)
+    monkeypatch.setattr(oracles, "_mean_branch_fidelity", failing_on_the_caller)
     with pytest.raises(_HelperFailure) as raised:
         average_fidelity_mc(DotParams(2.0, 0.2, 0.5), n=3 * _MC_CHUNK, seed=1)
     assert raised.value is failure
@@ -721,13 +723,13 @@ def test_monte_carlo_raises_the_helper_threads_exception(monkeypatch):
 def test_monte_carlo_workers_see_the_callers_errstate(monkeypatch):
     _on_cpus(monkeypatch, 2)
     seen = set()
-    real = teleport_mod._mean_branch_fidelity
+    real = oracles._mean_branch_fidelity
 
     def recording(e, x, work=None):
         seen.add((threading.get_ident(), np.geterr()["over"]))
         return real(e, x, work)
 
-    monkeypatch.setattr(teleport_mod, "_mean_branch_fidelity", recording)
+    monkeypatch.setattr(oracles, "_mean_branch_fidelity", recording)
     with np.errstate(over="raise"):
         average_fidelity_mc(DotParams(2.0, 0.2, 0.5), n=2 * _MC_CHUNK, seed=1)
     assert len(seen) == 2 and {over for _, over in seen} == {"raise"}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qdot.teleport as teleport_mod
-from qdot import entanglement, linalg, model, teleport, verify
+from qdot import entanglement, linalg, model, oracles, teleport, verify
 from qdot.cli import main
 
 GRID_POINTS = [
@@ -35,7 +35,7 @@ def reference_thermal_oracle():
     dev = 0.0
     for p in GRID_POINTS:
         closed = model.thermal_state(p)
-        oracle = model.thermal_state_oracle(p)
+        oracle = oracles.thermal_state_oracle(p)
         dev = max(dev, float(np.abs(closed - oracle).max()))
     return dev
 
@@ -45,7 +45,7 @@ def reference_concurrence_triple():
     for p in GRID_POINTS:
         c_model = entanglement.model_concurrence(p)
         c_x = entanglement.xstate_concurrence(model.thermal_elements(p))
-        c_w = entanglement.wootters_concurrence(model.thermal_state(p)).value
+        c_w = oracles.wootters_concurrence(model.thermal_state(p)).value
         dev = max(dev, abs(c_model - c_x), abs(c_model - c_w), abs(c_x - c_w))
     return dev
 
@@ -63,10 +63,10 @@ def reference_collapse():
     for p in TELEPORT_POINTS:
         e = model.thermal_elements(p)
         for s in STATES:
-            joint = teleport.joint_state(s, p)
+            joint = oracles.joint_state(s, p)
             for outcome in teleport.BellOutcome:
                 closed_state, closed_prob = teleport.collapsed_closed_form(s, e, outcome)
-                brute_state, brute_prob = teleport.collapse_bruteforce(joint, outcome)
+                brute_state, brute_prob = oracles.collapse_bruteforce(joint, outcome)
                 dev = max(
                     dev,
                     float(np.abs(closed_state - brute_state).max()),
@@ -76,7 +76,7 @@ def reference_collapse():
                     f_closed = teleport.subspace_fidelities(s, p)[
                         outcome is teleport.BellOutcome.PHI_MINUS]
                     corrected = teleport.pauli_correction(outcome, brute_state)
-                    dev = max(dev, abs(f_closed - teleport.fidelity(s, corrected)))
+                    dev = max(dev, abs(f_closed - oracles.fidelity(s, corrected)))
     return dev
 
 
@@ -143,15 +143,15 @@ def test_grid_params_follow_the_point_order():
 
 def test_thermal_stacks_equal_their_point_calls():
     p = verify._params(verify.GRID)
-    hamiltonians = model.hamiltonian_matrix(p)
+    hamiltonians = oracles.hamiltonian_matrix(p)
     closed = model.thermal_state(p)
-    oracle = model.thermal_state_oracle(p)
-    stacked = entanglement.wootters_concurrence(closed)
+    oracle = oracles.thermal_state_oracle(p)
+    stacked = oracles.wootters_concurrence(closed)
     for i, q in enumerate(GRID_POINTS):
-        assert hamiltonians[i].tobytes() == model.hamiltonian_matrix(q).tobytes()
+        assert hamiltonians[i].tobytes() == oracles.hamiltonian_matrix(q).tobytes()
         assert closed[i].tobytes() == model.thermal_state(q).tobytes()
-        assert oracle[i].tobytes() == model.thermal_state_oracle(q).tobytes()
-        point = entanglement.wootters_concurrence(model.thermal_state(q))
+        assert oracle[i].tobytes() == oracles.thermal_state_oracle(q).tobytes()
+        point = oracles.wootters_concurrence(model.thermal_state(q))
         assert type(point.value) is float and point.lambdas.shape == (4,)
         assert stacked.value[i] == point.value
         assert stacked.lambdas[i].tobytes() == point.lambdas.tobytes()
@@ -161,18 +161,18 @@ def test_collapse_stacks_equal_their_point_calls():
     states, p = verify._teleport_grid()
     assert states.theta.shape == (len(STATES),) and p.k0.shape == (len(TELEPORT_POINTS), 1)
     e = model.thermal_elements(p)
-    joint = teleport.joint_state(states, p)
+    joint = oracles.joint_state(states, p)
     rho_o, rho_e = teleport.output_states(states, p)
     for outcome in teleport.BellOutcome:
-        brute_state, brute_prob = teleport.collapse_bruteforce(joint, outcome)
+        brute_state, brute_prob = oracles.collapse_bruteforce(joint, outcome)
         closed_state, closed_prob = teleport.collapsed_closed_form(states, e, outcome)
         for i, q in enumerate(TELEPORT_POINTS):
             e_q = model.thermal_elements(q)
             for j, s in enumerate(STATES):
                 assert (states.theta[j], states.phi[j]) == (s.theta, s.phi)
-                point_joint = teleport.joint_state(s, q)
+                point_joint = oracles.joint_state(s, q)
                 assert joint[i, j].tobytes() == point_joint.tobytes()
-                state, prob = teleport.collapse_bruteforce(point_joint, outcome)
+                state, prob = oracles.collapse_bruteforce(point_joint, outcome)
                 assert type(prob) is float
                 assert brute_state[i, j].tobytes() == state.tobytes() and brute_prob[i, j] == prob
                 state, prob = teleport.collapsed_closed_form(s, e_q, outcome)

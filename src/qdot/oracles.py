@@ -9,9 +9,9 @@ is that independence, so an oracle shares no formula with the closed form it
 checks, and no closed-form module (model, entanglement, teleport, sweep)
 imports this one: verify and the tests do.
 
-The model, linalg and teleport functions called here are looked up on their
-modules at call time, so a wrapper installed on those modules after import,
-as qdotbench's layer tracer installs them, sees every call.
+The public model, linalg and teleport functions called here are looked up
+on their modules at call time, so a wrapper installed on those modules after
+import, as qdotbench's layer tracer installs them, sees every call.
 """
 
 from __future__ import annotations

@@ -110,7 +110,7 @@ def _child() -> None:
     import qdot
     import qdot.sweep
     from qdot import Axis, SweepSpec, run_sweep
-    from qdot.sweep import format_csv
+    from qdot.sweep import iter_csv
 
     src = Path(os.environ["PYTHONPATH"]).resolve()
     assert Path(qdot.__file__).resolve().is_relative_to(src), "qdot imported from elsewhere"
@@ -122,7 +122,8 @@ def _child() -> None:
     for label, spec in specs.items():
         samples[f"run_sweep, {label}"] = _per_call(timeit.Timer(lambda: run_sweep(spec)))
         table = run_sweep(spec)
-        samples[f"format_csv, {label}"] = _per_call(timeit.Timer(lambda: format_csv(table)))
+        # kept under its old name, so that older BENCH files still compare
+        samples[f"format_csv, {label}"] = _per_call(timeit.Timer(lambda: "".join(iter_csv(table))))
         del table
     specs = {
         FIDELITY: SweepSpec((Axis("r", 0.0, 2.0, 200), Axis("T", 0.05, 2.0, 200)),

@@ -15,14 +15,12 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from .entanglement import ground_state_concurrence
 from .model import DomainError
 from .sweep import (
     PARAMETER_NAMES,
     Axis,
     SweepSpec,
     UsageError,
-    figure_preset,
     iter_csv,
     iter_json,
     run_figure,
@@ -34,8 +32,12 @@ if TYPE_CHECKING:
 
 __all__ = ["main"]
 
-_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
-_PI_FORM = re.compile(r"^(-)?(?:(\d+(?:\.\d+)?)\*)?pi(?:/(\d+(?:\.\d+)?))?$")
+_PI = r"(?:(\d+(?:\.\d+)?)\*)?pi(?:/(\d+(?:\.\d+)?))?"
+_PI_FORM = re.compile(rf"^(-)?{_PI}$")
+# a value the flag converters parse that starts with "-": float() forms and
+# pi forms, so "--theta -pi/2" reads as "--theta=-pi/2" does
+_NEGATIVE_NUMBER = re.compile(rf"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan|{_PI})$",
+                              re.IGNORECASE)
 
 
 def parse_angle(text: str) -> float:
@@ -85,7 +87,7 @@ def parse_quantities(text: str) -> tuple[str, ...]:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own matcher (3.10, 3.11) has no exponent: -1e-3 read as an option
+        # argparse's own matcher (3.10, 3.11) knows only decimals: -1e-3 read as an option
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str):  # noqa: D102 - argparse hook
@@ -251,14 +253,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ground_state(args) -> int:
-    if args.k0 is None:
-        raise UsageError("ground-state needs --k0")
-    _emit({"k0": [args.k0], "r": [args.r], "C": [ground_state_concurrence(args.k0, args.r)]}, args)
+    spec = SweepSpec((), {**_fixed_params(args), "T": 0.0}, ("C",))
+    _emit({"k0": [args.k0], "r": [args.r], **run_sweep(spec)}, args)
     return 0
 
 
 def cmd_fig(args) -> int:
-    _emit(run_figure(figure_preset(args.fig_id)), args)
+    _emit(run_figure(args.fig_id), args)
     return 0
 
 

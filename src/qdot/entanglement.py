@@ -18,7 +18,6 @@ from .model import _maximum, _scalar, _where
 __all__ = [
     "xstate_concurrence",
     "model_concurrence",
-    "ground_state_concurrence",
     "critical_temperature",
 ]
 
@@ -40,19 +39,14 @@ def model_concurrence(p: DotParams) -> float:
 
     Evaluates max((exp(3k0/16T) - 3 exp(-k0/16T)) / Z, 0) with the same
     log-domain shift as the thermal elements. The numerator is negative for
-    every k0 < 0, so ferromagnetic coupling never entangles; T = 0 gives
-    the ground-state limit. Overflowing exponents raise DomainError.
+    every k0 < 0, so ferromagnetic coupling never entangles. T = 0 gives the
+    ground-state limit: 1 for the singlet at |r| < k0/4, 0 for the polarized
+    state at |r| > k0/4, 1/2 for their equal mixture at |r| = k0/4 (an exact
+    test of 4|r| against k0), and 0 for any k0 <= 0. Overflowing exponents
+    raise DomainError.
     """
     u, v, e1, e2, _ = _boltzmann_weights(p)
     return _scalar(_maximum((e2 - 3.0 * e1) / (u + v + e1 + e2), 0.0))
-
-
-def ground_state_concurrence(k0: float, r: float) -> float:
-    """Zero-temperature concurrence, model_concurrence at T = 0: 1 for the
-    singlet at |r| < k0/4, 0 for the polarized state at |r| > k0/4, 1/2 for
-    their equal mixture at |r| = k0/4 (an exact test of 4|r| against k0),
-    and 0 for any k0 <= 0."""
-    return model_concurrence(DotParams(k0, r, 0.0))
 
 
 def critical_temperature(k0):

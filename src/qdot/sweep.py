@@ -30,7 +30,7 @@ if TYPE_CHECKING:
     # a table: columns of one length, float arrays or lists of Python floats
     Table = dict[str, np.ndarray] | dict[str, list[float]]
 
-__all__ = ["Axis", "SweepSpec", "FigurePreset", "run_sweep", "figure_preset", "run_figure"]
+__all__ = ["Axis", "SweepSpec", "run_sweep", "run_figure"]
 
 PARAMETER_NAMES = ("k0", "r", "T", "theta", "phi")
 SWEEPABLE = ("k0", "r", "T", "theta")
@@ -238,32 +238,9 @@ def _evaluator(quantities: tuple[str, ...]) -> Callable[[dict], Iterator[tuple[s
     return evaluate
 
 
-class FigurePreset(_Record):
-    """A multi-panel sweep: at least one SweepSpec, all with the same axis
-    names and quantities. A panel key names the parameter that tells the
-    panels apart: fixed in every panel, swept in none."""
-
-    __slots__ = ("panel_key", "panels")
-
-    def __init__(self, panel_key: str | None, panels: tuple[SweepSpec, ...]) -> None:
-        _Record.__init__(self, panel_key, panels)
-        if not (isinstance(panels, (tuple, list))
-                and all(isinstance(p, SweepSpec) for p in panels)):
-            raise UsageError(f"panels must be a tuple of SweepSpec, got {panels!r}")
-        if not panels:
-            raise UsageError("a figure needs at least one panel")
-        columns = {(tuple(a.name for a in p.axes), tuple(p.quantities)) for p in panels}
-        if len(columns) > 1:
-            raise UsageError("the panels of a figure need the same axis names and quantities")
-        names = [a.name for a in panels[0].axes]
-        if panel_key is not None and (panel_key not in PARAMETER_NAMES or panel_key in names
-                                      or any(panel_key not in p.fixed for p in panels)):
-            raise UsageError(f"panel key {panel_key!r} must be fixed in every panel "
-                             "and swept in none")
-
-
 # Figure id -> (panel key, panel values, axes, fixed values, quantities); a
-# figure without a panel key is one panel. Fidelities are cut at theta = pi/3.
+# figure without a panel key is one panel. A panel key is fixed in every
+# panel and swept in none. Fidelities are cut at theta = pi/3.
 _CUT = {"theta": math.pi / 3.0, "phi": 0.0}
 _FIGURES = {
     1: ("T", (0.2, 1.0), (Axis("k0", 0.0, 10.0, 41), Axis("r", 0.0, 2.0, 41)), {}, ("C",)),
@@ -274,40 +251,35 @@ _FIGURES = {
 }
 
 
-def figure_preset(fig_id: int) -> FigurePreset:
-    """Preset sweeps behind the `fig` subcommand.
+def run_figure(fig_id: int) -> Table:
+    """Evaluate the preset figure behind the `fig` subcommand: each panel of
+    its _FIGURES row through run_sweep, their tables concatenated, the
+    panel value as the leading column where the figure has a panel key.
 
     Fixed parameters follow the standard presentation of this model:
     concurrence maps and cuts (1, 2), then fidelity versus temperature,
     coupling, and field at theta = pi/3 (3, 4, 5). Grid ranges and step
     counts are chosen for smooth plots; panel values are part of the preset.
+    Panels of lists join as lists, without numpy, others as float arrays:
+    wrap a column in np.asarray for arithmetic.
     """
     if isinstance(fig_id, bool) or not isinstance(fig_id, int):  # True == 1, and 1.0 too
         raise UsageError(f"a figure is named by an int, got {fig_id!r}")
     if fig_id not in _FIGURES:
         raise UsageError(f"unknown figure {fig_id}; presets are 1 through 5")
     key, values, axes, fixed, quantities = _FIGURES[fig_id]
-    panels = [{key: v} for v in values] if key else [{}]
-    return FigurePreset(
-        panel_key=key,
-        panels=tuple(SweepSpec(axes, {**panel, **fixed}, quantities) for panel in panels),
-    )
-
-
-def run_figure(preset: FigurePreset) -> Table:
-    """Evaluate all panels and concatenate their tables, a point's one row
-    too; the panel value becomes the leading column. Panels of lists join as
-    lists, without numpy, others as float arrays: wrap a column in np.asarray
-    for arithmetic."""
     tables = []
-    for spec in preset.panels:
-        table = run_sweep(spec)
-        if preset.panel_key is not None:
-            first, value = next(iter(table.values())), float(spec.fixed[preset.panel_key])
+    for value in values or (None,):  # a figure without a panel key is one panel
+        panel = {key: value} if key else {}
+        table = run_sweep(SweepSpec(axes, {**panel, **fixed}, quantities))
+        if key:
+            first = next(iter(table.values()))
             np = _numpy(first)  # None for a list
             column = [value] * len(first) if np is None else np.full(len(first), value)
-            table = {preset.panel_key: column, **table}
+            table = {key: column, **table}
         tables.append(table)
+    # joined even for one panel: the result's arrays are writable copies, not
+    # run_sweep's zero-stride views
     if all(isinstance(column, list) for t in tables for column in t.values()):
         return {name: [x for t in tables for x in t[name]] for name in tables[0]}
     import numpy as np
@@ -389,7 +361,9 @@ def _iter_rows(table: Table,
 
 def iter_csv(table: Table) -> Iterator[str]:
     """A table's CSV text in pieces: the header line, then one string per
-    chunk of rows (see _iter_rows), so a writer never holds the whole text."""
+    chunk of rows (see _iter_rows), so a writer never holds the whole text.
+    Cells are format(x, ".17g"), NaN (Tc without a transition) an empty
+    cell; LF newlines, no trailing delimiter."""
     yield ",".join(table) + "\n"
     yield from _iter_rows(table, _cells, "0", ",", "\n", "\n")
 
@@ -404,16 +378,3 @@ def iter_json(table: Table) -> Iterator[str]:
     yield '{\n  "columns": [\n    ' + names + '\n  ],\n  "rows": [\n    [\n      '
     yield from _iter_rows(table, _json_cells, "0.0", ",\n      ", "\n    ],\n    [\n      ", "")
     yield "\n    ]\n  ]\n}\n"
-
-
-def format_csv(table: Table) -> str:
-    """Render a table as CSV: format(x, ".17g") cells, LF newlines, no trailing
-    delimiter; NaN (Tc without a transition) is an empty cell. The joined
-    pieces of iter_csv."""
-    return "".join(iter_csv(table))
-
-
-def format_json(table: Table) -> str:
-    """Render a table as a JSON object with columns and row arrays; NaN is
-    null. The joined pieces of iter_json."""
-    return "".join(iter_json(table))

@@ -14,7 +14,6 @@ import numpy as np
 
 from qdot.entanglement import (
     critical_temperature,
-    ground_state_concurrence,
     model_concurrence,
     xstate_concurrence,
 )
@@ -31,7 +30,7 @@ from qdot.oracles import (
     thermal_state_oracle,
     wootters_concurrence,
 )
-from qdot.sweep import figure_preset, run_figure
+from qdot.sweep import _FIGURES, run_figure
 from qdot.teleport import (
     BellOutcome,
     InputState,
@@ -122,7 +121,7 @@ def test_03_critical_temperature_bisection():
 def test_04_zero_temperature_limits():
     c_half = model_concurrence(DotParams(k0=4.0, r=0.5, T=1e-3))
     c_two = model_concurrence(DotParams(k0=4.0, r=2.0, T=1e-3))
-    boundary = ground_state_concurrence(4.0, 1.0)
+    boundary = model_concurrence(DotParams(4.0, 1.0, 0.0))
     passed = abs(c_half - 1.0) < 1e-3 and abs(c_two) < 1e-3 and boundary == 0.5
     report(4, "zero-temperature limits", passed,
            f"C(4,0.5)={c_half:.6f}, C(4,2)={c_two:.2e}, boundary={boundary}")
@@ -248,7 +247,7 @@ def test_10_monotone_trends():
     for fig_id, axis, direction in ((3, "T", "non-increasing"),
                                     (4, "k0", "non-decreasing"),
                                     (5, "r", "non-increasing")):
-        table = run_figure(figure_preset(fig_id))
+        table = run_figure(fig_id)
         for q in ("F_o", "F_e", "F_a"):
             series = table[q]
             diffs = np.diff(series)
@@ -268,7 +267,7 @@ def test_10_monotone_trends():
     # the rise belongs to the model, not to the closed form: the fig 5 F_o
     # column matches the corrected Psi branches of the 8x8 brute-force collapse
     oracle_tol = 1e-12
-    fixed = figure_preset(5).panels[0].fixed
+    fixed = _FIGURES[5][3]
     s = InputState(theta=fixed["theta"], phi=fixed["phi"])
     oracle_dev = 0.0
     for r, closed in zip(field, f_o_series):

@@ -22,6 +22,7 @@ import os
 import tempfile
 import warnings
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,8 @@ PLAIN = ["0", "-0", "1", "-1", "4", "0.5", "-2.5", "1e-3", "-1e-3", "2E-1", "3e+
 EDGE = ["1e-310", "1e-400", "1e308", "-1e308", "1e400", "-1e400", "nan", "-nan", "inf", "-inf",
         str(2**70), "", "x"]
 NUMBERS = st.sampled_from(PLAIN * 3 + EDGE)
-ANGLES = NUMBERS | st.sampled_from(["pi", "pi/3", "2*pi/3", "-pi/2", "pi/0", "2*pi/0"])
+PI_FORMS = ["pi", "pi/3", "2*pi/3", "-pi/2", "pi/0", "2*pi/0"]
+ANGLES = NUMBERS | st.sampled_from(PI_FORMS)
 STEPS = st.sampled_from([str(n) for n in range(2, 13)] * 2 + ["-1", "0", "1", "", "2.5", "x"])
 
 
@@ -157,3 +159,15 @@ def test_every_argv_exits_with_a_documented_code(command):
         assert "nan" not in out.lower(), (argv, lines, out)
         values = _parameter_values(argv, lines)
         assert all(math.isfinite(parse_angle(v)) for v in values.values()), (argv, lines)
+
+
+@pytest.mark.parametrize("flag", PARAMETERS)
+def test_a_spaced_value_reads_as_its_joined_form(flag):
+    # argparse reads a token that starts with "-" as an option unless it
+    # looks like a negative number: "-inf", "-nan" and "-pi/2" must not
+    # read as missing values where "--flag=-inf" parses
+    argv = ["fidelity", "--k0", "4", "--t", "1"]
+    for value in EDGE + PI_FORMS:
+        assert _run([*argv, flag, value]) == _run([*argv, f"{flag}={value}"]), value
+    # -h stays the help flag, so a flag before it has no value
+    assert _run([*argv, flag, "-h"]) == (1, "", f"error: argument {flag}: expected one argument\n")

@@ -13,7 +13,6 @@ import pytest
 import qdot
 from qdot.entanglement import (
     critical_temperature,
-    ground_state_concurrence,
     model_concurrence,
     xstate_concurrence,
 )
@@ -179,18 +178,18 @@ def test_model_concurrence_zero_temperature_dispatch():
 
 
 def test_ground_state_cases():
-    assert ground_state_concurrence(4.0, 0.0) == 1.0
-    assert ground_state_concurrence(4.0, 0.999) == 1.0
-    assert ground_state_concurrence(4.0, 1.0) == 0.5  # exactly at r = k0/4
-    assert ground_state_concurrence(4.0, 1.0 + 1e-12) == 0.0
-    assert ground_state_concurrence(-4.0, 0.0) == 0.0
-    assert ground_state_concurrence(0.0, 0.0) == 0.0
-    assert ground_state_concurrence(4.0, -1.0) == 0.5  # field sign is irrelevant
+    assert model_concurrence(DotParams(4.0, 0.0, 0.0)) == 1.0
+    assert model_concurrence(DotParams(4.0, 0.999, 0.0)) == 1.0
+    assert model_concurrence(DotParams(4.0, 1.0, 0.0)) == 0.5  # exactly at r = k0/4
+    assert model_concurrence(DotParams(4.0, 1.0 + 1e-12, 0.0)) == 0.0
+    assert model_concurrence(DotParams(-4.0, 0.0, 0.0)) == 0.0
+    assert model_concurrence(DotParams(0.0, 0.0, 0.0)) == 0.0
+    assert model_concurrence(DotParams(4.0, -1.0, 0.0)) == 0.5  # field sign is irrelevant
 
 
 def _case_analysis(k0, r):
     """The ground-state concurrence by cases against the rounded boundary
-    k0/4, as ground_state_concurrence computed it before T = 0 became a cell
+    k0/4, as the ground-state concurrence was computed before T = 0 became a cell
     of model_concurrence; exact wherever k0/4 is, that is for |k0| >= 2^-1020."""
     if k0 <= 0:
         return 0.0
@@ -215,9 +214,9 @@ def test_ground_state_ties_follow_the_case_analysis(k0):
     for r in _ulps(k0 / 4.0, 2):
         for kk, rr in ((k0, r), (k0, -r), (-k0, r)):
             want = _case_analysis(kk, rr)
-            assert ground_state_concurrence(kk, rr) == want
             assert model_concurrence(DotParams(kk, rr, 0.0)) == want
-            assert ground_state_concurrence(np.array([kk]), np.array([rr])).tolist() == [want]
+            cold = DotParams(np.array([kk]), np.array([rr]), 0.0)
+            assert model_concurrence(cold).tolist() == [want]
 
 
 def test_ground_state_of_subnormal_couplings():
@@ -225,11 +224,11 @@ def test_ground_state_of_subnormal_couplings():
     # 4|r| against k0 decides, where the case analysis gave 1/2
     tiny = 5e-324
     assert _case_analysis(2 * tiny, 0.0) == 0.5  # k0/4 rounds to 0
-    assert ground_state_concurrence(2 * tiny, 0.0) == 1.0  # the singlet alone
+    assert model_concurrence(DotParams(2 * tiny, 0.0, 0.0)) == 1.0  # the singlet alone
     assert _case_analysis(3 * tiny, tiny) == 0.5  # k0/4 rounds to tiny
-    assert ground_state_concurrence(3 * tiny, tiny) == 0.0  # |11> alone: 4r > k0
-    assert ground_state_concurrence(4 * tiny, -tiny) == 0.5  # 4|r| = k0, a true tie
-    assert ground_state_concurrence(tiny, 0.0) == 1.0
+    assert model_concurrence(DotParams(3 * tiny, tiny, 0.0)) == 0.0  # |11> alone: 4r > k0
+    assert model_concurrence(DotParams(4 * tiny, -tiny, 0.0)) == 0.5  # 4|r| = k0, a true tie
+    assert model_concurrence(DotParams(tiny, 0.0, 0.0)) == 1.0
 
 
 def test_zero_temperature_limits_are_reached_smoothly():

@@ -20,15 +20,14 @@ from qdot.cli import main
 # _MODULES order.
 API = [
     "__version__",
-    "xstate_concurrence", "model_concurrence", "ground_state_concurrence",
-    "critical_temperature",
+    "xstate_concurrence", "model_concurrence", "critical_temperature",
     "LinalgError",
     "DomainError", "DotParams", "ThermalElements", "thermal_elements", "thermal_state",
     "hamiltonian_matrix", "thermal_state_oracle", "ConcurrenceResult", "wootters_concurrence",
     "TeleportOutcome", "MonteCarloFidelity", "input_density", "bell_projectors", "joint_state",
     "collapse_bruteforce", "fidelity", "teleport_outcomes", "average_fidelity",
     "average_fidelity_mc",
-    "Axis", "SweepSpec", "FigurePreset", "run_sweep", "figure_preset", "run_figure",
+    "Axis", "SweepSpec", "run_sweep", "run_figure",
     "InputState", "BellOutcome", "collapsed_closed_form", "pauli_correction", "output_states",
     "subspace_fidelities", "average_fidelity_closed_form",
     "CheckResult", "bisect_critical_temperature", "verify_all",
@@ -145,13 +144,13 @@ def test_a_small_grid_runs_on_python_floats_only_while_numpy_is_not_loaded():
     # qdot.sweep loads no numpy; `from qdot import Axis` binds the whole API,
     # whose oracle modules import it
     code = (
-        "import sys; from qdot.sweep import Axis, SweepSpec, run_figure, figure_preset, run_sweep\n"
+        "import sys; from qdot.sweep import Axis, SweepSpec, run_figure, run_sweep\n"
         "def kinds(table): return sorted({type(c).__name__ for c in table.values()})\n"
         "def grid(n): return SweepSpec((Axis('r', 0.0, 2.0, n),), {'k0': 4.0, 'T': 0.5})\n"
         f"small, large = grid({SMALL_GRID}), grid({SMALL_GRID + 1})\n"
-        "print([kinds(run_sweep(small)), kinds(run_figure(figure_preset(1))),\n"
+        "print([kinds(run_sweep(small)), kinds(run_figure(1)),\n"
         "       'numpy' in sys.modules, kinds(run_sweep(large)), kinds(run_sweep(small)),\n"
-        "       kinds(run_figure(figure_preset(1)))])\n"
+        "       kinds(run_figure(1))])\n"
     )
     assert ast.literal_eval(run_child(code)) == [
         ["list"], ["list"], False, ["ndarray"], ["ndarray"], ["ndarray"]]

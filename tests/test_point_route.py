@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 import qdot.sweep as sweep_mod
 import qdot.teleport as teleport_mod
-from qdot.entanglement import critical_temperature, ground_state_concurrence, model_concurrence
+from qdot.entanglement import critical_temperature, model_concurrence
 from qdot.model import DomainError, DotParams, thermal_elements
 from qdot.teleport import InputState, average_fidelity_closed_form, subspace_fidelities
 
@@ -95,6 +95,10 @@ def _bits(point, array) -> None:
     assert point.hex() == float(array[0]).hex()
 
 
+def _ground_state(k0, r):
+    return model_concurrence(DotParams(k0, r, 0.0))
+
+
 def _populations(e):
     return e.u / e.big_z, e.w / e.big_z, e.v / e.big_z
 
@@ -128,8 +132,8 @@ def _same_route(k0, r, T, theta, phi) -> None:
                     _bits(a, b)
             elif want is not None:
                 _bits(want, got)
-    want, want_error = _run(ground_state_concurrence, k0, r)
-    got, got_error = _run(ground_state_concurrence, *arrays[:2])
+    want, want_error = _run(_ground_state, k0, r)
+    got, got_error = _run(_ground_state, *arrays[:2])
     assert want_error == got_error
     if want is not None:
         _bits(want, got)
@@ -228,7 +232,7 @@ def _quantities(k0, r, T, theta, phi):
     e = thermal_elements(p)
     return [e.u, e.v, e.w, e.y, e.big_z, model_concurrence(p),
             *subspace_fidelities(InputState(theta, phi), p), average_fidelity_closed_form(p),
-            critical_temperature(k0), ground_state_concurrence(k0, r)]
+            critical_temperature(k0), model_concurrence(DotParams(k0, r, 0.0))]
 
 
 @pytest.mark.parametrize("point", [(4.0, 1.0, 0.3, 1.1, 0.4), (2.0, 0.2, 0.5, 0.3, 2.9),
@@ -334,8 +338,8 @@ def test_a_small_grid_on_python_floats_writes_the_bytes_of_its_arrays(sweep):
         return
     assert all(type(x) is float for column in cells.values() for x in column)
     assert all(isinstance(column, np.ndarray) for column in arrays.values())
-    for fmt in (sweep_mod.format_csv, sweep_mod.format_json):
-        assert fmt(cells) == fmt(arrays)
+    for fmt in (sweep_mod.iter_csv, sweep_mod.iter_json):
+        assert "".join(fmt(cells)) == "".join(fmt(arrays))
 
 
 _STEP_SPECS = {

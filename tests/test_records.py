@@ -1,4 +1,4 @@
-"""The contract of the package's ten records: construction by position and
+"""The contract of the package's nine records: construction by position and
 by keyword with their defaults, the repr text, ``==``, ``hash``, pickling and
 deep copies, and that no field can be assigned or deleted. Every record
 compares its arrays by value, those of a grid's parameters included."""
@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from qdot import (
-    Axis, BellOutcome, CheckResult, ConcurrenceResult, DotParams, FigurePreset, InputState,
+    Axis, BellOutcome, CheckResult, ConcurrenceResult, DotParams, InputState,
     MonteCarloFidelity, SweepSpec, TeleportOutcome, ThermalElements,
 )
 
 AXIS = Axis("r", 0.0, 2.0, 5)
-SPEC = SweepSpec((AXIS,), {"k0": 4.0, "T": 0.5}, ("C",))
 LAMBDAS = np.array([1.0, 0.5, 0.0, 0.0])
 STATE = np.array([[0.75, 0.25j], [-0.25j, 0.25]])
 
@@ -39,8 +38,6 @@ RECORDS = {case[0].__name__: case for case in [
      ((AXIS,), {"k0": 4.0, "T": 0.5}, ("populations",)),
      "SweepSpec(axes=(Axis(name='r', lo=0.0, hi=2.0, steps=5),), "
      "fixed={'k0': 4.0, 'T': 0.5}, quantities=('C',))"),
-    (FigurePreset, ("panel_key", "panels"), (None, (SPEC,)), ("k0", (SPEC,)),
-     f"FigurePreset(panel_key=None, panels=({SPEC!r},))"),
     (InputState, ("theta", "phi"), (1.0, 0.5), (1.0, -0.5), "InputState(theta=1.0, phi=0.5)"),
     (TeleportOutcome, ("outcome", "probability", "state", "fidelity"),
      (BellOutcome.PSI_MINUS, 0.25, STATE, 0.75), (BellOutcome.PSI_MINUS, 0.25, STATE.T, 0.75),
@@ -64,7 +61,7 @@ RECORDS.update({
 })
 # Cases that hold an array or a dict have no hash: the key is the case, since
 # a DotParams of floats hashes and one of arrays does not.
-UNHASHABLE = {"ConcurrenceResult", "SweepSpec", "FigurePreset", "TeleportOutcome",
+UNHASHABLE = {"ConcurrenceResult", "SweepSpec", "TeleportOutcome",
               "DotParams-arrays", "InputState-arrays", "ThermalElements-arrays"}
 
 

@@ -29,18 +29,24 @@ from qdot.sweep import (
     PARAMETER_NAMES,
     QUANTITY_NAMES,
     Axis,
-    FigurePreset,
     SweepSpec,
     UsageError,
-    figure_preset,
-    format_csv,
-    format_json,
+    _FIGURES,
     iter_csv,
     iter_json,
     run_figure,
     run_sweep,
 )
 from qdot.teleport import InputState, average_fidelity_closed_form, subspace_fidelities
+
+
+# a table's whole text in either format, as the CLI writes it piece by piece
+def format_csv(table):
+    return "".join(iter_csv(table))
+
+
+def format_json(table):
+    return "".join(iter_json(table))
 
 
 # ---------------------------------------------------------------- sweep core
@@ -392,74 +398,43 @@ def test_a_theta_axis_overrides_a_fixed_theta_in_every_cell(on_floats):
 def test_figure_presets_pin_model_parameters():
     cut = {"theta": math.pi / 3, "phi": 0.0}
     fidelities = ("F_o", "F_e", "F_a")
-    # figure -> (panel key, panel values, axes as (name, lo, hi, steps),
-    # fixed values of each panel, quantities)
+    # figure -> (panel key, panel values, axes, fixed values, quantities)
     expected = {
-        1: ("T", [0.2, 1.0], [("k0", 0.0, 10.0, 41), ("r", 0.0, 2.0, 41)],
-            [{"T": 0.2}, {"T": 1.0}], ("C",)),
-        2: ("k0", [3.0, 4.0, 5.0, 10.0], [("T", 0.05, 2.5, 50)],
-            [{"k0": k, "r": 1.0} for k in (3.0, 4.0, 5.0, 10.0)], ("C",)),
-        3: (None, None, [("T", 0.02, 2.0, 50)], [{"k0": 2.0, "r": 0.2, **cut}], fidelities),
-        4: (None, None, [("k0", 0.0, 10.0, 50)], [{"T": 0.2, "r": 0.2, **cut}], fidelities),
-        5: (None, None, [("r", 0.0, 10.0, 50)], [{"T": 0.2, "k0": 4.0, **cut}], fidelities),
+        1: ("T", (0.2, 1.0), (Axis("k0", 0.0, 10.0, 41), Axis("r", 0.0, 2.0, 41)), {}, ("C",)),
+        2: ("k0", (3.0, 4.0, 5.0, 10.0), (Axis("T", 0.05, 2.5, 50),), {"r": 1.0}, ("C",)),
+        3: (None, (), (Axis("T", 0.02, 2.0, 50),), {"k0": 2.0, "r": 0.2, **cut}, fidelities),
+        4: (None, (), (Axis("k0", 0.0, 10.0, 50),), {"T": 0.2, "r": 0.2, **cut}, fidelities),
+        5: (None, (), (Axis("r", 0.0, 10.0, 50),), {"T": 0.2, "k0": 4.0, **cut}, fidelities),
     }
-    for fig_id, (key, values, axes, fixed, quantities) in expected.items():
-        preset = figure_preset(fig_id)
-        assert preset.panel_key == key, fig_id
-        if key is not None:
-            assert [s.fixed[key] for s in preset.panels] == values, fig_id
-        assert [s.fixed for s in preset.panels] == fixed, fig_id
-        for s in preset.panels:
-            assert [(a.name, a.lo, a.hi, a.steps) for a in s.axes] == axes, fig_id
-            assert s.quantities == quantities, fig_id
+    assert _FIGURES == expected
 
-    with pytest.raises(UsageError):
-        figure_preset(6)
+    for fig_id in (0, 6):
+        message = rf"^unknown figure {fig_id}; presets are 1 through 5$"
+        with pytest.raises(UsageError, match=message):
+            run_figure(fig_id)
     # True == 1 and 1.0 == 1 are keys of the presets, but name no figure
     for fig_id in (True, 1.0, "1"):
         with pytest.raises(UsageError, match=rf"^a figure is named by an int, got {fig_id!r}$"):
-            figure_preset(fig_id)
+            run_figure(fig_id)
 
 
-_PANEL = SweepSpec((Axis("r", 0.0, 2.0, 3),), {"k0": 4.0, "T": 0.5}, ("C",))
-_KEY_REFUSED = r"^panel key {} must be fixed in every panel and swept in none$"
-_UNLIKE = "^the panels of a figure need the same axis names and quantities$"
-
-
-@pytest.mark.parametrize("panel_key, panels, message", [
-    (None, (), "^a figure needs at least one panel$"),
-    (None, (_PANEL, "T:0:1:3"), "^panels must be a tuple of SweepSpec, got "),
-    # no panel fixes phi: run_figure raised a bare KeyError
-    ("phi", (_PANEL,), _KEY_REFUSED.format("'phi'")),
-    # a key that names no parameter, unhashable too
-    (["T"], (_PANEL,), _KEY_REFUSED.format(r"\['T'\]")),
-    # the T axis overwrote the T panel column, in the column's leading place
-    ("T", (SweepSpec((Axis("T", 0.1, 1.0, 3),), {"k0": 4.0, "r": 1.0, "T": 0.5}),),
-     _KEY_REFUSED.format("'T'")),
-    # the second panel's Tc was dropped
-    ("T", (_PANEL, SweepSpec(_PANEL.axes, {"k0": 4.0, "T": 1.0}, ("C", "Tc"))), _UNLIKE),
-    # the second panel's k0 axis raised a bare KeyError: 'r'
-    ("T", (_PANEL, SweepSpec((Axis("k0", 0.0, 2.0, 3),), {"r": 1.0, "T": 1.0})), _UNLIKE),
-], ids=["no-panel", "not-a-spec", "key-not-fixed", "key-not-a-name", "key-swept",
-        "unlike-quantities", "unlike-axes"])
-def test_figure_preset_refuses_panels_that_do_not_join(panel_key, panels, message):
-    with pytest.raises(UsageError, match=message):
-        FigurePreset(panel_key, panels)
-
-
-def test_point_panels_join_as_rows():
-    # a point is a one-row table, so points join as the rows of a figure,
-    # its panel column first; run_figure raised an IndexError on them
-    panels = tuple(SweepSpec((), {"k0": 4.0, "r": 1.0, "T": t}, ("C", "Tc")) for t in (0.2, 1.0))
-    table = run_figure(FigurePreset("T", panels))
-    rows = [run_sweep(spec) for spec in panels]
-    assert table == {"T": [0.2, 1.0], "C": [row["C"][0] for row in rows],
-                     "Tc": [row["Tc"][0] for row in rows]}
-    assert format_csv(table).splitlines()[0] == "T,C,Tc"
+def test_every_figure_row_joins_its_panels():
+    # what run_figure takes on trust from each _FIGURES row: a keyed figure
+    # has a panel value, and its key is a parameter that no axis sweeps and
+    # no fixed value overrides, since the panel column leads the table; a
+    # figure without a key lists no values; every quantity is a known name
+    for fig_id, (key, values, axes, fixed, quantities) in _FIGURES.items():
+        if key is None:
+            assert values == (), fig_id
+        else:
+            assert values, fig_id
+            assert key in PARAMETER_NAMES, fig_id
+            assert key not in [a.name for a in axes] and key not in fixed, fig_id
+        assert quantities and set(quantities) <= set(QUANTITY_NAMES), fig_id
 
 
 def test_fig1_transition_boundary_in_emitted_data():
-    table = run_figure(figure_preset(1))
+    table = run_figure(1)
     assert list(table)[:3] == ["T", "k0", "r"]
     for t, k0, c in zip(table["T"], table["k0"], table["C"]):
         if k0 > 0 and t < k0 / (4 * math.log(3)):
@@ -471,7 +446,7 @@ def test_fig1_transition_boundary_in_emitted_data():
 def test_fig2_reentrant_series_present():
     # the k0 = 3 series starts almost unentangled, is heated into
     # entanglement, and loses it again above the transition
-    table = run_figure(figure_preset(2))
+    table = run_figure(2)
     values = table["C"][table["k0"] == 3.0].tolist()
     assert values[0] < 0.05
     assert max(values) > 0.2
@@ -499,17 +474,16 @@ def test_figure_columns_are_within_1e_15_of_50_digit_mpmath():
     # was within 2.4e-16
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
-        for fig_id in range(1, 6):
-            for spec in figure_preset(fig_id).panels:
-                table = run_sweep(spec)
-                size = len(table[spec.axes[0].name])
-                cells = {name: table[name].tolist() if name in table else [spec.fixed[name]] * size
-                         for name in ("k0", "r", "T")}
-                theta = spec.fixed.get("theta")
-                for i, (k0, r, T) in enumerate(zip(cells["k0"], cells["r"], cells["T"])):
-                    for name, want in _mp_figure_cell(mpmath, k0, r, T, theta).items():
-                        err = abs(table[name][i] - want)
-                        assert err <= 1e-15, (fig_id, name, k0, r, T, float(err))
+        for fig_id, (_, _, _, fixed, _) in _FIGURES.items():
+            table = run_figure(fig_id)
+            size = len(next(iter(table.values())))
+            cells = {name: table[name].tolist() if name in table else [fixed[name]] * size
+                     for name in ("k0", "r", "T")}
+            theta = fixed.get("theta")
+            for i, (k0, r, T) in enumerate(zip(cells["k0"], cells["r"], cells["T"])):
+                for name, want in _mp_figure_cell(mpmath, k0, r, T, theta).items():
+                    err = abs(table[name][i] - want)
+                    assert err <= 1e-15, (fig_id, name, k0, r, T, float(err))
 
 
 # ------------------------------------------------------------- format layer
@@ -627,7 +601,7 @@ def _reference_json(table):
                                 ("Tc", "C"))),
     lambda: {"x": np.array([0.0, -0.0, 0.0, math.inf, -math.inf, -math.nan, 5e-324]),
              "y": np.array([-0.0, 0.0, 1e300, 0.1, math.nan, -0.0, 1.0])},
-    lambda: run_figure(figure_preset(2)),  # a panel-key column leads
+    lambda: run_figure(2),  # a panel-key column leads
     # 50 x 100 rows: two full chunks and a partial third; Tc is NaN at k0 <= 0
     lambda: run_sweep(SweepSpec((Axis("k0", -2.0, 10.0, 50), Axis("r", 0.0, 2.0, 100)),
                                 {"T": 0.5}, ("C", "Tc", "populations"))),
@@ -649,7 +623,7 @@ def test_format_json_is_json_dumps_byte_for_byte(make_table):
 
 def test_every_column_name_needs_no_json_escape():
     # iter_json writes a column name between quotes as it is
-    panel_keys = {figure_preset(n).panel_key for n in range(1, 6)} - {None}
+    panel_keys = {key for key, *_ in _FIGURES.values()} - {None}
     columns = {name for _, names in sweep_mod._QUANTITIES.values() for name in names}
     names = {*PARAMETER_NAMES, *columns, *panel_keys}
     assert {"k0", "theta", "Tc", "F_a", "p00"} <= names
@@ -753,7 +727,7 @@ def test_cli_ground_state(capsys):
     assert out.splitlines()[1].endswith(",0.5")
     rc, _, err = run_cli(capsys, "ground-state")
     assert rc == 1
-    assert "k0" in err
+    assert err == "error: missing parameter value(s): k0\n"
 
 
 def test_cli_usage_error_exit_code(capsys):

@@ -408,29 +408,58 @@ def test_figure_presets_pin_model_parameters():
     }
     assert _FIGURES == expected
 
-    for fig_id in (0, 6):
-        message = rf"^unknown figure {fig_id}; presets are 1 through 5$"
-        with pytest.raises(UsageError, match=message):
-            run_figure(fig_id)
-    # True == 1 and 1.0 == 1 are keys of the presets, but name no figure
-    for fig_id in (True, 1.0, "1"):
-        with pytest.raises(UsageError, match=rf"^a figure is named by an int, got {fig_id!r}$"):
-            run_figure(fig_id)
+
+# True == 1 and 1.0 == 1 are keys of the presets, but name no figure
+@pytest.mark.parametrize("fig_id, message", [
+    (0, "^unknown figure 0; presets are 1 through 5$"),
+    (6, "^unknown figure 6; presets are 1 through 5$"),
+    (True, "^a figure is named by an int, got True$"),
+    (1.0, r"^a figure is named by an int, got 1\.0$"),
+    ("1", "^a figure is named by an int, got '1'$"),
+], ids=["0", "6", "True", "1.0", "str"])
+def test_run_figure_refuses_what_names_no_figure(fig_id, message):
+    with pytest.raises(UsageError, match=message):
+        run_figure(fig_id)
 
 
-def test_every_figure_row_joins_its_panels():
+@pytest.mark.parametrize("fig_id", sorted(_FIGURES))
+def test_every_figure_row_joins_its_panels(fig_id):
     # what run_figure takes on trust from each _FIGURES row: a keyed figure
     # has a panel value, and its key is a parameter that no axis sweeps and
     # no fixed value overrides, since the panel column leads the table; a
     # figure without a key lists no values; every quantity is a known name
-    for fig_id, (key, values, axes, fixed, quantities) in _FIGURES.items():
-        if key is None:
-            assert values == (), fig_id
+    key, values, axes, fixed, quantities = _FIGURES[fig_id]
+    if key is None:
+        assert values == ()
+    else:
+        assert values
+        assert key in PARAMETER_NAMES
+        assert key not in [a.name for a in axes] and key not in fixed
+    assert quantities and set(quantities) <= set(QUANTITY_NAMES)
+
+
+@pytest.mark.parametrize("fig_id", sorted(_FIGURES))
+def test_a_figure_is_its_panels_sweeps_in_order(fig_id):
+    # each panel's rows are run_sweep's table of that panel, bit for bit,
+    # behind a leading panel column; every column is a writable array of its
+    # own, where run_sweep hands out zero-stride views for the axis columns
+    key, values, axes, fixed, quantities = _FIGURES[fig_id]
+    table = run_figure(fig_id)
+    start = 0
+    for value in values or (None,):
+        panel = run_sweep(SweepSpec(axes, {**({key: value} if key else {}), **fixed}, quantities))
+        size = len(next(iter(panel.values())))
+        if key:
+            assert list(table) == [key, *panel]
+            assert table[key][start:start + size].tolist() == [value] * size
         else:
-            assert values, fig_id
-            assert key in PARAMETER_NAMES, fig_id
-            assert key not in [a.name for a in axes] and key not in fixed, fig_id
-        assert quantities and set(quantities) <= set(QUANTITY_NAMES), fig_id
+            assert list(table) == list(panel)
+        for name, column in panel.items():
+            assert table[name][start:start + size].tobytes() == np.asarray(column).tobytes(), name
+        start += size
+    assert all(len(column) == start for column in table.values())
+    for name, column in table.items():
+        assert isinstance(column, np.ndarray) and column.flags.writeable, name
 
 
 def test_fig1_transition_boundary_in_emitted_data():

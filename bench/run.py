@@ -42,6 +42,9 @@ SMALL_FIDELITY = "sweep 25x40 T x r (k0=4, F_o, F_e, F_a)"
 # the same grid forced cell by cell onto Python floats, as the CLI runs it
 # without numpy: the per-cell cost of the sweep's evaluation step
 FLOAT_FIDELITY = "sweep 25x40 T x r (k0=4, F_o, F_e, F_a) on Python floats"
+# fig 1's first panel, forced onto Python floats in the same way: the per-cell
+# cost of C, which runs no teleport kernel
+FLOAT_FIGURE = "sweep 41x41 k0 x r (T=0.2, C) on Python floats"
 # an input-angle axis: the fidelities take libm's cos and sin of each cell
 THETA = "sweep 300x300 theta x T (k0=4, r=1, F_o, F_e)"
 # qdot's __init__ imports nothing until a name is used, so the import row
@@ -59,6 +62,14 @@ CLI_ARGVS = (
      "--quantities", "F_o,F_e,F_a", "--format", "json"],
     # 3,362 cells of C in two 1,681-cell panels, each on Python floats
     ["fig", "1"],
+    # 200 cells of C in four panels; then 50 cells each of F_o, F_e and F_a,
+    # against T, k0 and r: all on Python floats
+    ["fig", "2"],
+    ["fig", "3"],
+    ["fig", "4"],
+    ["fig", "5"],
+    # the oracles on numpy, at the default 2e5 Monte Carlo samples
+    ["verify"],
     # 7.6 MB of JSON: formatting and writing, as concurrence-map's CSV
     ["concurrence", "--sweep", "k0:-2:10:300", "--sweep", "r:0:2:300", "--t", "0.5",
      "--format", "json"],
@@ -90,7 +101,7 @@ SCALAR_CALLS = (
 ROWS = {
     **{f"{q}, {label}": "s" for label in (SMALL, LARGE) for q in ("run_sweep", "format_csv")},
     **{f"run_sweep, {label}": "s"
-       for label in (FIDELITY, SMALL_FIDELITY, FLOAT_FIDELITY, THETA)},
+       for label in (FIDELITY, SMALL_FIDELITY, FLOAT_FIDELITY, FLOAT_FIGURE, THETA)},
     IMPORT: "s",
     **{f"{call}, per call": "s" for call in SCALAR_CALLS},
     **{f"{cli}, {q}": unit for cli in CLIS for q, unit in (("wall", "s"), ("peak RSS", "MiB"))},
@@ -135,13 +146,17 @@ def _child() -> None:
     }
     for label, spec in specs.items():
         samples[f"run_sweep, {label}"] = _per_call(timeit.Timer(lambda: run_sweep(spec)))
-    spec = SweepSpec((Axis("T", 0.05, 2.0, 25), Axis("r", 0.0, 4.0, 40)),
-                     {"k0": 4.0, "theta": 1.0, "phi": 2.0}, ("F_o", "F_e", "F_a"))
+    specs = {
+        FLOAT_FIDELITY: SweepSpec((Axis("T", 0.05, 2.0, 25), Axis("r", 0.0, 4.0, 40)),
+                                  {"k0": 4.0, "theta": 1.0, "phi": 2.0}, ("F_o", "F_e", "F_a")),
+        FLOAT_FIGURE: SweepSpec((Axis("k0", 0.0, 10.0, 41), Axis("r", 0.0, 2.0, 41)), {"T": 0.2}),
+    }
     route = qdot.sweep._on_floats
     qdot.sweep._on_floats = lambda size: True  # numpy is loaded here: force the float route
     try:
-        assert isinstance(run_sweep(spec)["F_a"], list)
-        samples[f"run_sweep, {FLOAT_FIDELITY}"] = _per_call(timeit.Timer(lambda: run_sweep(spec)))
+        for label, spec in specs.items():
+            assert isinstance(run_sweep(spec)["r"], list)
+            samples[f"run_sweep, {label}"] = _per_call(timeit.Timer(lambda: run_sweep(spec)))
     finally:
         qdot.sweep._on_floats = route
     api = {name: getattr(qdot, name) for name in qdot.__all__}
@@ -162,9 +177,11 @@ def _import_time(env: dict[str, str]) -> float:
 
 
 def _cli(env: dict[str, str], cli_argv: list[str]) -> tuple[float, float]:
-    """Wall seconds and peak RSS (MiB) of one CLI run, from its own wait4."""
+    """Wall seconds and peak RSS (MiB) of one CLI run, from its own wait4;
+    a table goes to a file, verify's report to /dev/null."""
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [sys.executable, "-m", "qdot", *cli_argv, "--out", str(Path(tmp) / "out.csv")]
+        out = [] if cli_argv[0] == "verify" else ["--out", str(Path(tmp) / "out.csv")]
+        argv = [sys.executable, "-m", "qdot", *cli_argv, *out]
         start = time.perf_counter()
         proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)

@@ -32,18 +32,17 @@ if TYPE_CHECKING:
 
 __all__ = ["main"]
 
-_PI = r"(?:(\d+(?:\.\d+)?)\*)?pi(?:/(\d+(?:\.\d+)?))?"
-_PI_FORM = re.compile(rf"^(-)?{_PI}$")
-# a value the flag converters parse that starts with "-": float() forms and
-# pi forms, so "--theta -pi/2" reads as "--theta=-pi/2" does
-_NEGATIVE_NUMBER = re.compile(rf"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan|{_PI})$",
-                              re.IGNORECASE)
+_PI_FORM = re.compile(r"^(-)?(?:(\d+(?:\.\d+)?)\*)?pi(?:/(\d+(?:\.\d+)?))?$")
+
+
+def _pi_form(text: str) -> re.Match | None:
+    """parse_angle's reading of ``text`` as a pi form, or None."""
+    return _PI_FORM.match(text.replace(" ", "").lower())
 
 
 def parse_angle(text: str) -> float:
     """Angles accept plain floats or pi forms: pi, pi/3, 2*pi/3, -pi/2."""
-    t = text.replace(" ", "").lower()
-    m = _PI_FORM.match(t)
+    m = _pi_form(text)
     if m:
         sign = -1.0 if m.group(1) else 1.0
         coef = float(m.group(2)) if m.group(2) else 1.0
@@ -84,11 +83,28 @@ def parse_quantities(text: str) -> tuple[str, ...]:
     return items
 
 
+class _NegativeNumber:
+    """argparse's test of a token that starts with "-": a value, not an
+    option, exactly when a flag converter reads it as a number, float() or
+    parse_angle's pi form (which may still refuse it: pi/0). So "--k0 -1_000"
+    and "--theta -pi/2" read as their "=" forms, and "-h" stays help."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        if _pi_form(text):
+            return True
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse's own matcher (3.10, 3.11) knows only decimals: -1e-3 read as an option
-        self._negative_number_matcher = _NEGATIVE_NUMBER
+        self._negative_number_matcher = _NegativeNumber
 
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise UsageError(message)

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .model import DotParams, ThermalElements, _boltzmann_weights, _check_real
-from .model import _maximum, _scalar, _where
+from .model import DotParams, ThermalElements, _boltzmann_weights, _check_real, _rules, _scalar
 
 __all__ = [
     "xstate_concurrence",
@@ -45,8 +44,9 @@ def model_concurrence(p: DotParams) -> float:
     test of 4|r| against k0), and 0 for any k0 <= 0. Overflowing exponents
     raise DomainError.
     """
-    u, v, e1, e2, _ = _boltzmann_weights(p)
-    return _scalar(_maximum((e2 - 3.0 * e1) / (u + v + e1 + e2), 0.0))
+    g = _rules(p.k0, p.r, p.T)
+    u, v, e1, e2, _ = _boltzmann_weights(p, g)
+    return g.scalar(g.maximum((e2 - 3.0 * e1) / (u + v + e1 + e2), 0.0))
 
 
 def critical_temperature(k0):
@@ -58,5 +58,6 @@ def critical_temperature(k0):
     does not depend on the field r.
     """
     k0 = _check_real(k0=k0)["k0"]
-    tc = _scalar(_where(k0 > 0, k0 / (4.0 * math.log(3.0)), math.nan))
+    g = _rules(k0)
+    tc = g.scalar(g.where(k0 > 0, k0 / (4.0 * math.log(3.0)), math.nan))
     return None if isinstance(tc, float) and math.isnan(tc) else tc

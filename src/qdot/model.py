@@ -13,6 +13,7 @@ sigma_z |1> = +|1>. Both couplings may take either sign.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import sys
 from typing import TYPE_CHECKING
@@ -99,9 +100,14 @@ class DotParams(_Record):
     __slots__ = ("k0", "r", "T")
 
     def __init__(self, k0: float, r: float, T: float) -> None:
-        k0, r, T = _check_real(k0=k0, r=r, T=T).values()
-        _check_broadcast(k0=k0, r=r, T=T)
-        _check_temperature(T)
+        # three Python floats pass at the cost of their checks: a finite sum
+        # means each value is finite, and finite values whose sum overflows
+        # take the general checks below, which pass them
+        if not (type(k0) is type(r) is type(T) is float and T >= 0.0
+                and math.isfinite(k0 + r + T)):
+            k0, r, T = _check_real(k0=k0, r=r, T=T).values()
+            _check_broadcast(k0=k0, r=r, T=T)
+            _check_temperature(T)
         _set_field(self, "k0", k0)
         _set_field(self, "r", r)
         _set_field(self, "T", T)
@@ -117,9 +123,9 @@ def _check_temperature(T) -> None:
 def _first(value, where):
     """``value`` where ``where`` first holds, as a Python scalar for messages;
     a Python number is that scalar wherever ``where`` holds."""
-    np = _numpy(value)
-    if np is None:
+    if _rules(value) is _Floats:
         return value
+    np = sys.modules["numpy"]
     return np.broadcast_to(value, np.shape(where))[where].flat[0].item()
 
 
@@ -177,19 +183,6 @@ def _check_broadcast(**fields) -> None:
             raise DomainError(f"field shapes do not broadcast together: {listed}") from None
 
 
-def _numpy(*values):
-    """numpy if a value is a numpy array or scalar, else None. Python numbers
-    take the math route of each guard below; while numpy is not loaded, no
-    value can be one of its types, so asking never loads it. The guards
-    called most on a cell of Python floats skip the question for them."""
-    np = sys.modules.get("numpy")
-    if np is not None:
-        for x in values:
-            if isinstance(x, (np.ndarray, np.generic)):
-                return np
-    return None
-
-
 def _is_array(x) -> bool:
     """isinstance(x, np.ndarray), without loading numpy to learn it is not."""
     np = None if type(x) is float else sys.modules.get("numpy")
@@ -204,46 +197,6 @@ def _any(mask) -> bool:
 def _scalar(x):
     """A 0-d result as a Python float; arrays pass through."""
     return x if _is_array(x) and x.ndim else float(x)
-
-
-def _quiet(*values):
-    """np.errstate that ignores overflow and invalid results, over numpy
-    values; Python floats overflow to inf and NaN without a word."""
-    np = _numpy(*values)
-    if np is None:
-        return contextlib.nullcontext()
-    return np.errstate(over="ignore", invalid="ignore")
-
-
-def _nonfinite(x):
-    """~np.isfinite(x), or not math.isfinite(x) on a Python float."""
-    np = None if type(x) is float else _numpy(x)
-    return not math.isfinite(x) if np is None else ~np.isfinite(x)
-
-
-def _maximum(a, b):
-    """np.maximum(a, b), or its rule on Python floats: a NaN wins, and of two
-    equal values, 0.0 and -0.0 included, the second."""
-    np = None if type(a) is type(b) is float else _numpy(a, b)
-    if np is not None:
-        return np.maximum(a, b)
-    return a if a > b or a != a else b
-
-
-def _minimum(a, b):
-    """np.minimum(a, b), or its rule on Python floats, _maximum's mirror."""
-    np = None if type(a) is type(b) is float else _numpy(a, b)
-    if np is not None:
-        return np.minimum(a, b)
-    return a if a < b or a != a else b
-
-
-def _where(cond, a, b):
-    """np.where(cond, a, b), or a conditional expression on Python values."""
-    np = _numpy(cond, a, b)
-    if np is not None:
-        return np.where(cond, a, b)
-    return a if cond else b
 
 
 def _libm(fn, x):
@@ -261,6 +214,63 @@ def _libm(fn, x):
         block = flat[i : i + _LIBM_BLOCK].tolist()
         out[i : i + len(block)] = np.fromiter(map(fn, block), float, len(block))
     return out.reshape(x.shape)
+
+
+class _Floats:
+    """The guard set of a kernel call on Python values alone: libm called
+    directly, a conditional expression for where, numpy's NaN and
+    signed-zero rules for maximum and minimum (a NaN wins; of two equal
+    values, 0.0 and -0.0 included, the second), and no error state, since
+    Python floats overflow to inf and NaN without a word."""
+
+    exp, log, isfinite = math.exp, math.log, math.isfinite
+    any = all = bool
+    scalar = float
+    quiet = contextlib.nullcontext
+
+    @staticmethod
+    def where(cond, a, b):
+        return a if cond else b
+
+    @staticmethod
+    def maximum(a, b):
+        return a if a > b or a != a else b
+
+    @staticmethod
+    def minimum(a, b):
+        return a if a < b or a != a else b
+
+
+def _numpy_rule(name: str, **options):
+    """numpy's function ``name`` as a guard rule, looked up at each call:
+    numpy is loaded by then, since _rules picks _Arrays for its values only."""
+    return staticmethod(lambda *args: getattr(sys.modules["numpy"], name)(*args, **options))
+
+
+class _Arrays:
+    """The guard set of a kernel call with a numpy array or scalar among its
+    values: libm mapped cell by cell (_libm), numpy's own isfinite, all,
+    any, where, maximum and minimum, 0-d results as Python floats, and an
+    error state that ignores overflow and invalid results."""
+
+    exp = functools.partial(_libm, math.exp)
+    log = functools.partial(_libm, math.log)
+    isfinite, all, any, where, maximum, minimum = map(
+        _numpy_rule, ("isfinite", "all", "any", "where", "maximum", "minimum"))
+    quiet = _numpy_rule("errstate", over="ignore", invalid="ignore")
+    scalar = staticmethod(_scalar)
+
+
+def _rules(*values):
+    """The guard set for one kernel call, from the types of its values:
+    _Arrays if one is a numpy array or scalar, else _Floats. While numpy is
+    not loaded no value can be one, so asking never loads it."""
+    np = sys.modules.get("numpy")
+    if np is not None:
+        for x in values:
+            if isinstance(x, (np.ndarray, np.generic)):
+                return _Arrays
+    return _Floats
 
 
 class ThermalElements(_Record):
@@ -286,48 +296,50 @@ class ThermalElements(_Record):
         _set_field(self, "log_scale", log_scale)
 
 
-def _boltzmann_weights(p: DotParams):
+def _boltzmann_weights(p: DotParams, g):
     """Boltzmann weights of the four levels, shifted by the largest exponent.
 
     Returns (u, v, e1, e2, m): the weights of |11>, |00>, and the
     exchange exponentials exp(-k0/16T) and exp(3k0/16T), each divided by
-    exp(m), on floats or arrays. A T = 0 cell holds their T -> 0+ limit:
-    weight 1 for each level of lowest energy and 0 for the rest, m = 0.
-    Raises DomainError when the largest exponent overflows.
+    exp(m), on floats or arrays, by the guard set ``g`` that the calling
+    kernel picked. A T = 0 cell holds their T -> 0+ limit: weight 1 for
+    each level of lowest energy and 0 for the rest, m = 0. Raises
+    DomainError when the largest exponent overflows.
     """
     k0, r, T = p.k0, p.r, p.T
-    with _quiet(k0, r, T):
+    with g.quiet():
         cold = T == 0  # run at T = inf, with no division by 0; its exponents are set below
-        T = _scalar(_where(cold, math.inf, T))
+        T = g.scalar(g.where(cold, math.inf, T))
         t16 = 16.0 * T
         exps = (-(k0 - 16.0 * r) / t16, -(k0 + 16.0 * r) / t16, -k0 / t16, 3.0 * k0 / t16)
         # 3 k0, k0 -+ 16 r or 16 T can overflow where the exponents do not
         # (k0 = 1e308 at T = 1e10 or 1e308); only those cells divide first.
-        bad = _nonfinite(exps[0]) | _nonfinite(exps[1])
-        bad |= _nonfinite(exps[2]) | _nonfinite(exps[3])
-        if _any(bad):
+        ok = g.isfinite(exps[0]) & g.isfinite(exps[1])
+        ok &= g.isfinite(exps[2]) & g.isfinite(exps[3])
+        if not g.all(ok):
             q, s = k0 / T / 16.0, r / T
             exps = tuple(
-                _scalar(_where(bad, late, early))
+                g.scalar(g.where(ok, early, late))
                 for late, early in zip((-(q - s), -(q + s), -q, 3.0 * q), exps)
             )
-        if _any(cold):  # exponent 0 for each level of lowest energy, -inf for the rest
+        if g.any(cold):  # exponent 0 for each level of lowest energy, -inf for the rest
             # (k0/16 -+ r, k0/16, -3k0/16): 4 r is exact, or inf, which compares right
             low = ((r >= 0) & (4.0 * r >= k0), (r <= 0) & (-4.0 * r >= k0),
                    (r == 0) & (k0 <= 0), k0 >= 4.0 * abs(r))
-            exps = [_scalar(_where(cold, _where(g, 0.0, -math.inf), x)) for g, x in zip(low, exps)]
+            exps = [g.scalar(g.where(cold, g.where(lo, 0.0, -math.inf), x))
+                    for lo, x in zip(low, exps)]
         a_u, a_v, b1, b2 = exps
         # An exponent at -inf only zeroes its weight; one at +inf (or NaN)
         # is the shift m itself, and the shifted exponents would be NaN.
-        m = _scalar(_maximum(_maximum(a_u, a_v), _maximum(b1, b2)))
-        overflow = _nonfinite(m)
-        if _any(overflow):
+        m = g.scalar(g.maximum(g.maximum(a_u, a_v), g.maximum(b1, b2)))
+        finite = g.isfinite(m)
+        if not g.all(finite):
+            overflow = g.where(finite, False, True)
             k0, r, T = (_first(x, overflow) for x in (p.k0, p.r, p.T))
             raise DomainError(f"Boltzmann exponents overflow at k0={k0!r}, r={r!r}, T={T!r}")
         # An exponent more than 1.8e308 below m shifts to -inf, its weight to 0.
         # One shifted exponent at a time: a grid holds no four at once.
-        return (_libm(math.exp, a_u - m), _libm(math.exp, a_v - m),
-                _libm(math.exp, b1 - m), _libm(math.exp, b2 - m), m)
+        return g.exp(a_u - m), g.exp(a_v - m), g.exp(b1 - m), g.exp(b2 - m), m
 
 
 def thermal_elements(p: DotParams) -> ThermalElements:
@@ -335,7 +347,7 @@ def thermal_elements(p: DotParams) -> ThermalElements:
     Python floats for a scalar p, and T = 0 cells at their limit. Raises
     DomainError where the Boltzmann exponents overflow.
     """
-    u, v, e1, e2, m = _boltzmann_weights(p)
+    u, v, e1, e2, m = _boltzmann_weights(p, _rules(p.k0, p.r, p.T))
     w = 0.5 * (e1 + e2)
     y = 0.5 * (e1 - e2)
     return ThermalElements(u=u, v=v, w=w, y=y, big_z=u + v + 2.0 * w, log_scale=m)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from .entanglement import critical_temperature, model_concurrence
 from .model import DomainError, DotParams, _check_real, _check_temperature, _is_array, _Record
-from .model import _numpy, thermal_elements
+from .model import thermal_elements
 
 if TYPE_CHECKING:
     import numpy as np
@@ -157,7 +157,8 @@ def run_sweep(spec: SweepSpec) -> Table:
     cell into lists of Python floats where _on_floats picks the grid, else
     over blocks of _EVAL_BLOCK cells into float arrays, where a column whose
     inputs are all fixed is a zero-stride view. So wrap a column in
-    np.asarray for arithmetic.
+    np.asarray for arithmetic. One parameter dict serves every step, each
+    step's axis values written over the last's.
     """
     size = math.prod(a.steps for a in spec.axes)
     names = [a.name for a in spec.axes]
@@ -179,13 +180,16 @@ def run_sweep(spec: SweepSpec) -> Table:
         table = {n: m.ravel() for n, m in zip(names, mesh)}
         table.update((q, np.empty(size)) for q in quantities)
         blocks = (slice(start, start + _EVAL_BLOCK) for start in range(0, size, _EVAL_BLOCK))
-    fixed = {k: float(v) for k, v in spec.fixed.items()}  # numpy scalars too
+    at = {k: float(v) for k, v in spec.fixed.items()}  # numpy scalars too
+    axes = [(n, table[n]) for n in names]
+    columns = [(q, table[q]) for q in quantities]
     evaluate = _evaluator(spec.quantities)
     for cells in blocks:
-        at = {**fixed, **{n: table[n][cells] for n in names}}
-        for name, value in evaluate(at):
+        for name, axis in axes:
+            at[name] = axis[cells]
+        for (name, column), value in zip(columns, evaluate(at)):
             if floats or _is_array(value):
-                table[name][cells] = value
+                column[cells] = value
             else:  # every input fixed: one value, broadcast below
                 table[name] = value
     if floats:
@@ -197,43 +201,44 @@ def _on_floats(size: int) -> bool:
     """Whether a grid of ``size`` cells runs on Python floats: a point, one
     cell, always; a grid of at most _CHUNK_ROWS cells while numpy is not
     loaded, whose import costs more (75-140 ms) than their cells. Once
-    loaded, arrays ran 1,000-2,048 cells about 30 times faster."""
+    loaded, arrays ran 1,000-2,048 cells 10 to 20 times faster."""
     return size == 1 or (size <= _CHUNK_ROWS and "numpy" not in sys.modules)
 
 
-def _evaluator(quantities: tuple[str, ...]) -> Callable[[dict], Iterator[tuple[str, object]]]:
-    """A function of ``at`` that yields (column, values) of each column the
-    quantities fill, at the parameters in ``at``: Python floats for one
-    cell, arrays over a block of cells. Tc, which needs neither r nor T,
-    reads NaN where there is no transition. A step builds its DotParams and
-    thermal elements at most once, shared by the fidelities and the
-    populations; C takes its own Boltzmann weights. F_o and F_e read theta
-    alone, since phi cancels; SweepSpec and Axis have checked it finite.
-    teleport's kernels are bound here, once per sweep, where a fidelity is
-    requested."""
+def _evaluator(quantities: tuple[str, ...]) -> Callable[[dict], list]:
+    """A function of ``at`` that returns the values of each column the
+    quantities fill, in order, at the parameters in ``at``: Python floats
+    for one cell, arrays over a block of cells. Tc, which needs neither r
+    nor T, reads NaN where there is no transition. A step builds its
+    DotParams and thermal elements at most once, shared by the fidelities
+    and the populations; C takes its own Boltzmann weights. F_o and F_e read
+    theta alone, since phi cancels; SweepSpec and Axis have checked it
+    finite. teleport's kernels are bound here, once per sweep, where a
+    fidelity is requested."""
     if set(_FIDELITIES) & set(quantities):
         from .teleport import _average_fidelity_closed_form, _subspace_fidelities
 
-    def evaluate(at: dict) -> Iterator[tuple[str, object]]:
+    def evaluate(at: dict) -> list:
         params = e = fids = None  # fids: (F_o, F_e), evaluated together
+        values = []
         for q in quantities:
             if q == "Tc":
                 tc = critical_temperature(at["k0"])
-                yield q, math.nan if tc is None else tc
+                values.append(math.nan if tc is None else tc)
                 continue
             params = params or DotParams(at["k0"], at["r"], at["T"])
             if q == "C":
-                yield q, model_concurrence(params)
+                values.append(model_concurrence(params))
                 continue
             e = e or thermal_elements(params)
             if q in ("F_o", "F_e"):
                 fids = fids or _subspace_fidelities(at["theta"], e)
-                values = (fids[q == "F_e"],)
+                values.append(fids[q == "F_e"])
             elif q == "F_a":
-                values = (_average_fidelity_closed_form(e),)
+                values.append(_average_fidelity_closed_form(e))
             else:  # populations
-                values = (e.u / e.big_z, e.w / e.big_z, e.w / e.big_z, e.v / e.big_z)
-            yield from zip(_QUANTITIES[q][1], values)
+                values += (e.u / e.big_z, e.w / e.big_z, e.w / e.big_z, e.v / e.big_z)
+        return values
 
     return evaluate
 
@@ -272,11 +277,8 @@ def run_figure(fig_id: int) -> Table:
     for value in values or (None,):  # a figure without a panel key is one panel
         panel = {key: value} if key else {}
         table = run_sweep(SweepSpec(axes, {**panel, **fixed}, quantities))
-        if key:
-            first = next(iter(table.values()))
-            np = _numpy(first)  # None for a list
-            column = [value] * len(first) if np is None else np.full(len(first), value)
-            table = {key: column, **table}
+        if key:  # a list, which the array route's concatenation turns into float64
+            table = {key: [value] * len(next(iter(table.values()))), **table}
         tables.append(table)
     # joined even for one panel: the result's arrays are writable copies, not
     # run_sweep's zero-stride views
@@ -291,9 +293,11 @@ def run_figure(fig_id: int) -> Table:
 # texts, so an axis shorter than it is formatted once. At 4,096 rows the
 # chunk's object arrays left a 300x300 CLI sweep's peak RSS 0.3-0.4 MiB higher.
 # It also bounds _on_floats's grids: at 2,048 cells of C, F_o, F_e, F_a and
-# the populations, a fresh interpreter ran them on floats in 54 ms, against
-# 141 ms for numpy's import and arrays (medians of 21, 2 vCPU); the two meet
-# near 5,400 cells, but RSS keeps the value. Remeasure on a change.
+# the populations, a fresh interpreter ran them on floats in 96-131 ms,
+# against 207-279 ms for numpy's import and arrays (medians of 21 in each of
+# four runs, 2 vCPU, bytecode writing off, on a slow, noisy host); from cells
+# of 7.5-20 us on floats and 0.9 us on arrays, the two meet near 10,000-18,000
+# cells, but RSS keeps the value. Remeasure on a change.
 _CHUNK_ROWS = 1 << 11
 _JSON_INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
 

@@ -23,8 +23,8 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .model import DomainError, DotParams, ThermalElements, _Record, _any, _check_broadcast
-from .model import _check_real, _is_array, _libm, _maximum, _minimum, _scalar, _where
+from .model import DomainError, DotParams, ThermalElements, _Arrays, _Record, _any
+from .model import _check_broadcast, _check_real, _is_array, _libm, _rules, _scalar
 from .model import thermal_elements
 
 if TYPE_CHECKING:
@@ -45,6 +45,8 @@ __all__ = [
 # leaves out, t^52/55, is below 2^-57 at the cutoff.
 _SERIES_CUTOFF = 0.5
 _K_SERIES = tuple(1.0 / (2 * k + 3) for k in range(26))
+# _log_l's floor on a weight sum that underflows: the smallest subnormal
+_TINY = math.ulp(0.0)
 
 
 class InputState(_Record):
@@ -171,8 +173,9 @@ def _subspace_fidelities(theta, e: ThermalElements) -> tuple[float, float]:
     quantities. Over arrays, libm's cos and sin are taken once per distinct
     half-angle: a theta axis repeats each of its values across the other
     axis."""
+    g = _rules(theta, e.u, e.v, e.w, e.y)
     half = theta / 2.0
-    if _is_array(half):
+    if g is _Arrays and _is_array(half):
         import numpy as np
 
         keys, inverse = np.unique(half.ravel(), return_inverse=True)
@@ -184,7 +187,8 @@ def _subspace_fidelities(theta, e: ThermalElements) -> tuple[float, float]:
     cross = c2 * s2
     num = e.w * (c2 * c2 + s2 * s2) + (e.u + e.v) * cross - 2.0 * e.y * cross
     z1, z2 = _branch_weights(e, c2, s2)
-    return tuple(_scalar(_minimum(num / _where(z > 0, z, math.nan), 1.0)) for z in (z1, z2))
+    return (g.scalar(g.minimum(num / g.where(z1 > 0, z1, math.nan), 1.0)),
+            g.scalar(g.minimum(num / g.where(z2 > 0, z2, math.nan), 1.0)))
 
 
 def average_fidelity_closed_form(p: DotParams):
@@ -219,10 +223,11 @@ def _average_fidelity_closed_form(e: ThermalElements):
     """average_fidelity_closed_form from the channel's thermal elements,
     which a sweep shares with its other quantities."""
     u, v, w, y = e.u, e.v, e.w, e.y
+    g = _rules(u, v, w, y)
     a = w + 0.5 * (u + v)
     t = 0.5 * (v - u) / a
     t2 = t * t
-    if _is_array(t):  # a grid: each cell takes its side of the cutoff
+    if g is _Arrays and _is_array(t):  # a grid: each cell takes its side of the cutoff
         import numpy as np
 
         big_l, k_minus_l = np.empty_like(t), np.empty_like(t)
@@ -230,13 +235,14 @@ def _average_fidelity_closed_form(e: ThermalElements):
         big_l[series], k_minus_l[series] = _series_l(t2[series])
         logs = ~series
         w_logs = np.broadcast_to(w, t.shape)[logs]  # w varies with k0 and T only
-        big_l[logs], k_minus_l[logs] = _log_l(w_logs, u[logs], v[logs], a[logs], t[logs], t2[logs])
+        big_l[logs], k_minus_l[logs] = _log_l(g, w_logs, u[logs], v[logs], a[logs], t[logs],
+                                              t2[logs])
     elif abs(t) < _SERIES_CUTOFF:
         big_l, k_minus_l = _series_l(t2)
     else:
-        big_l, k_minus_l = _log_l(w, u, v, a, t, t2)
+        big_l, k_minus_l = _log_l(g, w, u, v, a, t, t2)
     big_a = 0.5 * w - 0.25 * (u + v) + 0.5 * y
-    return _scalar(w / a * big_l + big_a / a * k_minus_l)
+    return g.scalar(w / a * big_l + big_a / a * k_minus_l)
 
 
 def _series_l(t2):
@@ -250,15 +256,15 @@ def _series_l(t2):
     return big_l, k - big_l
 
 
-def _log_l(w, u, v, a, t, t2):
+def _log_l(g, w, u, v, a, t, t2):
     """(L, K - L) for |t| from the cutoff on: atanh(t) = (ln(w+v) - ln(w+u))/2
     from the shifted weights a + b and a - b, and K - L = (L (1 - t^2) - 1)/t^2
     with 1 - t^2 = (w+u)(w+v)/a^2. As |t| -> 1, L grows like a logarithm
     while w/a and 1 - t^2 vanish, so neither product cancels. A weight sum
     that underflows to 0 is taken at the smallest subnormal: its 1 - t^2 is
-    0, which gives the polarised limit. Floats or arrays, logarithms by
-    math.log either way."""
+    0, which gives the polarised limit. Floats or arrays under the caller's
+    guard set ``g``, logarithms by math.log either way."""
     wu, wv = w + u, w + v
-    ln_wu, ln_wv = (_libm(math.log, _maximum(x, math.ulp(0.0))) for x in (wu, wv))
+    ln_wu, ln_wv = g.log(g.maximum(wu, _TINY)), g.log(g.maximum(wv, _TINY))
     big_l = 0.5 * (ln_wv - ln_wu) / t
     return big_l, (big_l * (wu * wv / (a * a)) - 1.0) / t2

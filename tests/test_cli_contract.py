@@ -164,10 +164,10 @@ def test_every_argv_exits_with_a_documented_code(command):
 @pytest.mark.parametrize("flag", PARAMETERS)
 def test_a_spaced_value_reads_as_its_joined_form(flag):
     # argparse reads a token that starts with "-" as an option unless it
-    # looks like a negative number: "-inf", "-nan" and "-pi/2" must not
-    # read as missing values where "--flag=-inf" parses
+    # looks like a negative number: "-inf", "-nan", "-pi/2" and float()'s
+    # digit groups must not read as missing values where "--flag=-inf" parses
     argv = ["fidelity", "--k0", "4", "--t", "1"]
-    for value in EDGE + PI_FORMS:
+    for value in EDGE + PI_FORMS + ["-1_000", "-1_0.5e-1", "-2_5E-0_1", "-pi/0"]:
         assert _run([*argv, flag, value]) == _run([*argv, f"{flag}={value}"]), value
     # -h stays the help flag, so a flag before it has no value
     assert _run([*argv, flag, "-h"]) == (1, "", f"error: argument {flag}: expected one argument\n")

@@ -156,6 +156,40 @@ def test_a_small_grid_runs_on_python_floats_only_while_numpy_is_not_loaded():
         ["list"], ["list"], False, ["ndarray"], ["ndarray"], ["ndarray"]]
 
 
+# Python-level calls (sys.setprofile "call" events: function frames and
+# generator resumes) per cell of a float sweep, as measured, plus a margin;
+# each guard deciding per operation whether a value is an array made 73.5
+# and 47.1
+CALL_BUDGETS = {
+    "fidelity-map's 25x40 T x r cells of F_o, F_e and F_a": (
+        "SweepSpec((Axis('T', 0.05, 2.0, 25), Axis('r', 0.0, 4.0, 40)),"
+        " {'k0': 4.0, 'theta': 1.0, 'phi': 0.0}, ('F_o', 'F_e', 'F_a'))", 24.3 + 1.5),
+    "fig 1's 41x41 k0 x r panel of C at T = 0.2": (
+        "SweepSpec((Axis('k0', 0.0, 10.0, 41), Axis('r', 0.0, 2.0, 41)), {'T': 0.2})",
+        13.1 + 1.5),
+}
+
+
+@pytest.mark.parametrize("spec, budget", CALL_BUDGETS.values(), ids=CALL_BUDGETS)
+def test_a_float_cell_makes_few_python_calls(spec, budget):
+    # each kernel picks its guard set once per call, from its inputs' types,
+    # so a cell of Python floats pays no per-operation question; the first
+    # run binds the kernels, the second is counted
+    code = (
+        "import sys; from qdot.sweep import Axis, SweepSpec, run_sweep\n"
+        f"spec = {spec}\n"
+        "size = len(run_sweep(spec)['r'])\n"
+        "calls = []\n"
+        "sys.setprofile(lambda frame, event, arg: event == 'call' and calls.append(1))\n"
+        "table = run_sweep(spec)\n"
+        "sys.setprofile(None)\n"
+        "assert 'numpy' not in sys.modules and isinstance(table['r'], list)\n"
+        "print(len(calls) / size)\n"
+    )
+    per_cell = float(run_child(code))
+    assert per_cell <= budget, per_cell
+
+
 def test_importing_the_cli_loads_no_code_introspection_module():
     # what `from dataclasses import dataclass` would load: 8-12 ms of start-up
     watched = ("dataclasses", "inspect", "ast", "dis", "tokenize")

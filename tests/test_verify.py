@@ -201,6 +201,39 @@ def test_bisection_stack_names_the_first_bad_bracket():
         verify.bisect_critical_temperature(k0, r)
 
 
+def test_checks_cover_their_stated_edge_points(monkeypatch):
+    # each check's grid holds the point its docstring or floor is for: the
+    # thermal grid starts at its deepest quantum temperature, T = 0.05; the
+    # Tc bisection runs at zero field, where r drops out exactly; and the
+    # quadrature-vs-MC check holds the zero-field point (0.5, 0, 1), whose
+    # constant integrand is why its 1e-14 rounding floor exists. Read from
+    # what each check passes to its oracle, not from the constants alone
+    seen = {}
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def record(*args, **kwargs):
+            seen[name] = args
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, record)
+
+    spy(oracles, "thermal_state_oracle")
+    spy(verify, "bisect_critical_temperature")
+    spy(oracles, "average_fidelity_mc")
+    assert verify.GRID["T"][0] == 0.05
+    assert verify.check_thermal_oracle(1e-10).passed
+    assert verify.check_critical_temperature(1e-10).passed
+    assert verify.check_quadrature_mc(1e-10, 2000, 0).passed
+    (p,) = seen["thermal_state_oracle"]
+    assert p.T.min() == 0.05
+    k0, r = seen["bisect_critical_temperature"]
+    assert 0.0 in r[k0 > 0].tolist()
+    p = seen["average_fidelity_mc"][0]
+    assert (0.5, 0.0, 1.0) in zip(p.k0.tolist(), p.r.tolist(), p.T.tolist())
+
+
 def test_corrupted_collapsed_closed_form_fails_the_collapse_check(monkeypatch, capsys):
     real = teleport_mod.collapsed_closed_form
 

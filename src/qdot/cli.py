@@ -84,10 +84,9 @@ def parse_quantities(text: str) -> tuple[str, ...]:
 
 
 class _NegativeNumber:
-    """argparse's test of a token that starts with "-": a value, not an
-    option, exactly when a flag converter reads it as a number, float() or
-    parse_angle's pi form (which may still refuse it: pi/0). So "--k0 -1_000"
-    and "--theta -pi/2" read as their "=" forms, and "-h" stays help."""
+    """argparse's test of a token that starts with "-": a value exactly when
+    float() or parse_angle's pi form reads it, so "--k0 -1_000" reads as
+    "--k0=-1_000"; "-h" stays help."""
 
     @staticmethod
     def match(text: str) -> bool:

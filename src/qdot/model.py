@@ -100,9 +100,7 @@ class DotParams(_Record):
     __slots__ = ("k0", "r", "T")
 
     def __init__(self, k0: float, r: float, T: float) -> None:
-        # three Python floats pass at the cost of their checks: a finite sum
-        # means each value is finite, and finite values whose sum overflows
-        # take the general checks below, which pass them
+        # three finite Python floats skip the general checks: a finite sum has finite terms
         if not (type(k0) is type(r) is type(T) is float and T >= 0.0
                 and math.isfinite(k0 + r + T)):
             k0, r, T = _check_real(k0=k0, r=r, T=T).values()
@@ -217,11 +215,10 @@ def _libm(fn, x):
 
 
 class _Floats:
-    """The guard set of a kernel call on Python values alone: libm called
-    directly, a conditional expression for where, numpy's NaN and
-    signed-zero rules for maximum and minimum (a NaN wins; of two equal
-    values, 0.0 and -0.0 included, the second), and no error state, since
-    Python floats overflow to inf and NaN without a word."""
+    """Guard rules on Python values: libm called directly, a conditional for
+    where, numpy's NaN and signed-zero rules for maximum and minimum (a NaN
+    wins; of two equal values, 0.0 and -0.0 included, the second), and no
+    error state: Python floats overflow to inf and NaN without a word."""
 
     exp, log, isfinite = math.exp, math.log, math.isfinite
     any = all = bool
@@ -242,16 +239,15 @@ class _Floats:
 
 
 def _numpy_rule(name: str, **options):
-    """numpy's function ``name`` as a guard rule, looked up at each call:
-    numpy is loaded by then, since _rules picks _Arrays for its values only."""
+    """numpy's function ``name``, looked up at each call: _rules picks
+    _Arrays only for numpy values."""
     return staticmethod(lambda *args: getattr(sys.modules["numpy"], name)(*args, **options))
 
 
 class _Arrays:
-    """The guard set of a kernel call with a numpy array or scalar among its
-    values: libm mapped cell by cell (_libm), numpy's own isfinite, all,
-    any, where, maximum and minimum, 0-d results as Python floats, and an
-    error state that ignores overflow and invalid results."""
+    """Guard rules with a numpy array or scalar among the values: numpy's
+    functions, libm mapped cell by cell, 0-d results as Python floats, and
+    an error state that ignores overflow and invalid results."""
 
     exp = functools.partial(_libm, math.exp)
     log = functools.partial(_libm, math.log)
@@ -262,9 +258,8 @@ class _Arrays:
 
 
 def _rules(*values):
-    """The guard set for one kernel call, from the types of its values:
-    _Arrays if one is a numpy array or scalar, else _Floats. While numpy is
-    not loaded no value can be one, so asking never loads it."""
+    """A kernel call's guard rules: _Arrays if a value is a numpy array or
+    scalar, else _Floats; asking never loads numpy."""
     np = sys.modules.get("numpy")
     if np is not None:
         for x in values:

@@ -157,8 +157,7 @@ def run_sweep(spec: SweepSpec) -> Table:
     cell into lists of Python floats where _on_floats picks the grid, else
     over blocks of _EVAL_BLOCK cells into float arrays, where a column whose
     inputs are all fixed is a zero-stride view. So wrap a column in
-    np.asarray for arithmetic. One parameter dict serves every step, each
-    step's axis values written over the last's.
+    np.asarray for arithmetic.
     """
     size = math.prod(a.steps for a in spec.axes)
     names = [a.name for a in spec.axes]
@@ -294,10 +293,8 @@ def run_figure(fig_id: int) -> Table:
 # chunk's object arrays left a 300x300 CLI sweep's peak RSS 0.3-0.4 MiB higher.
 # It also bounds _on_floats's grids: at 2,048 cells of C, F_o, F_e, F_a and
 # the populations, a fresh interpreter ran them on floats in 96-131 ms,
-# against 207-279 ms for numpy's import and arrays (medians of 21 in each of
-# four runs, 2 vCPU, bytecode writing off, on a slow, noisy host); from cells
-# of 7.5-20 us on floats and 0.9 us on arrays, the two meet near 10,000-18,000
-# cells, but RSS keeps the value. Remeasure on a change.
+# against 207-279 ms for numpy's import and arrays (medians of 21, 2 vCPU);
+# the two meet near 10,000-18,000 cells, but RSS keeps the value.
 _CHUNK_ROWS = 1 << 11
 _JSON_INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
 

@@ -180,13 +180,13 @@ def run_sweep(spec: SweepSpec) -> Table:
         table.update((q, np.empty(size)) for q in quantities)
         blocks = (slice(start, start + _EVAL_BLOCK) for start in range(0, size, _EVAL_BLOCK))
     at = {k: float(v) for k, v in spec.fixed.items()}  # numpy scalars too
-    axes = [(n, table[n]) for n in names]
-    columns = [(q, table[q]) for q in quantities]
+    inputs = [(n, table[n]) for n in names]
+    outputs = [(q, table[q]) for q in quantities]
     evaluate = _evaluator(spec.quantities)
     for cells in blocks:
-        for name, axis in axes:
+        for name, axis in inputs:
             at[name] = axis[cells]
-        for (name, column), value in zip(columns, evaluate(at)):
+        for (name, column), value in zip(outputs, evaluate(at)):
             if floats or _is_array(value):
                 column[cells] = value
             else:  # every input fixed: one value, broadcast below

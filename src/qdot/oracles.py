@@ -3,15 +3,16 @@
 Each oracle reaches a closed form's result by a route of its own: the Gibbs
 state by diagonalizing the Hamiltonian matrix, the concurrence of any
 two-qubit state by Wootters' algorithm, the collapsed branches by 8x8 Bell
-projection and a partial trace, and the sphere-average fidelity F_a by
-Gauss-Legendre quadrature and by Monte Carlo over its integrand. Their value
-is that independence, so an oracle shares no formula with the closed form it
-checks, and no closed-form module (model, entanglement, teleport, sweep)
-imports this one: verify and the tests do.
+projection and a partial trace, their Pauli correction by matrix products,
+and the sphere-average fidelity F_a by Gauss-Legendre quadrature and by
+Monte Carlo over its integrand. Their value is that independence, so an
+oracle shares no formula with the closed form it checks, and no closed-form
+module (model, entanglement, teleport, sweep) imports this one or linalg:
+verify and the tests do.
 
-The public model, linalg and teleport functions called here are looked up
-on their modules at call time, so a wrapper installed on those modules after
-import, as qdotbench's layer tracer installs them, sees every call.
+The public model and linalg functions called here are looked up on their
+modules at call time, so a wrapper installed on those modules after import,
+as qdotbench's layer tracer installs them, sees every call.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from . import linalg, model, teleport
+from . import linalg, model
 from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
 from .model import DomainError, DotParams, ThermalElements, _Record, _any, _check_broadcast
 from .model import _first, _libm, _scalar
@@ -34,14 +35,13 @@ __all__ = [
     "thermal_state_oracle",
     "ConcurrenceResult",
     "wootters_concurrence",
-    "TeleportOutcome",
     "MonteCarloFidelity",
     "input_density",
     "bell_projectors",
     "joint_state",
     "collapse_bruteforce",
+    "pauli_correction",
     "fidelity",
-    "teleport_outcomes",
     "average_fidelity",
     "average_fidelity_mc",
 ]
@@ -136,16 +136,6 @@ def wootters_concurrence(rho: np.ndarray) -> ConcurrenceResult:
     lams = np.linalg.svd(d, compute_uv=False)
     values = np.maximum(lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3], 0.0)
     return ConcurrenceResult(value=_scalar(values), lambdas=lams)
-
-
-class TeleportOutcome(_Record):
-    """One measurement branch: probability, corrected output, and fidelity."""
-
-    __slots__ = ("outcome", "probability", "state", "fidelity")
-
-    def __init__(self, outcome: BellOutcome, probability: float, state: np.ndarray,
-                 fidelity: float) -> None:
-        _Record.__init__(self, outcome, probability, state, fidelity)
 
 
 class MonteCarloFidelity(_Record):
@@ -244,6 +234,20 @@ def collapse_bruteforce(
     return np.stack(states), np.stack(probabilities)
 
 
+def pauli_correction(outcome: BellOutcome, state: np.ndarray) -> np.ndarray:
+    """Apply the protocol's conditional Pauli g to a collapsed state, or to
+    each of a (..., 2, 2) stack, as g state g^dag: I, Z, X and Y after
+    Psi-, Psi+, Phi- and Phi+. The matrix route of the correction that
+    teleport.output_states writes as an index reversal."""
+    g = {
+        BellOutcome.PSI_MINUS: IDENTITY_2,
+        BellOutcome.PSI_PLUS: PAULI_Z,
+        BellOutcome.PHI_MINUS: PAULI_X,
+        BellOutcome.PHI_PLUS: PAULI_Y,
+    }[outcome]
+    return g @ state @ g.conj().T
+
+
 def fidelity(s: InputState, rho_out: np.ndarray) -> float:
     """Transmission fidelity <psi_in| rho_out |psi_in> of a 2x2 output, or
     over a stack (..., 2, 2), with the state's and the stack's broadcast
@@ -260,26 +264,6 @@ def fidelity(s: InputState, rho_out: np.ndarray) -> float:
             f"states of shape {psi.shape[:-1]} and outputs of shape {rho_out.shape} "
             "do not broadcast") from None
     return _scalar(value[..., 0, 0].real)
-
-
-def teleport_outcomes(s: InputState, p: DotParams) -> tuple[TeleportOutcome, ...]:
-    """All four measurement branches with corrected outputs and fidelities;
-    over a grid, each field of the state's and the parameters' broadcast
-    shape."""
-    e = model.thermal_elements(p)
-    results = []
-    for outcome in BellOutcome:
-        state, prob = teleport.collapsed_closed_form(s, e, outcome)
-        corrected = teleport.pauli_correction(outcome, state)
-        results.append(
-            TeleportOutcome(
-                outcome=outcome,
-                probability=prob,
-                state=corrected,
-                fidelity=fidelity(s, corrected),
-            )
-        )
-    return tuple(results)
 
 
 def _mean_branch_fidelity(e: ThermalElements, x: np.ndarray, work=None) -> np.ndarray:

@@ -13,8 +13,10 @@ The fidelity averaged over the input's Bloch sphere, F_a, has a closed form,
 average_fidelity_closed_form, exact to about 1e-15 and evaluated over whole
 grids. Its oracles, quadrature and Monte Carlo, share nothing with it but the
 integrand; they live in qdot.oracles with the 8x8 projection route that
-collapsed_closed_form is checked against. This module keeps the closed forms
-alone and never imports that one.
+collapsed_closed_form is checked against and the matrix Pauli correction of
+its branches. This module keeps the closed forms alone and imports neither
+that module nor qdot.linalg: output_states' one correction, X on the Phi-
+branch, is an index reversal.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "InputState",
     "BellOutcome",
     "collapsed_closed_form",
-    "pauli_correction",
     "output_states",
     "subspace_fidelities",
     "average_fidelity_closed_form",
@@ -129,30 +130,19 @@ def collapsed_closed_form(
     return state / np.asarray(z)[..., None, None], _scalar(z / (2.0 * e.big_z))
 
 
-def pauli_correction(outcome: BellOutcome, state: np.ndarray) -> np.ndarray:
-    """Apply the protocol's conditional Pauli to a collapsed state."""
-    from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
-
-    g = {
-        BellOutcome.PSI_MINUS: IDENTITY_2,
-        BellOutcome.PSI_PLUS: PAULI_Z,
-        BellOutcome.PHI_MINUS: PAULI_X,
-        BellOutcome.PHI_PLUS: PAULI_Y,
-    }[outcome]
-    return g @ state @ g.conj().T
-
-
 def output_states(s: InputState, p: DotParams) -> tuple[np.ndarray, np.ndarray]:
     """Corrected output of the odd (Psi) and even (Phi) subspaces.
 
     The two Psi branches collapse to one state after correction and the two
     Phi branches to another; this returns that pair (rho_o, rho_e), each
-    (..., 2, 2) over the state's and the parameters' broadcast shape.
+    (..., 2, 2) over the state's and the parameters' broadcast shape. Psi-
+    needs no correction; Phi- takes X, which swaps the two diagonal entries
+    and the two corners, so rho_e is that branch with both axes reversed.
     """
     e = thermal_elements(p)
     rho_o, _ = collapsed_closed_form(s, e, BellOutcome.PSI_MINUS)
     rho_e, _ = collapsed_closed_form(s, e, BellOutcome.PHI_MINUS)
-    return rho_o, pauli_correction(BellOutcome.PHI_MINUS, rho_e)
+    return rho_o, rho_e[..., ::-1, ::-1]
 
 
 def subspace_fidelities(s: InputState, p: DotParams) -> tuple[float, float]:

@@ -205,7 +205,7 @@ def check_collapse(tolerance: float):
     fids = []
     for outcome, closed in zip((teleport.BellOutcome.PSI_MINUS, teleport.BellOutcome.PHI_MINUS),
                                teleport.subspace_fidelities(states, p)):
-        corrected = teleport.pauli_correction(outcome, branches[outcome])
+        corrected = oracles.pauli_correction(outcome, branches[outcome])
         fids.append(float(np.abs(closed - oracles.fidelity(states, corrected)).max()))
     worst = _max_dev(dev, *fids)
     detail = f"branches {dev:.3e}, F_o {fids[0]:.3e}, F_e {fids[1]:.3e}"

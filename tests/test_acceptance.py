@@ -27,6 +27,7 @@ from qdot.oracles import (
     fidelity,
     hamiltonian_matrix,
     joint_state,
+    pauli_correction,
     thermal_state_oracle,
     wootters_concurrence,
 )
@@ -36,7 +37,6 @@ from qdot.teleport import (
     InputState,
     collapsed_closed_form,
     output_states,
-    pauli_correction,
     subspace_fidelities,
 )
 from qdot.verify import bisect_critical_temperature

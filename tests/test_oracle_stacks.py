@@ -1,5 +1,5 @@
-"""Property tests: each oracle, each collapse route, the fidelity and the
-teleportation outcomes take one point or a stack under one name.
+"""Property tests: each oracle, each collapse route, the Pauli correction and
+the fidelity take one point or a stack under one name.
 
 On small random grids, and over arrays of input states, every cell of a
 stack call has the bits of its point call, and the stacked Kronecker
@@ -172,30 +172,42 @@ def test_fidelity_refuses_shapes_that_do_not_broadcast():
 @pytest.mark.parametrize("stacked", ["states", "params", "both"])
 @PROPERTY
 @given(_grids((-8.0, 8.0), (-2.0, 2.0), (0.25, 10.0)), ANGLES)
-def test_teleport_outcomes_stack_like_their_point_calls(stacked, grid, angles):
-    # a stack of states on one channel, one state on a parameter grid, or both
+def test_corrections_and_fidelities_stack_like_their_point_calls(stacked, grid, angles):
+    # each branch, Pauli-corrected by the matrix route, and its fidelity: a
+    # stack of states on one channel, one state on a parameter grid, or both
     stack, states = _states(angles)
+
+    def corrected(s, p):
+        """(outcome, probability, corrected state, fidelity) of each branch."""
+        e = model.thermal_elements(p)
+        rows = []
+        for outcome in teleport.BellOutcome:
+            state, prob = teleport.collapsed_closed_form(s, e, outcome)
+            state = oracles.pauli_correction(outcome, state)
+            rows.append((outcome, prob, state, oracles.fidelity(s, state)))
+        return rows
+
     if stacked == "both":  # every cell meets every state
-        p = model.DotParams(*(field[..., None] for field in grid))
-        whole = oracles.teleport_outcomes(stack, p)
+        whole = corrected(stack, model.DotParams(*(field[..., None] for field in grid)))
     elif stacked == "params":
-        per_state = [oracles.teleport_outcomes(s, model.DotParams(*grid)) for s in states]
+        per_state = [corrected(s, model.DotParams(*grid)) for s in states]
     for idx, point in _cells(*grid):
         q = model.DotParams(*point)
         if stacked == "states":
-            per_cell = oracles.teleport_outcomes(stack, q)
+            per_cell = corrected(stack, q)
         for j, s in enumerate(states):
             if stacked == "both":
-                outcomes, cell = whole, (*idx, j)
+                rows, cell = whole, (*idx, j)
             elif stacked == "params":
-                outcomes, cell = per_state[j], idx
+                rows, cell = per_state[j], idx
             else:
-                outcomes, cell = per_cell, (j,)
-            for got, want in zip(outcomes, oracles.teleport_outcomes(s, q)):
-                assert got.outcome is want.outcome
-                assert got.probability[cell].tobytes() == np.float64(want.probability).tobytes()
-                assert got.state[cell].tobytes() == want.state.tobytes()
-                assert got.fidelity[cell].tobytes() == np.float64(want.fidelity).tobytes()
+                rows, cell = per_cell, (j,)
+            for got, want in zip(rows, corrected(s, q)):
+                assert got[0] is want[0]
+                assert got[1][cell].tobytes() == np.float64(want[1]).tobytes()
+                assert got[2][cell].tobytes() == want[2].tobytes()
+                assert type(want[3]) is float
+                assert got[3][cell].tobytes() == np.float64(want[3]).tobytes()
 
 
 @PROPERTY

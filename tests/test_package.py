@@ -24,11 +24,11 @@ API = [
     "LinalgError",
     "DomainError", "DotParams", "ThermalElements", "thermal_elements", "thermal_state",
     "hamiltonian_matrix", "thermal_state_oracle", "ConcurrenceResult", "wootters_concurrence",
-    "TeleportOutcome", "MonteCarloFidelity", "input_density", "bell_projectors", "joint_state",
-    "collapse_bruteforce", "fidelity", "teleport_outcomes", "average_fidelity",
+    "MonteCarloFidelity", "input_density", "bell_projectors", "joint_state",
+    "collapse_bruteforce", "pauli_correction", "fidelity", "average_fidelity",
     "average_fidelity_mc",
     "Axis", "SweepSpec", "run_sweep", "run_figure",
-    "InputState", "BellOutcome", "collapsed_closed_form", "pauli_correction", "output_states",
+    "InputState", "BellOutcome", "collapsed_closed_form", "output_states",
     "subspace_fidelities", "average_fidelity_closed_form",
     "CheckResult", "bisect_critical_temperature", "verify_all",
 ]
@@ -213,7 +213,7 @@ def test_importing_the_package_loads_no_module():
 
 
 @pytest.mark.parametrize("name, loaded", [
-    ("teleport", ["qdot", "qdot.model", "qdot.teleport"]),  # linalg with numpy, on use
+    ("teleport", ["qdot", "qdot.model", "qdot.teleport"]),  # numpy on use, linalg never
     ("cli", ["qdot", "qdot.cli", "qdot.entanglement", "qdot.model", "qdot.sweep"]),
 ])
 def test_a_submodule_name_loads_that_module_alone(name, loaded):
@@ -276,8 +276,8 @@ def test_verify_names_no_private_teleport_attribute():
 
 @pytest.mark.parametrize("module", ["model", "entanglement", "teleport", "sweep"])
 def test_a_closed_form_module_imports_neither_oracles_nor_verify(module):
-    # at any level, function-local imports included: the oracles stay apart
-    # from the forms they check
+    # nor linalg, the oracles' matrix helpers: at any level, function-local
+    # imports included, the oracles stay apart from the forms they check
     tree = ast.parse(Path(qdot.__file__).with_name(f"{module}.py").read_text())
     imported = set()
     for node in ast.walk(tree):
@@ -288,7 +288,32 @@ def test_a_closed_form_module_imports_neither_oracles_nor_verify(module):
             imported.add(base)
             imported.update(f"{base}.{alias.name}" for alias in node.names)
     parts = {part for name in imported for part in name.split(".")}
-    assert parts & {"oracles", "verify"} == set(), sorted(imported)
+    assert parts & {"linalg", "oracles", "verify"} == set(), sorted(imported)
+
+
+# Each teleport closed form on stacks of states and channels, in its own
+# interpreter, and the shapes it returns
+CLOSED_FORM_CALLS = {
+    "output_states": ("[x.shape for x in teleport.output_states(s, p)]", [(2, 3, 2, 2)] * 2),
+    "subspace_fidelities": ("[x.shape for x in teleport.subspace_fidelities(s, p)]", [(2, 3)] * 2),
+    "collapsed_closed_form": (
+        "[x.shape for o in teleport.BellOutcome for x in teleport.collapsed_closed_form(s, e, o)]",
+        [(2, 3, 2, 2), (2, 3)] * 4),
+    "average_fidelity_closed_form": ("[teleport.average_fidelity_closed_form(p).shape]", [(2, 1)]),
+}
+
+
+@pytest.mark.parametrize("call, shapes", CLOSED_FORM_CALLS.values(), ids=CLOSED_FORM_CALLS)
+def test_a_teleport_closed_form_on_arrays_loads_neither_linalg_nor_oracles(call, shapes):
+    # numpy fills the arrays; no oracle or matrix helper is loaded on the way
+    code = (
+        "import sys; import numpy as np; from qdot import model, teleport\n"
+        "s = teleport.InputState(np.array([0.0, 1.0, np.pi]), np.array([0.0, 2.0, 1.3]))\n"
+        "p = model.DotParams(np.array([[4.0], [-1.0]]), np.array([[0.2], [1.5]]), 0.5)\n"
+        "e = model.thermal_elements(p)\n"
+        f"print([{call}, [m for m in ('qdot.linalg', 'qdot.oracles') if m in sys.modules]])\n"
+    )
+    assert ast.literal_eval(run_child(code)) == [shapes, []]
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,10 +7,12 @@ subspace fidelities and the closed-form F_a, a call on Python floats must
 give Python floats with the same hex bits as the call on one-element
 arrays, signed zeros included; where one raises, both raise DomainError
 with the same message, non-finite inputs included. The
-draws lean on the edges: subnormal couplings and temperatures, fields at
-the level crossing |r| = k0/4, Boltzmann exponents near +-709 (where exp
-overflows or underflows) and exponents that lie more than 1.8e308 apart
-(where the shifted exponent is -inf); the input state's angles are drawn
+draws lean on the edges: subnormal couplings and temperatures, fields
+within a few ulps of the level crossing |r| = k0/4, shifted Boltzmann
+exponents within a few ulps of -708.40 and -745.13 (where exp turns
+subnormal and underflows), exponents that lie more than 1.8e308 apart
+(where the shifted exponent is -inf), and values a few ulps from each
+overflow guard of _boltzmann_weights; the input state's angles are drawn
 beside them. Examples are derandomized, so every run draws the same ones.
 
 Inputs narrower than float64, or Python ints, are widened to float64 first,
@@ -42,29 +44,56 @@ _ANY = st.floats(allow_nan=False, allow_infinity=False)
 _TINY = st.floats(-1e-300, 1e-300, allow_nan=False)  # subnormals included
 _SIGN = st.sampled_from((-1.0, 1.0))
 _MAX = sys.float_info.max
+# every subnormal, each a whole number of the smallest one
+_SUBNORMAL = st.integers(1 - 2**52, 2**52 - 1).map(lambda n: n * math.ulp(0.0))
+# powers of two: a product or quotient by one is exact while it stays normal
+_POW2 = st.integers(-20, 20).map(lambda n: 2.0**n)
+# shifted exponents where exp turns subnormal (-708.40), underflows to 0
+# (-745.13) and where a positive argument would overflow (709.78)
+_EXP_EDGES = (708.3964185322641, 745.1332191019411, 709.782712893384)
+# below 1.8e308, where a gap between two exponents overflows (MAX/2 at zero
+# k0), 3 k0 (MAX/3), 4 k0/16T (MAX/4) and 16 r or 16 T (MAX/16) do
+_GUARD_EDGES = (_MAX, _MAX / 2.0, _MAX / 3.0, _MAX / 4.0, _MAX / 16.0, 3.0 * _MAX / 16.0)
+
+
+@st.composite
+def _ulps_off(draw, values, ulps=4):
+    """One of ``values``, moved up to ``ulps`` ulps either way."""
+    x = draw(st.sampled_from(values))
+    for _ in range(draw(st.integers(0, ulps))):
+        x = math.nextafter(x, draw(st.sampled_from((math.inf, -math.inf))))
+    return x
 
 
 @st.composite
 def _points(draw):
     """(k0, r, T) as Python floats, drawn from one of several edge regimes."""
-    regime = draw(st.sampled_from(("any", "tiny", "crossing", "exp", "shift")))
+    regime = draw(st.sampled_from(
+        ("any", "tiny", "subnormal", "crossing", "exp", "shift", "guard")))
     T = draw(st.one_of(st.floats(0.0, 1e308), _TINY, st.sampled_from((0.0, -0.0, -1.0))))
     if regime == "any":  # non-finite values too: both routes refuse them alike
         wild = st.one_of(_ANY, st.sampled_from((math.nan, math.inf, -math.inf)))
         return draw(wild), draw(wild), draw(st.one_of(st.just(T), wild))
     if regime == "tiny":
         return draw(_TINY), draw(_TINY), draw(st.one_of(_TINY, st.floats(0.0, 10.0)))
+    if regime == "subnormal":  # k0 and T subnormal, r subnormal or beside them
+        T = draw(st.one_of(_SUBNORMAL.map(abs), st.just(0.0)))
+        return draw(_SUBNORMAL), draw(st.one_of(_SUBNORMAL, _TINY, st.floats(-10.0, 10.0))), T
     if regime == "crossing":  # |r| at k0/4, or a few ulps off it
-        k0 = draw(st.one_of(_ANY, _TINY))
-        r = k0 / 4.0
-        for _ in range(draw(st.integers(0, 3))):
-            r = math.nextafter(r, draw(st.sampled_from((math.inf, -math.inf))))
+        k0 = draw(st.one_of(_ANY, _TINY, _SUBNORMAL))
+        r = draw(_ulps_off((k0 / 4.0,)))
         return k0, draw(_SIGN) * r, T
     T = draw(st.one_of(st.floats(1e-300, 1e300), _TINY.filter(lambda t: t > 0)))
-    if regime == "exp":  # an exponent, or a gap between two, near 709-745
-        gap = draw(st.floats(700.0, 750.0))
+    if regime == "exp":  # a shifted exponent, or a gap between two, near 709-745
+        gap = draw(st.one_of(st.floats(700.0, 750.0), _ulps_off(_EXP_EDGES)))
+        T = draw(st.one_of(st.just(T), _POW2))  # exact exponents on a power of two
         k0 = draw(_SIGN) * draw(st.sampled_from((0.0, 1.0, 4.0 * gap, 16.0 / 3.0 * gap))) * T
         r = draw(_SIGN) * draw(st.sampled_from((0.0, gap / 2.0, gap))) * T
+        return k0, r, T
+    if regime == "guard":  # k0/T, r/T and T a few ulps from an overflow guard
+        T = draw(st.one_of(_POW2.filter(lambda t: t <= 1.0), _ulps_off(_GUARD_EDGES)))
+        k0 = draw(_SIGN) * draw(st.one_of(st.just(0.0), _ulps_off(_GUARD_EDGES))) * min(T, 1.0)
+        r = draw(_SIGN) * draw(st.one_of(st.just(0.0), _ulps_off(_GUARD_EDGES))) * min(T, 1.0)
         return k0, r, T
     # shift: a gap 2 r/T or 4 k0/16T past the float range, its exponent at -inf
     k0 = draw(_SIGN) * draw(st.floats(0.0, _MAX)) * min(T, 1.0)
@@ -167,6 +196,14 @@ def _same_route(k0, r, T, theta, phi) -> None:
 @example((1e-300, 2.5e-301, 1e-320), _CUT)  # at the crossing, T subnormal
 @example((4.0, 1.5, 0.0), (0.0, 0.0))  # a polarised channel at theta = 0: F_o is NaN
 @example((4.0, -1.5, 0.0), (math.pi, 0.0))  # and F_e at theta = pi
+@example((0.0, 372.56660955097055, 1.0), _CUT)  # a shifted exponent -745.13: v = 5e-324
+@example((0.0, 372.5666095509706, 1.0), _CUT)  # one ulp further: v = 0
+@example((2980.5328764077644, 0.0, 1.0), _CUT)  # the same edge through -4 k0/16T
+@example((0.0, 354.19820926613204, 1.0), _CUT)  # -708.40: v at the smallest normal
+@example((_MAX / 3.0, 0.0, 1.0), _CUT)  # 3 k0 at the top of the float range
+@example((math.nextafter(_MAX / 3.0, math.inf), 0.0, 1.0), _CUT)  # 3 k0 overflows
+@example((0.0, _MAX / 2.0, 1.0), _CUT)  # a gap 2 r/T of 1.8e308, the shift guard
+@example((0.0, math.nextafter(_MAX / 2.0, math.inf), 1.0), _CUT)  # past it: -inf
 def test_a_float_point_has_the_bits_of_its_one_element_array(point, angles):
     _same_route(*point, *angles)
 

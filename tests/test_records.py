@@ -1,4 +1,4 @@
-"""The contract of the package's nine records: construction by position and
+"""The contract of the package's eight records: construction by position and
 by keyword with their defaults, the repr text, ``==``, ``hash``, pickling and
 deep copies, and that no field can be assigned or deleted. Every record
 compares its arrays by value, those of a grid's parameters included."""
@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 from qdot import (
-    Axis, BellOutcome, CheckResult, ConcurrenceResult, DotParams, InputState,
-    MonteCarloFidelity, SweepSpec, TeleportOutcome, ThermalElements,
+    Axis, CheckResult, ConcurrenceResult, DotParams, InputState, MonteCarloFidelity, SweepSpec,
+    ThermalElements,
 )
 
 AXIS = Axis("r", 0.0, 2.0, 5)
 LAMBDAS = np.array([1.0, 0.5, 0.0, 0.0])
-STATE = np.array([[0.75, 0.25j], [-0.25j, 0.25]])
 
 K0S = np.array([4.0, 2.0])
 THETAS = np.array([1.0, 2.0])
@@ -39,10 +38,6 @@ RECORDS = {case[0].__name__: case for case in [
      "SweepSpec(axes=(Axis(name='r', lo=0.0, hi=2.0, steps=5),), "
      "fixed={'k0': 4.0, 'T': 0.5}, quantities=('C',))"),
     (InputState, ("theta", "phi"), (1.0, 0.5), (1.0, -0.5), "InputState(theta=1.0, phi=0.5)"),
-    (TeleportOutcome, ("outcome", "probability", "state", "fidelity"),
-     (BellOutcome.PSI_MINUS, 0.25, STATE, 0.75), (BellOutcome.PSI_MINUS, 0.25, STATE.T, 0.75),
-     f"TeleportOutcome(outcome={BellOutcome.PSI_MINUS!r}, probability=0.25, "
-     f"state={STATE!r}, fidelity=0.75)"),
     (MonteCarloFidelity, ("value", "stderr", "samples", "seed"), (0.75, 1e-4, 1000, 7),
      (0.75, 1e-4, 1000, 8), "MonteCarloFidelity(value=0.75, stderr=0.0001, samples=1000, seed=7)"),
     (CheckResult, ("name", "passed", "max_dev", "threshold", "detail"),
@@ -61,7 +56,7 @@ RECORDS.update({
 })
 # Cases that hold an array or a dict have no hash: the key is the case, since
 # a DotParams of floats hashes and one of arrays does not.
-UNHASHABLE = {"ConcurrenceResult", "SweepSpec", "TeleportOutcome",
+UNHASHABLE = {"ConcurrenceResult", "SweepSpec",
               "DotParams-arrays", "InputState-arrays", "ThermalElements-arrays"}
 
 

@@ -24,7 +24,7 @@ from qdot.oracles import (
     input_density,
     input_vector,
     joint_state,
-    teleport_outcomes,
+    pauli_correction,
 )
 from qdot.teleport import (
     _SERIES_CUTOFF,
@@ -33,10 +33,9 @@ from qdot.teleport import (
     average_fidelity_closed_form,
     collapsed_closed_form,
     output_states,
-    pauli_correction,
     subspace_fidelities,
 )
-from qdot.verify import _MC_POINTS
+from qdot.verify import _MC_POINTS, TELEPORT_GRID, _teleport_grid
 
 CHANNEL = DotParams(k0=4.0, r=0.2, T=0.2)
 STATE = InputState(theta=math.pi / 3, phi=0.7)
@@ -317,24 +316,49 @@ def test_equator_is_self_mirror():
     assert abs(f_o - f_e) < 1e-15
 
 
-def test_teleport_outcomes_bundle():
-    outs = teleport_outcomes(STATE, CHANNEL)
-    assert tuple(o.outcome for o in outs) == tuple(BellOutcome)
-    assert abs(sum(o.probability for o in outs) - 1.0) < 1e-14
+def test_each_corrected_branch_has_its_subspace_fidelity():
+    # the four closed-form branches, corrected by the matrix route: their
+    # probabilities sum to 1, and each has its subspace's fidelity
+    e = thermal_elements(CHANNEL)
+    branches = [collapsed_closed_form(STATE, e, outcome) for outcome in BellOutcome]
+    assert abs(sum(prob for _, prob in branches) - 1.0) < 1e-14
+    fids = [fidelity(STATE, pauli_correction(outcome, state))
+            for outcome, (state, _) in zip(BellOutcome, branches)]
     f_o, f_e = subspace_fidelities(STATE, CHANNEL)
-    assert abs(outs[0].fidelity - f_o) < 1e-15
-    assert abs(outs[1].fidelity - f_o) < 1e-13
-    assert abs(outs[2].fidelity - f_e) < 1e-13
-    assert abs(outs[3].fidelity - f_e) < 1e-13
-    for o in outs:
-        assert o.outcome.subspace in ("o", "e")
+    assert abs(fids[0] - f_o) < 1e-15
+    assert abs(fids[1] - f_o) < 1e-13
+    assert abs(fids[2] - f_e) < 1e-13
+    assert abs(fids[3] - f_e) < 1e-13
+    assert [outcome.subspace for outcome in BellOutcome] == ["o", "o", "e", "e"]
+
+
+def _random_stack(cells: int, seed: int):
+    """``cells`` random input states, each with its own random channel."""
+    rng = np.random.default_rng(seed)
+    return (InputState(rng.uniform(0.0, np.pi, cells), rng.uniform(0.0, 2.0 * np.pi, cells)),
+            DotParams(rng.uniform(-8.0, 8.0, cells), rng.uniform(-2.0, 2.0, cells),
+                      rng.uniform(0.05, 5.0, cells)))
+
+
+@pytest.mark.parametrize("stack", [_teleport_grid(TELEPORT_GRID), _random_stack(500, 37)],
+                         ids=["TELEPORT_GRID", "random"])
+def test_the_closed_form_correction_is_the_matrix_route(stack):
+    # output_states reverses both axes of the Phi- branch, where the matrix
+    # route multiplies by X on each side: the same values, where only the
+    # sign of a zero may differ (0 * a + 1 * -0.0 is +0.0)
+    s, p = stack
+    phi_minus, _ = collapsed_closed_form(s, thermal_elements(p), BellOutcome.PHI_MINUS)
+    _, rho_e = output_states(s, p)
+    assert rho_e.shape == phi_minus.shape
+    assert np.array_equal(rho_e, pauli_correction(BellOutcome.PHI_MINUS, phi_minus))
 
 
 def test_records_holding_arrays_compare_by_value():
-    outs, again = teleport_outcomes(STATE, CHANNEL), teleport_outcomes(STATE, CHANNEL)
-    assert outs[0].state is not again[0].state
-    assert outs == again and (outs[0] == again[1]) is False
     grid = DotParams(np.array([2.0, 4.0]), 0.2, 0.5)
+    outs, again = (oracles.wootters_concurrence(thermal_state(grid)) for _ in range(2))
+    assert outs.lambdas is not again.lambdas
+    other = oracles.wootters_concurrence(thermal_state(DotParams(np.array([4.0, 2.0]), 0.2, 0.5)))
+    assert (outs == again) is True and (outs == other) is False
     a, b = (average_fidelity_mc(grid, n=1_000, seed=3) for _ in range(2))
     assert (a == b) is True and (a != b) is False
     assert (a == average_fidelity_mc(grid, n=1_000, seed=4)) is False

@@ -75,7 +75,7 @@ def reference_collapse():
                 if outcome in (teleport.BellOutcome.PSI_MINUS, teleport.BellOutcome.PHI_MINUS):
                     f_closed = teleport.subspace_fidelities(s, p)[
                         outcome is teleport.BellOutcome.PHI_MINUS]
-                    corrected = teleport.pauli_correction(outcome, brute_state)
+                    corrected = oracles.pauli_correction(outcome, brute_state)
                     dev = max(dev, abs(f_closed - oracles.fidelity(s, corrected)))
     return dev
 
